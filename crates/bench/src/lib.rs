@@ -1,20 +1,22 @@
 //! # sp-bench — reproduction harness
 //!
-//! One binary per paper figure (`fig1_…` through `fig7_…`), ablation
-//! binaries for the design choices the paper calls out, and
-//! `reproduce_all`, which runs the whole suite and rewrites the measured
-//! columns of `EXPERIMENTS.md`.
+//! `figure <fig1..fig7>` regenerates one paper figure, ablation binaries
+//! cover the design choices the paper calls out, and `reproduce_all` runs
+//! the whole suite and rewrites the measured columns of `EXPERIMENTS.md`.
 //!
 //! Every binary accepts an optional scale factor as its first argument
-//! (default 1.0; also settable via `SP_SCALE`): sample counts and iteration
-//! counts multiply by it.
+//! (after the figure id for `figure`; default 1.0; also settable via
+//! `SP_SCALE`): sample counts and iteration counts multiply by it.
 
 use simcore::Nanos;
 use sp_experiments::{DeterminismResult, RcimResult, RealfeelResult};
 
-/// Resolve the run scale: first CLI argument, then `SP_SCALE`, then 1.0.
+/// Resolve the run scale: first CLI argument, then `SP_SCALE`, then 1.0. A
+/// leading figure id (`figure fig5 0.1`) is skipped.
 pub fn scale_from_args() -> f64 {
-    let from_arg = std::env::args().nth(1).and_then(|a| a.parse::<f64>().ok());
+    let mut args = std::env::args().skip(1).peekable();
+    args.next_if(|a| a.starts_with("fig"));
+    let from_arg = args.next().and_then(|a| a.parse::<f64>().ok());
     let from_env = std::env::var("SP_SCALE").ok().and_then(|v| v.parse::<f64>().ok());
     let scale = from_arg.or(from_env).unwrap_or(1.0);
     assert!(scale > 0.0, "scale must be positive");

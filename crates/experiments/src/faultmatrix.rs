@@ -19,24 +19,21 @@
 //! print the whole matrix before failing.
 
 use crate::scenario::{reshield_transient_scenario, run_scenario, RecoveryReport};
+use crate::shard::{effective_shards, shard_seeds, split_samples};
+use crate::study::{self, Group, Rig, Sampling, Source};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
+use sp_hw::{CpuId, CpuMask};
 use sp_inject::{matrix_presets, Armory, FaultKind, FaultSpec};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
-use sp_metrics::{LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
+use sp_kernel::{KernelConfig, KernelVariant, Simulator, WorstCaseTrace};
+use sp_metrics::LatencySummary;
 
 /// The CPU every cell binds its measured task and interrupt to (shared with
 /// the modern-isolation matrix in [`crate::modernmax`]).
 pub(crate) const MEASURED_CPU: CpuId = CpuId(1);
 
-/// Acceptance bands (see ISSUE/EXPERIMENTS.md).
+/// Acceptance bands (see EXPERIMENTS.md).
 const DEGRADATION_FACTOR: u64 = 5;
 const SHIELDED_REALFEEL_BOUND: Nanos = Nanos::from_ms(1);
 const SHIELDED_RCIM_BOUND: Nanos = Nanos::from_us(30);
@@ -92,10 +89,26 @@ impl MatrixPath {
         }
     }
 
-    fn period(self) -> Nanos {
-        match self {
-            MatrixPath::Realfeel => Nanos(1_000_000_000 / 2048),
-            MatrixPath::Rcim => Nanos::from_ms(1),
+    /// This path's matrix rig on `kernel`: the paper workload, the measured
+    /// task pinned to [`MEASURED_CPU`], and every matrix fault registered
+    /// disarmed in its shielded or unshielded cell shape (see [`cell_fault`]).
+    /// `pcie` fits the modern PCIe RCIM card.
+    pub(crate) fn rig(self, kernel: KernelConfig, shield: Option<ShieldPlan>, pcie: bool) -> Rig {
+        let shielded = shield.is_some();
+        let source = match self {
+            MatrixPath::Realfeel => Source::Rtc { hz: 2048 },
+            MatrixPath::Rcim => Source::Rcim { period: Nanos::from_ms(1), pcie, bkl_free: true },
+        };
+        Rig {
+            kernel,
+            source,
+            task: "measured",
+            cpu: Some(MEASURED_CPU),
+            shield,
+            faults: matrix_presets().iter().map(|f| cell_fault(f, shielded)).collect(),
+            // Generous deadline: faulted unshielded cells legitimately lose
+            // long stretches to the injector.
+            sampling: Sampling { deadline_periods: 64.0, chunk: (512, 16_384) },
         }
     }
 }
@@ -191,112 +204,11 @@ impl FaultMatrixReport {
     }
 }
 
-/// Build one matrix simulation for a `(path, shielded)` group: full paper
-/// workload, the measured task pinned + watched, shield or IRQ affinity
-/// applied, and **every** matrix fault registered (disarmed). Registering
-/// the whole arsenal in every cell keeps the builds structurally identical —
-/// a warm [`sp_kernel::Checkpoint`] taken in one cell restores into any
-/// sibling cell's simulator — and a disarmed injector costs the hot loop
-/// nothing (its device schedules no events until armed).
-fn build_cell_sim(
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    shielded: bool,
-    seed: u64,
-) -> (Simulator, Armory, sp_kernel::Pid) {
-    let (machine, variant) = match path {
-        MatrixPath::Realfeel => (MachineConfig::dual_xeon_p3(), KernelVariant::RedHawk),
-        MatrixPath::Rcim => (MachineConfig::dual_xeon_p4_2ghz(), KernelVariant::RedHawk),
-    };
-    let mut sim = Simulator::new(machine, KernelConfig::new(variant), seed);
-
-    let measured_dev = match path {
-        MatrixPath::Realfeel => {
-            let rtc = sim.add_device(RtcDevice::new(2048));
-            let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-                Nanos::from_ms(20),
-            ))));
-            let disk = sim.add_device(DiskDevice::new());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            rtc
-        }
-        MatrixPath::Rcim => {
-            let rcim = sim.add_device(RcimDevice::new(Nanos::from_ms(1)));
-            let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-            let disk = sim.add_device(DiskDevice::new());
-            sim.add_device(GpuDevice::x11perf());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            x11perf_driver(&mut sim);
-            rcim
-        }
-    };
-
-    let mut armory = Armory::new();
-    for f in faults {
-        armory.register(&mut sim, &cell_fault(f, shielded)).expect("fault registers");
-    }
-
-    let api = match path {
-        MatrixPath::Realfeel => WaitApi::ReadDevice,
-        MatrixPath::Rcim => WaitApi::IoctlWait { driver_bkl_free: true },
-    };
-    let prog = Program::forever(vec![Op::WaitIrq { device: measured_dev, api }]);
-    let spec = TaskSpec::new("measured", SchedPolicy::fifo(90), prog)
-        .mlockall()
-        .pinned(CpuMask::single(MEASURED_CPU));
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    // Both cells bind the measured task and its interrupt to CPU 1; the
-    // shield is the only variable.
-    if shielded {
-        ShieldPlan::cpu(MEASURED_CPU)
-            .bind_task(pid)
-            .bind_irq(measured_dev)
-            .apply(&mut sim)
-            .expect("shield plan");
-    } else {
-        sim.set_irq_affinity(measured_dev, CpuMask::single(MEASURED_CPU))
-            .expect("irq affinity");
-    }
-    (sim, armory, pid)
-}
-
-/// Advance `sim` until the measured task has `samples` latency samples in
-/// total (warm-up samples restored from a checkpoint count toward the
-/// total). The starvation deadline is relative to the current instant so it
-/// works for both cold starts and mid-run forks; it is generous because
-/// faulted unshielded cells legitimately lose long stretches to the
-/// injector.
-pub(crate) fn collect_cell_samples(
-    sim: &mut Simulator,
-    pid: sp_kernel::Pid,
-    path: MatrixPath,
-    samples: u64,
-) {
-    let period = path.period();
-    let deadline = sim.now() + period.scale(64.0 * samples as f64);
-    loop {
-        let have = sim.obs.latencies(pid).len() as u64;
-        if have >= samples {
-            break;
-        }
-        assert!(sim.now() < deadline, "{} cell starved: {have} samples", path.name());
-        // Chunk size tracks the remaining budget (the healthy waiter samples
-        // about once per period) so small-budget runs don't overshoot by a
-        // whole maximum-size chunk. Chunking cannot affect the trajectory —
-        // it only decides where the event loop pauses.
-        let chunk = period * (samples - have).clamp(512, 16_384);
-        sim.run_for(chunk);
-    }
-}
-
 /// Per-cell fault adaptation: task faults pin onto the measured CPU in the
 /// unshielded cell (without a shield nothing keeps a rogue off your CPU) and
 /// float in the shielded cell (the shield strips them). Device faults are
 /// identical in both cells — affinity-stripping does all the work.
-pub(crate) fn cell_fault(spec: &FaultSpec, shielded: bool) -> FaultSpec {
+fn cell_fault(spec: &FaultSpec, shielded: bool) -> FaultSpec {
     let mut out = spec.clone();
     if !shielded {
         let measured = CpuMask::single(MEASURED_CPU).to_string();
@@ -316,181 +228,86 @@ pub(crate) fn cell_seed(base: u64, index: u64) -> u64 {
     base ^ (index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The deterministic plan for one `(path, shielded)` group: per-shard seeds
-/// and budgets, all pure functions of `(cfg, group_index)` — the shared
-/// vocabulary of the serial `run_path_group` test path and the flattened
-/// all-groups-at-once matrix batch, which must produce identical cells.
-struct GroupPlan {
-    path: MatrixPath,
-    shielded: bool,
-    shards: usize,
-    seeds: Vec<u64>,
-    budgets: Vec<u64>,
+/// One matrix group on root seed `seed`: per shard, one checkpoint warmed
+/// fault-free to a quarter of the shard budget; then, cell-major, the
+/// baseline and every fault of `rig` forked from each shard's checkpoint.
+/// Each fork arms its cell's fault (the baseline arms nothing) and samples
+/// the remaining three quarters on top of whatever the warm-up collected,
+/// so every cell samples its faulted regime even when the warm-up overshot
+/// its quarter. Warm-up samples count toward every cell's histogram; they
+/// are drawn under exactly the cell's no-fault conditions, so the baseline
+/// percentiles the bands compare against are unaffected and the faulted
+/// cells' worst cases still come from their faulted stretches.
+fn matrix_group(rig: Rig, seed: u64, shards: u32, samples: u64) -> Group<Option<String>> {
+    let shards = effective_shards(shards, samples);
+    let budgets = split_samples(samples, shards);
+    let faults = std::iter::once(None).chain(rig.faults.iter().map(|f| Some(f.name.clone())));
+    let cells = faults
+        .map(|fault| {
+            budgets.iter().enumerate().map(|(w, b)| (w, b - b / 4, fault.clone())).collect()
+        })
+        .collect();
+    let warms = shard_seeds(seed, shards).into_iter().zip(&budgets).map(|(s, b)| (s, b / 4));
+    Group { rig, warms: warms.collect(), cells }
 }
 
-fn plan_group(
-    cfg: &FaultMatrixConfig,
-    group_index: u64,
-    path: MatrixPath,
-    shielded: bool,
-) -> GroupPlan {
-    let group_seed = cell_seed(cfg.seed, group_index);
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples_per_cell) as usize;
-    GroupPlan {
-        path,
-        shielded,
-        shards,
-        seeds: crate::shard::shard_seeds(group_seed, shards as u32),
-        budgets: crate::shard::split_samples(cfg.samples_per_cell, shards as u32),
-    }
-}
+/// One merged matrix cell: its group index, fault label, summary, events
+/// and captured windows.
+pub(crate) type LabelledCell = (usize, String, LatencySummary, u64, Vec<WorstCaseTrace>);
 
-/// A shard's warm state: checkpoint, events dispatched during the warm-up,
-/// and how many samples the warm-up actually collected.
-type WarmShard = (sp_kernel::Checkpoint, u64, u64);
-
-/// One cell-shard's output: histogram, event delta, captured flight traces.
-type CellShardOutput = (LatencyHistogram, u64, Vec<WorstCaseTrace>);
-
-/// Build one shard's simulation, warm it fault-free to a quarter of the
-/// shard budget, checkpoint.
-fn warm_shard(plan: &GroupPlan, faults: &[FaultSpec], shard: usize) -> WarmShard {
-    let (mut sim, _armory, pid) =
-        build_cell_sim(plan.path, faults, plan.shielded, plan.seeds[shard]);
-    collect_cell_samples(&mut sim, pid, plan.path, plan.budgets[shard] / 4);
-    let warm_len = sim.obs.latencies(pid).len() as u64;
-    (sim.checkpoint(), sim.events_dispatched(), warm_len)
-}
-
-/// Fork one `(cell, shard)` run from its shard's warm checkpoint: rebuild,
-/// restore, arm the cell's fault (baseline arms nothing), sample the rest of
-/// the budget.
-fn run_cell_shard(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    warm: &WarmShard,
-    cell: usize,
-    shard: usize,
-    flight_top_k: usize,
-) -> CellShardOutput {
-    let fault = if cell == 0 { None } else { Some(&faults[cell - 1]) };
-    let (ck, warm_events, warm_len) = warm;
-
-    let (mut sim, mut armory, pid) =
-        build_cell_sim(plan.path, faults, plan.shielded, plan.seeds[shard]);
-    sim.restore(ck);
-    if let Some(f) = fault {
-        armory.arm(&mut sim, &f.name).expect("arm");
-    }
-    // Arm after the restore so captured windows cover the forked stretch
-    // (pure observation — the cell's trajectory is unchanged).
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    // Post-fork target: the remaining three quarters of the budget on top
-    // of whatever the warm-up actually collected, so every cell samples
-    // its faulted regime even when the warm-up overshot its quarter.
-    let target = warm_len + (plan.budgets[shard] - plan.budgets[shard] / 4);
-    collect_cell_samples(&mut sim, pid, plan.path, target);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    // The shared warm-up's event work is accounted to the baseline cell
-    // only, so group event totals are not inflated per fork.
-    let events = sim.events_dispatched() - if cell == 0 { 0 } else { *warm_events };
-    (histogram, events, sim.flight.top().to_vec())
-}
-
-/// Merge one group's `cells × shards` outputs (laid out `cell * shards +
-/// shard`) into per-cell summaries, in cell order with shard-order trace
-/// merges — the deterministic final step shared by both execution paths.
-fn merge_group(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    outputs: &[CellShardOutput],
-    flight_top_k: usize,
-) -> (Vec<MatrixCell>, Vec<CellFlight>) {
-    let cell_count = faults.len() + 1;
-    debug_assert_eq!(outputs.len(), cell_count * plan.shards);
-    let mut cells = Vec::with_capacity(cell_count);
-    let mut flights = Vec::with_capacity(cell_count);
-    for cell in 0..cell_count {
-        let mut histogram = LatencyHistogram::new();
-        let mut events = 0u64;
-        let mut per_shard = Vec::with_capacity(plan.shards);
-        for shard in 0..plan.shards {
-            let (h, e, t) = &outputs[cell * plan.shards + shard];
-            histogram.merge(h);
-            events += e;
-            per_shard.push(t.clone());
+/// Run a matrix flattened across its groups: group `g` is the
+/// [`matrix_group`] of `rigs[g] = (root seed, rig)`, and every group's
+/// warms, then every group's forks, share one fleet batch each. Returns the
+/// merged cells in group then cell order, the baseline first.
+pub(crate) fn run_matrix(
+    rigs: Vec<(u64, Rig)>,
+    shards: u32,
+    samples: u64,
+    top_k: usize,
+) -> Vec<LabelledCell> {
+    let groups: Vec<_> =
+        rigs.into_iter().map(|(seed, rig)| matrix_group(rig, seed, shards, samples)).collect();
+    let arm = |fault: &Option<String>, sim: &mut Simulator, armory: &mut Armory| {
+        if let Some(name) = fault {
+            armory.arm(sim, name).expect("arm");
         }
-        let fault = if cell == 0 { "baseline".to_string() } else { faults[cell - 1].name.clone() };
-        cells.push(MatrixCell {
-            fault: fault.clone(),
-            path: plan.path.name().into(),
-            shielded: plan.shielded,
-            summary: LatencySummary::from_histogram(&histogram),
-            events,
-        });
-        flights.push(CellFlight {
-            fault,
-            path: plan.path.name().into(),
-            shielded: plan.shielded,
-            traces: crate::flight::merge_top(per_shard, flight_top_k),
-        });
-    }
-    (cells, flights)
+    };
+    let outs = study::run_groups(&groups, top_k, arm, |out| {
+        (LatencySummary::from_histogram(&out.histogram), out.events, out.traces)
+    });
+    let cells = groups.iter().zip(outs).enumerate().flat_map(|(g, (group, outs))| {
+        let faults = group.rig.faults.iter().map(|f| f.name.clone());
+        let labels = std::iter::once("baseline".to_string()).chain(faults);
+        labels.zip(outs).map(move |(fault, (summary, events, traces))| {
+            (g, fault, summary, events, traces)
+        })
+    });
+    cells.collect()
 }
 
-/// Run all six cells of one `(path, shielded)` group — baseline + every
-/// fault — from shared warm checkpoints.
-///
-/// Per shard, one simulation is built and warmed (fault-free) to a quarter
-/// of the shard budget and checkpointed; every cell then forks from that
-/// checkpoint, arms its fault (baseline arms nothing), and runs on to the
-/// full budget. The warm-up is paid once per shard instead of once per cell,
-/// and all warms and `cells × shards` forks run on the fleet pool. Warm-up
-/// samples count toward every cell's histogram; they are drawn under exactly
-/// the cell's no-fault conditions, so the baseline percentiles the bands
-/// compare against are unaffected and the faulted cells' worst cases still
-/// come from their faulted stretches.
-///
-/// The production matrix runs all four groups through the flattened batch in
-/// [`run_fault_matrix_with_flight`]; this serial-per-group path is kept as
-/// the reference the tests compare that batch against, cell for cell.
-#[cfg_attr(not(test), allow(dead_code))]
-fn run_path_group(
-    cfg: &FaultMatrixConfig,
-    group_index: u64,
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    shielded: bool,
-    flight_top_k: usize,
-) -> (Vec<MatrixCell>, Vec<CellFlight>) {
-    let plan = plan_group(cfg, group_index, path, shielded);
-    let checkpoints = crate::shard::run_indexed(plan.shards, |i| warm_shard(&plan, faults, i));
-    let cell_count = faults.len() + 1;
-    let outputs = crate::shard::run_indexed(cell_count * plan.shards, |j| {
-        let (cell, shard) = (j / plan.shards, j % plan.shards);
-        run_cell_shard(&plan, faults, &checkpoints[shard], cell, shard, flight_top_k)
-    });
-    merge_group(&plan, faults, &outputs, flight_top_k)
+/// Group `g`'s root seed (see [`cell_seed`]) and rig. Both cells of a pair
+/// bind the measured task and its interrupt to the measured CPU; the shield
+/// is the only variable.
+fn group_rig(cfg: &FaultMatrixConfig, g: usize, key: (MatrixPath, bool)) -> (u64, Rig) {
+    let (path, shielded) = key;
+    let shield = shielded.then(|| ShieldPlan::cpu(MEASURED_CPU));
+    let rig = path.rig(KernelConfig::new(KernelVariant::RedHawk), shield, false);
+    (cell_seed(cfg.seed, g as u64), rig)
+}
+
+/// One merged cell of a `(path, shielded)` group, with its captures.
+fn matrix_cell(key: (MatrixPath, bool), cell: LabelledCell) -> (MatrixCell, CellFlight) {
+    let ((path, shielded), (_, fault, summary, events, traces)) = (key, cell);
+    let flight = CellFlight { fault: fault.clone(), path: path.name().into(), shielded, traces };
+    (MatrixCell { fault, path: path.name().into(), shielded, summary, events }, flight)
 }
 
 /// Run the full matrix: `(1 baseline + 5 faults) × 2 paths × 2 shield
 /// states` = 24 cells, plus the reshield-transient scenario, then check
 /// every band. Each `(path, shielded)` group warms once per shard and forks
-/// its six cells from the shared checkpoint (see `run_path_group`).
+/// its six cells from the shared checkpoint (see `run_matrix`).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
     run_fault_matrix_with_flight(cfg, 0).0
-}
-
-/// Phase-B job output for the flattened matrix batch.
-enum MatrixJobOut {
-    Cell(CellShardOutput),
-    Reshield(RecoveryReport),
 }
 
 /// [`run_fault_matrix`] with the flight recorder armed in every cell's
@@ -503,78 +320,38 @@ enum MatrixJobOut {
 /// to [`run_fault_matrix`]'s. With `top_k == 0` nothing is armed.
 ///
 /// Execution is flattened across the whole matrix rather than group by
-/// group: phase A warms every `(group, shard)` concurrently on the fleet,
-/// phase B runs all `groups × cells × shards` forks *plus* the reshield
-/// scenario as one batch, and phase C merges per group in index order — so
-/// the pool sees `4 × 6 × shards + 1` jobs at once instead of four serial
-/// six-job bursts, while every cell stays bit-identical to the serial
-/// `run_path_group` path (asserted in tests).
+/// group (see `run_matrix`): every `(group, shard)` warm-up runs in one
+/// fleet batch, then all `groups × cells × shards` forks in a second, and
+/// each group's cells merge in index order. The pool sees `4 × 6 × shards`
+/// forks at once instead of four serial six-job bursts, while every cell
+/// stays bit-identical to running its group alone (asserted in tests).
 pub fn run_fault_matrix_with_flight(
     cfg: &FaultMatrixConfig,
     top_k: usize,
 ) -> (FaultMatrixReport, Vec<CellFlight>) {
-    let faults = matrix_presets();
-    let plans: Vec<GroupPlan> = MatrixPath::ALL
-        .iter()
-        .flat_map(|&path| [true, false].map(|shielded| (path, shielded)))
-        .enumerate()
-        .map(|(group, (path, shielded))| plan_group(cfg, group as u64, path, shielded))
-        .collect();
-    let shards = plans[0].shards;
-    debug_assert!(plans.iter().all(|p| p.shards == shards));
-
-    // Phase A: every (group, shard) warm-up in one fleet batch.
-    let warm = crate::shard::run_indexed(plans.len() * shards, |j| {
-        warm_shard(&plans[j / shards], &faults, j % shards)
-    });
-
-    // Phase B: all groups' cells × shards plus the reshield scenario, one
-    // batch. The reshield job rides along so the pool's idle workers pick it
-    // up instead of it serializing after the cells.
-    let cell_count = faults.len() + 1;
-    let per_group = cell_count * shards;
-    let total = plans.len() * per_group;
-    let outputs = crate::shard::run_indexed(total + 1, |j| {
-        if j == total {
-            let reshield = run_scenario(&reshield_transient_scenario())
-                .expect("reshield scenario runs")
-                .recovery
-                .expect("reshield scenario requests a transient");
-            return MatrixJobOut::Reshield(reshield);
-        }
-        let (group, rem) = (j / per_group, j % per_group);
-        let (cell, shard) = (rem / shards, rem % shards);
-        MatrixJobOut::Cell(run_cell_shard(
-            &plans[group],
-            &faults,
-            &warm[group * shards + shard],
-            cell,
-            shard,
-            top_k,
-        ))
-    });
-
-    // Phase C: merge each group's cells in index order.
-    let mut cell_outs: Vec<CellShardOutput> = Vec::with_capacity(total);
-    let mut reshield = None;
-    for out in outputs {
-        match out {
-            MatrixJobOut::Cell(c) => cell_outs.push(c),
-            MatrixJobOut::Reshield(r) => reshield = Some(r),
-        }
+    let keys = MatrixPath::ALL.map(|path| [(path, true), (path, false)]).concat();
+    let rigs: Vec<_> = keys.iter().enumerate().map(|(g, &key)| group_rig(cfg, g, key)).collect();
+    // The reshield scenario rides along as a second fleet job, so an idle
+    // worker picks it up instead of it serializing after the cells.
+    enum Part {
+        Cells(Vec<LabelledCell>),
+        Reshield(Option<RecoveryReport>),
     }
-    let mut cells = Vec::new();
-    let mut flights = Vec::new();
-    for (group, plan) in plans.iter().enumerate() {
-        let slice = &cell_outs[group * per_group..(group + 1) * per_group];
-        let (group_cells, group_flights) = merge_group(plan, &faults, slice, top_k);
-        cells.extend(group_cells);
-        flights.extend(group_flights);
-    }
-    let reshield = reshield.expect("reshield job ran");
+    let mut parts = crate::shard::run_indexed(2, |i| match i {
+        0 => Part::Cells(run_matrix(rigs.clone(), cfg.shards, cfg.samples_per_cell, top_k)),
+        _ => Part::Reshield(
+            run_scenario(&reshield_transient_scenario()).expect("reshield scenario runs").recovery,
+        ),
+    });
+    let (Some(Part::Reshield(reshield)), Some(Part::Cells(cells))) = (parts.pop(), parts.pop())
+    else {
+        unreachable!("two parts, in index order")
+    };
+    let (cells, flights) = cells.into_iter().map(|cell| matrix_cell(keys[cell.0], cell)).unzip();
+    let reshield = reshield.expect("reshield scenario requests a transient");
 
     let mut report = FaultMatrixReport { config: cfg.clone(), cells, reshield, violations: vec![] };
-    report.violations = check_bands(&report, &faults);
+    report.violations = check_bands(&report, &matrix_presets());
     (report, flights)
 }
 
@@ -649,14 +426,28 @@ mod tests {
         );
     }
 
+    /// One matrix group through the shared engine on its own: the
+    /// reference the flattened all-groups batch must match cell for cell.
+    fn run_one_group(
+        cfg: &FaultMatrixConfig,
+        index: usize,
+        path: MatrixPath,
+        shielded: bool,
+        top_k: usize,
+    ) -> (Vec<MatrixCell>, Vec<CellFlight>) {
+        let rig = vec![group_rig(cfg, index, (path, shielded))];
+        let cells = run_matrix(rig, cfg.shards, cfg.samples_per_cell, top_k);
+        cells.into_iter().map(|cell| matrix_cell((path, shielded), cell)).unzip()
+    }
+
     /// The warm-fork group path is deterministic: two runs of the same group
     /// produce bit-identical summaries and event counts for all six cells.
     #[test]
     fn forked_groups_are_deterministic_across_runs() {
         let cfg = FaultMatrixConfig { samples_per_cell: 1_200, shards: 1, seed: 0xFA17_5EED };
         let faults = matrix_presets();
-        let (a, _) = run_path_group(&cfg, 1, MatrixPath::Rcim, &faults, true, 0);
-        let (b, flights) = run_path_group(&cfg, 1, MatrixPath::Rcim, &faults, true, 1);
+        let (a, _) = run_one_group(&cfg, 1, MatrixPath::Rcim, true, 0);
+        let (b, flights) = run_one_group(&cfg, 1, MatrixPath::Rcim, true, 1);
         assert_eq!(flights.len(), faults.len() + 1);
         assert!(flights.iter().all(|f| !f.traces.is_empty()), "every cell captured a worst window");
         assert_eq!(a.len(), faults.len() + 1);
@@ -666,18 +457,17 @@ mod tests {
         );
     }
 
-    /// The flattened all-groups batch (phase A warms, phase B cells +
-    /// reshield, phase C merge) must produce exactly the cells the serial
-    /// group-by-group reference path produces — whatever the worker count.
+    /// The flattened all-groups batch (warms, then cells + reshield, then
+    /// merge) must produce exactly the cells each group produces when run
+    /// through the engine alone — whatever the worker count.
     #[test]
     fn flattened_matrix_matches_group_by_group() {
         let cfg = FaultMatrixConfig { samples_per_cell: 800, shards: 2, seed: 0xFA17_5EED };
-        let faults = matrix_presets();
         let mut expected = Vec::new();
-        let mut group = 0u64;
+        let mut group = 0;
         for path in MatrixPath::ALL {
             for shielded in [true, false] {
-                expected.extend(run_path_group(&cfg, group, path, &faults, shielded, 0).0);
+                expected.extend(run_one_group(&cfg, group, path, shielded, 0).0);
                 group += 1;
             }
         }
@@ -693,24 +483,23 @@ mod tests {
     /// arming the same fault there, latencies, clock and event count alike.
     #[test]
     fn forked_cell_is_bit_identical_to_continuing_the_warm_sim() {
-        let faults = matrix_presets();
         let seed = 0xFA17_5EED;
-        let path = MatrixPath::Realfeel;
+        let rig = MatrixPath::Realfeel.rig(KernelConfig::new(KernelVariant::RedHawk), None, false);
 
-        let (mut warm, mut warm_armory, pid) = build_cell_sim(path, &faults, false, seed);
-        collect_cell_samples(&mut warm, pid, path, 400);
+        let (mut warm, mut warm_armory, pid) = rig.build(seed);
+        rig.collect(&mut warm, pid, 400);
         let ck = warm.checkpoint();
 
-        let (mut fork, mut fork_armory, fork_pid) = build_cell_sim(path, &faults, false, seed);
+        let (mut fork, mut fork_armory, fork_pid) = rig.build(seed);
         fork.restore(&ck);
         assert_eq!(fork_pid, pid);
         assert_eq!(fork.now(), warm.now());
 
-        let name = &faults[0].name;
+        let name = &rig.faults[0].name;
         warm_armory.arm(&mut warm, name).expect("arm warm");
         fork_armory.arm(&mut fork, name).expect("arm fork");
-        collect_cell_samples(&mut warm, pid, path, 1_200);
-        collect_cell_samples(&mut fork, fork_pid, path, 1_200);
+        rig.collect(&mut warm, pid, 1_200);
+        rig.collect(&mut fork, fork_pid, 1_200);
 
         assert_eq!(warm.now(), fork.now());
         assert_eq!(warm.events_dispatched(), fork.events_dispatched());

@@ -12,7 +12,7 @@
 //! | Fig. 6 | [`realfeel`] (`fig6_redhawk_shielded`) | max 0.565 ms |
 //! | Fig. 7 | [`rcim`] (`fig7_redhawk_shielded`) | min 11 µs, max 27 µs |
 //!
-//! [`runner::run_all_figures`] executes the whole suite (in parallel);
+//! [`runner::run_all_figures_flight`] executes the whole suite (in parallel);
 //! [`report`] renders paper-style text figures.
 
 pub mod autopilot;
@@ -28,6 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
+mod study;
 pub mod sweep;
 
 pub use autopilot::{
@@ -53,10 +54,7 @@ pub use modernmax::{
     run_modern_matrix, run_modern_matrix_with_flight, ModernCell, ModernCellFlight, ModernConfig,
     ModernReport, ModernVariant, MODERN_RCIM_BOUND,
 };
-pub use runner::{
-    run_all_figures, run_all_figures_flight, run_all_figures_with, FigureSuite, FigureTiming,
-    SuiteFlight, SuiteTimings,
-};
+pub use runner::{run_all_figures_flight, FigureSuite, FigureTiming, SuiteFlight, SuiteTimings};
 pub use scenario::{
     run_scenario, run_scenario_sharded, MeasuredResult, RecoveryReport, ScenarioError,
     ScenarioReport, ScenarioSpec,

@@ -17,7 +17,7 @@
 //! elided whenever the shielded CPU is quiescent, so the knob (not the ltmrs
 //! mask) is what earns the quiet CPU. `modern-all` additionally swaps in
 //! [`sp_kernel::KernelCosts::modern`]-calibrated path costs, near-zero memory
-//! contention, and a PCIe-attached RCIM ([`RcimDevice::modern`]) whose acks
+//! contention, and a PCIe-attached RCIM ([`sp_kernel::devices::RcimDevice::modern`]) whose acks
 //! are tens of nanoseconds — the configuration the sub-half-microsecond
 //! acceptance band judges.
 //!
@@ -32,21 +32,15 @@
 //! flattened on the fleet pool, and every cell is bit-identical whatever the
 //! worker count.
 
-use crate::faultmatrix::{cell_fault, cell_seed, collect_cell_samples, MatrixPath, MEASURED_CPU};
+use crate::faultmatrix::{cell_seed, run_matrix, MatrixPath, MEASURED_CPU};
+use crate::study::Rig;
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_hw::MachineConfig;
-use sp_inject::{matrix_presets, Armory, FaultSpec};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
-use sp_metrics::{LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
+use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
+use sp_metrics::LatencySummary;
 
-/// Acceptance bands (see docs/EXPERIMENTS.md).
+/// Acceptance bands (see EXPERIMENTS.md).
 const REALFEEL_BOUND: Nanos = Nanos::from_ms(1);
 const CLASSIC_RCIM_BOUND: Nanos = Nanos::from_us(30);
 /// The headline claim: the fully modern stack answers in under half a
@@ -97,6 +91,19 @@ impl ModernVariant {
             ModernVariant::KthreadIso => KernelConfig { kthread_iso: true, ..classic },
             ModernVariant::ModernAll => KernelConfig::modern(),
         }
+    }
+
+    /// This variant's matrix rig for `path`: its kernel, its shield shape
+    /// (see the module table) and, for `modern-all`, the PCIe RCIM card.
+    fn rig(self, path: MatrixPath) -> Rig {
+        let plan = ShieldPlan::cpu(MEASURED_CPU);
+        let plan = match self {
+            ModernVariant::Classic24 | ModernVariant::ThreadedIrq => plan,
+            ModernVariant::NohzFull => plan.keep_local_timer(),
+            ModernVariant::KthreadIso => plan.fence_kthreads(),
+            ModernVariant::ModernAll => plan.keep_local_timer().fence_kthreads(),
+        };
+        path.rig(self.kernel_config(), Some(plan), self == ModernVariant::ModernAll)
     }
 
     /// The RCIM bound this variant must close (realfeel is always < 1 ms).
@@ -219,185 +226,6 @@ impl ModernReport {
     }
 }
 
-/// Build one cell simulation: the fault matrix's full paper workload on this
-/// variant's kernel, the measured task bound into the variant's shield, and
-/// every fault registered (disarmed) so checkpoints restore across cells.
-fn build_variant_sim(
-    variant: ModernVariant,
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    seed: u64,
-) -> (Simulator, Armory, sp_kernel::Pid) {
-    let machine = match path {
-        MatrixPath::Realfeel => MachineConfig::dual_xeon_p3(),
-        MatrixPath::Rcim => MachineConfig::dual_xeon_p4_2ghz(),
-    };
-    let mut sim = Simulator::new(machine, variant.kernel_config(), seed);
-
-    let measured_dev = match path {
-        MatrixPath::Realfeel => {
-            let rtc = sim.add_device(RtcDevice::new(2048));
-            let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-                Nanos::from_ms(20),
-            ))));
-            let disk = sim.add_device(DiskDevice::new());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            rtc
-        }
-        MatrixPath::Rcim => {
-            let rcim = match variant {
-                ModernVariant::ModernAll => sim.add_device(RcimDevice::modern(Nanos::from_ms(1))),
-                _ => sim.add_device(RcimDevice::new(Nanos::from_ms(1))),
-            };
-            let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-            let disk = sim.add_device(DiskDevice::new());
-            sim.add_device(GpuDevice::x11perf());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            x11perf_driver(&mut sim);
-            rcim
-        }
-    };
-
-    let mut armory = Armory::new();
-    for f in faults {
-        // Shielded-cell fault shape: task faults float (the shield strips
-        // them), device faults keep default affinity.
-        armory.register(&mut sim, &cell_fault(f, true)).expect("fault registers");
-    }
-
-    let api = match path {
-        MatrixPath::Realfeel => WaitApi::ReadDevice,
-        MatrixPath::Rcim => WaitApi::IoctlWait { driver_bkl_free: true },
-    };
-    let prog = Program::forever(vec![Op::WaitIrq { device: measured_dev, api }]);
-    let spec = TaskSpec::new("measured", SchedPolicy::fifo(90), prog)
-        .mlockall()
-        .pinned(sp_hw::CpuMask::single(MEASURED_CPU));
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    let mut plan = ShieldPlan::cpu(MEASURED_CPU).bind_task(pid).bind_irq(measured_dev);
-    match variant {
-        ModernVariant::Classic24 | ModernVariant::ThreadedIrq => {}
-        ModernVariant::NohzFull => plan = plan.keep_local_timer(),
-        ModernVariant::KthreadIso => plan = plan.fence_kthreads(),
-        ModernVariant::ModernAll => plan = plan.keep_local_timer().fence_kthreads(),
-    }
-    plan.apply(&mut sim).expect("shield plan");
-    (sim, armory, pid)
-}
-
-/// The deterministic plan for one `(variant, path)` group.
-struct GroupPlan {
-    variant: ModernVariant,
-    path: MatrixPath,
-    shards: usize,
-    seeds: Vec<u64>,
-    budgets: Vec<u64>,
-}
-
-fn plan_group(
-    cfg: &ModernConfig,
-    group_index: u64,
-    variant: ModernVariant,
-    path: MatrixPath,
-) -> GroupPlan {
-    let group_seed = cell_seed(cfg.seed, group_index);
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples_per_cell) as usize;
-    GroupPlan {
-        variant,
-        path,
-        shards,
-        seeds: crate::shard::shard_seeds(group_seed, shards as u32),
-        budgets: crate::shard::split_samples(cfg.samples_per_cell, shards as u32),
-    }
-}
-
-type WarmShard = (sp_kernel::Checkpoint, u64, u64);
-type CellShardOutput = (LatencyHistogram, u64, Vec<WorstCaseTrace>);
-
-/// Build one shard's simulation, warm it fault-free to a quarter of the
-/// shard budget, checkpoint (same contract as the fault matrix).
-fn warm_shard(plan: &GroupPlan, faults: &[FaultSpec], shard: usize) -> WarmShard {
-    let (mut sim, _armory, pid) =
-        build_variant_sim(plan.variant, plan.path, faults, plan.seeds[shard]);
-    collect_cell_samples(&mut sim, pid, plan.path, plan.budgets[shard] / 4);
-    let warm_len = sim.obs.latencies(pid).len() as u64;
-    (sim.checkpoint(), sim.events_dispatched(), warm_len)
-}
-
-/// Fork one `(cell, shard)` run from its shard's warm checkpoint.
-fn run_cell_shard(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    warm: &WarmShard,
-    cell: usize,
-    shard: usize,
-    flight_top_k: usize,
-) -> CellShardOutput {
-    let fault = if cell == 0 { None } else { Some(&faults[cell - 1]) };
-    let (ck, warm_events, warm_len) = warm;
-
-    let (mut sim, mut armory, pid) =
-        build_variant_sim(plan.variant, plan.path, faults, plan.seeds[shard]);
-    sim.restore(ck);
-    if let Some(f) = fault {
-        armory.arm(&mut sim, &f.name).expect("arm");
-    }
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    let target = warm_len + (plan.budgets[shard] - plan.budgets[shard] / 4);
-    collect_cell_samples(&mut sim, pid, plan.path, target);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    let events = sim.events_dispatched() - if cell == 0 { 0 } else { *warm_events };
-    (histogram, events, sim.flight.top().to_vec())
-}
-
-/// Merge one group's `cells × shards` outputs into per-cell summaries.
-fn merge_group(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    outputs: &[CellShardOutput],
-    flight_top_k: usize,
-) -> (Vec<ModernCell>, Vec<ModernCellFlight>) {
-    let cell_count = faults.len() + 1;
-    debug_assert_eq!(outputs.len(), cell_count * plan.shards);
-    let mut cells = Vec::with_capacity(cell_count);
-    let mut flights = Vec::with_capacity(cell_count);
-    for cell in 0..cell_count {
-        let mut histogram = LatencyHistogram::new();
-        let mut events = 0u64;
-        let mut per_shard = Vec::with_capacity(plan.shards);
-        for shard in 0..plan.shards {
-            let (h, e, t) = &outputs[cell * plan.shards + shard];
-            histogram.merge(h);
-            events += e;
-            per_shard.push(t.clone());
-        }
-        let fault = if cell == 0 { "baseline".to_string() } else { faults[cell - 1].name.clone() };
-        cells.push(ModernCell {
-            variant: plan.variant.name().into(),
-            fault: fault.clone(),
-            path: plan.path.name().into(),
-            summary: LatencySummary::from_histogram(&histogram),
-            events,
-        });
-        flights.push(ModernCellFlight {
-            variant: plan.variant.name().into(),
-            fault,
-            path: plan.path.name().into(),
-            traces: crate::flight::merge_top(per_shard, flight_top_k),
-        });
-    }
-    (cells, flights)
-}
-
 /// Run the whole matrix: `5 variants × 2 paths × (1 baseline + 5 faults)` =
 /// 60 cells, then check every band.
 pub fn run_modern_matrix(cfg: &ModernConfig) -> ModernReport {
@@ -405,47 +233,38 @@ pub fn run_modern_matrix(cfg: &ModernConfig) -> ModernReport {
 }
 
 /// [`run_modern_matrix`] with the flight recorder armed in every cell's
-/// forks. Execution is flattened: phase A warms every `(group, shard)`
-/// concurrently, phase B runs all `groups × cells × shards` forks as one
-/// batch, phase C merges in index order — bit-identical whatever the worker
-/// count.
+/// forks. Execution is flattened: every `(group, shard)` warm-up runs in one
+/// fleet batch, all `groups × cells × shards` forks in a second, and cells
+/// merge in index order — bit-identical whatever the worker count.
 pub fn run_modern_matrix_with_flight(
     cfg: &ModernConfig,
     top_k: usize,
 ) -> (ModernReport, Vec<ModernCellFlight>) {
-    let faults = matrix_presets();
-    let plans: Vec<GroupPlan> = ModernVariant::ALL
+    let keys = ModernVariant::ALL.map(|v| MatrixPath::ALL.map(|p| (v, p))).concat();
+    let rigs = keys
         .iter()
-        .flat_map(|&variant| MatrixPath::ALL.map(|path| (variant, path)))
         .enumerate()
-        .map(|(group, (variant, path))| plan_group(cfg, group as u64, variant, path))
-        .collect();
-    let shards = plans[0].shards;
-    debug_assert!(plans.iter().all(|p| p.shards == shards));
-
-    // Phase A: every (group, shard) warm-up in one fleet batch.
-    let warm = crate::shard::run_indexed(plans.len() * shards, |j| {
-        warm_shard(&plans[j / shards], &faults, j % shards)
-    });
-
-    // Phase B: all groups' cells × shards, one batch.
-    let cell_count = faults.len() + 1;
-    let per_group = cell_count * shards;
-    let outputs = crate::shard::run_indexed(plans.len() * per_group, |j| {
-        let (group, rem) = (j / per_group, j % per_group);
-        let (cell, shard) = (rem / shards, rem % shards);
-        run_cell_shard(&plans[group], &faults, &warm[group * shards + shard], cell, shard, top_k)
-    });
-
-    // Phase C: merge each group's cells in index order.
-    let mut cells = Vec::new();
-    let mut flights = Vec::new();
-    for (group, plan) in plans.iter().enumerate() {
-        let slice = &outputs[group * per_group..(group + 1) * per_group];
-        let (group_cells, group_flights) = merge_group(plan, &faults, slice, top_k);
-        cells.extend(group_cells);
-        flights.extend(group_flights);
-    }
+        .map(|(g, &(variant, path))| (cell_seed(cfg.seed, g as u64), variant.rig(path)));
+    let (cells, flights) = run_matrix(rigs.collect(), cfg.shards, cfg.samples_per_cell, top_k)
+        .into_iter()
+        .map(|(g, fault, summary, events, traces)| {
+            let (variant, path) = keys[g];
+            let cell = ModernCell {
+                variant: variant.name().into(),
+                fault: fault.clone(),
+                path: path.name().into(),
+                summary,
+                events,
+            };
+            let flight = ModernCellFlight {
+                variant: variant.name().into(),
+                fault,
+                path: path.name().into(),
+                traces,
+            };
+            (cell, flight)
+        })
+        .unzip();
 
     let mut report = ModernReport { config: cfg.clone(), cells, violations: vec![] };
     report.violations = check_bands(&report);
@@ -526,24 +345,22 @@ mod tests {
     /// checkpoint/restore.
     #[test]
     fn modern_fork_is_bit_identical_to_continuation() {
-        let faults = matrix_presets();
         let seed = 0xA0DE_125EED;
         for variant in ModernVariant::ALL {
-            let (mut warm, mut warm_armory, pid) =
-                build_variant_sim(variant, MatrixPath::Rcim, &faults, seed);
-            collect_cell_samples(&mut warm, pid, MatrixPath::Rcim, 300);
+            let rig = variant.rig(MatrixPath::Rcim);
+            let (mut warm, mut warm_armory, pid) = rig.build(seed);
+            rig.collect(&mut warm, pid, 300);
             let ck = warm.checkpoint();
 
-            let (mut fork, mut fork_armory, fork_pid) =
-                build_variant_sim(variant, MatrixPath::Rcim, &faults, seed);
+            let (mut fork, mut fork_armory, fork_pid) = rig.build(seed);
             fork.restore(&ck);
             assert_eq!(fork.now(), warm.now(), "{}", variant.name());
 
-            let name = &faults[0].name;
+            let name = &rig.faults[0].name;
             warm_armory.arm(&mut warm, name).expect("arm warm");
             fork_armory.arm(&mut fork, name).expect("arm fork");
-            collect_cell_samples(&mut warm, pid, MatrixPath::Rcim, 900);
-            collect_cell_samples(&mut fork, fork_pid, MatrixPath::Rcim, 900);
+            rig.collect(&mut warm, pid, 900);
+            rig.collect(&mut fork, fork_pid, 900);
 
             assert_eq!(warm.now(), fork.now(), "{}", variant.name());
             assert_eq!(

@@ -7,17 +7,13 @@
 //! ttcp stream over real Ethernet. On a shielded CPU the paper measures
 //! min 11 µs / avg 11.3 µs / max 27 µs over 59 million interrupts.
 
+use crate::study::{self, Rig, Sampling, Source};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, RcimDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
+use sp_hw::CpuId;
+use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
 use sp_metrics::{CumulativeReport, LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
 
 /// Configuration of one RCIM-response run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,6 +79,23 @@ impl RcimConfig {
             None => format!("{} (RCIM, unshielded, {bkl})", self.variant),
         }
     }
+
+    /// The measured-path rig: stress-kernel + X11perf + ttcp on the dual
+    /// 2 GHz P4, the ioctl waiter on the RCIM, and, when shielded, the waiter
+    /// and the RCIM interrupt bound into the fully shielded CPU.
+    pub(crate) fn rig(&self) -> Rig {
+        let cpu = self.shield.map(CpuId);
+        let bkl_free = self.driver_bkl_free;
+        Rig {
+            kernel: KernelConfig::new(self.variant),
+            source: Source::Rcim { period: self.period, pcie: false, bkl_free },
+            task: "rcim-response",
+            cpu,
+            shield: cpu.map(ShieldPlan::cpu),
+            faults: Vec::new(),
+            sampling: Sampling { deadline_periods: 4.0, chunk: (1_024, 16_384) },
+        }
+    }
 }
 
 /// Output of one RCIM run.
@@ -95,118 +108,6 @@ pub struct RcimResult {
     /// Simulator events dispatched across all shards (throughput accounting).
     #[serde(default)]
     pub events: u64,
-}
-
-/// Build a ready-to-sample RCIM simulation: devices, stress kernel + X11perf,
-/// the measured ioctl waiter, shield applied. Deterministic per `(cfg, seed)`
-/// so warm-checkpoint forks can rebuild an interchangeable simulator.
-fn build_rcim_sim(cfg: &RcimConfig, seed: u64) -> (Simulator, sp_kernel::Pid) {
-    let machine = MachineConfig::dual_xeon_p4_2ghz();
-    let mut sim = Simulator::new(machine, KernelConfig::new(cfg.variant), seed);
-
-    let rcim = sim.add_device(RcimDevice::new(cfg.period));
-    // §6.3 load: ttcp across a real 10BaseT link + graphics.
-    let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-    let disk = sim.add_device(DiskDevice::new());
-    sim.add_device(GpuDevice::x11perf());
-
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-    x11perf_driver(&mut sim);
-
-    let prog = Program::forever(vec![Op::WaitIrq {
-        device: rcim,
-        api: WaitApi::IoctlWait { driver_bkl_free: cfg.driver_bkl_free },
-    }]);
-    let mut spec = TaskSpec::new("rcim-response", SchedPolicy::fifo(90), prog).mlockall();
-    if let Some(cpu) = cfg.shield {
-        spec = spec.pinned(CpuMask::single(CpuId(cpu)));
-    }
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    if let Some(cpu) = cfg.shield {
-        ShieldPlan::cpu(CpuId(cpu))
-            .bind_task(pid)
-            .bind_irq(rcim)
-            .apply(&mut sim)
-            .expect("shield plan");
-    }
-    (sim, pid)
-}
-
-/// Advance `sim` until `pid` has recorded at least `samples` latency samples.
-fn collect_samples(sim: &mut Simulator, pid: sp_kernel::Pid, period: Nanos, samples: u64) {
-    let deadline = sim.now() + period.scale(4.0 * samples as f64);
-    loop {
-        let have = sim.obs.latencies(pid).len() as u64;
-        if have >= samples {
-            break;
-        }
-        assert!(sim.now() < deadline, "rcim waiter starved");
-        // Chunk tracks the remaining budget so warm-ups and small runs don't
-        // overshoot by a whole maximum-size chunk; chunking never affects
-        // the trajectory.
-        sim.run_for(period * (samples - have).clamp(1_024, 16_384));
-    }
-}
-
-/// One shard's output: histogram, events dispatched, captured flight traces.
-type RcimShardOutput = (LatencyHistogram, u64, Vec<WorstCaseTrace>);
-
-/// Run one independent simulation with an explicit seed and sample budget.
-/// `flight_top_k > 0` arms the flight recorder (pure observation; the
-/// trajectory is bit-identical either way).
-fn run_rcim_shard(cfg: &RcimConfig, seed: u64, samples: u64, flight_top_k: usize) -> RcimShardOutput {
-    let (mut sim, pid) = build_rcim_sim(cfg, seed);
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    collect_samples(&mut sim, pid, cfg.period, samples);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    (histogram, sim.events_dispatched(), sim.flight.top().to_vec())
-}
-
-/// Warm once on `cfg.seed`, checkpoint, fork per shard with a reseeded RNG.
-/// Same scheme as [`crate::realfeel::run_realfeel`]'s fork path: the build +
-/// warm-up cost is paid once, each fork drops the shared warm-up samples and
-/// reports only its own draws, and fork events are counted as deltas with the
-/// warm-up's work accounted once.
-fn run_rcim_forked(cfg: &RcimConfig, shards: u32, flight_top_k: usize) -> Vec<RcimShardOutput> {
-    let seeds = crate::shard::shard_seeds(cfg.seed, shards);
-    let budgets = crate::shard::split_samples(cfg.samples, shards);
-
-    let (mut warm, pid) = build_rcim_sim(cfg, cfg.seed);
-    let warm_target = (cfg.samples / shards as u64 / 8).clamp(256, 4_096);
-    collect_samples(&mut warm, pid, cfg.period, warm_target);
-    let ck = warm.checkpoint();
-    let warm_events = warm.events_dispatched();
-
-    let mut outputs = crate::shard::run_indexed(shards as usize, |i| {
-        let (mut sim, pid) = build_rcim_sim(cfg, cfg.seed);
-        sim.restore(&ck);
-        sim.reseed(seeds[i]);
-        sim.obs.reset_samples();
-        // Arm only after the restore so each fork's captured windows cover
-        // exactly the samples it reports, none of the shared warm-up.
-        if flight_top_k > 0 {
-            sim.arm_flight(flight_top_k);
-        }
-        let fork_events = sim.events_dispatched();
-        collect_samples(&mut sim, pid, cfg.period, budgets[i]);
-
-        let mut histogram = LatencyHistogram::new();
-        for &l in sim.obs.latencies(pid) {
-            histogram.record(l);
-        }
-        (histogram, sim.events_dispatched() - fork_events, sim.flight.top().to_vec())
-    });
-    outputs[0].1 += warm_events;
-    outputs
 }
 
 /// Run the experiment.
@@ -226,30 +127,16 @@ pub fn run_rcim(cfg: &RcimConfig) -> RcimResult {
 /// the merged worst trace's latency equals the summary's `max`. With
 /// `top_k == 0` no recorder is armed and the capture set is empty.
 pub fn run_rcim_with_flight(cfg: &RcimConfig, top_k: usize) -> (RcimResult, Vec<WorstCaseTrace>) {
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples);
-    let outputs: Vec<RcimShardOutput> = if shards <= 1 {
-        vec![run_rcim_shard(cfg, cfg.seed, cfg.samples, top_k)]
-    } else {
-        run_rcim_forked(cfg, shards, top_k)
-    };
-
-    let mut histogram = LatencyHistogram::new();
-    let mut events = 0u64;
-    let mut per_shard = Vec::with_capacity(outputs.len());
-    for (shard_hist, shard_events, shard_traces) in outputs {
-        histogram.merge(&shard_hist);
-        events += shard_events;
-        per_shard.push(shard_traces);
-    }
-    let traces = crate::flight::merge_top(per_shard, top_k);
+    let shards = study::run_shards(cfg.rig(), cfg.seed, cfg.samples, cfg.shards, top_k);
+    let out = study::merge(shards, top_k);
     let result = RcimResult {
         config: cfg.clone(),
-        summary: LatencySummary::from_histogram(&histogram),
-        cumulative: CumulativeReport::new(&histogram, &CumulativeReport::paper_us_ladder()),
-        histogram,
-        events,
+        summary: LatencySummary::from_histogram(&out.histogram),
+        cumulative: CumulativeReport::new(&out.histogram, &CumulativeReport::paper_us_ladder()),
+        histogram: out.histogram,
+        events: out.events,
     };
-    (result, traces)
+    (result, out.traces)
 }
 
 #[cfg(test)]

@@ -87,26 +87,6 @@ impl SuiteTimings {
     }
 }
 
-/// Scale factor for sample counts/iterations: 1.0 reproduces the defaults,
-/// smaller is faster (smoke runs), larger digs deeper into the tails. The
-/// latency figures run single-sharded — identical to the historical output.
-pub fn run_all_figures(scale: f64) -> FigureSuite {
-    run_all_figures_with(scale, 1)
-}
-
-/// [`run_all_figures`] with the Figure 5–7 sample budgets split across
-/// `shards` forked-seed simulations each (see [`crate::shard`]); `shards = 1`
-/// reproduces [`run_all_figures`] bit-for-bit.
-pub fn run_all_figures_with(scale: f64, shards: u32) -> FigureSuite {
-    run_all_figures_timed(scale, shards).0
-}
-
-/// [`run_all_figures_with`], also reporting per-figure wall-clock.
-pub fn run_all_figures_timed(scale: f64, shards: u32) -> (FigureSuite, SuiteTimings) {
-    let (suite, timings, _) = run_all_figures_flight(scale, shards, 0);
-    (suite, timings)
-}
-
 enum FigJob {
     Det(DeterminismConfig),
     Real(RealfeelConfig),
@@ -119,11 +99,17 @@ enum FigOut {
     Rcim(RcimResult, Vec<WorstCaseTrace>),
 }
 
-/// [`run_all_figures_timed`] with the flight recorder armed on the latency
-/// figures: each of Figures 5–7 additionally returns its merged top-`top_k`
-/// worst-case windows (see [`SuiteFlight`]). The recorder is pure
-/// observation, so the [`FigureSuite`] is bit-identical to a `top_k == 0`
-/// run with the same `(scale, shards)`.
+/// Run all seven figures at `scale` and report per-figure wall-clock.
+///
+/// `scale` multiplies every figure's sample count or iteration count: 1.0
+/// reproduces the defaults, smaller is faster (smoke runs), larger digs
+/// deeper into the tails. The Figure 5–7 sample budgets are split across
+/// `shards` forked-seed simulations each (see [`crate::shard`]); `shards = 1`
+/// is the historical single-simulation output. With `top_k > 0` the flight
+/// recorder is armed on the latency figures, and each of Figures 5–7 also
+/// returns its merged top-`top_k` worst-case windows (see [`SuiteFlight`]).
+/// The recorder is pure observation, so the [`FigureSuite`] is bit-identical
+/// to a `top_k == 0` run with the same `(scale, shards)`.
 pub fn run_all_figures_flight(
     scale: f64,
     shards: u32,

@@ -6,7 +6,7 @@
 //! simulations with forked seeds sample the same stationary latency
 //! distribution, and their histograms merge exactly (`LatencyHistogram::merge`
 //! is lossless). This module holds the seed-forking, budget-splitting and
-//! thread fan-out shared by `run_realfeel` and `run_rcim`.
+//! thread fan-out the measured-path studies share.
 //!
 //! # Determinism contract
 //!

@@ -32,7 +32,8 @@
 //! physical cache hits) live in [`SweepTelemetry`] and stay out of the
 //! artifact.
 
-use crate::realfeel::{run_fork_from_warm, warm_realfeel, RealfeelConfig, WarmRealfeel};
+use crate::realfeel::RealfeelConfig;
+use crate::study::{self, Rig, Warm};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 use sp_fleet::PoolConfig;
@@ -343,7 +344,16 @@ struct CellOutput {
 /// per-group aggregates and the bounded worst-cell list as they arrive.
 pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     let t0 = std::time::Instant::now();
-    let cache: WarmCache<WarmRealfeel> = WarmCache::new();
+    let cache: WarmCache<Warm> = WarmCache::new();
+    // Per group: the warm config's cache key and the rig its cells fork.
+    let rigs: Vec<(u64, Rig)> = cfg
+        .groups
+        .iter()
+        .map(|g| {
+            let wcfg = cfg.warm_config(g);
+            (warm_fingerprint(&wcfg, cfg.warm_samples), wcfg.rig())
+        })
+        .collect();
 
     let mut groups: Vec<GroupAgg> = cfg
         .groups
@@ -359,10 +369,11 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
             PoolConfig::auto(cfg.workers.max(1)),
             cfg.cells(),
             |cell: SweepCell, _| {
-                let wcfg = cfg.warm_config(&cfg.groups[cell.group]);
-                let key = warm_fingerprint(&wcfg, cfg.warm_samples);
-                let warm = cache.get_or_warm(key, || warm_realfeel(&wcfg, cfg.warm_samples));
-                let out = run_fork_from_warm(&wcfg, &warm, cell.seed, cfg.samples_per_cell, 0);
+                let (key, rig) = &rigs[cell.group];
+                let warm_samples = cfg.warm_samples.max(1);
+                let warm = cache.get_or_warm(*key, || rig.warm(cfg.base_seed, warm_samples));
+                let reseed = |sim: &mut _, armory: &mut _| study::reseed(&cell.seed, sim, armory);
+                let out = rig.fork(&warm, reseed, cfg.samples_per_cell, 0);
                 CellOutput {
                     group: cell.group,
                     seed: cell.seed,
@@ -490,13 +501,16 @@ mod tests {
         // scratch — the warm-up is a pure function of the warm config.
         let cfg = tiny(3);
         let group = &cfg.groups[2];
-        let wcfg = cfg.warm_config(group);
+        let rig = cfg.warm_config(group).rig();
         let seed = cfg.cells().find(|c| c.group == 2).unwrap().seed;
+        let fork = |warm: &Warm| {
+            rig.fork(warm, |sim, armory| study::reseed(&seed, sim, armory), cfg.samples_per_cell, 0)
+        };
 
-        let shared = warm_realfeel(&wcfg, cfg.warm_samples);
-        let via_hit = run_fork_from_warm(&wcfg, &shared, seed, cfg.samples_per_cell, 0);
-        let fresh = warm_realfeel(&wcfg, cfg.warm_samples);
-        let via_miss = run_fork_from_warm(&wcfg, &fresh, seed, cfg.samples_per_cell, 0);
+        let shared = rig.warm(cfg.base_seed, cfg.warm_samples);
+        let via_hit = fork(&shared);
+        let fresh = rig.warm(cfg.base_seed, cfg.warm_samples);
+        let via_miss = fork(&fresh);
 
         assert_eq!(
             serde_json::to_string(&via_hit.histogram).unwrap(),
