@@ -10,14 +10,14 @@
 //!                    (or `SP_TRACE_TOPK`); 0 disables capture
 //!   --strict         exit non-zero on any band violation
 //!
-//! Writes the matrix into `BENCH_simulator.json` under a `"fault_matrix"`
-//! key (merged into the existing report if one is present). With capture on,
-//! also writes `worst_case_trace_faultmatrix.json` — the Perfetto trace of
-//! the worst window across the whole matrix (invariably an unshielded
-//! faulted cell) — and prints its cause chain.
+//! With capture on, writes `worst_case_trace_faultmatrix.json` — the
+//! Perfetto trace of the worst window across the whole matrix (invariably an
+//! unshielded faulted cell) — and prints its cause chain. A flag given
+//! without a value, or with one that does not parse, is a usage error (exit
+//! status 2).
 
 use sp_bench::{flightout, scale_from_args, shards_from_args, topk_from_args, workers_from_args};
-use sp_experiments::{run_fault_matrix_with_flight, FaultMatrixConfig, FaultMatrixReport};
+use sp_experiments::{run_fault_matrix_with_flight, FaultMatrixConfig};
 
 fn main() {
     let scale = scale_from_args();
@@ -34,8 +34,7 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let (report, flights) = run_fault_matrix_with_flight(&cfg, top_k);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!("matrix finished in {:.1}s", wall_ms / 1e3);
+    eprintln!("matrix finished in {:.1}s", t0.elapsed().as_secs_f64());
 
     print!("{}", report.markdown());
 
@@ -59,12 +58,6 @@ fn main() {
         }
     }
 
-    if let Err(e) = merge_bench_report(&report, wall_ms, workers) {
-        eprintln!("note: could not update BENCH_simulator.json: {e}");
-    } else {
-        eprintln!("fault matrix merged into BENCH_simulator.json");
-    }
-
     if report.violations.is_empty() {
         println!("\nall bands hold: shielded worst stays in bound under every fault");
     } else {
@@ -76,32 +69,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Merge a `"fault_matrix"` section into `BENCH_simulator.json`, preserving
-/// whatever `reproduce_all` last wrote there.
-fn merge_bench_report(report: &FaultMatrixReport, wall_ms: f64, workers: u32) -> std::io::Result<()> {
-    const PATH: &str = "BENCH_simulator.json";
-    let mut root: serde::Value = match std::fs::read_to_string(PATH) {
-        Ok(text) => serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::other(format!("existing {PATH} unreadable: {e}")))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => serde::Value::Object(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let serde::Value::Object(fields) = &mut root else {
-        return Err(std::io::Error::other(format!("{PATH} is not a JSON object")));
-    };
-    let mut section =
-        serde_json::to_value(report).map_err(|e| std::io::Error::other(e.to_string()))?;
-    if let serde::Value::Object(section_fields) = &mut section {
-        section_fields.push(("wall_ms".into(), serde::Value::F64(wall_ms)));
-        section_fields.push(("workers".into(), serde::Value::U64(workers as u64)));
-    }
-    match fields.iter_mut().find(|(key, _)| key == "fault_matrix") {
-        Some((_, slot)) => *slot = section,
-        None => fields.push(("fault_matrix".into(), section)),
-    }
-    let json =
-        serde_json::to_string_pretty(&root).map_err(|e| std::io::Error::other(e.to_string()))?;
-    std::fs::write(PATH, json)
 }

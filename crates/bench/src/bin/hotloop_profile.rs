@@ -1,6 +1,8 @@
-//! Run the microbench hot-loop probe for a long stretch of simulated time —
-//! a profiling target for `gprofng`/`perf` (the criterion benches and the
-//! paired microbench rounds are too short to sample meaningfully).
+//! Run a fig-6-style hot loop (RedHawk, stress load, realfeel waiter) for a
+//! long stretch of simulated time — a profiling target for `gprofng`/`perf`.
+//! Host-performance numbers come from `benchmark/` (see
+//! `benchmark/README.md`); this binary only gives a profiler something long
+//! enough to sample.
 //!
 //! Usage: `hotloop_profile [SIM_MS]` (default 4000).
 

@@ -337,7 +337,7 @@ pub fn run_fault_matrix_with_flight(
         Cells(Vec<LabelledCell>),
         Reshield(Option<RecoveryReport>),
     }
-    let mut parts = crate::shard::run_indexed(2, |i| match i {
+    let mut parts = sp_fleet::run_indexed(2, |i| match i {
         0 => Part::Cells(run_matrix(rigs.clone(), cfg.shards, cfg.samples_per_cell, top_k)),
         _ => Part::Reshield(
             run_scenario(&reshield_transient_scenario()).expect("reshield scenario runs").recovery,

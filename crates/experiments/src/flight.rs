@@ -15,7 +15,7 @@ use sp_metrics::WorstCaseMeta;
 /// Merge per-shard top-K capture sets into one top-K set, worst first.
 ///
 /// Ties break toward the earlier shard (stable sort), so the output is
-/// deterministic for a given shard order — which [`crate::shard::run_indexed`]
+/// deterministic for a given shard order — which [`sp_fleet::run_indexed`]
 /// already guarantees is index order.
 pub fn merge_top(per_shard: Vec<Vec<WorstCaseTrace>>, top_k: usize) -> Vec<WorstCaseTrace> {
     let mut all: Vec<WorstCaseTrace> = per_shard.into_iter().flatten().collect();

@@ -54,7 +54,7 @@ pub use modernmax::{
     run_modern_matrix, run_modern_matrix_with_flight, ModernCell, ModernCellFlight, ModernConfig,
     ModernReport, ModernVariant, MODERN_RCIM_BOUND,
 };
-pub use runner::{run_all_figures_flight, FigureSuite, FigureTiming, SuiteFlight, SuiteTimings};
+pub use runner::{run_all_figures_flight, FigureSuite, SuiteFlight};
 pub use scenario::{
     run_scenario, run_scenario_sharded, MeasuredResult, RecoveryReport, ScenarioError,
     ScenarioReport, ScenarioSpec,

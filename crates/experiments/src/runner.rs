@@ -34,59 +34,6 @@ pub struct SuiteFlight {
     pub fig7: Vec<WorstCaseTrace>,
 }
 
-/// One figure's execution-time accounting (throughput metadata for the
-/// `BENCH_simulator.json` emitter — never part of the deterministic result).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FigureTiming {
-    /// Figure id (`fig1`…`fig7`).
-    pub id: String,
-    /// Wall-clock of the figure job, milliseconds.
-    pub wall_ms: f64,
-    /// Sum of the figure's inner shard-job walls, milliseconds (zero for
-    /// figures that don't fan out).
-    pub fanout_busy_ms: f64,
-    /// Wall-clock of the figure's fan-out calls themselves, milliseconds.
-    pub fanout_span_ms: f64,
-}
-
-impl FigureTiming {
-    /// Estimated speedup of this figure over a fully serial run: the serial
-    /// equivalent is the figure's wall with its fan-out span replaced by the
-    /// fan-out's summed job walls. 1.0 means no internal parallelism.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            return 1.0;
-        }
-        let serial_est = (self.wall_ms - self.fanout_span_ms + self.fanout_busy_ms)
-            .max(self.wall_ms);
-        serial_est / self.wall_ms
-    }
-}
-
-/// Wall-clock spent in each figure. The figures run concurrently on the
-/// fleet, so entries overlap and do not sum to the suite wall-clock.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct SuiteTimings {
-    /// Per-figure accounting in fig1..fig7 order.
-    pub figures: Vec<FigureTiming>,
-    pub suite_wall_ms: f64,
-    /// Worker threads the suite-level fleet batch ran on.
-    #[serde(default)]
-    pub workers: u32,
-}
-
-impl SuiteTimings {
-    /// Suite-level parallel speedup: summed figure walls over the suite
-    /// wall. 1.0 means the figures ran effectively serially.
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.suite_wall_ms <= 0.0 {
-            return 1.0;
-        }
-        let total: f64 = self.figures.iter().map(|f| f.wall_ms).sum();
-        (total / self.suite_wall_ms).max(1.0)
-    }
-}
-
 enum FigJob {
     Det(DeterminismConfig),
     Real(RealfeelConfig),
@@ -99,7 +46,7 @@ enum FigOut {
     Rcim(RcimResult, Vec<WorstCaseTrace>),
 }
 
-/// Run all seven figures at `scale` and report per-figure wall-clock.
+/// Run all seven figures at `scale`.
 ///
 /// `scale` multiplies every figure's sample count or iteration count: 1.0
 /// reproduces the defaults, smaller is faster (smoke runs), larger digs
@@ -114,7 +61,7 @@ pub fn run_all_figures_flight(
     scale: f64,
     shards: u32,
     top_k: usize,
-) -> (FigureSuite, SuiteTimings, SuiteFlight) {
+) -> (FigureSuite, SuiteFlight) {
     assert!(scale > 0.0);
     // Floors keep smoke runs statistically meaningful: worst-iteration jitter
     // needs ~60 iterations before the tail bands are reachable at all, and
@@ -150,48 +97,28 @@ pub fn run_all_figures_flight(
         FigJob::Rcim(f7),
     ];
 
-    let t0 = std::time::Instant::now();
-    let workers = sp_fleet::default_workers();
-    let mut outs = sp_fleet::run_indexed(jobs.len(), |i| {
-        let t = std::time::Instant::now();
-        // Reset this worker thread's fan-out accumulator so the delta after
-        // the job is this figure's alone (workers run figures sequentially).
-        let _ = crate::shard::take_fanout();
-        let out = match &jobs[i] {
-            FigJob::Det(cfg) => FigOut::Det(run_determinism(cfg)),
-            FigJob::Real(cfg) => {
-                let (r, tr) = run_realfeel_with_flight(cfg, top_k);
-                FigOut::Real(r, tr)
-            }
-            FigJob::Rcim(cfg) => {
-                let (r, tr) = run_rcim_with_flight(cfg, top_k);
-                FigOut::Rcim(r, tr)
-            }
-        };
-        let (busy_ns, span_ns) = crate::shard::take_fanout();
-        let timing = FigureTiming {
-            id: format!("fig{}", i + 1),
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-            fanout_busy_ms: busy_ns as f64 / 1e6,
-            fanout_span_ms: span_ns as f64 / 1e6,
-        };
-        (out, timing)
+    let outs = sp_fleet::run_indexed(jobs.len(), |i| match &jobs[i] {
+        FigJob::Det(cfg) => FigOut::Det(run_determinism(cfg)),
+        FigJob::Real(cfg) => {
+            let (r, tr) = run_realfeel_with_flight(cfg, top_k);
+            FigOut::Real(r, tr)
+        }
+        FigJob::Rcim(cfg) => {
+            let (r, tr) = run_rcim_with_flight(cfg, top_k);
+            FigOut::Rcim(r, tr)
+        }
     });
-    let suite_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let mut figures = Vec::with_capacity(outs.len());
     let mut det = Vec::new();
     let mut real = Vec::new();
     let mut rcim = None;
-    for (out, timing) in outs.drain(..) {
-        figures.push(timing);
+    for out in outs {
         match out {
             FigOut::Det(r) => det.push(r),
             FigOut::Real(r, tr) => real.push((r, tr)),
             FigOut::Rcim(r, tr) => rcim = Some((r, tr)),
         }
     }
-    let timings = SuiteTimings { figures, suite_wall_ms, workers };
 
     let mut det = det.into_iter();
     let mut real = real.into_iter();
@@ -208,5 +135,5 @@ pub fn run_all_figures_flight(
         fig7: lat7,
     };
     let flight = SuiteFlight { fig5: fl5, fig6: fl6, fig7: fl7 };
-    (suite, timings, flight)
+    (suite, flight)
 }

@@ -5,8 +5,9 @@
 //! simulation is inherently serial, but the *samples* are not: K independent
 //! simulations with forked seeds sample the same stationary latency
 //! distribution, and their histograms merge exactly (`LatencyHistogram::merge`
-//! is lossless). This module holds the seed-forking, budget-splitting and
-//! thread fan-out the measured-path studies share.
+//! is lossless). This module holds the seed-forking and budget-splitting
+//! the measured-path studies share; the fan-out itself is
+//! [`sp_fleet::run_indexed`].
 //!
 //! # Determinism contract
 //!
@@ -23,7 +24,6 @@
 //!   index order whatever `SP_WORKERS` (or `sp_fleet::with_workers`) says.
 
 use simcore::SimRng;
-use std::cell::Cell;
 
 /// Clamp a requested shard count so every shard gets at least one sample.
 pub fn effective_shards(requested: u32, samples: u64) -> u32 {
@@ -53,42 +53,6 @@ pub fn split_samples(total: u64, shards: u32) -> Vec<u64> {
     let base = total / shards;
     let extra = total % shards;
     (0..shards).map(|i| base + u64::from(i < extra)).collect()
-}
-
-std::thread_local! {
-    // Cumulative (busy_ns, span_ns) of fleet fan-outs issued from this
-    // thread, for per-figure speedup accounting: busy is the sum of inner
-    // job walls, span is the fan-out call's own wall. Serial-equivalent
-    // time of a figure ≈ wall − span + busy.
-    static FANOUT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// Take (and reset) the cumulative `(busy_ns, span_ns)` of every
-/// [`run_indexed`] fan-out this thread has issued since the last take.
-/// `busy_ns` sums the wall-clock of the individual jobs; `span_ns` sums the
-/// wall-clock of the fan-out calls themselves. Their ratio is the effective
-/// parallel speedup the fleet delivered to this caller.
-pub fn take_fanout() -> (u64, u64) {
-    FANOUT.with(|c| c.replace((0, 0)))
-}
-
-/// Run `f(0), f(1), …, f(n-1)` on the `sp-fleet` work-stealing pool and
-/// return the results in index order, regardless of which worker ran what.
-/// Worker count comes from [`sp_fleet::default_workers`] (`SP_WORKERS` env,
-/// or a scoped [`sp_fleet::with_workers`] override), capped at `n`.
-pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let t0 = std::time::Instant::now();
-    let (out, stats) = sp_fleet::run_with(sp_fleet::PoolConfig::auto(sp_fleet::default_workers()), n, f);
-    let span = t0.elapsed().as_nanos() as u64;
-    FANOUT.with(|c| {
-        let (busy, spans) = c.get();
-        c.set((busy + stats.busy_ns, spans + span));
-    });
-    out
 }
 
 #[cfg(test)]
@@ -128,30 +92,5 @@ mod tests {
         assert_eq!(effective_shards(8, 100), 8);
         assert_eq!(effective_shards(8, 3), 3);
         assert_eq!(effective_shards(4, 0), 1);
-    }
-
-    #[test]
-    fn run_indexed_is_index_ordered() {
-        let out = run_indexed(7, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
-    }
-
-    #[test]
-    fn run_indexed_is_worker_count_invariant() {
-        let reference = sp_fleet::with_workers(1, || run_indexed(16, |i| i.wrapping_mul(31)));
-        for workers in [2, 8] {
-            let got = sp_fleet::with_workers(workers, || run_indexed(16, |i| i.wrapping_mul(31)));
-            assert_eq!(got, reference, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn fanout_accumulator_tracks_and_resets() {
-        let _ = take_fanout();
-        run_indexed(4, std::hint::black_box);
-        let (busy, span) = take_fanout();
-        assert!(span > 0, "span should cover the fan-out call");
-        assert!(busy > 0, "busy should sum the job walls");
-        assert_eq!(take_fanout(), (0, 0), "take resets the accumulator");
     }
 }

@@ -13,7 +13,8 @@
 //!    the first fork of that checkpoint. The per-fork step is the caller's:
 //!    [`reseed`] for shards and sweep cells, a fault arm for matrix cells.
 
-use crate::shard::{effective_shards, run_indexed, shard_seeds, split_samples};
+use crate::shard::{effective_shards, shard_seeds, split_samples};
+use sp_fleet::run_indexed;
 use simcore::Nanos;
 use sp_core::ShieldPlan;
 use sp_hw::{CpuId, CpuMask, MachineConfig};

@@ -17,9 +17,9 @@
 //! Queues are mutex-protected `VecDeque`s rather than lock-free Chase–Lev
 //! deques: fleet jobs are entire simulations (milliseconds to seconds
 //! each), so queue operations are nanoseconds against millisecond jobs and
-//! the mutex never becomes the bottleneck — the `fleet_dispatch_ns` /
-//! `fleet_steal_overhead_ns` microbenches in `BENCH_simulator.json` hold
-//! the runner to that claim.
+//! the mutex never becomes the bottleneck. The repo benchmark's
+//! `fleet.dispatch.ns_per_job` probe measures the per-job overhead (see
+//! `benchmark/README.md`).
 //!
 //! # Determinism
 //!
@@ -40,8 +40,8 @@ pub enum Placement {
     /// batches on demand, so early finishers naturally take more work.
     Injector,
     /// All jobs start in worker 0's deque: every job another worker runs
-    /// must be stolen. Used by the `fleet_steal_overhead_ns` microbench to
-    /// price the steal path; not useful for real workloads.
+    /// must be stolen. Used by tests to force the steal path; not useful
+    /// for real workloads.
     Worker0,
 }
 
@@ -87,7 +87,7 @@ pub struct FleetStats {
     pub busy_ns: u64,
 }
 
-/// Process-wide cumulative fleet counters, for `BENCH_simulator.json`.
+/// Process-wide cumulative fleet counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalStats {
     /// Batches executed since process start.
@@ -634,6 +634,16 @@ mod tests {
         let reference = run_with(PoolConfig::auto(1), 64, |i| i.wrapping_mul(0x9E37)).0;
         for workers in [2u32, 4, 8] {
             let got = run_with(PoolConfig::auto(workers), 64, |i| i.wrapping_mul(0x9E37)).0;
+            assert_eq!(got, reference, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn run_indexed_follows_with_workers_and_keeps_index_order() {
+        let reference = with_workers(1, || run_indexed(16, |i| i.wrapping_mul(31)));
+        assert_eq!(reference, (0..16usize).map(|i| i.wrapping_mul(31)).collect::<Vec<_>>());
+        for workers in [2, 8] {
+            let got = with_workers(workers, || run_indexed(16, |i| i.wrapping_mul(31)));
             assert_eq!(got, reference, "workers={workers}");
         }
     }

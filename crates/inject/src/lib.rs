@@ -20,8 +20,9 @@
 //!
 //! Injectors are built on the existing [`sp_kernel::Device`] / task
 //! machinery: a disarmed injector schedules no events and spawns no tasks,
-//! so the simulator hot loop pays nothing for its existence (asserted by the
-//! `injection_overhead` microbench in `sp-bench`). Arm/disarm travels over
+//! so the simulator hot loop pays nothing for its existence (asserted by
+//! the storm device's `disarmed_device_schedules_nothing` test in
+//! `sp-kernel`). Arm/disarm travels over
 //! [`sp_kernel::Simulator::device_control`], a control-plane call that never
 //! appears on the dispatch path.
 //!

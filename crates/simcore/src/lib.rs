@@ -1,7 +1,7 @@
 //! # simcore — deterministic discrete-event simulation core
 //!
 //! Foundation layer for the shielded-processors reproduction: virtual time
-//! ([`Nanos`], [`Instant`]), a stable-ordered [`EventQueue`], a reproducible
+//! ([`Nanos`], [`Instant`]), a stable-ordered [`WheelQueue`], a reproducible
 //! RNG ([`SimRng`]) with the duration distributions ([`DurationDist`]) the
 //! kernel model draws service times from, and a bounded [`Tracer`].
 //!
@@ -21,7 +21,7 @@ pub mod trace;
 
 pub use dist::{DurationDist, PreparedDist};
 pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing};
-pub use queue::{EventKey, EventQueue, WheelQueue};
+pub use queue::{EventKey, WheelQueue};
 pub use rng::SimRng;
 pub use time::{Instant, Nanos};
 pub use trace::{TraceKind, TraceRecord, Tracer};

@@ -1,23 +1,17 @@
 //! The simulation event queue.
 //!
-//! An *indexed* 4-ary min-heap keyed on `(Instant, seq)`. The monotonically
+//! [`WheelQueue`] orders events by `(Instant, seq)`. The monotonically
 //! increasing sequence number makes event ordering total and *stable*: two
 //! events scheduled for the same instant fire in the order they were
 //! scheduled, which keeps the whole simulation deterministic for a given
 //! seed.
 //!
-//! Every scheduled event owns a slot in an arena; the heap stores
-//! `(at, seq, slot)` entries — the ordering key inline, so sifting never
-//! leaves the heap array — and each slot tracks its heap position, so
-//! [`EventQueue::cancel`] removes the entry in O(log n) instead of leaving a
+//! Every scheduled event owns a slot in an arena, and each slot tracks where
+//! its entry lives (a wheel bucket or an overflow-heap position), so
+//! [`WheelQueue::cancel`] removes the entry outright instead of leaving a
 //! tombstone to be skipped later. Slots are recycled through a free list and
 //! carry a generation counter, so a stale [`EventKey`] (for an event that
 //! already fired or was cancelled) can never affect a recycled slot.
-//!
-//! This replaces the earlier `BinaryHeap` + `HashSet` tombstone scheme: the
-//! hot `push`/`pop` path no longer touches hash tables at all, `peek_time`
-//! is a non-mutating array read, and cancelled timers (rearmed tick timers,
-//! torn-down device timers) stop costing heap space until they surface.
 
 use crate::time::Instant;
 
@@ -42,7 +36,7 @@ impl EventKey {
     }
 }
 
-/// Heap position marker for slots that are not currently queued.
+/// Location-word marker for slots that are not currently queued.
 const FREE: u32 = u32::MAX;
 
 /// Heap arity. Four children per node keeps the tree shallow and the child
@@ -53,15 +47,15 @@ const D: usize = 4;
 struct Slot<E> {
     /// Bumped every time the slot is released, invalidating old keys.
     generation: u32,
-    /// Index into `EventQueue::heap`, or [`FREE`] when not queued.
-    /// [`WheelQueue`] reuses this field as a location word: heap position,
-    /// or `WHEEL_LOC | bucket` for events resident in a wheel bucket.
+    /// Location word: overflow-heap position, `WHEEL_LOC | bucket` for
+    /// events resident in a wheel bucket, or [`FREE`] when not queued.
     heap_pos: u32,
     event: Option<E>,
 }
 
-/// One heap node. The ordering key lives here, inline, so sift comparisons
-/// stay within the heap array instead of chasing slot-arena pointers.
+/// One overflow-heap node. The ordering key lives here, inline, so sift
+/// comparisons stay within the heap array instead of chasing slot-arena
+/// pointers.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     at: Instant,
@@ -73,223 +67,6 @@ impl HeapEntry {
     #[inline]
     fn before(&self, other: &HeapEntry) -> bool {
         (self.at, self.seq) < (other.at, other.seq)
-    }
-}
-
-/// Deterministic future-event list.
-#[derive(Clone)]
-pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    /// Min-heap ordered by `(at, seq)`.
-    heap: Vec<HeapEntry>,
-    /// Released slots available for reuse.
-    free: Vec<u32>,
-    next_seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            slots: Vec::new(),
-            heap: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty queue with room for `n` events before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue {
-            slots: Vec::with_capacity(n),
-            heap: Vec::with_capacity(n),
-            free: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedule `event` to fire at `at`. Returns a key usable with [`cancel`].
-    ///
-    /// [`cancel`]: EventQueue::cancel
-    pub fn push(&mut self, at: Instant, event: E) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let pos = self.heap.len() as u32;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.heap_pos = pos;
-                s.event = Some(event);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot { generation: 0, heap_pos: pos, event: Some(event) });
-                slot
-            }
-        };
-        self.heap.push(HeapEntry { at, seq, slot });
-        self.sift_up(pos as usize);
-        EventKey::new(slot, self.slots[slot as usize].generation)
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. had not fired and was not already cancelled).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let slot = key.slot() as usize;
-        let Some(s) = self.slots.get(slot) else {
-            return false;
-        };
-        if s.generation != key.generation() || s.heap_pos == FREE {
-            return false;
-        }
-        let pos = s.heap_pos as usize;
-        self.remove_at(pos);
-        self.release(slot as u32);
-        true
-    }
-
-    /// Remove and return the earliest live event.
-    pub fn pop(&mut self) -> Option<(Instant, E)> {
-        let &HeapEntry { at, slot, .. } = self.heap.first()?;
-        self.remove_at(0);
-        let s = &mut self.slots[slot as usize];
-        let event = s.event.take().expect("queued slot holds an event");
-        s.generation = s.generation.wrapping_add(1);
-        s.heap_pos = FREE;
-        self.free.push(slot);
-        Some((at, event))
-    }
-
-    /// Remove and return the earliest live event if it fires at or before
-    /// `t`; otherwise leave the queue untouched and return `None`.
-    ///
-    /// Equivalent to `peek_time` + `pop` but touches the heap root once.
-    pub fn pop_before(&mut self, t: Instant) -> Option<(Instant, E)> {
-        let &HeapEntry { at, slot, .. } = self.heap.first()?;
-        if at > t {
-            return None;
-        }
-        self.remove_at(0);
-        let s = &mut self.slots[slot as usize];
-        let event = s.event.take().expect("queued slot holds an event");
-        s.generation = s.generation.wrapping_add(1);
-        s.heap_pos = FREE;
-        self.free.push(slot);
-        Some((at, event))
-    }
-
-    /// The instant of the earliest live event, if any.
-    pub fn peek_time(&self) -> Option<Instant> {
-        self.heap.first().map(|e| e.at)
-    }
-
-    /// Number of live (non-cancelled, not yet fired) events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue holds no live events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Release a slot back to the free list, invalidating outstanding keys.
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.event = None;
-        s.generation = s.generation.wrapping_add(1);
-        s.heap_pos = FREE;
-        self.free.push(slot);
-    }
-
-    /// Detach the heap entry at `pos`, restoring the heap property.
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-        self.heap.pop();
-        if pos < self.heap.len() {
-            // The swapped-in entry may need to move either way; at most one
-            // of these does any work.
-            self.sift_down(pos);
-            self.sift_up(pos);
-        }
-    }
-
-    /// Hole-based sift: shift larger parents down, write the entry once.
-    fn sift_up(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / D;
-            let p = self.heap[parent];
-            if entry.before(&p) {
-                self.heap[pos] = p;
-                self.slots[p.slot as usize].heap_pos = pos as u32;
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[pos] = entry;
-        self.slots[entry.slot as usize].heap_pos = pos as u32;
-    }
-
-    /// Hole-based sift: shift the smallest child up, write the entry once.
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[pos];
-        loop {
-            let first_child = pos * D + 1;
-            if first_child >= len {
-                break;
-            }
-            let child_end = (first_child + D).min(len);
-            let mut best = first_child;
-            let mut best_entry = self.heap[first_child];
-            for child in first_child + 1..child_end {
-                let c = self.heap[child];
-                if c.before(&best_entry) {
-                    best = child;
-                    best_entry = c;
-                }
-            }
-            if best_entry.before(&entry) {
-                self.heap[pos] = best_entry;
-                self.slots[best_entry.slot as usize].heap_pos = pos as u32;
-                pos = best;
-            } else {
-                break;
-            }
-        }
-        self.heap[pos] = entry;
-        self.slots[entry.slot as usize].heap_pos = pos as u32;
-    }
-
-    /// Debug check: every heap entry's slot points back at its position and
-    /// every parent orders before its children.
-    #[cfg(test)]
-    fn assert_invariants(&self) {
-        for (pos, e) in self.heap.iter().enumerate() {
-            assert_eq!(self.slots[e.slot as usize].heap_pos as usize, pos);
-            assert!(self.slots[e.slot as usize].event.is_some());
-            if pos > 0 {
-                let parent = (pos - 1) / D;
-                assert!(!e.before(&self.heap[parent]), "heap property violated at {pos}");
-            }
-        }
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.heap_pos == FREE {
-                assert!(s.event.is_none());
-                assert!(self.free.contains(&(i as u32)));
-            }
-        }
     }
 }
 
@@ -311,12 +88,12 @@ struct WheelEntry {
 
 /// A hierarchical timing-wheel event queue: a single-level wheel of
 /// `WHEEL_BUCKETS` (1024) buckets covering the near future (dense timer/IRQ/seg
-/// traffic), backed by the indexed 4-ary heap of [`EventQueue`] as overflow
-/// for events beyond the horizon. Events migrate heap → wheel as the wheel's
+/// traffic), backed by an indexed 4-ary min-heap as overflow for events
+/// beyond the horizon. Events migrate heap → wheel as the wheel's
 /// base time advances past their window.
 ///
-/// The contract is *exact* equivalence with [`EventQueue`]: pops come out in
-/// `(at, seq)` order, globally — bucket granularity only changes where an
+/// The contract is *exact* `(at, seq)` order: pops come out in that order,
+/// globally — bucket granularity only changes where an
 /// event is stored, never when it fires relative to its peers. Buckets
 /// partition time, so every event in an earlier bucket precedes every event
 /// in a later one; within the first non-empty bucket a linear `(at, seq)`
@@ -325,9 +102,8 @@ struct WheelEntry {
 /// wheel event. The shared monotone `seq` preserves FIFO ordering of ties
 /// across both halves.
 ///
-/// Keys are interchangeable with [`EventQueue`]'s: same slot-arena,
-/// generation and free-list discipline, so a stale [`EventKey`] can never
-/// touch a recycled slot.
+/// Keys follow a slot-arena, generation and free-list discipline, so a
+/// stale [`EventKey`] can never touch a recycled slot.
 pub struct WheelQueue<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
@@ -622,8 +398,8 @@ impl<E> WheelQueue<E> {
         self.free.push(slot);
     }
 
-    // Overflow-heap maintenance: same indexed 4-ary sifts as [`EventQueue`],
-    // with positions written through the shared slot arena.
+    // Overflow-heap maintenance: indexed 4-ary hole-based sifts, with
+    // positions written through the slot arena.
 
     fn heap_remove_at(&mut self, pos: usize) {
         let last = self.heap.len() - 1;
@@ -718,116 +494,19 @@ impl<E> WheelQueue<E> {
 mod tests {
     use super::*;
 
+    /// The wheel's ordering contract: for any operation sequence, pops come
+    /// out exactly as from an ordered `(at, seq)` model, and cancel succeeds
+    /// iff the model still holds the event — bucket granularity never
+    /// reorders events.
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(Instant(30), "c");
-        q.push(Instant(10), "a");
-        q.push(Instant(20), "b");
-        assert_eq!(q.pop(), Some((Instant(10), "a")));
-        assert_eq!(q.pop(), Some((Instant(20), "b")));
-        assert_eq!(q.pop(), Some((Instant(30), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push(Instant(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((Instant(5), i)));
-        }
-    }
-
-    #[test]
-    fn cancellation_skips_event() {
-        let mut q = EventQueue::new();
-        let _a = q.push(Instant(1), "a");
-        let b = q.push(Instant(2), "b");
-        let _c = q.push(Instant(3), "c");
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b), "double cancel reports false");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((Instant(1), "a")));
-        assert_eq!(q.pop(), Some((Instant(3), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.push(Instant(1), "a");
-        assert_eq!(q.pop(), Some((Instant(1), "a")));
-        assert!(!q.cancel(a));
-        // A later push must still work and not be eaten by a stale key.
-        q.push(Instant(2), "b");
-        assert_eq!(q.pop(), Some((Instant(2), "b")));
-    }
-
-    #[test]
-    fn cancel_does_not_affect_other_pending_events() {
-        let mut q = EventQueue::new();
-        let a = q.push(Instant(1), "a");
-        q.push(Instant(2), "b");
-        assert_eq!(q.pop(), Some((Instant(1), "a")));
-        // `a` has fired; cancelling it now must not eat `b`.
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Instant(2), "b")));
-    }
-
-    #[test]
-    fn peek_time_sees_through_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.push(Instant(1), "a");
-        q.push(Instant(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Instant(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn cancel_bogus_key_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey(42)));
-    }
-
-    #[test]
-    fn stale_key_for_recycled_slot_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(Instant(1), "a");
-        assert_eq!(q.pop(), Some((Instant(1), "a")));
-        // "b" reuses slot 0; the stale key for "a" must not cancel it.
-        q.push(Instant(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Instant(2), "b")));
-    }
-
-    #[test]
-    fn peek_time_is_non_mutating_and_accurate() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(Instant(7), "x");
-        let q_ref: &EventQueue<&str> = &q;
-        assert_eq!(q_ref.peek_time(), Some(Instant(7)));
-        assert_eq!(q_ref.peek_time(), Some(Instant(7)));
-    }
-
-    /// The wheel's determinism contract: for any operation sequence, a
-    /// [`WheelQueue`] and an [`EventQueue`] driven identically produce
-    /// identical pop streams and identical cancel outcomes — bucket
-    /// granularity never reorders events.
-    #[test]
-    fn wheel_matches_heap_on_random_workload() {
+    fn wheel_matches_ordered_model_on_random_workload() {
         use crate::rng::SimRng;
+        use std::collections::BTreeMap;
         for seed in 0..8u64 {
             let mut rng = SimRng::new(0x7EE1 + seed);
-            let mut heap = EventQueue::new();
+            let mut model: BTreeMap<(Instant, u64), u64> = BTreeMap::new();
             let mut wheel = WheelQueue::new();
-            let mut keys: Vec<(EventKey, EventKey)> = Vec::new();
+            let mut keys: Vec<(EventKey, (Instant, u64))> = Vec::new();
             let mut floor = 0u64;
             let mut next_id = 0u64;
             for _ in 0..4_000 {
@@ -843,36 +522,76 @@ mod tests {
                         };
                         let id = next_id;
                         next_id += 1;
-                        keys.push((heap.push(at, id), wheel.push(at, id)));
+                        model.insert((at, id), id);
+                        keys.push((wheel.push(at, id), (at, id)));
                     }
                     5..=7 => {
-                        let h = heap.pop();
+                        let m = model.pop_first().map(|((at, _), id)| (at, id));
                         let w = wheel.pop();
-                        assert_eq!(h, w, "pop divergence (seed {seed})");
-                        if let Some((at, _)) = h {
+                        assert_eq!(m, w, "pop divergence (seed {seed})");
+                        if let Some((at, _)) = m {
                             floor = floor.max(at.as_ns());
                         }
                     }
                     _ => {
                         if !keys.is_empty() {
                             let i = (rng.next_u64() % keys.len() as u64) as usize;
-                            let (hk, wk) = keys.swap_remove(i);
-                            assert_eq!(heap.cancel(hk), wheel.cancel(wk));
+                            let (wk, mk) = keys.swap_remove(i);
+                            assert_eq!(model.remove(&mk).is_some(), wheel.cancel(wk));
                         }
                     }
                 }
-                assert_eq!(heap.len(), wheel.len());
+                assert_eq!(model.len(), wheel.len());
                 wheel.assert_invariants();
             }
-            loop {
-                let h = heap.pop();
-                let w = wheel.pop();
-                assert_eq!(h, w);
-                if h.is_none() {
-                    break;
-                }
-            }
+            let rest: Vec<_> = model.into_iter().map(|((at, _), id)| (at, id)).collect();
+            let drained: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+            assert_eq!(rest, drained);
         }
+    }
+
+    #[test]
+    fn wheel_ties_break_by_insertion_order() {
+        let mut q = WheelQueue::new();
+        for i in 0..100 {
+            q.push(Instant(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((Instant(5), i)));
+        }
+    }
+
+    #[test]
+    fn wheel_cancel_after_fire_is_noop() {
+        let mut q = WheelQueue::new();
+        let a = q.push(Instant(1), "a");
+        q.push(Instant(2), "b");
+        assert_eq!(q.pop(), Some((Instant(1), "a")));
+        // `a` has fired; cancelling it now must not eat `b`.
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((Instant(2), "b")));
+    }
+
+    #[test]
+    fn wheel_cancel_bogus_key_is_false() {
+        let mut q: WheelQueue<()> = WheelQueue::new();
+        assert!(!q.cancel(EventKey(42)));
+    }
+
+    #[test]
+    fn wheel_peek_time_sees_through_cancellations_and_keeps_order() {
+        let mut q = WheelQueue::new();
+        assert_eq!(q.peek_time(), None);
+        let a = q.push(Instant(1), "a");
+        q.push(Instant(2), "b");
+        q.push(Instant(3), "c");
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(Instant(2)));
+        assert_eq!(q.peek_time(), Some(Instant(2)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((Instant(2), "b")));
+        assert_eq!(q.pop(), Some((Instant(3), "c")));
     }
 
     #[test]
@@ -957,8 +676,8 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_ops_keep_heap_invariants() {
-        let mut q = EventQueue::new();
+    fn wheel_interleaved_ops_keep_invariants() {
+        let mut q = WheelQueue::new();
         let mut keys = Vec::new();
         for round in 0..50u64 {
             for i in 0..20u64 {
