@@ -336,10 +336,7 @@ impl Autopilot {
     /// made this window, if any.
     pub fn step(&mut self, sim: &mut Simulator) -> Result<Option<Decision>, String> {
         let (samples, new_cursor) = sim.obs.latency_feed(self.plant.server, self.cursor);
-        let mut hist = LatencyHistogram::new();
-        for &l in samples {
-            hist.record(l);
-        }
+        let hist: LatencyHistogram = samples.iter().copied().collect();
         let window_samples = samples.len() as u64;
         self.cursor = new_cursor;
         self.window += 1;

@@ -58,10 +58,7 @@ fn latency_run(keep_ltmr: bool, seconds: u64) -> (LatencySummary, u64) {
     }
     plan.apply(&mut sim).expect("shield");
     sim.run_for(Nanos::from_secs(seconds));
-    let mut h = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        h.record(l);
-    }
+    let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
     (LatencySummary::from_histogram(&h), sim.obs.cpu[1].ticks)
 }
 

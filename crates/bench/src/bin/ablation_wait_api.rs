@@ -75,10 +75,7 @@ fn run(use_rcim: bool, seconds: u64) -> LatencySummary {
     sim.start();
     ShieldPlan::cpu(CpuId(1)).bind_task(pid).bind_irq(dev).apply(&mut sim).unwrap();
     sim.run_for(Nanos::from_secs(seconds));
-    let mut h = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        h.record(l);
-    }
+    let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
     LatencySummary::from_histogram(&h)
 }
 

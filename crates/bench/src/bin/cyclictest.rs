@@ -40,11 +40,9 @@ fn run(variant: KernelVariant, shield: bool, seconds: u64) -> LatencySummary {
         ShieldPlan::cpu(CpuId(1)).bind_task(pid).apply(&mut sim).unwrap();
     }
     sim.run_for(Nanos::from_secs(seconds));
-    let mut h = LatencyHistogram::new();
-    for d in sim.obs.lap_durations(pid) {
-        // Oversleep beyond the requested interval.
-        h.record(d.saturating_sub(INTERVAL));
-    }
+    // Oversleep beyond the requested interval.
+    let h: LatencyHistogram =
+        sim.obs.lap_durations(pid).into_iter().map(|d| d.saturating_sub(INTERVAL)).collect();
     LatencySummary::from_histogram(&h)
 }
 

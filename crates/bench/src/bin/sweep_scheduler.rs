@@ -48,10 +48,7 @@ fn run(variant: KernelVariant, runnable: u32, seconds: u64) -> LatencySummary {
     sim.set_irq_affinity(rcim, CpuMask::single(CpuId(0))).unwrap();
     sim.start();
     sim.run_for(Nanos::from_secs(seconds));
-    let mut h = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        h.record(l);
-    }
+    let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
     LatencySummary::from_histogram(&h)
 }
 

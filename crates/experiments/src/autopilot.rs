@@ -203,10 +203,7 @@ fn harvest(
     svc: &RequestService,
     ap: &Autopilot,
 ) -> AutopilotRun {
-    let mut h = LatencyHistogram::new();
-    for &l in sim.obs.latencies(svc.server) {
-        h.record(l);
-    }
+    let h: LatencyHistogram = sim.obs.latencies(svc.server).iter().copied().collect();
     let be_cpu: Nanos = svc.best_effort.iter().map(|&p| sim.task(p).cpu_time).sum();
     let AnyDevice::Traffic(traffic) = sim.device(svc.device) else {
         panic!("request plant registers a traffic device");

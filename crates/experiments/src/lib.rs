@@ -18,7 +18,6 @@
 pub mod autopilot;
 pub mod determinism;
 pub mod faultmatrix;
-pub mod fleet;
 pub mod flight;
 pub mod modernmax;
 pub mod rcim;
@@ -36,10 +35,6 @@ pub use autopilot::{
     AutopilotRun, AutopilotStudy, AutopilotVerdict,
 };
 pub use determinism::{run_determinism, DeterminismConfig, DeterminismResult};
-pub use fleet::{
-    Fleet, FleetGrid, FleetJob, FleetOutcome, FleetReport, FleetSpec, FleetStreamSummary,
-    FleetVerdict,
-};
 pub use flight::{merge_top, trace_meta};
 pub use rcim::{run_rcim, run_rcim_with_flight, RcimConfig, RcimResult};
 pub use realfeel::{run_realfeel, run_realfeel_with_flight, RealfeelConfig, RealfeelResult};

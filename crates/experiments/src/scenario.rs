@@ -520,10 +520,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
     for (name, (pid, kind)) in &measured {
         let result = match kind {
             MeasuredKind::IrqWait { .. } => {
-                let mut h = LatencyHistogram::new();
-                for &l in sim.obs.latencies(*pid) {
-                    h.record(l);
-                }
+                let h: LatencyHistogram = sim.obs.latencies(*pid).iter().copied().collect();
                 MeasuredResult::Latency { summary: LatencySummary::from_histogram(&h), histogram: h }
             }
             MeasuredKind::Loop { .. } => {

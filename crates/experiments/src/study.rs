@@ -216,10 +216,7 @@ impl Rig {
         let had = sim.obs.latencies(pid).len() as u64;
         self.collect(&mut sim, pid, had + budget);
 
-        let mut histogram = LatencyHistogram::new();
-        for &l in sim.obs.latencies(pid) {
-            histogram.record(l);
-        }
+        let histogram: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
         let expected = sim.now().since(t0).as_ns() / self.source.period().as_ns();
         RunOut {
             overruns: expected.saturating_sub(histogram.count() - had),

@@ -1,4 +1,4 @@
-//! Determinism contract of the `sp-fleet` scenario-fleet engine.
+//! Determinism contract of experiment batches on the `sp-fleet` pool.
 //!
 //! The reproducibility key is `(seed, shards)` — never the worker count.
 //! For a fixed key, every fleet product (histograms, verdicts, merged
@@ -10,36 +10,55 @@ use proptest::prelude::*;
 use simcore::Nanos;
 use sp_autopilot::{Autopilot, ControllerConfig, DecisionCause, PlantBindings, ShieldLevel};
 use sp_experiments::{
-    run_autopilot, run_autopilot_forked, run_fault_matrix_with_flight, run_realfeel,
-    run_realfeel_with_flight, run_sweep, AutopilotConfig, DeterminismConfig, FaultMatrixConfig,
-    Fleet, FleetOutcome, FleetSpec, RcimConfig, RealfeelConfig, SweepConfig,
+    run_autopilot, run_autopilot_forked, run_autopilot_study, run_determinism,
+    run_fault_matrix_with_flight, run_rcim_with_flight, run_realfeel, run_realfeel_with_flight,
+    run_sweep, AutopilotConfig, DeterminismConfig, FaultMatrixConfig, RcimConfig, RealfeelConfig,
+    SweepConfig,
 };
 use sp_hw::{CpuId, CpuMask, MachineConfig};
 use sp_kernel::devices::{TrafficPhase, TrafficProfile};
-use sp_kernel::Simulator;
+use sp_kernel::{Simulator, WorstCaseTrace};
 use sp_workloads::{request_kernel_config, request_serving, RequestService};
 
-fn batch() -> Vec<FleetSpec> {
-    vec![
-        FleetSpec::realfeel(RealfeelConfig::fig6_redhawk_shielded().with_samples(2_500).with_shards(3)),
-        FleetSpec::rcim(RcimConfig::fig7_redhawk_shielded().with_samples(2_500).with_shards(2)),
-        FleetSpec::determinism(DeterminismConfig::fig2_redhawk_shielded().with_iterations(8)),
-    ]
+/// A job's serialized result followed by the latencies of its captured
+/// worst-case traces.
+fn with_traces(result: &impl serde::Serialize, traces: &[WorstCaseTrace]) -> String {
+    let latencies: Vec<u64> = traces.iter().map(|t| t.latency.as_ns()).collect();
+    format!("{} {latencies:?}", serde_json::to_string(result).unwrap())
 }
 
-/// Satellite: fixed `(seed, shards)` ⇒ the full fleet artifact — per-spec
-/// verdicts, result payloads and captured trace latencies — is bit-identical
-/// across worker counts {1, 2, 8} *and* across two repeated runs at each
-/// count.
+/// A mixed batch on the pool: a sharded realfeel run and a sharded RCIM run,
+/// each with its merged top-2 flight traces, and a determinism loop.
+fn mixed_batch() -> Vec<String> {
+    sp_fleet::run_indexed(3, |i| match i {
+        0 => {
+            let cfg = RealfeelConfig::fig6_redhawk_shielded().with_samples(2_500).with_shards(3);
+            let (r, traces) = run_realfeel_with_flight(&cfg, 2);
+            with_traces(&r, &traces)
+        }
+        1 => {
+            let cfg = RcimConfig::fig7_redhawk_shielded().with_samples(2_500).with_shards(2);
+            let (r, traces) = run_rcim_with_flight(&cfg, 2);
+            with_traces(&r, &traces)
+        }
+        _ => {
+            let cfg = DeterminismConfig::fig2_redhawk_shielded().with_iterations(8);
+            serde_json::to_string(&run_determinism(&cfg)).unwrap()
+        }
+    })
+}
+
+/// Satellite: fixed `(seed, shards)` ⇒ a mixed batch's output — result
+/// payloads and captured trace latencies — is bit-identical across worker
+/// counts {1, 2, 8} *and* across two repeated runs at each count.
 #[test]
-fn fleet_artifact_is_identical_across_worker_counts_and_repeats() {
-    let reference = Fleet::new().with_workers(1).with_top_k(2).submit(batch()).artifact_json();
+fn mixed_batch_is_identical_across_worker_counts_and_repeats() {
+    let reference = sp_fleet::with_workers(1, mixed_batch);
+    assert!(reference[..2].iter().all(|job| !job.ends_with("[]")), "no trace captured");
     for workers in [1u32, 2, 8] {
         for repeat in 0..2 {
-            let report = Fleet::new().with_workers(workers).with_top_k(2).submit(batch());
-            assert_eq!(report.workers, workers.min(batch().len() as u32).max(1));
             assert_eq!(
-                report.artifact_json(),
+                sp_fleet::with_workers(workers, mixed_batch),
                 reference,
                 "drift at workers={workers} repeat={repeat}"
             );
@@ -47,18 +66,14 @@ fn fleet_artifact_is_identical_across_worker_counts_and_repeats() {
     }
 }
 
-/// `shards = 1` on one worker is the classic serial path: a fleet-submitted
-/// single-shard experiment equals calling the experiment function directly.
+/// `shards = 1` on one worker is the classic serial path: a single-shard
+/// experiment run on a one-worker pool equals calling it directly.
 #[test]
 fn single_shard_on_one_worker_matches_classic_serial_run() {
     let cfg = RealfeelConfig::fig6_redhawk_shielded().with_samples(3_000).with_shards(1);
     let serial = serde_json::to_string(&run_realfeel(&cfg)).unwrap();
-
-    let report = Fleet::new().with_workers(1).submit(vec![FleetSpec::realfeel(cfg)]);
-    let Ok(FleetOutcome::Realfeel(r)) = &report.verdicts[0].outcome else {
-        panic!("wrong outcome kind");
-    };
-    assert_eq!(serde_json::to_string(r).unwrap(), serial);
+    let pooled = sp_fleet::with_workers(1, || run_realfeel(&cfg));
+    assert_eq!(serde_json::to_string(&pooled).unwrap(), serial);
 }
 
 /// Satellite: merged top-K flight traces under concurrent shards — the
@@ -85,32 +100,32 @@ fn merged_worst_trace_explains_the_max_for_every_worker_count() {
     assert_eq!(all_latency_lists[1], all_latency_lists[2]);
 }
 
-fn autopilot_batch() -> Vec<FleetSpec> {
-    vec![
-        FleetSpec::autopilot(AutopilotConfig {
-            seed: 11,
-            cycles: 1,
-            ..AutopilotConfig::canonical()
-        }),
-        FleetSpec::determinism(DeterminismConfig::fig2_redhawk_shielded().with_iterations(8)),
-    ]
+/// An autopilot study beside a determinism loop, as one pool batch.
+fn autopilot_batch() -> Vec<String> {
+    sp_fleet::run_indexed(2, |i| {
+        if i == 0 {
+            let cfg = AutopilotConfig { seed: 11, cycles: 1, ..AutopilotConfig::canonical() };
+            serde_json::to_string(&run_autopilot_study(&cfg)).unwrap()
+        } else {
+            let cfg = DeterminismConfig::fig2_redhawk_shielded().with_iterations(8);
+            serde_json::to_string(&run_determinism(&cfg)).unwrap()
+        }
+    })
 }
 
 /// Satellite: the autopilot study — decision trace, telemetry, static
-/// baselines and verdict — is part of the fleet artifact, and the whole
-/// artifact is bit-identical across worker counts {1, 2, 8}. The `workers=1`
-/// pass doubles as the repeat check: it rebuilds everything the reference
-/// run built and must land on the same bytes.
+/// baselines and verdict — run as a pool job is bit-identical across worker
+/// counts {1, 2, 8}. The `workers=1` pass doubles as the repeat check: it
+/// rebuilds everything the reference run built and must land on the same
+/// bytes.
 #[test]
-fn autopilot_fleet_artifact_is_identical_across_worker_counts_and_repeats() {
-    let reference = Fleet::new().with_workers(1).submit(autopilot_batch()).artifact_json();
-    assert!(reference.contains("autopilot"), "artifact should carry the autopilot outcome");
+fn autopilot_batch_is_identical_across_worker_counts_and_repeats() {
+    let reference = sp_fleet::with_workers(1, autopilot_batch);
     for workers in [1u32, 2, 8] {
-        let report = Fleet::new().with_workers(workers).submit(autopilot_batch());
         assert_eq!(
-            report.artifact_json(),
+            sp_fleet::with_workers(workers, autopilot_batch),
             reference,
-            "autopilot artifact drift at workers={workers}"
+            "autopilot batch drift at workers={workers}"
         );
     }
 }

@@ -27,8 +27,9 @@
 //!   concurrent fleet consumers in one process don't contaminate each
 //!   other's numbers the way a [`stats_snapshot`] diff does.
 //!
-//! The scenario-fleet API (`sp_experiments::fleet`) builds the
-//! submit/inspect batch surface on top of this runner.
+//! Every batch in the workspace runs on this pool through [`run_indexed`]
+//! or [`run_stream`]: the figure suite, the fault and modern matrices, the
+//! sweep, and any caller batching `sp_experiments` driver calls.
 //!
 //! ```
 //! let (squares, stats) = sp_fleet::run_with(

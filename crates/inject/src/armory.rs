@@ -1,9 +1,8 @@
 //! The runtime fault registry: owns registration (pre-start), arming and
 //! disarming of [`FaultSpec`]s against a live simulator.
 
-use crate::storm::{StormDevice, CTRL_ARM, CTRL_DISARM};
 use crate::tasks::{spawn_cpu_hog, spawn_lock_holder, CpuHog, LockHolder};
-use crate::{FaultKind, FaultSpec};
+use crate::{FaultKind, FaultSpec, StormDevice, CTRL_ARM, CTRL_DISARM};
 use simcore::Nanos;
 use sp_hw::{CpuMask, IrqLine};
 use sp_kernel::{Device, DeviceId, LockId, Pid, SchedPolicy, Simulator};

@@ -32,11 +32,10 @@
 //! disarming against a live simulator.
 
 mod armory;
-mod storm;
 mod tasks;
 
 pub use armory::{Armory, InjectError};
-pub use storm::{StormDevice, CTRL_ARM, CTRL_DISARM};
+pub use sp_kernel::devices::storm::{StormDevice, CTRL_ARM, CTRL_DISARM};
 pub use tasks::{spawn_cpu_hog, spawn_lock_holder, CpuHog, LockHolder};
 
 use serde::{Deserialize, Serialize};

@@ -72,16 +72,6 @@ pub struct KernelConfig {
     /// High-resolution sleep (POSIX timers patch); without it, sleeps round
     /// up to the 10 ms jiffy like stock 2.4.
     pub hires_sleep: bool,
-    /// Dynamic-tick idle (a nohz-style anachronism, off in every kernel the
-    /// paper measured): a fully idle CPU parks its local timer and re-arms
-    /// it on the original tick grid when work arrives, so long idle windows
-    /// cost the event loop nothing. Ticks skipped while parked are counted
-    /// per CPU in the observations. Deterministic for a given seed, but a
-    /// run with this on is *not* event-for-event comparable to one with it
-    /// off (idle ticks draw costs and contend the bus in the stock model),
-    /// which is why it is a default-off opt-in rather than an optimisation.
-    #[serde(default)]
-    pub nohz_idle: bool,
     /// PREEMPT_RT-style threaded interrupt handlers (a post-2.4 anachronism,
     /// off in every kernel the paper measured): the hard ISR shrinks to a
     /// minimal acknowledge (`irq_entry + irq_ack + irq_exit`) that hands the
@@ -100,8 +90,8 @@ pub struct KernelConfig {
     /// re-arms one second ahead *on the original tick grid* (the residual
     /// 1 Hz housekeeping tick, offloaded as in Linux ≥ 4.17 so it costs the
     /// shielded CPU nothing). Elided grid ticks are counted per CPU.
-    /// Same determinism caveat as `nohz_idle`: per-seed deterministic, not
-    /// comparable to a knob-off run (elided ticks draw no costs).
+    /// Deterministic for a given seed, but not event-for-event comparable
+    /// to a knob-off run (elided ticks draw no costs).
     #[serde(default)]
     pub nohz_full: bool,
     /// Housekeeping-kthread isolation (per-CPU softirq drain / timer
@@ -137,7 +127,6 @@ impl KernelConfig {
             shield_support: redhawk,
             file_layer_lockfree: false,
             hires_sleep: redhawk,
-            nohz_idle: false,
             threaded_irqs: false,
             nohz_full: false,
             kthread_iso: false,

@@ -54,8 +54,8 @@ pub struct CpuAccounting {
     pub switches: u64,
     /// Local timer ticks processed.
     pub ticks: u64,
-    /// Ticks skipped while the local timer was parked by `nohz_idle`
-    /// (dynamic-tick idle); always zero with the knob off.
+    /// Grid ticks elided by `nohz_full` on a quiescent shielded CPU; always
+    /// zero with the knob off.
     pub ticks_elided: u64,
 }
 

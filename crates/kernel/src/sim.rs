@@ -172,12 +172,8 @@ pub struct Simulator {
     /// The armed segment-end event of each CPU's current activity
     /// (`None` while idle or spinning).
     seg_end: Vec<Option<(EventKey, u64)>>,
-    /// The armed local-timer event per CPU (`None` when the timer is off —
-    /// or parked by `nohz_idle` while the CPU is fully idle).
+    /// The armed local-timer event per CPU (`None` when the timer is off).
     tick_keys: Vec<Option<EventKey>>,
-    /// The instant each CPU's next tick is (or, while parked, would have
-    /// been) due — anchors `nohz_idle` re-arming to the original tick grid.
-    tick_next_ns: Vec<u64>,
     sched: SchedulerKind,
     locks: LockTable,
     devices: Vec<DeviceSlot>,
@@ -265,7 +261,6 @@ impl Simulator {
             cpu_last_busy_ns: vec![0; n],
             seg_end: vec![None; n],
             tick_keys: vec![None; n],
-            tick_next_ns: vec![0; n],
             sched,
             locks: LockTable::new(),
             devices: Vec::new(),
@@ -546,10 +541,7 @@ impl Simulator {
         self.cpus[i].local_timer_on = on;
         if on {
             if self.started {
-                let at = self.now + self.cfg.jiffy();
-                let key = self.queue.push(at, Ev::Tick { cpu: cpu.0 });
-                self.tick_keys[i] = Some(key);
-                self.tick_next_ns[i] = at.as_ns();
+                self.arm_tick(i, self.now + self.cfg.jiffy());
             }
         } else if let Some(key) = self.tick_keys[i].take() {
             self.queue.cancel(key);
@@ -654,10 +646,7 @@ impl Simulator {
         for cpu in 0..self.cpus.len() {
             if self.cpus[cpu].local_timer_on {
                 let phase = Nanos(jiffy.as_ns() * (cpu as u64 + 1) / (self.cpus.len() as u64 + 1));
-                let at = self.now + phase;
-                let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
-                self.tick_keys[cpu] = Some(key);
-                self.tick_next_ns[cpu] = at.as_ns();
+                self.arm_tick(cpu, self.now + phase);
             }
         }
         // Devices.
@@ -742,9 +731,6 @@ impl Simulator {
         let bit = 1u64 << cpu;
         let was_idle = self.busy_mask & bit == 0;
         self.busy_mask |= bit;
-        if was_idle && self.cfg.nohz_idle {
-            self.unpark_tick(cpu);
-        }
         let slowdown = self.sample_slowdown(cpu);
         let act = Activity { kind, remaining: work, since: self.now, slowdown };
         if !matches!(act.kind, ActKind::SpinWait { .. }) {
@@ -987,10 +973,7 @@ impl Simulator {
             // Linux ≥ 4.17 so it costs this CPU nothing. All grid points
             // covered by the hop are counted as elided.
             let stride = self.cfg.local_timer_hz as u64;
-            let at = self.now + Nanos(stride * self.cfg.jiffy().as_ns());
-            let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
-            self.tick_keys[cpu] = Some(key);
-            self.tick_next_ns[cpu] = at.as_ns();
+            self.arm_tick(cpu, self.now + Nanos(stride * self.cfg.jiffy().as_ns()));
             self.obs.cpu[cpu].ticks_elided += stride;
             if self.flight.is_armed() {
                 self.flight.record(FlightEvent::instant(
@@ -1002,10 +985,7 @@ impl Simulator {
             }
             return;
         }
-        let at = self.now + self.cfg.jiffy();
-        let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
-        self.tick_keys[cpu] = Some(key);
-        self.tick_next_ns[cpu] = at.as_ns();
+        self.arm_tick(cpu, self.now + self.cfg.jiffy());
         if !self.cpu_can_take_irq(cpu) {
             // Delivery masked; the tick is lost (real hardware would pend it,
             // but irq-off windows are ≪ a jiffy so the distinction is noise).
@@ -1028,40 +1008,10 @@ impl Simulator {
         })
     }
 
-    /// `nohz_idle`: cancel the local-timer event of a CPU that just became
-    /// fully idle. The tick grid position is remembered in `tick_next_ns`,
-    /// so re-arming lands exactly where the timer would have fired anyway.
-    #[cold]
-    fn park_tick(&mut self, cpu: usize) {
-        if !self.cpus[cpu].local_timer_on || !self.is_fully_idle(cpu) {
-            return;
-        }
-        if let Some(key) = self.tick_keys[cpu].take() {
-            self.queue.cancel(key);
-        }
-    }
-
-    /// `nohz_idle`: re-arm a parked local timer on the first grid instant
-    /// not yet in the past, counting the grid points that fell inside the
-    /// idle window as elided.
-    #[cold]
-    fn unpark_tick(&mut self, cpu: usize) {
-        if !self.cpus[cpu].local_timer_on || self.tick_keys[cpu].is_some() {
-            return;
-        }
-        let jiffy = self.cfg.jiffy().as_ns();
-        let next = self.tick_next_ns[cpu];
-        let now = self.now.as_ns();
-        let (fire, elided) = if now >= next {
-            let k = (now - next) / jiffy + 1;
-            (next + k * jiffy, k)
-        } else {
-            (next, 0)
-        };
-        self.obs.cpu[cpu].ticks_elided += elided;
-        let key = self.queue.push(Instant(fire), Ev::Tick { cpu: cpu as u32 });
+    /// Arm `cpu`'s local-timer event at `at`.
+    fn arm_tick(&mut self, cpu: usize, at: Instant) {
+        let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
         self.tick_keys[cpu] = Some(key);
-        self.tick_next_ns[cpu] = fire;
     }
 
     // ------------------------------------------------------------------
@@ -1594,9 +1544,6 @@ impl Simulator {
                 if self.busy_mask & bit != 0 {
                     self.busy_mask &= !bit;
                     self.cpu_last_busy_ns[cpu] = self.now.as_ns();
-                    if self.cfg.nohz_idle {
-                        self.park_tick(cpu);
-                    }
                     self.reprice_others(cpu);
                 }
             }
@@ -2128,7 +2075,6 @@ impl Simulator {
             cpu_last_busy_ns: self.cpu_last_busy_ns.clone(),
             seg_end: self.seg_end.clone(),
             tick_keys: self.tick_keys.clone(),
-            tick_next_ns: self.tick_next_ns.clone(),
             sched: self.sched.clone(),
             locks: self.locks.clone(),
             devices: self
@@ -2182,7 +2128,6 @@ impl Simulator {
         self.cpu_last_busy_ns.clone_from(&ck.cpu_last_busy_ns);
         self.seg_end.clone_from(&ck.seg_end);
         self.tick_keys.clone_from(&ck.tick_keys);
-        self.tick_next_ns.clone_from(&ck.tick_next_ns);
         self.sched.clone_from(&ck.sched);
         self.locks.clone_from(&ck.locks);
         for (slot, (state, rng)) in self.devices.iter_mut().zip(&ck.devices) {
@@ -2229,7 +2174,6 @@ struct CheckpointImage {
     cpu_last_busy_ns: Vec<u64>,
     seg_end: Vec<Option<(EventKey, u64)>>,
     tick_keys: Vec<Option<EventKey>>,
-    tick_next_ns: Vec<u64>,
     sched: SchedulerKind,
     locks: LockTable,
     /// Per-device `(internal state, RNG stream)`, index-aligned with the

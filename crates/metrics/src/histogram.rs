@@ -69,6 +69,17 @@ impl Default for LatencyHistogram {
     }
 }
 
+impl FromIterator<Nanos> for LatencyHistogram {
+    /// Record every sample, in iteration order.
+    fn from_iter<I: IntoIterator<Item = Nanos>>(iter: I) -> Self {
+        let mut h = LatencyHistogram::new();
+        for v in iter {
+            h.record(v);
+        }
+        h
+    }
+}
+
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
@@ -287,6 +298,24 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Nanos(5));
         assert_eq!(a.max(), Nanos(500));
+    }
+
+    #[test]
+    fn collect_equals_the_record_loop() {
+        let values: Vec<Nanos> =
+            [7u64, 0, 63, 64, 1_000, 27_000, 5_000_000, 64].into_iter().map(Nanos).collect();
+        let mut looped = LatencyHistogram::new();
+        for &v in &values {
+            looped.record(v);
+        }
+        let collected: LatencyHistogram = values.iter().copied().collect();
+        assert_eq!(collected.counts, looped.counts);
+        assert_eq!(
+            (collected.count, collected.sum, collected.min, collected.max),
+            (looped.count, looped.sum, looped.min, looped.max)
+        );
+        let empty: LatencyHistogram = std::iter::empty().collect();
+        assert_eq!((empty.count, empty.min, empty.max), (0, u64::MAX, 0));
     }
 
     #[test]

@@ -109,11 +109,7 @@ impl JitterSeries {
     /// Histogram of per-iteration excess over ideal (the figures' x-axis).
     pub fn variance_histogram(&self) -> LatencyHistogram {
         let ideal = self.ideal();
-        let mut h = LatencyHistogram::new();
-        for &s in &self.samples {
-            h.record(s.saturating_sub(ideal));
-        }
-        h
+        self.samples.iter().map(|s| s.saturating_sub(ideal)).collect()
     }
 
     /// The raw per-iteration wall times, in record order.

@@ -58,9 +58,6 @@ fn main() {
 }
 
 fn snapshot(latencies: &[Nanos]) -> LatencySummary {
-    let mut h = LatencyHistogram::new();
-    for &l in latencies {
-        h.record(l);
-    }
+    let h: LatencyHistogram = latencies.iter().copied().collect();
     LatencySummary::from_histogram(&h)
 }

@@ -67,9 +67,6 @@ fn main() {
 }
 
 fn summarize(latencies: &[Nanos]) -> LatencySummary {
-    let mut h = LatencyHistogram::new();
-    for &l in latencies {
-        h.record(l);
-    }
+    let h: LatencyHistogram = latencies.iter().copied().collect();
     LatencySummary::from_histogram(&h)
 }

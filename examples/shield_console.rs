@@ -107,10 +107,7 @@ impl Console {
                 if lats.is_empty() {
                     println!("no new samples — `run` some time first");
                 } else {
-                    let mut h = LatencyHistogram::new();
-                    for &l in lats {
-                        h.record(l);
-                    }
+                    let h: LatencyHistogram = lats.iter().copied().collect();
                     println!("{}", LatencySummary::from_histogram(&h));
                     self.seen = self.sim.obs.latencies(self.rt).len();
                 }

@@ -41,10 +41,7 @@ fn run(name: &str, ctl: ShieldCtl, bind_irq: bool, t: &mut Table) {
         sim.set_irq_affinity(rcim, CpuMask::single(CpuId(1))).expect("irq bind");
     }
     sim.run_for(Nanos::from_secs(6));
-    let mut h = LatencyHistogram::new();
-    for &l in sim.obs.latencies(rt) {
-        h.record(l);
-    }
+    let h: LatencyHistogram = sim.obs.latencies(rt).iter().copied().collect();
     let s = LatencySummary::from_histogram(&h);
     t.row([
         name.to_string(),

@@ -50,7 +50,7 @@
 //! | [`sp_workloads`] | stress-kernel, scp/disknoise, X11perf, request-serving load generators |
 //! | [`sp_autopilot`] | closed-loop adaptive shielding: deterministic feedback controller |
 //! | [`sp_fleet`] | work-stealing job pool: real OS threads, deterministic index-ordered results |
-//! | [`sp_experiments`] | one scenario per paper figure + fleet runner and batch API |
+//! | [`sp_experiments`] | one scenario per paper figure, fault matrices, sweeps, figure-suite runner |
 
 pub use simcore;
 pub use sp_autopilot;
