@@ -7,8 +7,8 @@
 //! Usage: `hotloop_profile [SIM_MS]` (default 4000).
 
 use simcore::Nanos;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
 use sp_hw::MachineConfig;
+use sp_kernel::devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
 use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi};
 use sp_workloads::{stress_kernel, StressDevices};
 

@@ -77,9 +77,8 @@ impl Linux24Scheduler {
         }
     }
 
-    fn beats(&self, tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
-        let g: Vec<i32> = tasks.iter().map(|t| goodness(t, None)).collect();
-        move |a: Pid, b: Pid| g[a.index()] > g[b.index()]
+    fn beats(tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
+        |a: Pid, b: Pid| goodness(&tasks[a.index()], None) > goodness(&tasks[b.index()], None)
     }
 }
 
@@ -93,7 +92,7 @@ impl Scheduler for Linux24Scheduler {
                 tasks[pid.index()].counter = quantum_ticks(nice);
             }
         }
-        let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+        let (cpu, resched) = place_for_wake(pid, tasks, view, Self::beats(tasks));
         self.queue.push_back(pid);
         resched.then_some(cpu)
     }

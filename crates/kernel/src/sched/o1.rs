@@ -1,10 +1,13 @@
 //! The O(1) scheduler (Ingo Molnar, adopted in 2.5; backported into RedHawk).
 //!
 //! Per-CPU runqueues, each with *active* and *expired* priority arrays of 140
-//! FIFO lists plus a find-first-bit bitmap: every operation is constant time.
-//! SCHED_OTHER tasks that exhaust a timeslice move to the expired array; when
-//! the active array drains, the arrays swap. Real-time tasks never expire.
-//! An idle CPU steals the best migratable task from its siblings.
+//! FIFO lists plus a find-first-bit bitmap, so picking from a CPU's own
+//! runqueue is a bitmap search. SCHED_OTHER tasks that exhaust a timeslice
+//! move to the expired array; when the active array drains, the arrays swap.
+//! Real-time tasks never expire. An idle CPU steals the best migratable task
+//! from its siblings; on the host that walk costs O(non-empty sibling lists +
+//! the tasks queued on them), not constant time. The simulated cost of every
+//! pick is the constant `sched_pick_o1` draw either way.
 
 use super::{place_for_wake, CpuView, Scheduler};
 use crate::ids::Pid;
@@ -60,14 +63,19 @@ impl PrioArray {
         self.count += 1;
     }
 
-    /// Highest-priority queued task (lowest index), without removing.
-    fn peek_best_prio(&self) -> Option<u8> {
-        for (w, &bits) in self.bitmap.iter().enumerate() {
-            if bits != 0 {
-                return Some((w * 64 + bits.trailing_zeros() as usize) as u8);
-            }
-        }
-        None
+    /// Priorities of the non-empty lists, best (lowest index) first: the
+    /// set bits of the bitmap.
+    fn prios(&self) -> impl Iterator<Item = u8> + '_ {
+        self.bitmap.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = bits.trailing_zeros();
+                (bits != 0).then(|| {
+                    bits &= bits - 1;
+                    (w * 64 + b as usize) as u8
+                })
+            })
+        })
     }
 
     fn pop_front(&mut self, prio: u8) -> Option<Pid> {
@@ -166,6 +174,8 @@ impl O1Scheduler {
         }
     }
 
+    /// Grow the per-pid tables so `pid` indexes them. `enqueue` and `dequeue`
+    /// call it, so their callers need not.
     fn ensure(&mut self, pid: Pid) {
         let need = pid.index() + 1;
         if self.slots.len() < need {
@@ -221,15 +231,80 @@ impl O1Scheduler {
         }
     }
 
-    fn beats(&self, tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
-        let prios: Vec<u8> = tasks.iter().map(|t| t.effective_prio()).collect();
-        move |a: Pid, b: Pid| prios[a.index()] < prios[b.index()]
+    /// The task an idle `cpu` steals from its siblings. Siblings are scanned
+    /// in index order, skipping any with at most one queued task; in each,
+    /// the active array and then the expired one, by ascending priority and
+    /// FIFO within a list. A task allowed on `cpu` becomes the candidate when
+    /// there is none yet or its priority is strictly better than the
+    /// candidate's. Once there is a candidate, an array is only looked at up
+    /// to its first non-empty list.
+    fn steal_candidate(&self, cpu: CpuId, tasks: &[Task]) -> Option<Pid> {
+        let mut best: Option<(Pid, u8)> = None;
+        for (other, rq) in self.rqs.iter().enumerate() {
+            if other == cpu.index() || rq.len() <= 1 {
+                continue;
+            }
+            for array in [&rq.active, &rq.expired] {
+                for p in array.prios() {
+                    if best.is_none_or(|(_, bp)| p < bp) {
+                        let allowed = array.queues[p as usize]
+                            .iter()
+                            .find(|pid| tasks[pid.index()].effective_affinity.contains(cpu));
+                        if let Some(&pid) = allowed {
+                            best = Some((pid, p));
+                        }
+                    }
+                    // Stopping here skips an allowed, better task further down
+                    // when this list holds only tasks pinned elsewhere. Kept
+                    // as is: a fuller search can change simulated output.
+                    if best.is_some() {
+                        break;
+                    }
+                }
+            }
+        }
+        best.map(|(pid, _)| pid)
+    }
+
+    fn beats(tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
+        |a: Pid, b: Pid| tasks[a.index()].effective_prio() < tasks[b.index()].effective_prio()
+    }
+}
+
+#[cfg(test)]
+impl O1Scheduler {
+    /// Check what the bitmap walks rely on: a bitmap bit is set exactly for
+    /// the non-empty lists, `count` is the lists' total, `slots` names the
+    /// CPU, array and list holding each queued pid, and no pid is queued
+    /// twice.
+    fn assert_invariants(&self) {
+        let mut seen = vec![false; self.slots.len()];
+        let mut queued = 0;
+        for (cpu, rq) in self.rqs.iter().enumerate() {
+            for (expired, array) in [(false, &rq.active), (true, &rq.expired)] {
+                assert_eq!(array.bitmap[2] >> (NUM_PRIOS - 128), 0, "bit past the last list");
+                let mut total = 0;
+                for (p, q) in array.queues.iter().enumerate() {
+                    let bit = array.bitmap[p / 64] >> (p % 64) & 1 == 1;
+                    assert_eq!(bit, !q.is_empty(), "cpu{cpu} expired={expired}: bit {p}");
+                    total += q.len();
+                    for &pid in q {
+                        assert!(!std::mem::replace(&mut seen[pid.index()], true), "{pid} twice");
+                        let slot = Slot { cpu: cpu as u32, prio: p as u8, expired };
+                        assert_eq!(self.slots[pid.index()], Some(slot), "slot of {pid}");
+                    }
+                }
+                assert_eq!(array.count, total, "cpu{cpu} expired={expired}: count");
+                queued += total;
+            }
+        }
+        assert_eq!(self.slots.iter().flatten().count(), queued, "slot without a queued pid");
     }
 }
 
 impl Scheduler for O1Scheduler {
     fn on_wake(&mut self, pid: Pid, tasks: &mut [Task], view: &CpuView<'_>) -> Option<CpuId> {
-        let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+        let (cpu, resched) = place_for_wake(pid, tasks, view, Self::beats(tasks));
         if tasks[pid.index()].timeslice.is_zero() {
             tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
         }
@@ -261,7 +336,6 @@ impl Scheduler for O1Scheduler {
 
     fn on_block(&mut self, pid: Pid) {
         self.dequeue(pid);
-        self.ensure(pid);
         self.just_expired[pid.index()] = false;
     }
 
@@ -276,43 +350,23 @@ impl Scheduler for O1Scheduler {
                 }
             }
         }
-        if let Some(prio) = self.rqs[cpu.index()].active.peek_best_prio() {
-            let pid = self.rqs[cpu.index()].active.pop_front(prio).expect("bitmap said so");
-            self.slots[pid.index()] = None;
-            if tasks[pid.index()].timeslice.is_zero() {
-                tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
+        let best_prio = self.rqs[cpu.index()].active.prios().next();
+        let pid = match best_prio {
+            Some(prio) => {
+                let pid = self.rqs[cpu.index()].active.pop_front(prio).expect("bitmap said so");
+                self.slots[pid.index()] = None;
+                pid
             }
-            return Some(pid);
+            None => {
+                let pid = self.steal_candidate(cpu, tasks)?;
+                self.dequeue(pid);
+                pid
+            }
+        };
+        if tasks[pid.index()].timeslice.is_zero() {
+            tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
         }
-        // Idle: steal the best migratable task from the busiest sibling.
-        let mut best: Option<(Pid, u8, usize)> = None;
-        for (other, rq) in self.rqs.iter().enumerate() {
-            if other == cpu.index() || rq.len() <= 1 {
-                continue;
-            }
-            for array in [&rq.active, &rq.expired] {
-                for (p, q) in array.queues.iter().enumerate() {
-                    for &pid in q {
-                        if tasks[pid.index()].effective_affinity.contains(cpu)
-                            && best.is_none_or(|(_, bp, _)| (p as u8) < bp)
-                        {
-                            best = Some((pid, p as u8, other));
-                        }
-                    }
-                    if best.is_some() && !q.is_empty() {
-                        break; // lists are priority-ordered; first hit per array wins
-                    }
-                }
-            }
-        }
-        if let Some((pid, _, _)) = best {
-            self.dequeue(pid);
-            if tasks[pid.index()].timeslice.is_zero() {
-                tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
-            }
-            return Some(pid);
-        }
-        None
+        Some(pid)
     }
 
     fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos {
@@ -354,7 +408,7 @@ impl Scheduler for O1Scheduler {
         if let Some(slot) = self.slots[pid.index()] {
             if !tasks[pid.index()].effective_affinity.contains(CpuId(slot.cpu)) {
                 self.dequeue(pid);
-                let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+                let (cpu, resched) = place_for_wake(pid, tasks, view, Self::beats(tasks));
                 self.enqueue(pid, tasks, cpu, false, false);
                 return resched.then_some(cpu);
             }
@@ -372,6 +426,7 @@ mod tests {
     use super::super::testutil::make_tasks;
     use super::*;
     use crate::task::SchedPolicy;
+    use proptest::prelude::*;
     use sp_hw::CpuMask;
 
     fn view<'a>(running: &'a [Option<Pid>]) -> CpuView<'a> {
@@ -545,5 +600,167 @@ mod tests {
         s.on_block(Pid(0));
         assert_eq!(s.queued_count(), 0);
         assert_eq!(s.pick(CpuId(0), &mut tasks), None);
+    }
+
+    #[test]
+    fn steal_stops_at_the_first_list_once_a_candidate_exists() {
+        // pid0/pid1: nice 0 (prio 120) on cpu1. pid2: FIFO 90 (prio 9) pinned
+        // to cpu2. pid3: FIFO 50 (prio 49) on cpu2, allowed anywhere. pid4
+        // runs everywhere, so every wake queues on the task's last CPU.
+        let mut tasks = make_tasks(&[
+            SchedPolicy::nice(0),
+            SchedPolicy::nice(0),
+            SchedPolicy::fifo(90),
+            SchedPolicy::fifo(50),
+            SchedPolicy::fifo(99),
+        ]);
+        for (pid, cpu) in [(0, 1), (1, 1), (2, 2), (3, 2)] {
+            tasks[pid].last_cpu = CpuId(cpu);
+        }
+        tasks[2].effective_affinity = CpuMask::single(CpuId(2));
+        let running = [Some(Pid(4)); 3];
+        let mut s = O1Scheduler::new(3);
+        for pid in [Pid(0), Pid(1), Pid(2), Pid(3)] {
+            s.on_wake(pid, &mut tasks, &view(&running));
+        }
+        // cpu1 supplies pid0 first; cpu2's active array is then looked at
+        // only up to its prio-9 list, which holds nothing cpu0 may run, so
+        // the better pid3 further down is never considered.
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(0)));
+        s.assert_invariants();
+        // With cpu1 down to one task it is skipped, no candidate exists when
+        // cpu2 is scanned, and the walk goes on past the pinned list.
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(3)));
+        s.assert_invariants();
+    }
+
+    /// The idle-steal rule as `steal_candidate`'s doc states it, evaluated on
+    /// each array's tasks flattened into scan order (the lists themselves,
+    /// not the bitmap).
+    fn model_steal(s: &O1Scheduler, cpu: CpuId, tasks: &[Task]) -> Option<Pid> {
+        let mut best: Option<(u8, Pid)> = None;
+        for (other, rq) in s.rqs.iter().enumerate() {
+            if other == cpu.index() || rq.len() <= 1 {
+                continue;
+            }
+            for array in [&rq.active, &rq.expired] {
+                let order: Vec<(u8, Pid)> = (0..NUM_PRIOS)
+                    .flat_map(|p| array.queues[p].iter().map(move |&pid| (p as u8, pid)))
+                    .collect();
+                // With a candidate in hand only the first non-empty list counts.
+                let scanned = match (best, order.first()) {
+                    (Some(_), Some(&(head, _))) => order.iter().take_while(|e| e.0 == head).count(),
+                    _ => order.len(),
+                };
+                let hit = order[..scanned].iter().find(|&&(p, pid)| {
+                    tasks[pid.index()].effective_affinity.contains(cpu)
+                        && best.is_none_or(|(bp, _)| p < bp)
+                });
+                if let Some(&hit) = hit {
+                    best = Some(hit);
+                }
+            }
+        }
+        best.map(|(_, pid)| pid)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random wake/preempt/yield/block/tick/pick/affinity sequences keep
+        /// the runqueue invariants, and every pick from an empty runqueue
+        /// steals what `model_steal` says.
+        #[test]
+        fn runqueues_stay_consistent_and_steals_follow_the_rule(
+            ncpus in 1u32..=8,
+            specs in proptest::collection::vec((0u8..4, 0u8..3, any::<u8>()), 1..24),
+            ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..300),
+        ) {
+            let all = CpuMask::first_n(ncpus);
+            let mask = |bits: u64| match CpuMask(bits) & all {
+                m if m.is_empty() => all,
+                m => m,
+            };
+            // Three levels per policy, half the tasks SCHED_OTHER: equal
+            // priorities and expired arrays are common, so FIFO order and the
+            // active-before-expired scan are both exercised.
+            let policies: Vec<SchedPolicy> = specs
+                .iter()
+                .map(|&(kind, level, _)| match kind {
+                    0 => SchedPolicy::fifo(50 + level),
+                    1 => SchedPolicy::rr(50 + level),
+                    _ => SchedPolicy::nice(level as i8 - 1),
+                })
+                .collect();
+            let mut tasks = make_tasks(&policies);
+            for (t, &(_, _, bits)) in tasks.iter_mut().zip(&specs) {
+                t.effective_affinity = mask(bits as u64);
+                t.last_cpu = t.effective_affinity.first().expect("non-empty");
+            }
+            let n = tasks.len();
+            let mut s = O1Scheduler::new(ncpus);
+            let mut running: Vec<Option<Pid>> = vec![None; ncpus as usize];
+            let mut queued = vec![false; n];
+            for (op, r) in ops {
+                let pid = Pid((r % n as u64) as u32);
+                let cpu = CpuId((r >> 8) as u32 % ncpus);
+                let on_cpu = running.contains(&Some(pid));
+                match op {
+                    0 if !queued[pid.index()] && !on_cpu => {
+                        s.on_wake(pid, &mut tasks, &view(&running));
+                        queued[pid.index()] = true;
+                    }
+                    1 | 2 => {
+                        if let Some(cur) = running[cpu.index()].take() {
+                            if op == 1 {
+                                s.on_preempt(cur, &tasks);
+                            } else {
+                                s.on_yield(cur, &tasks);
+                            }
+                            queued[cur.index()] = true;
+                        }
+                    }
+                    3 if queued[pid.index()] || on_cpu => {
+                        s.on_block(pid);
+                        queued[pid.index()] = false;
+                        running.iter_mut().filter(|c| **c == Some(pid)).for_each(|c| *c = None);
+                    }
+                    4 => {
+                        if let Some(cur) = running[cpu.index()] {
+                            // Mostly the last jiffy of the quantum.
+                            if r >> 16 & 3 != 0 {
+                                tasks[cur.index()].timeslice = Nanos::from_ms(10);
+                            }
+                            if s.on_tick(cpu, cur, &mut tasks) {
+                                running[cpu.index()] = None;
+                                s.on_preempt(cur, &tasks);
+                                queued[cur.index()] = true;
+                            }
+                        }
+                    }
+                    5 if running[cpu.index()].is_none() => {
+                        let own_empty = s.rqs[cpu.index()].len() == 0;
+                        let model = model_steal(&s, cpu, &tasks);
+                        let got = s.pick(cpu, &mut tasks);
+                        if own_empty {
+                            prop_assert_eq!(got, model, "steal by cpu{}", cpu.0);
+                        }
+                        if let Some(p) = got {
+                            prop_assert!(tasks[p.index()].effective_affinity.contains(cpu));
+                            queued[p.index()] = false;
+                            running[cpu.index()] = Some(p);
+                            tasks[p.index()].last_cpu = cpu;
+                        }
+                    }
+                    6 => {
+                        tasks[pid.index()].effective_affinity = mask(r >> 16);
+                        s.on_affinity_change(pid, &mut tasks, &view(&running));
+                    }
+                    _ => {}
+                }
+                s.assert_invariants();
+                prop_assert_eq!(s.queued_count(), queued.iter().filter(|&&q| q).count());
+            }
+        }
     }
 }
