@@ -453,10 +453,7 @@ fn print_sweep(sweep: &sp_experiments::SweepReport, t: &sp_experiments::SweepTel
         .peak_rss_kb
         .map(|kb| format!("{:.1} MiB peak RSS", kb as f64 / 1024.0))
         .unwrap_or_else(|| "peak RSS unavailable".into());
-    println!(
-        "  {:.0} cells/sec on {} worker(s), {} physical warm hits / {} misses, {rss}",
-        t.cells_per_sec, t.workers, t.warm_physical_hits, t.warm_physical_misses
-    );
+    println!("  {:.0} cells/sec on {} worker(s), {rss}", t.cells_per_sec, t.workers);
 }
 
 /// Replace the generated block in EXPERIMENTS.md (between the markers).

@@ -7,36 +7,29 @@
 //! cargo run --release -p sp-bench --bin run_scenario -- --emit-reshield
 //! ```
 //!
-//! Scenarios are single-simulation: a mid-run timeline is ordered against
-//! one simulated clock, so `--shards N` with N > 1 is rejected.
+//! Any other `--flag` is a usage error (exit 2).
 
 use sp_experiments::scenario::{
-    fig7_scenario, irq_storm_scenario, reshield_transient_scenario, run_scenario_sharded,
-    MeasuredResult, ScenarioSpec,
+    fig7_scenario, irq_storm_scenario, reshield_transient_scenario, run_scenario, MeasuredResult,
+    ScenarioSpec,
 };
 use sp_metrics::Table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut spec_path = None;
-    let mut shards = 1u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--emit-fig7" => return emit(&fig7_scenario()),
-            "--emit-irq-storm" => return emit(&irq_storm_scenario()),
-            "--emit-reshield" => return emit(&reshield_transient_scenario()),
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--shards needs a number"));
-            }
+    let mut emit_spec = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--emit-fig7" => emit_spec = Some(fig7_scenario()),
+            "--emit-irq-storm" => emit_spec = Some(irq_storm_scenario()),
+            "--emit-reshield" => emit_spec = Some(reshield_transient_scenario()),
+            flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
             path if spec_path.is_none() => spec_path = Some(path.to_string()),
             other => usage(&format!("unexpected argument '{other}'")),
         }
-        i += 1;
+    }
+    if let Some(spec) = emit_spec {
+        return emit(&spec);
     }
     let Some(arg) = spec_path else {
         usage("missing spec path");
@@ -49,7 +42,7 @@ fn main() {
         eprintln!("cannot parse {arg}: {e}");
         std::process::exit(2);
     });
-    let report = run_scenario_sharded(&spec, shards).unwrap_or_else(|e| {
+    let report = run_scenario(&spec).unwrap_or_else(|e| {
         eprintln!("scenario failed: {e}");
         std::process::exit(1);
     });
@@ -113,9 +106,6 @@ fn emit(spec: &ScenarioSpec) {
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: run_scenario [--shards N] <spec.json> | --emit-fig7 | --emit-irq-storm | \
-         --emit-reshield"
-    );
+    eprintln!("usage: run_scenario <spec.json> | --emit-fig7 | --emit-irq-storm | --emit-reshield");
     std::process::exit(2);
 }

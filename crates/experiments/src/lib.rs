@@ -51,10 +51,10 @@ pub use modernmax::{
 };
 pub use runner::{run_all_figures_flight, FigureSuite, SuiteFlight};
 pub use scenario::{
-    run_scenario, run_scenario_sharded, MeasuredResult, RecoveryReport, ScenarioError,
+    run_scenario, MeasuredResult, RecoveryReport, ScenarioError,
     ScenarioReport, ScenarioSpec,
 };
 pub use sweep::{
     run_sweep, SweepCell, SweepConfig, SweepGroup, SweepGroupReport, SweepReport, SweepTelemetry,
-    SweepWorstCell, WarmCache,
+    SweepWorstCell,
 };

@@ -42,14 +42,15 @@ pub struct ScenarioSpec {
     pub faults: Vec<FaultSpec>,
     /// Mid-run orchestration: timed actions applied at `at_secs` into the
     /// run, in time order (ties in listed order). Timelines are inherently
-    /// single-simulation — a sharded run cannot honour wall-clock-ordered
-    /// reconfiguration, so `--shards > 1` is rejected for scenarios.
+    /// single-simulation — reconfiguration is ordered against one simulated
+    /// clock — so a scenario always runs as one unsharded simulation.
     #[serde(default)]
     pub timeline: Vec<TimedAction>,
     /// Optional recovery-transient measurement over one measured task.
     #[serde(default)]
     pub transient: Option<TransientSpec>,
-    /// Simulated run length in seconds.
+    /// Simulated run length in seconds: positive, finite, and within the
+    /// nanosecond clock's range.
     pub run_secs: f64,
 }
 
@@ -226,14 +227,13 @@ pub enum ScenarioError {
     OfflineCpus { what: String, mask: String },
     /// Not a `/proc/shield/{procs,irqs,ltmrs}` path.
     BadPath(String),
-    /// A timeline/transient time is outside `[0, run_secs]` or not finite.
+    /// A timeline/transient time is outside `[0, run_secs]` or not finite,
+    /// or `run_secs` itself is not a positive length the clock can hold.
     BadTime(String),
     DuplicateName(String),
     Kernel(String),
     /// Fault registration or arming failed.
     Inject(String),
-    /// Scenarios are single-simulation; `--shards > 1` was requested.
-    Sharded(u32),
     Empty(&'static str),
 }
 
@@ -252,11 +252,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::DuplicateName(n) => write!(f, "duplicate name '{n}'"),
             ScenarioError::Kernel(e) => write!(f, "{e}"),
             ScenarioError::Inject(e) => write!(f, "{e}"),
-            ScenarioError::Sharded(k) => write!(
-                f,
-                "scenarios run unsharded (mid-run timeline actions are \
-                 single-simulation by construction); --shards {k} rejected"
-            ),
             ScenarioError::Empty(what) => write!(f, "scenario has no {what}"),
         }
     }
@@ -284,6 +279,11 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
         }
         Ok(mask)
     };
+    // NaN fails both comparisons; the upper bound keeps `run_secs` in the
+    // u64 nanosecond clock.
+    if !(spec.run_secs > 0.0 && spec.run_secs * 1e9 < u64::MAX as f64) {
+        return Err(ScenarioError::BadTime(format!("run_secs = {}", spec.run_secs)));
+    }
     let check_time = |t: f64| -> Result<(), ScenarioError> {
         if !t.is_finite() || t < 0.0 || t > spec.run_secs {
             return Err(ScenarioError::BadTime(format!("{t}")));
@@ -543,21 +543,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
         irqs_per_cpu: sim.obs.cpu.iter().map(|c| c.irqs).collect(),
         recovery,
     })
-}
-
-/// Run a scenario with an explicit shard count. Scenarios are
-/// single-simulation by construction — a mid-run timeline is ordered against
-/// one simulated clock, so there is nothing sound to split. Only `shards <=
-/// 1` is accepted; anything else is an explicit error rather than a silently
-/// different experiment.
-pub fn run_scenario_sharded(
-    spec: &ScenarioSpec,
-    shards: u32,
-) -> Result<ScenarioReport, ScenarioError> {
-    if shards > 1 {
-        return Err(ScenarioError::Sharded(shards));
-    }
-    run_scenario(spec)
 }
 
 fn apply_action(
@@ -952,6 +937,18 @@ mod tests {
         spec.timeline[0].at_secs = spec.run_secs + 1.0;
         assert!(matches!(run_scenario(&spec).err(), Some(ScenarioError::BadTime(_))));
 
+        // The run length itself: negative, zero, NaN (which would let any
+        // timeline time pass), infinite, and past the nanosecond clock.
+        for run_secs in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e12] {
+            let mut spec = irq_storm_scenario();
+            spec.run_secs = run_secs;
+            assert_eq!(
+                run_scenario(&spec).err(),
+                Some(ScenarioError::BadTime(format!("run_secs = {run_secs}"))),
+                "run_secs = {run_secs}"
+            );
+        }
+
         let mut spec = reshield_transient_scenario();
         spec.timeline[1].action = ActionKind::ProcShieldWrite {
             path: "/proc/shield/bogus".into(),
@@ -965,21 +962,6 @@ mod tests {
         let mut spec = reshield_transient_scenario();
         spec.transient.as_mut().unwrap().task = "nobody".into();
         assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::UnknownTask("nobody".into())));
-    }
-
-    #[test]
-    fn sharded_scenarios_are_rejected() {
-        assert!(run_scenario_sharded(&fig7_scenario_short(), 1).is_ok());
-        assert_eq!(
-            run_scenario_sharded(&reshield_transient_scenario(), 4).err(),
-            Some(ScenarioError::Sharded(4))
-        );
-    }
-
-    fn fig7_scenario_short() -> ScenarioSpec {
-        let mut s = fig7_scenario();
-        s.run_secs = 0.3;
-        s
     }
 
     #[test]

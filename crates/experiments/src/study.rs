@@ -91,10 +91,8 @@ pub(crate) struct RunOut {
     pub(crate) traces: Vec<WorstCaseTrace>,
 }
 
-/// A warmed simulation distilled to what a fork needs. Cloning is an `Arc`
-/// bump, which is what lets the sweep's warm cache hand one entry to
-/// thousands of cells.
-#[derive(Clone)]
+/// A warmed simulation distilled to what a fork needs. Forks borrow it, so
+/// thousands of cells share one copy-on-write checkpoint.
 pub(crate) struct Warm {
     /// The seed the warm simulation was built on; forks rebuild on it.
     seed: u64,

@@ -5,12 +5,11 @@
 //! per-group axis of forked seeds. Three mechanisms keep a run with a
 //! million cells tractable:
 //!
-//! * **warm-checkpoint cache** — every cell in a group forks from the same
+//! * **warm up front** — every distinct group is warmed once, in one fleet
+//!   batch, before any cell runs; every cell in a group forks from that
 //!   warmed simulation, so the build + warm-up cost is paid once per
-//!   *group*, not once per cell. The cache ([`WarmCache`]) is content-keyed
-//!   on the warm configuration's fingerprint; entries are copy-on-write
-//!   [`Checkpoint`](sp_kernel::Checkpoint)s, so handing one to a cell is an
-//!   `Arc` bump.
+//!   *group*, not once per cell. The warm-ups are copy-on-write
+//!   [`Checkpoint`](sp_kernel::Checkpoint)s shared by reference.
 //! * **lazy cell generation** — cells come from an iterator
 //!   ([`SweepConfig::cells`]), never a materialized spec list. Cell seeds
 //!   use the same labelled-fork scheme as [`crate::shard::shard_seeds`],
@@ -29,19 +28,15 @@
 //! in strict cell-index order whatever the worker count. `reproduce_all
 //! --sweep` serializes the report as `SWEEP_study.json`, and CI `cmp`s the
 //! bytes across worker counts. Wall-clock facts (cells/sec, peak RSS,
-//! physical cache hits) live in [`SweepTelemetry`] and stay out of the
-//! artifact.
+//! fleet counters) live in [`SweepTelemetry`] and stay out of the artifact.
 
 use crate::realfeel::RealfeelConfig;
-use crate::study::{self, Rig, Warm};
+use crate::study::{self, Rig};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 use sp_fleet::PoolConfig;
 use sp_kernel::KernelVariant;
 use sp_metrics::{LatencyHistogram, LatencySummary};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// One `(variant, shield)` sweep group. All of a group's cells share a warm
 /// checkpoint; the seed axis runs inside the group.
@@ -114,9 +109,8 @@ impl SweepConfig {
         self.groups.len() as u64 * self.seeds_per_group
     }
 
-    /// The warm configuration a group's cells fork from. Every field that
-    /// shapes the warm trajectory is here, which is why its fingerprint is
-    /// the cache key.
+    /// The warm configuration a group's cells fork from: a pure function of
+    /// the group, so equal groups share one warm-up.
     fn warm_config(&self, group: &SweepGroup) -> RealfeelConfig {
         RealfeelConfig {
             variant: group.variant,
@@ -154,93 +148,6 @@ pub struct SweepCell {
     pub seed: u64,
 }
 
-/// Content-keyed warm-checkpoint cache: `fingerprint → shared entry`.
-/// `get_or_warm` computes each key's entry exactly once per process —
-/// concurrent requesters for the same key block on the in-flight warm-up
-/// rather than duplicating it — and hands every caller a clone (an `Arc`
-/// bump for checkpoint-bearing entries). Generic so tests can exercise the
-/// once-per-key contract with cheap values.
-pub struct WarmCache<V> {
-    map: Mutex<HashMap<u64, Arc<OnceLock<V>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<V> Default for WarmCache<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V> WarmCache<V> {
-    pub fn new() -> Self {
-        WarmCache { map: Mutex::new(HashMap::new()), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
-    }
-
-    /// Look up `key`, warming it with `warm` on first use. Exactly one
-    /// caller per key runs `warm`; everyone else reuses (or waits for) that
-    /// result.
-    pub fn get_or_warm(&self, key: u64, warm: impl FnOnce() -> V) -> V
-    where
-        V: Clone,
-    {
-        let slot = {
-            let mut map = self.map.lock().expect("warm cache poisoned");
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-        };
-        let mut warmed_here = false;
-        let value = slot.get_or_init(|| {
-            warmed_here = true;
-            warm()
-        });
-        if warmed_here {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value.clone()
-    }
-
-    /// Distinct keys warmed so far.
-    pub fn unique_keys(&self) -> u64 {
-        self.map.lock().expect("warm cache poisoned").len() as u64
-    }
-
-    /// Physical `(hits, misses)`: lookups served from a warmed entry vs
-    /// lookups that ran the warm-up. With this cache's once-per-key
-    /// guarantee, `misses == unique_keys` whatever the worker count.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-
-    /// Fold every warmed entry into an accumulator (key order is not
-    /// deterministic; fold something commutative).
-    pub fn fold_entries<A>(&self, init: A, f: impl FnMut(A, &V) -> A) -> A {
-        let map = self.map.lock().expect("warm cache poisoned");
-        map.values().filter_map(|slot| slot.get()).fold(init, f)
-    }
-}
-
-/// FNV-1a over the warm config's shape: the warm-checkpoint cache key.
-/// Stable within a process run, which is all a per-process cache needs.
-fn warm_fingerprint(cfg: &RealfeelConfig, warm_samples: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut put = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    };
-    put(format!("{:?}", cfg.variant).as_bytes());
-    put(&[cfg.shield.is_some() as u8]);
-    put(&cfg.shield.unwrap_or(u32::MAX).to_le_bytes());
-    put(&cfg.rtc_hz.to_le_bytes());
-    put(&cfg.seed.to_le_bytes());
-    put(&warm_samples.to_le_bytes());
-    h
-}
-
 /// Per-group aggregate in the artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepGroupReport {
@@ -276,7 +183,7 @@ pub struct SweepReport {
     pub groups: Vec<SweepGroupReport>,
     /// The grid's worst cells, worst first (ties broken by cell order).
     pub worst: Vec<SweepWorstCell>,
-    /// Distinct warm checkpoints the grid needed (= number of groups).
+    /// Distinct warm checkpoints the grid needed (= distinct groups).
     pub warm_unique: u64,
     /// Cells that logically reused a warm checkpoint: `cells - warm_unique`.
     pub warm_logical_hits: u64,
@@ -289,17 +196,13 @@ pub struct SweepReport {
 }
 
 /// Wall-clock facts about a sweep run. Everything here may vary run to run
-/// (machine load, worker count, which worker warmed a group first) and is
-/// therefore excluded from the artifact.
+/// (machine load, worker count) and is therefore excluded from the
+/// artifact.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepTelemetry {
     pub wall_ms: f64,
     pub cells_per_sec: f64,
     pub workers: u32,
-    /// Physical cache lookups served from an existing entry.
-    pub warm_physical_hits: u64,
-    /// Physical lookups that ran a warm-up (== unique keys).
-    pub warm_physical_misses: u64,
     /// Process peak RSS (`VmHWM`) after the sweep, if the platform exposes
     /// it. An upper bound for the sweep itself, since it includes whatever
     /// ran before.
@@ -340,20 +243,28 @@ struct CellOutput {
     events: u64,
 }
 
-/// Run the sweep: stream every cell through the fleet, folding results into
-/// per-group aggregates and the bounded worst-cell list as they arrive.
+/// Run the sweep: warm every distinct group in one fleet batch (the phase A
+/// of `study::run_groups`), then stream every cell through the fleet,
+/// folding results into per-group aggregates and the bounded worst-cell
+/// list as they arrive.
 pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     let t0 = std::time::Instant::now();
-    let cache: WarmCache<Warm> = WarmCache::new();
-    // Per group: the warm config's cache key and the rig its cells fork.
-    let rigs: Vec<(u64, Rig)> = cfg
+    let pool = PoolConfig::auto(cfg.workers.max(1));
+    // The distinct groups, and per group the index of its warm-up.
+    let mut distinct: Vec<SweepGroup> = Vec::new();
+    let warm_of: Vec<usize> = cfg
         .groups
         .iter()
         .map(|g| {
-            let wcfg = cfg.warm_config(g);
-            (warm_fingerprint(&wcfg, cfg.warm_samples), wcfg.rig())
+            distinct.iter().position(|d| d == g).unwrap_or_else(|| {
+                distinct.push(*g);
+                distinct.len() - 1
+            })
         })
         .collect();
+    let rigs: Vec<Rig> = distinct.iter().map(|g| cfg.warm_config(g).rig()).collect();
+    // A grid without cells needs no warm-up.
+    let warm_count = if cfg.seeds_per_group > 0 { rigs.len() } else { 0 };
 
     let mut groups: Vec<GroupAgg> = cfg
         .groups
@@ -364,16 +275,17 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     // arrival makes the tie-break (first cell wins) deterministic.
     let mut worst: Vec<(u64, usize, u64)> = Vec::new();
 
-    let ((cells_run, _pool_stats), scoped) = sp_fleet::counter_scope(|| {
-        sp_fleet::run_stream(
-            PoolConfig::auto(cfg.workers.max(1)),
+    let ((warms, cells_run), scoped) = sp_fleet::counter_scope(|| {
+        let (warms, _) = sp_fleet::run_with(pool, warm_count, |j| {
+            rigs[j].warm(cfg.base_seed, cfg.warm_samples.max(1))
+        });
+        let (cells_run, _) = sp_fleet::run_stream(
+            pool,
             cfg.cells(),
             |cell: SweepCell, _| {
-                let (key, rig) = &rigs[cell.group];
-                let warm_samples = cfg.warm_samples.max(1);
-                let warm = cache.get_or_warm(*key, || rig.warm(cfg.base_seed, warm_samples));
+                let w = warm_of[cell.group];
                 let reseed = |sim: &mut _, armory: &mut _| study::reseed(&cell.seed, sim, armory);
-                let out = rig.fork(&warm, reseed, cfg.samples_per_cell, 0);
+                let out = rigs[w].fork(&warms[w], reseed, cfg.samples_per_cell, 0);
                 CellOutput {
                     group: cell.group,
                     seed: cell.seed,
@@ -393,15 +305,15 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
                 worst.sort_by_key(|cell| std::cmp::Reverse(cell.0));
                 worst.truncate(cfg.top_worst);
             },
-        )
+        );
+        (warms, cells_run)
     });
     let wall = t0.elapsed().as_secs_f64();
 
     let cell_events: u64 = groups.iter().map(|g| g.events).sum();
-    let warm_events = cache.fold_entries(0u64, |acc, w| acc + w.events);
-    let (hits, misses) = cache.counters();
+    let warm_events: u64 = warms.iter().map(|w| w.events).sum();
     let cells = cells_run as u64;
-    let warm_unique = cache.unique_keys();
+    let warm_unique = warms.len() as u64;
     let warm_logical_hits = cells.saturating_sub(warm_unique);
 
     let report = SweepReport {
@@ -441,8 +353,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
         wall_ms: wall * 1e3,
         cells_per_sec: cells as f64 / wall.max(1e-9),
         workers: cfg.workers.max(1),
-        warm_physical_hits: hits,
-        warm_physical_misses: misses,
         peak_rss_kb: peak_rss_kb(),
         fleet_batches: scoped.batches,
         fleet_jobs: scoped.jobs,
@@ -479,15 +389,11 @@ mod tests {
     #[test]
     fn groups_warm_once_and_cells_share_the_checkpoint() {
         let cfg = tiny(9);
-        let (report, telemetry) = run_sweep(&cfg);
+        let (report, _) = run_sweep(&cfg);
         assert_eq!(report.cells, 9);
         assert_eq!(report.warm_unique, 3, "one warm checkpoint per group");
         assert_eq!(report.warm_logical_hits, 6);
         assert!((report.warm_logical_hit_rate - 6.0 / 9.0).abs() < 1e-12);
-        // The once-per-key cache makes the physical counters deterministic
-        // too: every key misses exactly once.
-        assert_eq!(telemetry.warm_physical_misses, 3);
-        assert_eq!(telemetry.warm_physical_hits, 6);
         for g in &report.groups {
             assert_eq!(g.cells, 3);
             assert!(g.samples >= 3 * cfg.samples_per_cell, "{} samples", g.samples);
@@ -495,53 +401,42 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_equals_cache_miss() {
-        // A cell computed against a shared (hit) warm entry must be
-        // bit-identical to the same cell warming its own checkpoint from
-        // scratch — the warm-up is a pure function of the warm config.
+    fn warm_up_is_a_pure_function_of_its_config() {
+        // Two independent warm-ups of one config must fork bit-identical
+        // cells: that is what lets every cell of a group (and every repeat
+        // of a group) share one warm-up.
         let cfg = tiny(3);
         let group = &cfg.groups[2];
         let rig = cfg.warm_config(group).rig();
         let seed = cfg.cells().find(|c| c.group == 2).unwrap().seed;
-        let fork = |warm: &Warm| {
+        let fork = |warm: &study::Warm| {
             rig.fork(warm, |sim, armory| study::reseed(&seed, sim, armory), cfg.samples_per_cell, 0)
         };
 
-        let shared = rig.warm(cfg.base_seed, cfg.warm_samples);
-        let via_hit = fork(&shared);
-        let fresh = rig.warm(cfg.base_seed, cfg.warm_samples);
-        let via_miss = fork(&fresh);
+        let a = fork(&rig.warm(cfg.base_seed, cfg.warm_samples));
+        let b = fork(&rig.warm(cfg.base_seed, cfg.warm_samples));
 
         assert_eq!(
-            serde_json::to_string(&via_hit.histogram).unwrap(),
-            serde_json::to_string(&via_miss.histogram).unwrap()
+            serde_json::to_string(&a.histogram).unwrap(),
+            serde_json::to_string(&b.histogram).unwrap()
         );
-        assert_eq!(via_hit.overruns, via_miss.overruns);
-        assert_eq!(via_hit.events, via_miss.events);
+        assert_eq!(a.overruns, b.overruns);
+        assert_eq!(a.events, b.events);
     }
 
     #[test]
-    fn warm_cache_runs_each_key_once_under_contention() {
-        let cache: WarmCache<u64> = WarmCache::new();
-        let calls = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for key in 0..4u64 {
-                        let v = cache.get_or_warm(key, || {
-                            calls.fetch_add(1, Ordering::SeqCst);
-                            key * 10
-                        });
-                        assert_eq!(v, key * 10);
-                    }
-                });
-            }
-        });
-        assert_eq!(calls.load(Ordering::SeqCst), 4, "one warm per key");
-        assert_eq!(cache.unique_keys(), 4);
-        let (hits, misses) = cache.counters();
-        assert_eq!(misses, 4);
-        assert_eq!(hits, 8 * 4 - 4);
+    fn duplicated_groups_warm_once() {
+        let base = tiny(6);
+        let (a, b) = (base.groups[0], base.groups[2]);
+        let dup = SweepConfig { groups: vec![a, b, a], ..base.clone() };
+        let distinct = SweepConfig { groups: vec![a, b], ..base };
+        let (d, _) = run_sweep(&dup);
+        let (u, _) = run_sweep(&distinct);
+        assert_eq!(d.cells, 6);
+        assert_eq!(d.warm_unique, 2, "a repeated group shares one warm-up");
+        assert_eq!(d.warm_logical_hits, d.cells - 2);
+        assert_eq!(d.warm_events, u.warm_events, "a repeated group's warm-up counts once");
+        assert_eq!(d.total_events - d.warm_events, d.groups.iter().map(|g| g.events).sum::<u64>());
     }
 
     #[test]

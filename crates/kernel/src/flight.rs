@@ -1,13 +1,14 @@
 //! Worst-case flight recorder.
 //!
-//! A bounded-overhead causal recorder for wake-to-user latency samples.
-//! While armed, the simulator streams every activity span and causal instant
-//! (interrupt asserts, wakeups, shield changes) into a rolling
-//! [`FlightRing`]; each time a watched latency sample completes, the
-//! recorder is *offered* the sample, and if it ranks among the top-K worst
-//! seen so far the window of events behind it is copied out into a
-//! [`WorstCaseTrace`] — the full chain from interrupt assert to user-space
-//! delivery, attributed to accounting classes.
+//! A bounded-overhead causal recorder for wake-to-user latency samples, and
+//! the simulator's one event record. While armed, the simulator streams
+//! every activity span and causal instant (interrupt asserts, wakeups,
+//! shield changes) into a rolling [`FlightRing`], readable as a whole
+//! through [`FlightRecorder::records`]. Each time a watched latency sample
+//! completes, the recorder is *offered* the sample, and if it ranks among
+//! the top-K worst seen so far the window of events behind it is copied out
+//! into a [`WorstCaseTrace`] — the full chain from interrupt assert to
+//! user-space delivery, attributed to accounting classes.
 //!
 //! Properties the tests pin down:
 //!
@@ -15,9 +16,9 @@
 //!   disarmed recorder records nothing and the simulation's event stream,
 //!   RNG draws, and verdicts are bit-identical either way (the recorder is
 //!   pure observation — it never touches the event queue or RNG).
-//! * **Checkpoint-transparent.** Like the tracer, the recorder is *not*
-//!   part of [`Checkpoint`](crate::Checkpoint); forks clear it so per-fork
-//!   traces cover exactly the samples that fork reports.
+//! * **Checkpoint-transparent.** The recorder is *not* part of
+//!   [`Checkpoint`](crate::Checkpoint); forks clear it so per-fork traces
+//!   cover exactly the samples that fork reports.
 //! * **Bounded.** The ring holds a fixed number of events; a window older
 //!   than the ring's memory is flagged `truncated`, never silently wrong.
 
@@ -162,6 +163,13 @@ impl FlightRecorder {
     /// All captured samples, worst first.
     pub fn top(&self) -> &[WorstCaseTrace] {
         &self.top
+    }
+
+    /// The rolling ring's current contents, in push order: instants when
+    /// they happen, spans when they end — so not in start order. Empty
+    /// while disarmed.
+    pub fn records(&self) -> impl Iterator<Item = &FlightEvent> {
+        self.ring.records()
     }
 
     /// Events evicted from the rolling ring so far.

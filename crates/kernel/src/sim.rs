@@ -26,7 +26,7 @@ use crate::task::{
 };
 use simcore::flight::{ActivityClass, FlightEvent, FlightEventKind};
 use crate::params::{PreparedCosts, PreparedSections};
-use simcore::{EventKey, Instant, Nanos, SimRng, TraceKind, Tracer, WheelQueue};
+use simcore::{EventKey, Instant, Nanos, SimRng, WheelQueue};
 use sp_hw::{exec_context_mask, CpuId, CpuMask, IrqRouting, MachineConfig};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -188,10 +188,10 @@ pub struct Simulator {
     /// `build_syscall_plan` never walks the memoized-constant sampling path.
     prepared_syscalls: Vec<PreparedSyscall>,
     pub obs: Observations,
-    pub tracer: Tracer,
-    /// Worst-case flight recorder; disarmed (zero-cost) by default. Like
-    /// the tracer, it is pure observation: arming it changes no simulated
-    /// behaviour, and it is excluded from [`Checkpoint`]s.
+    /// Worst-case flight recorder and the simulator's one event record;
+    /// disarmed (zero-cost) by default. It is pure observation: arming it
+    /// changes no simulated behaviour, and it is excluded from
+    /// [`Checkpoint`]s.
     pub flight: FlightRecorder,
     shield: ShieldCtl,
     token_counter: u64,
@@ -271,7 +271,6 @@ impl Simulator {
             syscalls: Vec::new(),
             prepared_syscalls: Vec::new(),
             obs: Observations::new(n),
-            tracer: Tracer::disabled(),
             flight: FlightRecorder::disarmed(),
             shield: ShieldCtl::NONE,
             token_counter: 0,
@@ -501,12 +500,6 @@ impl Simulator {
             return Err("refusing to shield every online CPU".into());
         }
         self.shield = ctl;
-        self.trace(TraceKind::Shield, None, || {
-            format!(
-                "shield procs={} irqs={} ltmrs={} kthreads={}",
-                ctl.procs, ctl.irqs, ctl.ltmrs, ctl.kthreads
-            )
-        });
         if self.flight.is_armed() {
             self.flight.record(FlightEvent::instant(
                 self.now,
@@ -850,12 +843,6 @@ impl Simulator {
         }
     }
 
-    fn trace(&mut self, kind: TraceKind, cpu: Option<u32>, f: impl FnOnce() -> String) {
-        if self.tracer.is_enabled() {
-            self.tracer.emit(self.now, kind, cpu, f());
-        }
-    }
-
     // ------------------------------------------------------------------
     // Interrupt delivery
     // ------------------------------------------------------------------
@@ -912,9 +899,6 @@ impl Simulator {
         self.cpus[cpu].in_irq = true;
         self.obs.cpu[cpu].irqs += 1;
         self.irq_counts[pend.dev.index()][cpu] += 1;
-        self.trace(TraceKind::Irq, Some(cpu as u32), || {
-            format!("isr enter {} asserted {}", pend.dev, pend.asserted)
-        });
         self.install(
             cpu,
             ActKind::Isr { dev: pend.dev, asserted: pend.asserted },
@@ -1054,7 +1038,7 @@ impl Simulator {
                         .get_mut(lock)
                         .release(pid, self.now, |w| spinners.contains(&w));
                     if let Some(next_pid) = next {
-                        self.grant_lock(lock, next_pid);
+                        self.grant_lock(next_pid);
                     }
                 }
                 self.kernel_step_done(cpu, pid);
@@ -1154,9 +1138,6 @@ impl Simulator {
     /// CPU. Like softirq bursts, the body runs with interrupts enabled.
     fn begin_irq_thread(&mut self, cpu: usize, p: PendingIrqThread, extra: Nanos) {
         debug_assert!(self.cpus[cpu].current.is_none());
-        self.trace(TraceKind::Irq, Some(cpu as u32), || {
-            format!("irq thread runs {} asserted {}", p.dev, p.asserted)
-        });
         self.install(cpu, ActKind::IrqThread { dev: p.dev, asserted: p.asserted }, extra + p.work);
         self.cpus[cpu].in_irq = false;
     }
@@ -1488,7 +1469,6 @@ impl Simulator {
         }
         self.tasks[pid.index()].woken_at = Some(self.now);
         self.tasks[pid.index()].ran_at = None;
-        self.trace(TraceKind::Sched, None, || format!("wake {pid}"));
         if self.flight.is_armed() {
             self.flight.record(FlightEvent::instant(
                 self.now,
@@ -1528,7 +1508,6 @@ impl Simulator {
                 t.last_cpu = CpuId(cpu as u32);
                 self.cpu_task[cpu] = Some(pid);
                 let switch = self.costs.context_switch.sample(&mut self.rng);
-                self.trace(TraceKind::Sched, Some(cpu as u32), || format!("switch to {pid}"));
                 self.install(cpu, ActKind::Switch { to: pid }, extra + pick_cost + switch);
             }
             None => {
@@ -1628,9 +1607,6 @@ impl Simulator {
                                 }
                                 AcquireResult::MustSpin => {
                                     self.tasks[pid.index()].spinning_on = Some(lock);
-                                    self.trace(TraceKind::Lock, Some(cpu as u32), || {
-                                        format!("{pid} spins on {lock}")
-                                    });
                                     self.install(
                                         cpu,
                                         ActKind::SpinWait { lock, irqs_off: step.irqs_off },
@@ -1833,9 +1809,8 @@ impl Simulator {
     }
 
     /// Hand a released lock to the next spinner.
-    fn grant_lock(&mut self, lock: LockId, pid: Pid) {
+    fn grant_lock(&mut self, pid: Pid) {
         self.tasks[pid.index()].spinning_on = None;
-        self.trace(TraceKind::Lock, None, || format!("{lock} handed to {pid}"));
         let cpu = self.tasks[pid.index()].last_cpu.index();
         debug_assert_eq!(self.cpu_task[cpu], Some(pid), "spinner moved CPUs");
         let step = match &self.tasks[pid.index()].phase {
@@ -2047,7 +2022,7 @@ impl Simulator {
     /// [`Device::snapshot`]), the shield masks, and the collectors in
     /// [`Simulator::obs`]. It does *not* capture configuration
     /// (machine/kernel config, registered devices/tasks/syscalls, watch
-    /// lists, tracer): [`Simulator::restore`] therefore requires a simulator
+    /// lists, flight recorder): [`Simulator::restore`] therefore requires a simulator
     /// built by the same registration sequence.
     ///
     /// Checkpoints are `Clone + Send + Sync` and copy-on-write: the state
@@ -2103,8 +2078,8 @@ impl Simulator {
     /// machine and kernel config, same devices in the same order, same
     /// tasks, same syscall profiles) as the simulator the checkpoint came
     /// from — typically by re-running the scenario builder, or by reusing
-    /// the warmed simulator itself. Watch lists, the tracer, and the flight
-    /// recorder are left as-is so a fork can observe different tasks than
+    /// the warmed simulator itself. Watch lists and the flight recorder
+    /// are left as-is so a fork can observe different tasks than
     /// the parent did (forks that arm the recorder call
     /// [`FlightRecorder::reset`] after restoring so captured windows cover
     /// only their own samples).

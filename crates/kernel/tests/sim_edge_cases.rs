@@ -1,6 +1,6 @@
 //! Edge-case and regression tests for the simulator engine.
 
-use simcore::{DurationDist, Nanos, SimRng, TraceKind, Tracer};
+use simcore::{ActivityClass, DurationDist, FlightEventKind, Nanos, SimRng};
 use sp_hw::{CpuId, CpuMask, IrqLine, MachineConfig};
 use sp_kernel::device::{Device, DeviceCtx, IsrOutcome};
 use sp_kernel::ids::Pid;
@@ -299,9 +299,10 @@ fn mlock_suppresses_page_faults() {
     assert!(run(false) > 50, "unlocked task faults now and then");
 }
 
-/// The tracer captures scheduler and irq activity when enabled.
+/// The armed flight ring holds ISR spans, switch spans and the waiter's
+/// wakeups.
 #[test]
-fn tracer_records_activity() {
+fn flight_ring_records_activity() {
     let mut sim = Simulator::new(machine(), KernelConfig::redhawk(), 48);
     let dev = sim.add_device(AnyDevice::custom(Timer::new(Nanos::from_ms(1))));
     let pid = sim.spawn(TaskSpec::new(
@@ -312,16 +313,17 @@ fn tracer_records_activity() {
             api: WaitApi::IoctlWait { driver_bkl_free: true },
         }]),
     ));
-    sim.tracer = Tracer::ring(512);
+    sim.arm_flight(1);
     sim.start();
     sim.run_for(Nanos::from_ms(20));
-    assert!(!sim.tracer.is_empty());
-    let kinds: Vec<TraceKind> = sim.tracer.records().map(|r| r.kind).collect();
-    assert!(kinds.contains(&TraceKind::Irq), "irq events traced");
-    assert!(kinds.contains(&TraceKind::Sched), "sched events traced");
-    let dump = sim.tracer.dump();
-    assert!(dump.contains("wake pid"), "{dump}");
-    let _ = pid;
+    let kinds: Vec<FlightEventKind> = sim.flight.records().map(|e| e.kind).collect();
+    assert!(kinds.contains(&FlightEventKind::Span(ActivityClass::Isr)), "ISR spans recorded");
+    assert!(kinds.contains(&FlightEventKind::Span(ActivityClass::Switch)), "switch spans recorded");
+    let waiter = pid.0 as u64;
+    assert!(
+        sim.flight.records().any(|e| e.kind == FlightEventKind::Wake && e.detail == waiter),
+        "waiter wakeups recorded"
+    );
 }
 
 /// Two devices on different lines interleave without crosstalk; per-device

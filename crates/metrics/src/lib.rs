@@ -3,7 +3,7 @@
 //! Fixed-footprint latency histograms ([`LatencyHistogram`]), scalar digests
 //! ([`LatencySummary`]), the paper's cumulative "samples < X" blocks
 //! ([`CumulativeReport`]), the execution-determinism jitter series of §5
-//! ([`JitterSeries`]), aligned text tables, ASCII figure plots, trace
+//! ([`JitterSeries`]), aligned text tables, ASCII figure plots, flight-ring
 //! timeline analysis ([`timeline`]), Chrome/Perfetto trace export
 //! ([`perfetto`]), and worst-case cause-chain reports ([`causes`]).
 

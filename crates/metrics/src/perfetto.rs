@@ -1,9 +1,8 @@
 //! Chrome / Perfetto `trace_event` JSON export.
 //!
-//! Serializes a flight-recorder window ([`FlightEvent`]) or a string trace
-//! window ([`TraceRecord`]) into the [Trace Event Format] consumed by
-//! `chrome://tracing` and <https://ui.perfetto.dev>. The output is a single
-//! JSON object with:
+//! Serializes a flight-recorder window ([`FlightEvent`]s) into the
+//! [Trace Event Format] consumed by `chrome://tracing` and
+//! <https://ui.perfetto.dev>. The output is a single JSON object with:
 //!
 //! - one *track per CPU* (`pid` 0, `tid` = CPU index, named via
 //!   `thread_name` metadata), plus a `global` track for events that are not
@@ -36,7 +35,6 @@
 //! ```
 
 use simcore::flight::{FlightEvent, FlightEventKind};
-use simcore::TraceRecord;
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -167,36 +165,11 @@ pub fn export_flight(
     out
 }
 
-/// Serialize a string-trace window ([`Tracer`](simcore::Tracer) records) as
-/// Perfetto `trace_event` JSON. Every record becomes an instant event named
-/// by its [`TraceKind::name`](simcore::TraceKind::name), with the free-form
-/// message preserved in `args.message`.
-pub fn export_trace_records(label: &str, cpus: u32, records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(256 + records.len() * 128);
-    out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
-    push_metadata(&mut out, label, cpus);
-    for r in records {
-        let tid = r.cpu.unwrap_or_else(|| global_tid(cpus));
-        out.push_str(",\n    {\"name\":\"");
-        out.push_str(r.kind.name());
-        let _ = write!(
-            out,
-            "\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"args\":{{\"message\":\"",
-            r.kind.name(),
-            us(r.at.as_ns())
-        );
-        escape_json(&r.message, &mut out);
-        out.push_str("\"}}");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simcore::flight::ActivityClass;
-    use simcore::{Instant, Nanos, TraceKind};
+    use simcore::{Instant, Nanos};
 
     #[test]
     fn microsecond_formatting_is_exact() {
@@ -237,23 +210,6 @@ mod tests {
         assert_eq!(evs[4].get("cat").unwrap().as_str(), Some("irq"));
         let detail = evs[4].get("args").unwrap().get("device").unwrap();
         assert_eq!(*detail, serde::Value::U64(2));
-    }
-
-    #[test]
-    fn trace_record_export_round_trips_message() {
-        let records = [TraceRecord {
-            at: Instant(5_500),
-            kind: TraceKind::Lock,
-            cpu: Some(1),
-            message: "bkl \"hot\"".to_string(),
-        }];
-        let json = export_trace_records("t", 2, &records);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let evs = v.get("traceEvents").unwrap().as_array().unwrap();
-        let last = evs.last().unwrap();
-        assert_eq!(last.get("name").unwrap().as_str(), Some("lock"));
-        let msg = last.get("args").unwrap().get("message").unwrap();
-        assert_eq!(msg.as_str(), Some("bkl \"hot\""));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Structured flight-recorder events.
 //!
-//! The string-based [`Tracer`](crate::trace::Tracer) is the human-facing
-//! debug log; this module is its machine-facing sibling. A [`FlightEvent`]
+//! The flight recorder is the simulator's one event record. A [`FlightEvent`]
 //! is a fixed-size record — no heap allocation per event — describing either
 //! a *span* of CPU activity (an ISR body, a softirq burst, a lock spin, a
 //! scheduler switch…) or an *instant* (an interrupt assert, a wakeup, a
@@ -10,16 +9,60 @@
 //! among the worst seen, the window of events behind it is copied out and
 //! becomes the sample's causal explanation.
 //!
-//! Downstream, `sp-metrics` renders windows of these events as Chrome /
-//! Perfetto `trace_event` JSON and as one-screen ASCII cause chains; the
-//! category names come from [`ActivityClass::name`] and
-//! [`TraceKind::name`](crate::trace::TraceKind::name) so the timeline view,
-//! the exporter and the docs can never drift apart.
+//! Downstream, `sp-metrics` renders these events as Chrome / Perfetto
+//! `trace_event` JSON, as one-screen ASCII cause chains and as a per-CPU
+//! ASCII timeline; the category names come from [`ActivityClass::name`] and
+//! [`TraceKind::name`] so the timeline view, the exporter and the docs can
+//! never drift apart.
 
 use crate::time::{Instant, Nanos};
-use crate::trace::TraceKind;
 use std::collections::VecDeque;
 use std::fmt;
+
+/// Category of a [`FlightEvent`]: the Perfetto `cat` field and the glyph of
+/// the ASCII timeline. Every category is the target of some
+/// [`ActivityClass::trace_kind`] or [`FlightEventKind::trace_kind`].
+///
+/// The taxonomy is documented in `docs/OBSERVABILITY.md`; [`TraceKind::name`]
+/// is the single source of truth for the printed name, shared by the ASCII
+/// timeline (`sp-metrics::timeline`) and the Perfetto exporter
+/// (`sp-metrics::perfetto`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TraceKind {
+    /// Scheduler decisions: context switches and wakeups.
+    Sched,
+    /// Hardware interrupt delivery, service routines and irq threads.
+    Irq,
+    /// Softirq / bottom-half processing.
+    Softirq,
+    /// Spinlock contention.
+    Lock,
+    /// Kernel-mode task execution (syscall bodies, wake-exit paths).
+    Syscall,
+    /// Local timer ticks and elided nohz ticks.
+    Timer,
+    /// CPU shield reconfiguration (`/proc/shield` writes).
+    Shield,
+    /// User-mode workload execution and latency sample completion.
+    Workload,
+}
+
+impl TraceKind {
+    /// Stable lower-case name — the one mapping shared by the timeline view,
+    /// the Perfetto `cat` field, and the docs.
+    pub const fn name(self) -> &'static str {
+        match self {
+            TraceKind::Sched => "sched",
+            TraceKind::Irq => "irq",
+            TraceKind::Softirq => "softirq",
+            TraceKind::Lock => "lock",
+            TraceKind::Syscall => "syscall",
+            TraceKind::Timer => "timer",
+            TraceKind::Shield => "shield",
+            TraceKind::Workload => "workload",
+        }
+    }
+}
 
 /// What a CPU was doing during a [`FlightEvent`] span.
 ///
@@ -249,7 +292,8 @@ impl FlightRing {
         self.ring.iter().filter(|e| e.overlaps(from, to)).copied().collect()
     }
 
-    /// Records currently held, oldest first.
+    /// Records currently held, in push order (oldest first). Spans are
+    /// pushed when they end, so this is not start order.
     pub fn records(&self) -> impl Iterator<Item = &FlightEvent> {
         self.ring.iter()
     }

@@ -3,7 +3,8 @@
 //! Foundation layer for the shielded-processors reproduction: virtual time
 //! ([`Nanos`], [`Instant`]), a stable-ordered [`WheelQueue`], a reproducible
 //! RNG ([`SimRng`]) with the duration distributions ([`DurationDist`]) the
-//! kernel model draws service times from, and a bounded [`Tracer`].
+//! kernel model draws service times from, and the bounded [`FlightRing`] of
+//! structured [`FlightEvent`]s that is the simulator's one event record.
 //!
 //! Everything above this crate (hardware model, kernel, devices, workloads)
 //! is pure simulation logic driven by these primitives; given the same seed
@@ -17,11 +18,9 @@ pub mod flight;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use dist::{DurationDist, PreparedDist};
-pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing};
+pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing, TraceKind};
 pub use queue::{EventKey, WheelQueue};
 pub use rng::SimRng;
 pub use time::{Instant, Nanos};
-pub use trace::{TraceKind, TraceRecord, Tracer};

@@ -38,7 +38,7 @@ impl Console {
             .mlockall(),
         );
         sim.watch_latency(rt);
-        sim.tracer = simcore::Tracer::ring(16_384);
+        sim.arm_flight(1);
         sim.start();
         Console { sim, rt, rcim, seen: 0 }
     }
@@ -55,7 +55,7 @@ impl Console {
                 println!("  status            /proc/shield, /proc/irq, per-CPU accounting");
                 println!("  top               tasks by consumed CPU time");
                 println!("  latency           rt-waiter latency since the last call");
-                println!("  timeline          per-CPU activity map of recent trace events");
+                println!("  timeline          per-CPU activity map of recent flight events");
                 println!("  quit");
             }
             Some("run") => match parts.next().and_then(|a| a.parse::<u64>().ok()) {
@@ -113,11 +113,10 @@ impl Console {
                 }
             }
             Some("timeline") => {
-                let records: Vec<_> = self.sim.tracer.records().cloned().collect();
                 print!(
                     "{}",
                     sp_metrics::render_timeline(
-                        &records,
+                        self.sim.flight.records(),
                         self.sim.machine().logical_cpus(),
                         64
                     )
