@@ -174,6 +174,7 @@ impl KernelConfig {
             return Err(format!("implausible tick rate {} Hz", self.local_timer_hz));
         }
         self.contention.validate()?;
+        self.costs.validate()?;
         self.sections.validate()?;
         Ok(())
     }
@@ -224,9 +225,18 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_invalid_cost_distributions() {
+        let mut c = KernelConfig::modern();
+        c.costs.context_switch =
+            simcore::DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.3 };
+        assert!(c.validate().unwrap_err().contains("context_switch"));
+    }
+
+    #[test]
     fn all_presets_validate() {
         for v in KernelVariant::ALL {
             assert!(KernelConfig::new(v).validate().is_ok(), "{v}");
         }
+        assert!(KernelConfig::modern().validate().is_ok());
     }
 }

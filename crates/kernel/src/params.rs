@@ -114,6 +114,23 @@ impl KernelCosts {
         if self.sched_pick_24_per_task > Nanos::from_us(10) {
             return Err("per-task goodness scan cost is implausible".into());
         }
+        for (name, d) in [
+            ("irq_entry", &self.irq_entry),
+            ("irq_ack", &self.irq_ack),
+            ("irq_exit", &self.irq_exit),
+            ("wake", &self.wake),
+            ("sched_pick_o1", &self.sched_pick_o1),
+            ("sched_pick_24_base", &self.sched_pick_24_base),
+            ("context_switch", &self.context_switch),
+            ("syscall_entry", &self.syscall_entry),
+            ("syscall_exit", &self.syscall_exit),
+            ("tick", &self.tick),
+            ("ipi", &self.ipi),
+            ("idle_exit", &self.idle_exit),
+            ("page_fault", &self.page_fault),
+        ] {
+            d.validate().map_err(|e| format!("costs.{name}: {e}"))?;
+        }
         Ok(())
     }
 
@@ -262,6 +279,13 @@ impl SectionProfile {
                 return Err(format!("{name} out of [0,1]: {p}"));
             }
         }
+        for (name, d) in [
+            ("long_section", &self.long_section),
+            ("read_exit_lock_hold", &self.read_exit_lock_hold),
+            ("bkl_hold", &self.bkl_hold),
+        ] {
+            d.validate().map_err(|e| format!("sections.{name}: {e}"))?;
+        }
         Ok(())
     }
 
@@ -378,6 +402,33 @@ mod tests {
             (150..350).contains(&worst),
             "kernel part of the modern RCIM path max should be 150-350ns, got {worst}ns"
         );
+    }
+
+    #[test]
+    fn costs_reject_an_inverted_pareto_tail() {
+        let mut c = KernelCosts::modern();
+        c.wake = DurationDist::shifted(
+            Nanos(15),
+            DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.4 },
+        );
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("costs.wake:"), "{err}");
+    }
+
+    #[test]
+    fn costs_reject_a_pareto_tail_from_zero() {
+        let c = KernelCosts {
+            irq_entry: DurationDist::BoundedPareto { lo: 0, hi: 1_600, alpha: 1.3 },
+            ..KernelCosts::default()
+        };
+        assert!(c.validate().unwrap_err().starts_with("costs.irq_entry:"));
+    }
+
+    #[test]
+    fn sections_reject_a_bad_hold_alpha() {
+        let mut s = SectionProfile::for_variant(KernelVariant::RedHawk);
+        s.bkl_hold = DurationDist::BoundedPareto { lo: 1_000, hi: 500_000, alpha: -1.1 };
+        assert!(s.validate().unwrap_err().starts_with("sections.bkl_hold:"));
     }
 
     #[test]

@@ -112,6 +112,7 @@ impl SyscallService {
                     self.name
                 ));
             }
+            seg.dur.validate().map_err(|e| format!("{}: segment {i}: {e}", self.name))?;
         }
         Ok(())
     }
@@ -147,6 +148,13 @@ mod tests {
         let mut s = SyscallService::new("p").segment(seg);
         s.segments[0].prob = 1.5;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn segment_duration_validation() {
+        let seg = KernelSegment::work(DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.2 });
+        let err = SyscallService::new("d").segment(seg).validate().unwrap_err();
+        assert!(err.starts_with("d: segment 0:"), "{err}");
     }
 
     #[test]

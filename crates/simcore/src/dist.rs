@@ -10,6 +10,8 @@ use crate::rng::SimRng;
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-thread memo for bounded-Pareto constants.
 ///
@@ -126,6 +128,61 @@ pub enum DurationDist {
     },
 }
 
+/// Why [`DurationDist::validate`] rejected a distribution.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DistError {
+    /// `Uniform` with `lo > hi`.
+    UniformInverted {
+        /// Lower bound (ns).
+        lo: u64,
+        /// Upper bound (ns).
+        hi: u64,
+    },
+    /// `Exponential` with a zero mean.
+    ZeroMean,
+    /// `LogNormal` with a negative or non-finite `sigma`.
+    BadSigma(f64),
+    /// `BoundedPareto` with `lo == 0`: every draw would round to 0 ns.
+    ParetoZeroLo,
+    /// `BoundedPareto` with `lo >= hi`.
+    ParetoEmpty {
+        /// Lower bound (ns).
+        lo: u64,
+        /// Upper bound (ns).
+        hi: u64,
+    },
+    /// `BoundedPareto` with a tail index that is not finite and positive.
+    BadAlpha(f64),
+    /// `Mix` with no branches.
+    EmptyMix,
+    /// `Mix` branch weight that is negative or not finite.
+    BadWeight(f64),
+    /// `Mix` whose weights sum to zero.
+    ZeroTotalWeight,
+}
+
+impl std::fmt::Display for DistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DistError::UniformInverted { lo, hi } => write!(f, "uniform lo {lo} > hi {hi}"),
+            DistError::ZeroMean => f.write_str("exponential mean is zero"),
+            DistError::BadSigma(sigma) => write!(f, "log-normal sigma {sigma} is not >= 0"),
+            DistError::ParetoZeroLo => f.write_str("bounded Pareto lo must be positive"),
+            DistError::ParetoEmpty { lo, hi } => {
+                write!(f, "bounded Pareto lo {lo} is not below hi {hi}")
+            }
+            DistError::BadAlpha(alpha) => {
+                write!(f, "bounded Pareto alpha {alpha} is not finite and positive")
+            }
+            DistError::EmptyMix => f.write_str("mix has no branches"),
+            DistError::BadWeight(w) => write!(f, "mix weight {w} is not finite and >= 0"),
+            DistError::ZeroTotalWeight => f.write_str("mix weights sum to zero"),
+        }
+    }
+}
+
+impl std::error::Error for DistError {}
+
 impl DurationDist {
     /// A distribution that always yields `d`.
     pub fn constant(d: Nanos) -> Self {
@@ -169,6 +226,51 @@ impl DurationDist {
     /// `rest` plus a constant `base` offset.
     pub fn shifted(base: Nanos, rest: DurationDist) -> Self {
         DurationDist::Shifted { base: base.as_ns(), rest: Box::new(rest) }
+    }
+
+    /// Check parameters that arrived without the constructors' asserts
+    /// (deserialized configs, struct literals): every draw of a valid
+    /// distribution stays inside its reported bounds without panicking.
+    /// Recurses through `Mix` branches and `Shifted` rests.
+    pub fn validate(&self) -> Result<(), DistError> {
+        match self {
+            DurationDist::Constant(_) => Ok(()),
+            DurationDist::Uniform { lo, hi } if lo > hi => {
+                Err(DistError::UniformInverted { lo: *lo, hi: *hi })
+            }
+            DurationDist::Uniform { .. } => Ok(()),
+            DurationDist::Exponential { mean: 0 } => Err(DistError::ZeroMean),
+            DurationDist::Exponential { .. } => Ok(()),
+            DurationDist::LogNormal { sigma, .. } if !(sigma.is_finite() && *sigma >= 0.0) => {
+                Err(DistError::BadSigma(*sigma))
+            }
+            DurationDist::LogNormal { .. } => Ok(()),
+            DurationDist::BoundedPareto { lo: 0, .. } => Err(DistError::ParetoZeroLo),
+            DurationDist::BoundedPareto { lo, hi, .. } if lo >= hi => {
+                Err(DistError::ParetoEmpty { lo: *lo, hi: *hi })
+            }
+            DurationDist::BoundedPareto { alpha, .. } if !(alpha.is_finite() && *alpha > 0.0) => {
+                Err(DistError::BadAlpha(*alpha))
+            }
+            DurationDist::BoundedPareto { .. } => Ok(()),
+            DurationDist::Mix(branches) => {
+                if branches.is_empty() {
+                    return Err(DistError::EmptyMix);
+                }
+                for (w, d) in branches {
+                    if !(w.is_finite() && *w >= 0.0) {
+                        return Err(DistError::BadWeight(*w));
+                    }
+                    d.validate()?;
+                }
+                if branches.iter().map(|(w, _)| w).sum::<f64>() > 0.0 {
+                    Ok(())
+                } else {
+                    Err(DistError::ZeroTotalWeight)
+                }
+            }
+            DurationDist::Shifted { rest, .. } => rest.validate(),
+        }
     }
 
     /// Draw one span.
@@ -292,7 +394,7 @@ impl DurationDist {
             }
             DurationDist::BoundedPareto { lo, hi, alpha } => PreparedKind::Pareto {
                 base: 0,
-                pre: ParetoPre::new(*lo, *hi, *alpha),
+                tail: ParetoTail::new(*lo, *hi, *alpha),
             },
             DurationDist::LogNormal { median, sigma } => {
                 PreparedKind::LogNormal { median: *median as f64, sigma: *sigma }
@@ -302,7 +404,7 @@ impl DurationDist {
                 // bounded heavy tail. One fused arm, zero dispatch depth.
                 DurationDist::BoundedPareto { lo, hi, alpha } => PreparedKind::Pareto {
                     base: *base,
-                    pre: ParetoPre::new(*lo, *hi, *alpha),
+                    tail: ParetoTail::new(*lo, *hi, *alpha),
                 },
                 _ => PreparedKind::Shifted { base: *base, rest: Box::new(rest.prepare()) },
             },
@@ -374,7 +476,7 @@ fn u64_to_unit_f64(bits: u64) -> f64 {
 /// Build-time bounded-Pareto constants — the same values the thread-local
 /// memo computes, resolved once when the distribution is prepared.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct ParetoPre {
+struct ParetoPow {
     lo: f64,
     hi: f64,
     la: f64,
@@ -382,9 +484,9 @@ struct ParetoPre {
     neg_inv_alpha: f64,
 }
 
-impl ParetoPre {
+impl ParetoPow {
     fn new(lo: u64, hi: u64, alpha: f64) -> Self {
-        ParetoPre {
+        ParetoPow {
             lo: lo as f64,
             hi: hi as f64,
             la: (lo as f64).powf(-alpha),
@@ -393,11 +495,222 @@ impl ParetoPre {
         }
     }
 
+    /// The inverse-CDF expression of [`DurationDist::sample`] at one 53-bit
+    /// draw (`next_u64() >> 11`).
     #[inline]
-    fn sample_ns(&self, rng: &mut SimRng) -> u64 {
-        let u = rng.f64();
+    fn tail_ns(&self, draw: u64) -> u64 {
+        let u = draw as f64 * (1.0 / (1u64 << 53) as f64);
         let x = ((1.0 - u) * self.la + u * self.ha).powf(self.neg_inv_alpha);
         round_ns(x.clamp(self.lo, self.hi))
+    }
+}
+
+/// Widest `hi − lo` that gets a [`ParetoTable`]: one step per integer, so
+/// at most 32 KiB of steps plus the 8 KiB index.
+const TABLE_MAX_SPAN: u64 = 4096;
+/// A draw this many grid points (of 2⁵³) or more from every step gets the
+/// table's answer; nearer draws recompute through `pow`.
+const GUARD: u64 = 1 << 24;
+/// The index splits the 53-bit draw range into 2¹² buckets of 2⁴¹ draws.
+const BUCKET_SHIFT: u32 = 41;
+const BUCKETS: usize = 1 << (53 - BUCKET_SHIFT);
+/// Index flag: the bucket holds a step, and the low bits say where to
+/// start walking `steps` instead of giving the answer.
+const DIRTY: u16 = 1 << 15;
+/// Steps a dirty bucket may walk before the draw falls back to `pow`.
+const MAX_WALK: usize = 8;
+
+/// Exact inverse-CDF lookup for an integer-narrow bounded Pareto
+/// (`hi − lo ≤ 4096`).
+///
+/// The rounded sample is a step function of the draw. `steps[j]` is the
+/// closed-form draw at which it first reaches `lo + j + 1`, computed from the
+/// same `lo^-α` and `hi^-α` the `pow` path uses. A draw at least 2²⁴ grid
+/// points from every step is answered from the table; the rest, and
+/// dense stretches past an 8-step walk, run the `pow` expression unchanged.
+/// The `pow` path can only disagree with the closed form within a few grid
+/// points of a step, so both answers are the same bits; the build checks the
+/// `pow` path at both guarded ends of every value's interval and keeps no
+/// table if one differs. See `docs/MODELING.md` §10.
+///
+/// Tables are immutable and interned per process: every preparation of the
+/// same `(lo, hi, α)` shares one [`Arc`].
+pub struct ParetoTable {
+    /// Per bucket: the answer's offset from `lo`, or `DIRTY |` the number of
+    /// steps at least `GUARD` below the bucket. Inline, so a draw reaches
+    /// its entry through the one `Arc` pointer.
+    index: [u16; BUCKETS],
+    lo: u64,
+    hi: u64,
+    alpha: f64,
+    pow: ParetoPow,
+    steps: Box<[u64]>,
+}
+
+/// `(lo, hi, α bits)`.
+type TableKey = (u64, u64, u64);
+
+/// Every table built in this process; `None` records a build that failed its
+/// check, so it is not retried.
+static TABLES: Mutex<BTreeMap<TableKey, Option<Arc<ParetoTable>>>> = Mutex::new(BTreeMap::new());
+
+impl ParetoTable {
+    /// The shared table for these parameters, built on first use. `None` for
+    /// spans wider than 4096 ns, for parameters [`DurationDist::validate`]
+    /// rejects, and if the build's own check against `pow` fails.
+    fn interned(lo: u64, hi: u64, alpha: f64) -> Option<Arc<ParetoTable>> {
+        if !(lo > 0 && lo < hi && hi - lo <= TABLE_MAX_SPAN && alpha.is_finite() && alpha > 0.0) {
+            return None;
+        }
+        // A panicking build inserts nothing, so a poisoned map is still whole.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        tables
+            .entry((lo, hi, alpha.to_bits()))
+            .or_insert_with(|| ParetoTable::build(lo, hi, alpha).map(Arc::new))
+            .clone()
+    }
+
+    /// Every table this process has built so far.
+    pub fn interned_tables() -> Vec<Arc<ParetoTable>> {
+        let tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        tables.values().flatten().cloned().collect()
+    }
+
+    fn build(lo: u64, hi: u64, alpha: f64) -> Option<ParetoTable> {
+        let pow = ParetoPow::new(lo, hi, alpha);
+        let scale = (1u64 << 53) as f64;
+        let mut steps = Vec::with_capacity((hi - lo) as usize);
+        for value in lo..hi {
+            let u = (pow.la - (value as f64 + 0.5).powf(-alpha)) / (pow.la - pow.ha);
+            if !(0.0..1.0).contains(&u) {
+                return None;
+            }
+            steps.push((u * scale).ceil() as u64);
+        }
+        if steps.windows(2).any(|w| w[0] > w[1]) {
+            return None;
+        }
+        let mut index = [0u16; BUCKETS];
+        for (b, entry) in (0u64..).zip(index.iter_mut()) {
+            let (first, last) = (b << BUCKET_SHIFT, ((b + 1) << BUCKET_SHIFT) - 1);
+            let below = steps.partition_point(|&t| t + GUARD <= first);
+            let near = steps.partition_point(|&t| t < last + GUARD);
+            *entry = below as u16 | if near > below { DIRTY } else { 0 };
+        }
+        let table = ParetoTable { index, lo, hi, alpha, pow, steps: steps.into() };
+        // Every value's guarded interval must open and close on it.
+        let n = table.steps.len();
+        for i in 0..=n {
+            let first = if i == 0 { 0 } else { table.steps[i - 1] + GUARD };
+            let last = match table.steps.get(i) {
+                Some(&t) => match t.checked_sub(GUARD) {
+                    Some(last) => last,
+                    None => continue,
+                },
+                None => (1u64 << 53) - 1,
+            };
+            if first <= last
+                && (pow.tail_ns(first) != lo + i as u64 || pow.tail_ns(last) != lo + i as u64)
+            {
+                return None;
+            }
+        }
+        Some(table)
+    }
+
+    /// Lower bound of the tail (ns).
+    pub fn lo(&self) -> u64 {
+        self.lo
+    }
+
+    /// `steps()[j]` is the 53-bit draw at which the rounded sample first
+    /// reaches `lo + j + 1`.
+    pub fn steps(&self) -> &[u64] {
+        &self.steps
+    }
+
+    /// The table's answer for a 53-bit draw (`next_u64() >> 11`), or `None`
+    /// where the sampler falls back to [`ParetoTable::pow_path`].
+    #[inline]
+    pub fn lookup(&self, draw: u64) -> Option<u64> {
+        let entry = self.index[(draw >> BUCKET_SHIFT) as usize];
+        if entry & DIRTY == 0 {
+            return Some(self.lo + entry as u64);
+        }
+        let mut i = (entry & !DIRTY) as usize;
+        for _ in 0..MAX_WALK {
+            match self.steps.get(i) {
+                Some(&t) if t <= draw => i += 1,
+                _ => break,
+            }
+        }
+        // A step still at or below the draw means the walk ran out.
+        let clear_above = self.steps.get(i).is_none_or(|&t| t >= draw + GUARD);
+        let clear_below = i == 0 || draw >= self.steps[i - 1] + GUARD;
+        (clear_above && clear_below).then_some(self.lo + i as u64)
+    }
+
+    /// The `pow` expression of [`DurationDist::sample`] at a 53-bit draw.
+    pub fn pow_path(&self, draw: u64) -> u64 {
+        self.pow.tail_ns(draw)
+    }
+
+    /// The sampler's answer: a clean bucket's inline, the rest out of line.
+    #[inline]
+    fn tail_ns(&self, draw: u64) -> u64 {
+        let entry = self.index[(draw >> BUCKET_SHIFT) as usize];
+        if entry & DIRTY == 0 {
+            return self.lo + entry as u64;
+        }
+        self.tail_ns_near_step(draw)
+    }
+
+    #[inline(never)]
+    fn tail_ns_near_step(&self, draw: u64) -> u64 {
+        self.lookup(draw).unwrap_or_else(|| self.pow.tail_ns(draw))
+    }
+}
+
+impl std::fmt::Debug for ParetoTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParetoTable")
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .field("alpha", &self.alpha)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A table is a pure function of its parameters.
+impl PartialEq for ParetoTable {
+    fn eq(&self, other: &Self) -> bool {
+        (self.lo, self.hi, self.alpha.to_bits()) == (other.lo, other.hi, other.alpha.to_bits())
+    }
+}
+
+/// The bounded-Pareto tail of a prepared distribution: the shared lookup
+/// table when the span is narrow, else the `pow` expression alone.
+#[derive(Debug, Clone, PartialEq)]
+enum ParetoTail {
+    Pow(ParetoPow),
+    Table(Arc<ParetoTable>),
+}
+
+impl ParetoTail {
+    fn new(lo: u64, hi: u64, alpha: f64) -> Self {
+        match ParetoTable::interned(lo, hi, alpha) {
+            Some(table) => ParetoTail::Table(table),
+            None => ParetoTail::Pow(ParetoPow::new(lo, hi, alpha)),
+        }
+    }
+
+    /// One raw `next_u64` draw to a rounded tail sample.
+    #[inline]
+    fn tail_ns(&self, bits: u64) -> u64 {
+        match self {
+            ParetoTail::Table(table) => table.tail_ns(bits >> 11),
+            ParetoTail::Pow(pow) => pow.tail_ns(bits >> 11),
+        }
     }
 }
 
@@ -409,7 +722,7 @@ enum PreparedKind {
     /// `base + bounded-Pareto tail` — covers both a bare bounded Pareto
     /// (`base == 0`) and the `Shifted + BoundedPareto` shape of every kernel
     /// path cost.
-    Pareto { base: u64, pre: ParetoPre },
+    Pareto { base: u64, tail: ParetoTail },
     LogNormal { median: f64, sigma: f64 },
     /// Weighted mixture over prepared branches, with the per-draw weight
     /// re-summation hoisted to prepare time.
@@ -424,10 +737,12 @@ enum PreparedKind {
 /// Parameter-derived constants (`lo^-α`, `hi^-α`, `-1/α`, mean conversions)
 /// are computed once at [`DurationDist::prepare`] time instead of per draw
 /// through the thread-local memo, and the common `Shifted + BoundedPareto`
-/// path-cost shape collapses to a single match arm. Sampling is
+/// path-cost shape collapses to a single match arm whose tail, when at most
+/// 4096 ns wide, is read from a shared [`ParetoTable`]. Sampling is
 /// bit-identical to [`DurationDist::sample`] — same draw count, same
-/// arithmetic, same rounding — so swapping a prepared distribution into a
-/// hot loop can never change a trace.
+/// arithmetic or a table holding its exact answers, same rounding — so
+/// swapping a prepared distribution into a hot loop can never change a
+/// trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedDist {
     kind: PreparedKind,
@@ -437,8 +752,18 @@ impl PreparedDist {
     /// Draw one span; bit-identical to the source distribution's `sample`.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> Nanos {
+        // A tabled tail is most kernel-cost draws; its table hit is small
+        // enough to inline at every call site.
+        if let PreparedKind::Pareto { base, tail: ParetoTail::Table(table) } = &self.kind {
+            return Nanos(base + table.tail_ns(rng.next_u64() >> 11));
+        }
+        self.sample_untabled(rng)
+    }
+
+    #[inline(never)]
+    fn sample_untabled(&self, rng: &mut SimRng) -> Nanos {
         match &self.kind {
-            PreparedKind::Pareto { base, pre } => Nanos(base + pre.sample_ns(rng)),
+            PreparedKind::Pareto { base, tail } => Nanos(base + tail.tail_ns(rng.next_u64())),
             PreparedKind::Constant(ns) => Nanos(*ns),
             PreparedKind::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
             PreparedKind::Exponential { mean } => {
@@ -463,18 +788,25 @@ impl PreparedDist {
         }
     }
 
+    /// The shared lookup table of a bounded-Pareto tail (bare or shifted),
+    /// if its span got one.
+    pub fn pareto_table(&self) -> Option<&Arc<ParetoTable>> {
+        match &self.kind {
+            PreparedKind::Pareto { tail: ParetoTail::Table(table), .. } => Some(table),
+            _ => None,
+        }
+    }
+
     /// Draw `out.len()` spans, bit-identical to the scalar loop.
     pub fn sample_into(&self, rng: &mut SimRng, out: &mut [Nanos]) {
         match &self.kind {
-            PreparedKind::Pareto { base, pre } => {
+            PreparedKind::Pareto { base, tail } => {
                 let mut raw = [0u64; DRAW_BATCH];
                 for chunk in out.chunks_mut(DRAW_BATCH) {
                     let raw = &mut raw[..chunk.len()];
                     rng.fill_u64(raw);
                     for (slot, &bits) in chunk.iter_mut().zip(raw.iter()) {
-                        let u = u64_to_unit_f64(bits);
-                        let x = ((1.0 - u) * pre.la + u * pre.ha).powf(pre.neg_inv_alpha);
-                        *slot = Nanos(base + round_ns(x.clamp(pre.lo, pre.hi)));
+                        *slot = Nanos(base + tail.tail_ns(bits));
                     }
                 }
             }
@@ -610,6 +942,124 @@ mod tests {
             let v = d.sample(&mut r).as_ns();
             assert!((500..=510).contains(&v));
         }
+    }
+
+    fn pareto(lo: u64, hi: u64, alpha: f64) -> DurationDist {
+        DurationDist::BoundedPareto { lo, hi, alpha }
+    }
+
+    #[test]
+    fn validate_accepts_what_the_constructors_build() {
+        for d in [
+            DurationDist::constant(Nanos(0)),
+            DurationDist::uniform(Nanos(7), Nanos(7)),
+            DurationDist::exponential(Nanos(1)),
+            DurationDist::log_normal(Nanos(10), 0.0),
+            DurationDist::bounded_pareto(Nanos(1), Nanos(2), 0.5),
+            DurationDist::mix(vec![
+                (0.0, DurationDist::constant(Nanos(1))),
+                (1.0, pareto(3, 9, 1.2)),
+            ]),
+            DurationDist::shifted(Nanos(5), pareto(1, 10, 1.4)),
+        ] {
+            assert_eq!(d.validate(), Ok(()), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_inverted_pareto() {
+        assert_eq!(pareto(10, 5, 1.2).validate(), Err(DistError::ParetoEmpty { lo: 10, hi: 5 }));
+        assert_eq!(pareto(5, 5, 1.2).validate(), Err(DistError::ParetoEmpty { lo: 5, hi: 5 }));
+    }
+
+    #[test]
+    fn validate_rejects_a_pareto_from_zero() {
+        assert_eq!(pareto(0, 5, 1.2).validate(), Err(DistError::ParetoZeroLo));
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_pareto_alpha() {
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = pareto(1, 5, alpha).validate().unwrap_err();
+            assert!(matches!(err, DistError::BadAlpha(a) if a.to_bits() == alpha.to_bits()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_inverted_uniform() {
+        let d = DurationDist::Uniform { lo: 9, hi: 3 };
+        assert_eq!(d.validate(), Err(DistError::UniformInverted { lo: 9, hi: 3 }));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_mean_exponential() {
+        assert_eq!(DurationDist::Exponential { mean: 0 }.validate(), Err(DistError::ZeroMean));
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_sigma() {
+        let d = DurationDist::LogNormal { median: 10, sigma: -0.5 };
+        assert_eq!(d.validate(), Err(DistError::BadSigma(-0.5)));
+    }
+
+    #[test]
+    fn validate_rejects_bad_mix_weights() {
+        let one = || DurationDist::constant(Nanos(1));
+        assert_eq!(DurationDist::Mix(vec![]).validate(), Err(DistError::EmptyMix));
+        assert_eq!(
+            DurationDist::Mix(vec![(-1.0, one()), (2.0, one())]).validate(),
+            Err(DistError::BadWeight(-1.0))
+        );
+        assert_eq!(
+            DurationDist::Mix(vec![(0.0, one()), (0.0, one())]).validate(),
+            Err(DistError::ZeroTotalWeight)
+        );
+    }
+
+    #[test]
+    fn validate_recurses_into_mix_and_shifted() {
+        let bad = pareto(10, 5, 1.2);
+        let err = Err(DistError::ParetoEmpty { lo: 10, hi: 5 });
+        let one = DurationDist::constant(Nanos(1));
+        let mixed = DurationDist::Mix(vec![(1.0, one), (1.0, bad.clone())]);
+        assert_eq!(mixed.validate(), err);
+        assert_eq!(DurationDist::shifted(Nanos(100), bad).validate(), err);
+    }
+
+    #[test]
+    fn narrow_valid_paretos_get_a_shared_table() {
+        let d = DurationDist::shifted(Nanos(9), pareto(1, 10, 1.4));
+        let (a, b) = (d.prepare(), pareto(1, 10, 1.4).prepare());
+        assert!(Arc::ptr_eq(a.pareto_table().unwrap(), b.pareto_table().unwrap()));
+        assert_eq!(a.pareto_table().unwrap().steps().len(), 9);
+        // One value per step past `lo`, the 4096-wide edge included.
+        assert_eq!(pareto(100, 4196, 1.1).prepare().pareto_table().unwrap().steps().len(), 4096);
+        assert!(pareto(100, 4197, 1.1).prepare().pareto_table().is_none(), "too wide");
+        assert!(DurationDist::uniform(Nanos(1), Nanos(9)).prepare().pareto_table().is_none());
+    }
+
+    #[test]
+    fn invalid_paretos_get_no_table() {
+        let invalid =
+            [pareto(0, 5, 1.2), pareto(10, 5, 1.2), pareto(1, 5, f64::NAN), pareto(1, 5, -1.0)];
+        for d in invalid {
+            assert!(d.prepare().pareto_table().is_none(), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn table_lookup_falls_back_near_every_step() {
+        let t = pareto(3, 30, 1.3).prepare().pareto_table().unwrap().clone();
+        for (j, &step) in t.steps().iter().enumerate() {
+            assert_eq!(t.lookup(step), None);
+            assert_eq!(t.lookup(step - 1), None);
+            assert_eq!(t.lookup(step + GUARD - 1), None);
+            assert_eq!(t.lookup(step + GUARD), Some(t.lo() + j as u64 + 1));
+            assert_eq!(t.lookup(step - GUARD), Some(t.lo() + j as u64));
+            assert_eq!(t.pow_path(step - GUARD), t.lo() + j as u64);
+        }
+        assert_eq!(t.lookup(0), Some(3));
+        assert_eq!(t.lookup((1 << 53) - 1), Some(30));
     }
 
     #[test]

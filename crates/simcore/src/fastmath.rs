@@ -1,9 +1,13 @@
 //! Small math helpers for the hot sampling paths.
 //!
-//! The distribution samplers lean on libm for their transcendentals — glibc's
-//! `pow`/`exp`/`ln` are excellent and hand-rolled polynomial replacements
-//! measured *slower* here (long serial dependency chains lose to the
-//! table-driven libm kernels). The one call worth replacing is the closing
+//! The distribution samplers lean on libm for their transcendentals. A
+//! hand-rolled polynomial `pow`/`exp`/`ln` is not a way to go faster: such
+//! replacements measured *slower* here (long serial dependency chains lose
+//! to glibc's table-driven kernels) and would change the bits of every
+//! draw. What does go faster is not calling `pow` at all: a narrow bounded
+//! Pareto answers almost every draw from an exact lookup table
+//! ([`crate::dist::ParetoTable`]) and keeps the libm expression, unchanged,
+//! for the rest. The one call this module replaces is the closing
 //! `f64::round`: at sampler magnitudes a `+0.5`-and-truncate is a single
 //! convert instruction, while `round` is an out-of-line libm call on
 //! baseline x86-64 (no SSE4.1 `roundsd`).

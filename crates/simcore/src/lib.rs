@@ -19,7 +19,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use dist::{DurationDist, PreparedDist};
+pub use dist::{DistError, DurationDist, ParetoTable, PreparedDist};
 pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing, TraceKind};
 pub use queue::{EventKey, WheelQueue};
 pub use rng::SimRng;

@@ -2,11 +2,16 @@
 
 use proptest::prelude::*;
 use simcore::{DurationDist, Instant, Nanos, SimRng, WheelQueue};
+use std::sync::Arc;
+
+/// Number of distributions in [`dist_zoo`].
+const ZOO: u8 = 11;
 
 /// A zoo of distributions covering every `DurationDist` arm, including the
-/// nested Mix / LogNormal / Shifted shapes the prepared sampler fuses.
+/// nested Mix / LogNormal / Shifted shapes the prepared sampler fuses and
+/// the narrow bounded Paretos it answers from a lookup table.
 fn dist_zoo(pick: u8) -> DurationDist {
-    match pick % 8 {
+    match pick % ZOO {
         0 => DurationDist::constant(Nanos(777)),
         1 => DurationDist::uniform(Nanos(10), Nanos(500)),
         2 => DurationDist::exponential(Nanos(1_000)),
@@ -21,12 +26,18 @@ fn dist_zoo(pick: u8) -> DurationDist {
             Nanos(1_000),
             DurationDist::bounded_pareto(Nanos(30), Nanos(900), 1.4),
         ),
-        _ => DurationDist::shifted(
+        7 => DurationDist::shifted(
             Nanos(250),
             DurationDist::mix(vec![
                 (1.0, DurationDist::exponential(Nanos(90))),
                 (2.0, DurationDist::uniform(Nanos(5), Nanos(15))),
             ]),
+        ),
+        8 => DurationDist::bounded_pareto(Nanos(50), Nanos(1_600), 1.3),
+        9 => DurationDist::bounded_pareto(Nanos(1), Nanos(10), 1.4),
+        _ => DurationDist::shifted(
+            Nanos(45),
+            DurationDist::bounded_pareto(Nanos(5), Nanos(55), 1.3),
         ),
     }
 }
@@ -214,7 +225,7 @@ proptest! {
     /// batch sizes — including sizes that cross the internal refill chunk —
     /// and leaves the generator at exactly the same stream position.
     #[test]
-    fn batched_draws_match_scalar(seed in any::<u64>(), pick in 0u8..8, n in 0usize..200) {
+    fn batched_draws_match_scalar(seed in any::<u64>(), pick in 0u8..ZOO, n in 0usize..200) {
         let dist = dist_zoo(pick);
         let mut scalar_rng = SimRng::new(seed);
         let mut batch_rng = SimRng::new(seed);
@@ -222,24 +233,33 @@ proptest! {
         let mut batched = vec![Nanos::ZERO; n];
         dist.sample_into(&mut batch_rng, &mut batched);
         prop_assert_eq!(&scalar, &batched);
-        prop_assert_eq!(scalar_rng.next_u64(), batch_rng.next_u64());
+        let next = scalar_rng.next_u64();
+        prop_assert_eq!(next, batch_rng.next_u64());
+
+        let mut prepared_rng = SimRng::new(seed);
+        dist.prepare().sample_into(&mut prepared_rng, &mut batched);
+        prop_assert_eq!(&scalar, &batched);
+        prop_assert_eq!(next, prepared_rng.next_u64());
     }
 
     /// Chopping one logical draw sequence into arbitrary batched pieces —
     /// with a checkpoint/restore exercised at one boundary and a reseed at
     /// another — reproduces the scalar per-draw stream bit-for-bit. Chunk
     /// sizes exceed the internal refill chunk, so the checkpoint and reseed
-    /// boundaries land mid-refill relative to the batch partitioning.
+    /// boundaries land mid-refill relative to the batch partitioning. Chunks
+    /// alternate between the source and the prepared sampler, so the
+    /// prepared arms (lookup tables included) hand the stream over exactly.
     #[test]
     fn batched_draws_survive_checkpoint_and_reseed(
         seed in any::<u64>(),
         reseed in any::<u64>(),
-        pick in 0u8..8,
+        pick in 0u8..ZOO,
         chunks in proptest::collection::vec(0usize..70, 1..6),
         checkpoint_at in 0usize..6,
         reseed_at in 0usize..6,
     ) {
         let dist = dist_zoo(pick);
+        let prepared = dist.prepare();
 
         // Reference: pure scalar draws, reseeding at the same cumulative
         // draw index the batched path reseeds at. A boundary index of
@@ -281,7 +301,11 @@ proptest! {
                 brng = saved;
             }
             let mut buf = vec![Nanos::ZERO; len];
-            dist.sample_into(&mut brng, &mut buf);
+            if i % 2 == 0 {
+                dist.sample_into(&mut brng, &mut buf);
+            } else {
+                prepared.sample_into(&mut brng, &mut buf);
+            }
             candidate.extend_from_slice(&buf);
         }
         if reseed_at == chunks.len() {
@@ -295,7 +319,7 @@ proptest! {
     /// arm — including the Mix, LogNormal and Shifted shapes — on both the
     /// scalar and batched paths.
     #[test]
-    fn prepared_matches_scalar_all_arms(seed in any::<u64>(), pick in 0u8..8, n in 0usize..100) {
+    fn prepared_matches_scalar_all_arms(seed in any::<u64>(), pick in 0u8..ZOO, n in 0usize..100) {
         let dist = dist_zoo(pick);
         let prepared = dist.prepare();
         let mut a = SimRng::new(seed);
@@ -322,5 +346,33 @@ proptest! {
         prop_assert_eq!((t + d) - t, d);
         prop_assert_eq!((t + d).saturating_since(t), d);
         prop_assert_eq!(t.saturating_since(t + d), Nanos::ZERO);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A bounded Pareto gets a lookup table exactly when its span is at most
+    /// 4096 ns; every preparation of the same parameters shares that one
+    /// table, and its draws equal the source distribution's.
+    #[test]
+    fn narrow_paretos_share_one_exact_table(
+        lo in 1u64..5_000,
+        span in 1u64..6_000,
+        alpha_centi in 30u32..300,
+        seed in any::<u64>(),
+    ) {
+        let alpha = alpha_centi as f64 / 100.0;
+        let dist = DurationDist::bounded_pareto(Nanos(lo), Nanos(lo + span), alpha);
+        let (a, b) = (dist.prepare(), dist.prepare());
+        prop_assert_eq!(a.pareto_table().is_some(), span <= 4096);
+        if let (Some(x), Some(y)) = (a.pareto_table(), b.pareto_table()) {
+            prop_assert!(Arc::ptr_eq(x, y));
+        }
+        let mut ra = SimRng::new(seed);
+        let mut rb = SimRng::new(seed);
+        for _ in 0..2_000 {
+            prop_assert_eq!(dist.sample(&mut ra), a.sample(&mut rb));
+        }
     }
 }
