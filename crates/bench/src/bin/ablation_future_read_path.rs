@@ -9,12 +9,11 @@
 
 use simcore::Nanos;
 use sp_bench::scale_from_args;
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi};
-use sp_metrics::{LatencyHistogram, LatencySummary, Table};
-use sp_workloads::{stress_kernel, StressDevices};
+use sp_experiments::scenario::{run_scenario, DeviceKind, MeasuredResult, ScenarioSpec};
+use sp_hw::CpuId;
+use sp_kernel::devices::OnOffPoisson;
+use sp_kernel::KernelConfig;
+use sp_metrics::{LatencySummary, Table};
 
 fn run(lockfree: bool, exit_lock_prob: f64, seconds: u64) -> LatencySummary {
     let mut kcfg = KernelConfig::redhawk();
@@ -22,28 +21,19 @@ fn run(lockfree: bool, exit_lock_prob: f64, seconds: u64) -> LatencySummary {
     // Inflate the slow-path probability so the compared tails are visible
     // within a bench-sized run (the mechanism, not the rarity, is under test).
     kcfg.sections.read_exit_file_lock_prob = exit_lock_prob;
-    let mut sim = Simulator::new(MachineConfig::dual_xeon_p3(), kcfg, 0xFA7E);
-    let rtc = sim.add_device(RtcDevice::new(2048));
-    let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-        Nanos::from_us(700),
-    ))));
-    let disk = sim.add_device(DiskDevice::new());
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-    let pid = sim.spawn(
-        TaskSpec::new(
-            "reader",
-            SchedPolicy::fifo(90),
-            Program::forever(vec![Op::WaitIrq { device: rtc, api: WaitApi::ReadDevice }]),
-        )
-        .pinned(CpuMask::single(CpuId(1)))
-        .mlockall(),
-    );
-    sim.watch_latency(pid);
-    sim.start();
-    ShieldPlan::cpu(CpuId(1)).bind_task(pid).bind_irq(rtc).apply(&mut sim).unwrap();
-    sim.run_for(Nanos::from_secs(seconds));
-    let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
-    LatencySummary::from_histogram(&h)
+    let mut spec = ScenarioSpec {
+        seed: 0xFA7E,
+        kernel_overrides: Some(kcfg),
+        run_secs: seconds as f64,
+        ..ScenarioSpec::rtc_testbed("reader", 2048).on_cpu(CpuId(1), true)
+    };
+    let nic = Some(OnOffPoisson::continuous(Nanos::from_us(700)));
+    spec.devices[1].kind = DeviceKind::Nic { external: nic };
+    let report = run_scenario(&spec).expect("read-path scenario runs");
+    let MeasuredResult::Latency { summary, .. } = &report.results["reader"] else {
+        unreachable!("an IrqWait task reports latency")
+    };
+    *summary
 }
 
 fn main() {

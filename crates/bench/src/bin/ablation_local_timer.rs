@@ -11,76 +11,44 @@
 //! 2. determinism-loop jitter — the tick steals ~0.05 % of CPU and adds
 //!    microsecond-scale lap noise.
 
-use simcore::{DurationDist, Nanos};
+use simcore::Nanos;
 use sp_bench::scale_from_args;
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, RcimDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi};
+use sp_experiments::scenario::{
+    Built, DeviceKind, DeviceSpec, MeasuredKind, ScenarioSpec, WaitApiSpec,
+};
+use sp_hw::CpuId;
 use sp_metrics::{JitterSeries, LatencyHistogram, LatencySummary, Table};
-use sp_workloads::{disknoise, scp_nic_profile, scp_receiver};
 
-fn base_sim(seed: u64) -> Simulator {
-    let mut sim =
-        Simulator::new(MachineConfig::dual_xeon_p4(false), KernelConfig::redhawk(), seed);
-    let _nic = sim.add_device(NicDevice::new(Some(scp_nic_profile())));
-    let disk = sim.add_device(DiskDevice::new());
-    scp_receiver(&mut sim, disk);
-    disknoise(&mut sim, disk);
-    sim
+/// The paper's loop: 1.148 s of work per lap.
+const LOOP_MS: u64 = 1_148;
+
+/// `spec` with its measured task and interrupt on a fully shielded CPU 1,
+/// the local timer shielded too unless `keep_ltmr`.
+fn on_shielded_cpu1(spec: ScenarioSpec, keep_ltmr: bool) -> ScenarioSpec {
+    let mut spec = spec.on_cpu(CpuId(1), true);
+    spec.shield.as_mut().expect("on_cpu shields").keep_local_timer = keep_ltmr;
+    spec
 }
 
 fn latency_run(keep_ltmr: bool, seconds: u64) -> (LatencySummary, u64) {
-    let mut sim =
-        Simulator::new(MachineConfig::dual_xeon_p4(false), KernelConfig::redhawk(), 0x0A22);
-    let rcim = sim.add_device(RcimDevice::new(Nanos::from_us(500)));
-    let _nic = sim.add_device(NicDevice::new(Some(scp_nic_profile())));
-    let disk = sim.add_device(DiskDevice::new());
-    scp_receiver(&mut sim, disk);
-    disknoise(&mut sim, disk);
-    let pid = sim.spawn(
-        TaskSpec::new(
-            "rt",
-            SchedPolicy::fifo(90),
-            Program::forever(vec![Op::WaitIrq {
-                device: rcim,
-                api: WaitApi::IoctlWait { driver_bkl_free: true },
-            }]),
-        )
-        .pinned(CpuMask::single(CpuId(1)))
-        .mlockall(),
-    );
-    sim.watch_latency(pid);
-    sim.start();
-    let mut plan = ShieldPlan::cpu(CpuId(1)).bind_task(pid).bind_irq(rcim);
-    if keep_ltmr {
-        plan = plan.keep_local_timer();
-    }
-    plan.apply(&mut sim).expect("shield");
+    let mut spec = ScenarioSpec::scp_testbed(false, "rt", LOOP_MS);
+    let rcim = DeviceKind::Rcim { period_us: 500, pcie: false };
+    spec.devices.insert(0, DeviceSpec { name: "rcim".into(), kind: rcim, irq_affinity: None });
+    let api = WaitApiSpec::Ioctl { driver_bkl_free: true };
+    spec.measured[0].kind = MeasuredKind::IrqWait { device: "rcim".into(), api };
+    let spec = on_shielded_cpu1(spec, keep_ltmr);
+    let Built { mut sim, tasks, .. } = spec.build(0x0A22).expect("latency spec builds");
+    let pid = tasks["rt"];
     sim.run_for(Nanos::from_secs(seconds));
     let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
     (LatencySummary::from_histogram(&h), sim.obs.cpu[1].ticks)
 }
 
 fn jitter_run(keep_ltmr: bool, iterations: u32) -> sp_metrics::JitterSummary {
-    let mut sim = base_sim(0x0A23);
-    let loop_work = Nanos::from_ms(1_148);
-    let pid = sim.spawn(
-        TaskSpec::new(
-            "loop",
-            SchedPolicy::fifo(90),
-            Program::forever(vec![Op::MarkLap, Op::Compute(DurationDist::constant(loop_work))]),
-        )
-        .pinned(CpuMask::single(CpuId(1)))
-        .mlockall(),
-    );
-    sim.watch_laps(pid);
-    sim.start();
-    let mut plan = ShieldPlan::cpu(CpuId(1)).bind_task(pid);
-    if keep_ltmr {
-        plan = plan.keep_local_timer();
-    }
-    plan.apply(&mut sim).expect("shield");
+    let spec = on_shielded_cpu1(ScenarioSpec::scp_testbed(false, "loop", LOOP_MS), keep_ltmr);
+    let Built { mut sim, tasks, .. } = spec.build(0x0A23).expect("jitter spec builds");
+    let pid = tasks["loop"];
+    let loop_work = Nanos::from_ms(LOOP_MS);
     while (sim.obs.laps(pid).len() as u32) < iterations + 1 {
         sim.run_for(loop_work.scale(2.0));
     }

@@ -11,7 +11,7 @@
 use simcore::Nanos;
 use sp_bench::scale_from_args;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
+use sp_kernel::devices::{DiskDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
 use sp_hw::{CpuId, CpuMask, MachineConfig};
 use sp_kernel::{
     KernelConfig, KernelSegment, LockId, Op, Program, SchedPolicy, Simulator, SyscallService,

@@ -9,7 +9,7 @@
 use simcore::{DurationDist, Nanos};
 use sp_bench::scale_from_args;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice};
+use sp_kernel::devices::{DiskDevice, NicDevice};
 use sp_hw::{CpuId, CpuMask, MachineConfig};
 use sp_kernel::{KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec};
 use sp_metrics::{LatencyHistogram, LatencySummary, Table};

@@ -7,25 +7,15 @@
 //! Usage: `hotloop_profile [SIM_MS]` (default 4000).
 
 use simcore::Nanos;
-use sp_hw::MachineConfig;
-use sp_kernel::devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
-use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi};
-use sp_workloads::{stress_kernel, StressDevices};
+use sp_experiments::scenario::ScenarioSpec;
 
 fn main() {
     let sim_ms: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(4000);
-    let mut sim = Simulator::new(MachineConfig::dual_xeon_p3(), KernelConfig::redhawk(), 0x1D7E);
-    let rtc = sim.add_device(RtcDevice::new(2048));
-    let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(Nanos::from_ms(20)))));
-    let disk = sim.add_device(DiskDevice::new());
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-    let prog = Program::forever(vec![Op::WaitIrq { device: rtc, api: WaitApi::ReadDevice }]);
-    let pid = sim.spawn(TaskSpec::new("waiter", SchedPolicy::fifo(90), prog).mlockall());
-    sim.watch_latency(pid);
-    sim.start();
+    let spec = ScenarioSpec::rtc_testbed("waiter", 2048);
+    let mut sim = spec.build(0x1D7E).expect("hot-loop spec builds").sim;
     let t = std::time::Instant::now();
     sim.run_for(Nanos::from_ms(sim_ms));
     let wall = t.elapsed().as_secs_f64();

@@ -19,15 +19,10 @@
 
 use simcore::Nanos;
 use sp_bench::{flightout, scale_from_args, topk_from_args};
-use sp_kernel::WorstCaseTrace;
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-};
+use sp_experiments::scenario::{Built, ScenarioSpec};
+use sp_hw::CpuId;
+use sp_kernel::{KernelVariant, WorstCaseTrace};
 use sp_metrics::Table;
-use sp_workloads::{stress_kernel, StressDevices};
 
 struct Row {
     name: &'static str,
@@ -47,35 +42,15 @@ fn run(
     seconds: u64,
     top_k: usize,
 ) -> Row {
-    let mut sim = Simulator::new(
-        MachineConfig::dual_xeon_p3(),
-        KernelConfig::new(variant),
-        0xB4EA_4D07,
-    );
-    let rtc = sim.add_device(RtcDevice::new(2048));
-    let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-        Nanos::from_ms(20),
-    ))));
-    let disk = sim.add_device(DiskDevice::new());
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-    let mut spec = TaskSpec::new(
-        "realfeel",
-        SchedPolicy::fifo(90),
-        Program::forever(vec![Op::WaitIrq { device: rtc, api: WaitApi::ReadDevice }]),
-    )
-    .mlockall();
+    let mut spec = ScenarioSpec { kernel: variant, ..ScenarioSpec::rtc_testbed("realfeel", 2048) };
     if shield {
-        spec = spec.pinned(CpuMask::single(CpuId(1)));
+        spec = spec.on_cpu(CpuId(1), true);
     }
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
+    let Built { mut sim, tasks, .. } = spec.build(0xB4EA_4D07).expect("breakdown spec builds");
+    let pid = tasks["realfeel"];
     sim.watch_breakdown(pid);
     if top_k > 0 {
         sim.arm_flight(top_k);
-    }
-    sim.start();
-    if shield {
-        ShieldPlan::cpu(CpuId(1)).bind_task(pid).bind_irq(rtc).apply(&mut sim).unwrap();
     }
     sim.run_for(Nanos::from_secs(seconds));
 

@@ -8,44 +8,35 @@
 
 use simcore::Nanos;
 use sp_bench::scale_from_args;
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RcimDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi};
-use sp_metrics::{LatencyHistogram, LatencySummary, Table};
-use sp_workloads::{stress_kernel, StressDevices};
+use sp_experiments::scenario::{run_scenario, DeviceKind, MeasuredResult, ScenarioSpec};
+use sp_hw::{CpuId, MachineConfig};
+use sp_kernel::devices::OnOffPoisson;
+use sp_metrics::{LatencySummary, Table};
 
+/// The RCIM waiter on the dual P3 under stress-kernel, with `nic_rate_hz`
+/// extra NIC interrupts per second (none at 0).
 fn run(nic_rate_hz: u64, shielded: bool, seconds: u64) -> LatencySummary {
-    let mut sim =
-        Simulator::new(MachineConfig::dual_xeon_p3(), KernelConfig::redhawk(), 0x5EEB + nic_rate_hz);
-    let rcim = sim.add_device(RcimDevice::new(Nanos::from_ms(1)));
     let external = 1_000_000_000u64
         .checked_div(nic_rate_hz)
         .map(|period| OnOffPoisson::continuous(Nanos(period)));
-    let nic = sim.add_device(NicDevice::new(external));
-    let disk = sim.add_device(DiskDevice::new());
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-    let mut spec = TaskSpec::new(
-        "rt",
-        SchedPolicy::fifo(90),
-        Program::forever(vec![Op::WaitIrq {
-            device: rcim,
-            api: WaitApi::IoctlWait { driver_bkl_free: true },
-        }]),
-    )
-    .mlockall();
+    let mut spec = ScenarioSpec {
+        seed: 0x5EEB + nic_rate_hz,
+        machine: MachineConfig::dual_xeon_p3(),
+        run_secs: seconds as f64,
+        ..ScenarioSpec::rcim_testbed("rt", 1_000)
+    };
+    spec.devices[1].kind = DeviceKind::Nic { external };
+    // Stress-kernel only: drop the graphics card and its X11perf driver.
+    spec.devices.truncate(3);
+    spec.workloads.truncate(1);
     if shielded {
-        spec = spec.pinned(CpuMask::single(CpuId(1)));
+        spec = spec.on_cpu(CpuId(1), true);
     }
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-    if shielded {
-        ShieldPlan::cpu(CpuId(1)).bind_task(pid).bind_irq(rcim).apply(&mut sim).unwrap();
-    }
-    sim.run_for(Nanos::from_secs(seconds));
-    let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
-    LatencySummary::from_histogram(&h)
+    let report = run_scenario(&spec).expect("load-sweep scenario runs");
+    let MeasuredResult::Latency { summary, .. } = &report.results["rt"] else {
+        unreachable!("an IrqWait task reports latency")
+    };
+    *summary
 }
 
 fn main() {

@@ -8,7 +8,7 @@
 
 use simcore::{DurationDist, Nanos};
 use sp_bench::scale_from_args;
-use sp_devices::RcimDevice;
+use sp_kernel::devices::RcimDevice;
 use sp_hw::{CpuId, CpuMask, MachineConfig};
 use sp_kernel::{
     KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,

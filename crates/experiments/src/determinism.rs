@@ -6,16 +6,12 @@
 //! machine plus the `disknoise` script. The figure is the distribution of
 //! per-iteration excess over the unloaded ideal.
 
+use crate::scenario::{Built, ScenarioSpec};
 use serde::{Deserialize, Serialize};
-use simcore::{DurationDist, Nanos};
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec,
-};
+use simcore::Nanos;
+use sp_hw::CpuId;
+use sp_kernel::KernelVariant;
 use sp_metrics::{JitterSeries, JitterSummary, LatencyHistogram};
-use sp_workloads::{disknoise, scp_nic_profile, scp_receiver};
 
 /// Configuration of one determinism run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,37 +94,17 @@ pub struct DeterminismResult {
 
 /// Run the experiment.
 pub fn run_determinism(cfg: &DeterminismConfig) -> DeterminismResult {
-    let machine = MachineConfig::dual_xeon_p4(cfg.hyperthreading);
-    let mut sim = Simulator::new(machine, KernelConfig::new(cfg.variant), cfg.seed);
-
-    // Devices: the NIC carrying the scp traffic, the disk under disknoise.
-    let nic = sim.add_device(NicDevice::new(Some(scp_nic_profile())));
-    let disk = sim.add_device(DiskDevice::new());
-    let _ = nic;
-
-    // §5.1 background load.
-    scp_receiver(&mut sim, disk);
-    disknoise(&mut sim, disk);
-
-    // The measured loop.
-    let prog = Program::forever(vec![
-        Op::MarkLap,
-        Op::Compute(DurationDist::constant(cfg.loop_work)),
-    ]);
-    let mut spec = TaskSpec::new("determinism-loop", SchedPolicy::fifo(90), prog).mlockall();
+    let work_ms = cfg.loop_work.as_ns() / 1_000_000;
+    debug_assert_eq!(Nanos::from_ms(work_ms), cfg.loop_work, "loop work is whole ms");
+    let mut spec = ScenarioSpec {
+        kernel: cfg.variant,
+        ..ScenarioSpec::scp_testbed(cfg.hyperthreading, "determinism-loop", work_ms)
+    };
     if let Some(cpu) = cfg.shield {
-        spec = spec.pinned(CpuMask::single(CpuId(cpu)));
+        spec = spec.on_cpu(CpuId(cpu), true);
     }
-    let pid = sim.spawn(spec);
-    sim.watch_laps(pid);
-    sim.start();
-
-    if let Some(cpu) = cfg.shield {
-        ShieldPlan::cpu(CpuId(cpu))
-            .bind_task(pid)
-            .apply(&mut sim)
-            .expect("shield plan");
-    }
+    let Built { mut sim, tasks, .. } = spec.build(cfg.seed).expect("determinism spec builds");
+    let pid = tasks["determinism-loop"];
 
     // One warm-up lap (the paper calibrates ideal on an unloaded system; the
     // simulated ideal is the contention-free lower bound = loop_work plus
@@ -196,7 +172,9 @@ mod tests {
         // stretch directly. (The full bursty-load comparison is asserted at
         // larger scale in tests/paper_shape.rs; at unit-test scale it is
         // statistically fragile.)
-        use sp_kernel::Simulator;
+        use simcore::DurationDist;
+        use sp_hw::{CpuMask, MachineConfig};
+        use sp_kernel::{KernelConfig, Op, Program, SchedPolicy, Simulator, TaskSpec};
         let run = |ht: bool| {
             let machine = MachineConfig::dual_xeon_p4(ht);
             let mut sim = Simulator::new(machine, KernelConfig::new(KernelVariant::Vanilla24), 9);

@@ -18,12 +18,11 @@
 //! finite time. Violations are collected, not panicked, so the binary can
 //! print the whole matrix before failing.
 
-use crate::scenario::{reshield_transient_scenario, run_scenario, RecoveryReport};
+use crate::scenario::{reshield_transient_scenario, run_scenario, RecoveryReport, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
-use crate::study::{self, Group, Rig, Sampling, Source};
+use crate::study::{self, Group, Rig, Sampling};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
-use sp_core::ShieldPlan;
 use sp_hw::{CpuId, CpuMask};
 use sp_inject::{matrix_presets, Armory, FaultKind, FaultSpec};
 use sp_kernel::{KernelConfig, KernelVariant, Simulator, WorstCaseTrace};
@@ -89,27 +88,24 @@ impl MatrixPath {
         }
     }
 
-    /// This path's matrix rig on `kernel`: the paper workload, the measured
-    /// task pinned to [`MEASURED_CPU`], and every matrix fault registered
-    /// disarmed in its shielded or unshielded cell shape (see [`cell_fault`]).
-    /// `pcie` fits the modern PCIe RCIM card.
-    pub(crate) fn rig(self, kernel: KernelConfig, shield: Option<ShieldPlan>, pcie: bool) -> Rig {
-        let shielded = shield.is_some();
-        let source = match self {
-            MatrixPath::Realfeel => Source::Rtc { hz: 2048 },
-            MatrixPath::Rcim => Source::Rcim { period: Nanos::from_ms(1), pcie, bkl_free: true },
+    /// This path's matrix rig on `kernel`: the paper testbed, the measured
+    /// task pinned to [`MEASURED_CPU`] (shielded or not), and every matrix
+    /// fault registered disarmed in its shielded or unshielded cell shape
+    /// (see [`cell_fault`]).
+    pub(crate) fn rig(self, kernel: KernelConfig, shielded: bool) -> Rig {
+        let testbed = match self {
+            MatrixPath::Realfeel => ScenarioSpec::rtc_testbed("measured", 2048),
+            MatrixPath::Rcim => ScenarioSpec::rcim_testbed("measured", 1_000),
         };
-        Rig {
-            kernel,
-            source,
-            task: "measured",
-            cpu: Some(MEASURED_CPU),
-            shield,
+        let spec = ScenarioSpec {
+            kernel: kernel.variant,
+            kernel_overrides: Some(kernel),
             faults: matrix_presets().iter().map(|f| cell_fault(f, shielded)).collect(),
-            // Generous deadline: faulted unshielded cells legitimately lose
-            // long stretches to the injector.
-            sampling: Sampling { deadline_periods: 64.0, chunk: (512, 16_384) },
-        }
+            ..testbed.on_cpu(MEASURED_CPU, shielded)
+        };
+        // Generous deadline: faulted unshielded cells legitimately lose
+        // long stretches to the injector.
+        Rig { spec, sampling: Sampling { deadline_periods: 64.0, chunk: (512, 16_384) } }
     }
 }
 
@@ -241,7 +237,8 @@ pub(crate) fn cell_seed(base: u64, index: u64) -> u64 {
 fn matrix_group(rig: Rig, seed: u64, shards: u32, samples: u64) -> Group<Option<String>> {
     let shards = effective_shards(shards, samples);
     let budgets = split_samples(samples, shards);
-    let faults = std::iter::once(None).chain(rig.faults.iter().map(|f| Some(f.name.clone())));
+    let faults = rig.spec.faults.iter().map(|f| Some(f.name.clone()));
+    let faults = std::iter::once(None).chain(faults);
     let cells = faults
         .map(|fault| {
             budgets.iter().enumerate().map(|(w, b)| (w, b - b / 4, fault.clone())).collect()
@@ -276,7 +273,7 @@ pub(crate) fn run_matrix(
         (LatencySummary::from_histogram(&out.histogram), out.events, out.traces)
     });
     let cells = groups.iter().zip(outs).enumerate().flat_map(|(g, (group, outs))| {
-        let faults = group.rig.faults.iter().map(|f| f.name.clone());
+        let faults = group.rig.spec.faults.iter().map(|f| f.name.clone());
         let labels = std::iter::once("baseline".to_string()).chain(faults);
         labels.zip(outs).map(move |(fault, (summary, events, traces))| {
             (g, fault, summary, events, traces)
@@ -290,8 +287,7 @@ pub(crate) fn run_matrix(
 /// is the only variable.
 fn group_rig(cfg: &FaultMatrixConfig, g: usize, key: (MatrixPath, bool)) -> (u64, Rig) {
     let (path, shielded) = key;
-    let shield = shielded.then(|| ShieldPlan::cpu(MEASURED_CPU));
-    let rig = path.rig(KernelConfig::new(KernelVariant::RedHawk), shield, false);
+    let rig = path.rig(KernelConfig::new(KernelVariant::RedHawk), shielded);
     (cell_seed(cfg.seed, g as u64), rig)
 }
 
@@ -484,7 +480,7 @@ mod tests {
     #[test]
     fn forked_cell_is_bit_identical_to_continuing_the_warm_sim() {
         let seed = 0xFA17_5EED;
-        let rig = MatrixPath::Realfeel.rig(KernelConfig::new(KernelVariant::RedHawk), None, false);
+        let rig = MatrixPath::Realfeel.rig(KernelConfig::new(KernelVariant::RedHawk), false);
 
         let (mut warm, mut warm_armory, pid) = rig.build(seed);
         rig.collect(&mut warm, pid, 400);
@@ -495,7 +491,7 @@ mod tests {
         assert_eq!(fork_pid, pid);
         assert_eq!(fork.now(), warm.now());
 
-        let name = &rig.faults[0].name;
+        let name = &rig.spec.faults[0].name;
         warm_armory.arm(&mut warm, name).expect("arm warm");
         fork_armory.arm(&mut fork, name).expect("arm fork");
         rig.collect(&mut warm, pid, 1_200);

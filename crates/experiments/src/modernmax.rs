@@ -32,11 +32,11 @@
 //! flattened on the fleet pool, and every cell is bit-identical whatever the
 //! worker count.
 
-use crate::faultmatrix::{cell_seed, run_matrix, MatrixPath, MEASURED_CPU};
+use crate::faultmatrix::{cell_seed, run_matrix, MatrixPath};
+use crate::scenario::DeviceKind;
 use crate::study::Rig;
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
-use sp_core::ShieldPlan;
 use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
 use sp_metrics::LatencySummary;
 
@@ -96,14 +96,17 @@ impl ModernVariant {
     /// This variant's matrix rig for `path`: its kernel, its shield shape
     /// (see the module table) and, for `modern-all`, the PCIe RCIM card.
     fn rig(self, path: MatrixPath) -> Rig {
-        let plan = ShieldPlan::cpu(MEASURED_CPU);
-        let plan = match self {
-            ModernVariant::Classic24 | ModernVariant::ThreadedIrq => plan,
-            ModernVariant::NohzFull => plan.keep_local_timer(),
-            ModernVariant::KthreadIso => plan.fence_kthreads(),
-            ModernVariant::ModernAll => plan.keep_local_timer().fence_kthreads(),
-        };
-        path.rig(self.kernel_config(), Some(plan), self == ModernVariant::ModernAll)
+        let modern_all = self == ModernVariant::ModernAll;
+        let mut rig = path.rig(self.kernel_config(), true);
+        let shield = rig.spec.shield.as_mut().expect("every modern cell is shielded");
+        shield.keep_local_timer = modern_all || self == ModernVariant::NohzFull;
+        shield.fence_kthreads = modern_all || self == ModernVariant::KthreadIso;
+        for d in &mut rig.spec.devices {
+            if let DeviceKind::Rcim { pcie, .. } = &mut d.kind {
+                *pcie = modern_all;
+            }
+        }
+        rig
     }
 
     /// The RCIM bound this variant must close (realfeel is always < 1 ms).
@@ -356,7 +359,7 @@ mod tests {
             fork.restore(&ck);
             assert_eq!(fork.now(), warm.now(), "{}", variant.name());
 
-            let name = &rig.faults[0].name;
+            let name = &rig.spec.faults[0].name;
             warm_armory.arm(&mut warm, name).expect("arm warm");
             fork_armory.arm(&mut fork, name).expect("arm fork");
             rig.collect(&mut warm, pid, 900);

@@ -7,12 +7,12 @@
 //! ttcp stream over real Ethernet. On a shielded CPU the paper measures
 //! min 11 µs / avg 11.3 µs / max 27 µs over 59 million interrupts.
 
-use crate::study::{self, Rig, Sampling, Source};
+use crate::scenario::{MeasuredKind, ScenarioSpec, WaitApiSpec};
+use crate::study::{self, Rig, Sampling};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
-use sp_core::ShieldPlan;
 use sp_hw::CpuId;
-use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
+use sp_kernel::{KernelVariant, WorstCaseTrace};
 use sp_metrics::{CumulativeReport, LatencyHistogram, LatencySummary};
 
 /// Configuration of one RCIM-response run.
@@ -80,21 +80,23 @@ impl RcimConfig {
         }
     }
 
-    /// The measured-path rig: stress-kernel + X11perf + ttcp on the dual
-    /// 2 GHz P4, the ioctl waiter on the RCIM, and, when shielded, the waiter
-    /// and the RCIM interrupt bound into the fully shielded CPU.
+    /// The measured-path rig: the §6.3 testbed on this kernel and driver
+    /// and, when shielded, the waiter and the RCIM interrupt bound into the
+    /// fully shielded CPU.
     pub(crate) fn rig(&self) -> Rig {
-        let cpu = self.shield.map(CpuId);
-        let bkl_free = self.driver_bkl_free;
-        Rig {
-            kernel: KernelConfig::new(self.variant),
-            source: Source::Rcim { period: self.period, pcie: false, bkl_free },
-            task: "rcim-response",
-            cpu,
-            shield: cpu.map(ShieldPlan::cpu),
-            faults: Vec::new(),
-            sampling: Sampling { deadline_periods: 4.0, chunk: (1_024, 16_384) },
+        let period_us = self.period.as_ns() / 1_000;
+        debug_assert_eq!(Nanos::from_us(period_us), self.period, "RCIM period is whole µs");
+        let mut spec = ScenarioSpec {
+            kernel: self.variant,
+            ..ScenarioSpec::rcim_testbed("rcim-response", period_us)
+        };
+        if let MeasuredKind::IrqWait { api, .. } = &mut spec.measured[0].kind {
+            *api = WaitApiSpec::Ioctl { driver_bkl_free: self.driver_bkl_free };
         }
+        if let Some(cpu) = self.shield {
+            spec = spec.on_cpu(CpuId(cpu), true);
+        }
+        Rig { spec, sampling: Sampling { deadline_periods: 4.0, chunk: (1_024, 16_384) } }
     }
 }
 

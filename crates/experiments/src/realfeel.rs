@@ -7,11 +7,11 @@
 //! a fully shielded CPU (worst case 0.565 ms, dominated by the read() exit
 //! path's file-layer lock).
 
-use crate::study::{self, Rig, Sampling, Source};
+use crate::scenario::ScenarioSpec;
+use crate::study::{self, Rig, Sampling};
 use serde::{Deserialize, Serialize};
-use sp_core::ShieldPlan;
 use sp_hw::CpuId;
-use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
+use sp_kernel::{KernelVariant, WorstCaseTrace};
 use sp_metrics::{CumulativeReport, LatencyHistogram, LatencySummary};
 
 /// Configuration of one realfeel run.
@@ -86,20 +86,18 @@ impl RealfeelConfig {
         }
     }
 
-    /// The measured-path rig: stress-kernel load on the dual P3, realfeel
-    /// blocking in `read(/dev/rtc)`, and, when shielded, realfeel and the
-    /// RTC interrupt bound into the fully shielded CPU.
+    /// The measured-path rig: the §6.1 testbed on this kernel and, when
+    /// shielded, realfeel and the RTC interrupt bound into the fully
+    /// shielded CPU.
     pub(crate) fn rig(&self) -> Rig {
-        let cpu = self.shield.map(CpuId);
-        Rig {
-            kernel: KernelConfig::new(self.variant),
-            source: Source::Rtc { hz: self.rtc_hz },
-            task: "realfeel",
-            cpu,
-            shield: cpu.map(ShieldPlan::cpu),
-            faults: Vec::new(),
-            sampling: Sampling { deadline_periods: 4.0, chunk: (1_024, 32_768) },
+        let mut spec = ScenarioSpec {
+            kernel: self.variant,
+            ..ScenarioSpec::rtc_testbed("realfeel", self.rtc_hz)
+        };
+        if let Some(cpu) = self.shield {
+            spec = spec.on_cpu(CpuId(cpu), true);
         }
+        Rig { spec, sampling: Sampling { deadline_periods: 4.0, chunk: (1_024, 32_768) } }
     }
 }
 

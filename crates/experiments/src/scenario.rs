@@ -7,14 +7,15 @@
 use serde::{Deserialize, Serialize};
 use simcore::{DurationDist, Instant, Nanos};
 use sp_core::{ProcShield, ShieldFile, ShieldPlan};
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_hw::{CpuMask, MachineConfig};
+use sp_hw::{CpuId, CpuMask, MachineConfig};
 use sp_inject::{Armory, FaultKind, FaultSpec};
+use sp_kernel::devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
 use sp_kernel::{
     DeviceId, KernelConfig, KernelVariant, Op, Pid, Program, SchedPolicy, Simulator, TaskSpec,
     WaitApi,
 };
 use sp_metrics::{JitterSeries, JitterSummary, LatencyHistogram, LatencySummary};
+use sp_workloads::StressDevices;
 use std::collections::HashMap;
 
 /// A complete experiment description.
@@ -72,8 +73,16 @@ pub struct DeviceSpec {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "type")]
 pub enum DeviceKind {
+    /// `/dev/rtc` periodic interrupts at `hz`, a power of two in 2..=8192.
     Rtc { hz: u32 },
-    Rcim { period_us: u64 },
+    /// The RCIM periodic timer, every `period_us` (at least 10 µs). `pcie`
+    /// fits the modern PCIe-attached card, whose acks take tens of
+    /// nanoseconds.
+    Rcim {
+        period_us: u64,
+        #[serde(default)]
+        pcie: bool,
+    },
     Nic { external: Option<OnOffPoisson> },
     Disk,
     GpuX11perf,
@@ -124,6 +133,10 @@ pub struct ShieldSpec {
     pub cpus: String,
     #[serde(default)]
     pub keep_local_timer: bool,
+    /// Also fence housekeeping-kthread work off the shielded CPUs
+    /// (`/proc/shield/kthreads`); a no-op on kernels without `kthread_iso`.
+    #[serde(default)]
+    pub fence_kthreads: bool,
     /// Measured-task names to bind into the shield.
     #[serde(default)]
     pub bind_tasks: Vec<String>,
@@ -231,6 +244,8 @@ pub enum ScenarioError {
     /// or `run_secs` itself is not a positive length the clock can hold.
     BadTime(String),
     DuplicateName(String),
+    /// A device's parameters are outside what its model accepts.
+    BadDevice { device: String, why: String },
     Kernel(String),
     /// Fault registration or arming failed.
     Inject(String),
@@ -250,6 +265,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::BadPath(p) => write!(f, "'{p}' is not a /proc/shield file"),
             ScenarioError::BadTime(t) => write!(f, "time {t} outside the run"),
             ScenarioError::DuplicateName(n) => write!(f, "duplicate name '{n}'"),
+            ScenarioError::BadDevice { device, why } => write!(f, "device '{device}': {why}"),
             ScenarioError::Kernel(e) => write!(f, "{e}"),
             ScenarioError::Inject(e) => write!(f, "{e}"),
             ScenarioError::Empty(what) => write!(f, "scenario has no {what}"),
@@ -264,12 +280,18 @@ fn parse_mask(s: &str) -> Result<CpuMask, ScenarioError> {
 }
 
 /// Static spec validation, run before any simulation is built. Catches what
-/// used to surface as confusing mid-run errors: affinity masks naming
-/// offline CPUs, dangling fault/device/task names in the timeline, times
-/// outside the run, bad `/proc/shield` paths.
+/// used to surface as confusing mid-run errors or panics inside the
+/// simulator: an invalid machine or kernel config, device parameters the
+/// models reject, affinity masks naming offline CPUs, dangling
+/// fault/device/task names in the timeline, times outside the run, bad
+/// `/proc/shield` paths.
 pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
     if spec.measured.is_empty() {
         return Err(ScenarioError::Empty("measured tasks"));
+    }
+    spec.machine.validate().map_err(ScenarioError::Kernel)?;
+    if let Some(kernel) = &spec.kernel_overrides {
+        kernel.validate().map_err(ScenarioError::Kernel)?;
     }
     let online = spec.machine.online_mask();
     let check_online = |what: String, s: &str| -> Result<CpuMask, ScenarioError> {
@@ -300,6 +322,18 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
         }
     }
     for d in &spec.devices {
+        let why = match d.kind {
+            DeviceKind::Rtc { hz } if !(hz.is_power_of_two() && (2..=8192).contains(&hz)) => {
+                Some(format!("RTC rate {hz} Hz is not a power of two in 2..=8192"))
+            }
+            DeviceKind::Rcim { period_us, .. } if period_us < 10 => {
+                Some(format!("RCIM period {period_us} µs is under 10 µs"))
+            }
+            _ => None,
+        };
+        if let Some(why) = why {
+            return Err(ScenarioError::BadDevice { device: d.name.clone(), why });
+        }
         if let Some(aff) = &d.irq_affinity {
             let mask = check_online(format!("device '{}' irq affinity", d.name), aff)?;
             if mask.is_empty() {
@@ -376,132 +410,152 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// Build and run the scenario to completion.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
-    validate(spec)?;
-    let kcfg = spec.kernel_overrides.clone().unwrap_or_else(|| KernelConfig::new(spec.kernel));
-    let mut sim = Simulator::new(spec.machine.clone(), kcfg, spec.seed);
+/// A scenario's simulator, assembled, started and shielded: what
+/// [`ScenarioSpec::build`] returns.
+pub struct Built {
+    pub sim: Simulator,
+    /// The spec's fault injectors, registered and disarmed.
+    pub armory: Armory,
+    /// Each device's id, by its spec name.
+    pub devices: HashMap<String, DeviceId>,
+    /// Each measured task's pid, by its spec name.
+    pub tasks: HashMap<String, Pid>,
+}
 
-    // Devices.
-    let mut devices: HashMap<String, DeviceId> = HashMap::new();
-    for d in &spec.devices {
-        let id = match &d.kind {
-            DeviceKind::Rtc { hz } => sim.add_device(RtcDevice::new(*hz)),
-            DeviceKind::Rcim { period_us } => {
-                sim.add_device(RcimDevice::new(Nanos::from_us(*period_us)))
+impl ScenarioSpec {
+    /// Validate the spec and assemble it on `seed` (the spec's own `seed` is
+    /// not read): the simulator, its devices, the background workloads, the
+    /// faults (registered disarmed), the measured tasks (watched); then
+    /// start it, apply each device's IRQ affinity and the shield. Every
+    /// measured simulation in this crate except the autopilot's request
+    /// plant is assembled here. Two builds of one spec on one seed are
+    /// interchangeable, the property warm-checkpoint forking relies on.
+    pub fn build(&self, seed: u64) -> Result<Built, ScenarioError> {
+        validate(self)?;
+        let kernel =
+            self.kernel_overrides.clone().unwrap_or_else(|| KernelConfig::new(self.kernel));
+        let mut sim = Simulator::new(self.machine.clone(), kernel, seed);
+
+        let mut devices: HashMap<String, DeviceId> = HashMap::new();
+        for d in &self.devices {
+            let id = match &d.kind {
+                DeviceKind::Rtc { hz } => sim.add_device(RtcDevice::new(*hz)),
+                DeviceKind::Rcim { period_us, pcie: false } => {
+                    sim.add_device(RcimDevice::new(Nanos::from_us(*period_us)))
+                }
+                DeviceKind::Rcim { period_us, pcie: true } => {
+                    sim.add_device(RcimDevice::modern(Nanos::from_us(*period_us)))
+                }
+                DeviceKind::Nic { external } => sim.add_device(NicDevice::new(external.clone())),
+                DeviceKind::Disk => sim.add_device(DiskDevice::new()),
+                DeviceKind::GpuX11perf => sim.add_device(GpuDevice::x11perf()),
+            };
+            if devices.insert(d.name.clone(), id).is_some() {
+                return Err(ScenarioError::DuplicateName(d.name.clone()));
             }
-            DeviceKind::Nic { external } => {
-                sim.add_device(NicDevice::new(external.clone()))
-            }
-            DeviceKind::Disk => sim.add_device(DiskDevice::new()),
-            DeviceKind::GpuX11perf => sim.add_device(GpuDevice::x11perf()),
+        }
+        let lookup = |name: &str| {
+            devices.get(name).copied().ok_or_else(|| ScenarioError::UnknownDevice(name.to_string()))
         };
-        if devices.insert(d.name.clone(), id).is_some() {
-            return Err(ScenarioError::DuplicateName(d.name.clone()));
-        }
-    }
-    let lookup = |devices: &HashMap<String, DeviceId>, name: &str| {
-        devices.get(name).copied().ok_or_else(|| ScenarioError::UnknownDevice(name.to_string()))
-    };
 
-    // Faults: device injectors register (disarmed) before start; task faults
-    // wait for their arming action.
-    let mut armory = Armory::new();
-    for f in &spec.faults {
-        armory.register(&mut sim, f).map_err(|e| ScenarioError::Inject(e.to_string()))?;
-    }
-
-    // Workloads.
-    for w in &spec.workloads {
-        match w {
-            WorkloadSpec::StressKernel { nic, disk } => {
-                let nic = lookup(&devices, nic)?;
-                let disk = lookup(&devices, disk)?;
-                sp_workloads::stress_kernel(&mut sim, sp_workloads::StressDevices { nic, disk });
-            }
-            WorkloadSpec::ScpReceiver { disk } => {
-                let disk = lookup(&devices, disk)?;
-                sp_workloads::scp_receiver(&mut sim, disk);
-            }
-            WorkloadSpec::Disknoise { disk } => {
-                let disk = lookup(&devices, disk)?;
-                sp_workloads::disknoise(&mut sim, disk);
-            }
-            WorkloadSpec::X11perfDriver => {
-                sp_workloads::x11perf_driver(&mut sim);
-            }
-        }
-    }
-
-    // Measured tasks.
-    let mut measured: HashMap<String, (Pid, MeasuredKind)> = HashMap::new();
-    let mut measured_irqs: HashMap<String, DeviceId> = HashMap::new();
-    for m in &spec.measured {
-        let program = match &m.kind {
-            MeasuredKind::IrqWait { device, api } => {
-                let dev = lookup(&devices, device)?;
-                measured_irqs.insert(m.name.clone(), dev);
-                let api = match api {
-                    WaitApiSpec::Read => WaitApi::ReadDevice,
-                    WaitApiSpec::Ioctl { driver_bkl_free } => {
-                        WaitApi::IoctlWait { driver_bkl_free: *driver_bkl_free }
-                    }
-                };
-                Program::forever(vec![Op::WaitIrq { device: dev, api }])
-            }
-            MeasuredKind::Loop { work_ms } => Program::forever(vec![
-                Op::MarkLap,
-                Op::Compute(DurationDist::constant(Nanos::from_ms(*work_ms))),
-            ]),
-        };
-        let mut task =
-            TaskSpec::new(m.name.clone(), SchedPolicy::fifo(m.rt_prio), program).mlockall();
-        if let Some(pin) = &m.pin {
-            task = task.pinned(parse_mask(pin)?);
-        }
-        let pid = sim.spawn(task);
-        match m.kind {
-            MeasuredKind::IrqWait { .. } => {
-                sim.watch_latency(pid);
-                // The transient computation needs each sample's timestamp.
-                if spec.transient.as_ref().is_some_and(|t| t.task == m.name) {
-                    sim.watch_latency_times(pid);
+        for w in &self.workloads {
+            match w {
+                WorkloadSpec::StressKernel { nic, disk } => {
+                    let devs = StressDevices { nic: lookup(nic)?, disk: lookup(disk)? };
+                    sp_workloads::stress_kernel(&mut sim, devs);
+                }
+                WorkloadSpec::ScpReceiver { disk } => {
+                    sp_workloads::scp_receiver(&mut sim, lookup(disk)?);
+                }
+                WorkloadSpec::Disknoise { disk } => {
+                    sp_workloads::disknoise(&mut sim, lookup(disk)?);
+                }
+                WorkloadSpec::X11perfDriver => {
+                    sp_workloads::x11perf_driver(&mut sim);
                 }
             }
-            MeasuredKind::Loop { .. } => sim.watch_laps(pid),
         }
-        if measured.insert(m.name.clone(), (pid, m.kind.clone())).is_some() {
-            return Err(ScenarioError::DuplicateName(m.name.clone()));
-        }
-    }
 
-    sim.start();
+        // Device injectors register (disarmed) before start; task faults
+        // wait for their arming action. A disarmed injector schedules no
+        // events, so it costs the hot loop nothing.
+        let mut armory = Armory::new();
+        for f in &self.faults {
+            armory.register(&mut sim, f).map_err(|e| ScenarioError::Inject(e.to_string()))?;
+        }
 
-    // Per-device IRQ affinity (before the shield plan, which may re-bind).
-    for d in &spec.devices {
-        if let Some(aff) = &d.irq_affinity {
-            sim.set_irq_affinity(devices[&d.name], parse_mask(aff)?)
-                .map_err(ScenarioError::Kernel)?;
+        let mut tasks: HashMap<String, Pid> = HashMap::new();
+        for m in &self.measured {
+            let program = match &m.kind {
+                MeasuredKind::IrqWait { device, api } => {
+                    let api = match api {
+                        WaitApiSpec::Read => WaitApi::ReadDevice,
+                        WaitApiSpec::Ioctl { driver_bkl_free } => {
+                            WaitApi::IoctlWait { driver_bkl_free: *driver_bkl_free }
+                        }
+                    };
+                    Program::forever(vec![Op::WaitIrq { device: lookup(device)?, api }])
+                }
+                MeasuredKind::Loop { work_ms } => Program::forever(vec![
+                    Op::MarkLap,
+                    Op::Compute(DurationDist::constant(Nanos::from_ms(*work_ms))),
+                ]),
+            };
+            let mut task =
+                TaskSpec::new(m.name.clone(), SchedPolicy::fifo(m.rt_prio), program).mlockall();
+            if let Some(pin) = &m.pin {
+                task = task.pinned(parse_mask(pin)?);
+            }
+            let pid = sim.spawn(task);
+            match m.kind {
+                MeasuredKind::IrqWait { .. } => {
+                    sim.watch_latency(pid);
+                    // The transient computation needs each sample's timestamp.
+                    if self.transient.as_ref().is_some_and(|t| t.task == m.name) {
+                        sim.watch_latency_times(pid);
+                    }
+                }
+                MeasuredKind::Loop { .. } => sim.watch_laps(pid),
+            }
+            if tasks.insert(m.name.clone(), pid).is_some() {
+                return Err(ScenarioError::DuplicateName(m.name.clone()));
+            }
         }
-    }
 
-    // Shield.
-    if let Some(sh) = &spec.shield {
-        let mask = parse_mask(&sh.cpus)?;
-        let mut plan = ShieldPlan::full(mask);
-        if sh.keep_local_timer {
-            plan = plan.keep_local_timer();
+        sim.start();
+
+        // Per-device IRQ affinity (before the shield plan, which may re-bind).
+        for d in &self.devices {
+            if let Some(aff) = &d.irq_affinity {
+                sim.set_irq_affinity(devices[&d.name], parse_mask(aff)?)
+                    .map_err(ScenarioError::Kernel)?;
+            }
         }
-        for name in &sh.bind_tasks {
-            let (pid, _) =
-                measured.get(name).ok_or_else(|| ScenarioError::UnknownTask(name.clone()))?;
-            plan = plan.bind_task(*pid);
+
+        if let Some(sh) = &self.shield {
+            let mut plan = ShieldPlan::full(parse_mask(&sh.cpus)?);
+            if sh.keep_local_timer {
+                plan = plan.keep_local_timer();
+            }
+            if sh.fence_kthreads {
+                plan = plan.fence_kthreads();
+            }
+            for name in &sh.bind_tasks {
+                let pid = tasks.get(name).ok_or_else(|| ScenarioError::UnknownTask(name.clone()))?;
+                plan = plan.bind_task(*pid);
+            }
+            for name in &sh.bind_irqs {
+                plan = plan.bind_irq(lookup(name)?);
+            }
+            plan.apply(&mut sim).map_err(|e| ScenarioError::Kernel(e.to_string()))?;
         }
-        for name in &sh.bind_irqs {
-            plan = plan.bind_irq(lookup(&devices, name)?);
-        }
-        plan.apply(&mut sim).map_err(|e| ScenarioError::Kernel(e.to_string()))?;
+        Ok(Built { sim, armory, devices, tasks })
     }
+}
+
+/// Build the scenario on its seed and run it to completion.
+pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
+    let Built { mut sim, mut armory, devices, tasks } = spec.build(spec.seed)?;
 
     // Run, pausing at each timeline action (time order; ties in listed
     // order via stable sort).
@@ -511,30 +565,31 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
     actions.sort_by(|a, b| a.at_secs.partial_cmp(&b.at_secs).expect("validated finite"));
     for ta in actions {
         sim.run_until(t0 + Nanos::from_secs_f64(ta.at_secs));
-        apply_action(&mut sim, &mut armory, &devices, &measured, &ta.action)?;
+        apply_action(&mut sim, &mut armory, &devices, &tasks, &ta.action)?;
     }
     sim.run_until(t_end);
 
     // Collect.
     let mut results = HashMap::new();
-    for (name, (pid, kind)) in &measured {
-        let result = match kind {
+    for m in &spec.measured {
+        let pid = tasks[&m.name];
+        let result = match m.kind {
             MeasuredKind::IrqWait { .. } => {
-                let h: LatencyHistogram = sim.obs.latencies(*pid).iter().copied().collect();
+                let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
                 MeasuredResult::Latency { summary: LatencySummary::from_histogram(&h), histogram: h }
             }
             MeasuredKind::Loop { .. } => {
                 let mut series = JitterSeries::new();
-                for d in sim.obs.lap_durations(*pid) {
+                for d in sim.obs.lap_durations(pid) {
                     series.record(d);
                 }
                 MeasuredResult::Jitter { summary: series.summary() }
             }
         };
-        results.insert(name.clone(), result);
+        results.insert(m.name.clone(), result);
     }
     let recovery = spec.transient.as_ref().map(|t| {
-        let (pid, _) = measured[&t.task];
+        let pid = tasks[&t.task];
         compute_recovery(t, t0, sim.obs.latencies(pid), sim.obs.latency_times(pid))
     });
     Ok(ScenarioReport {
@@ -549,7 +604,7 @@ fn apply_action(
     sim: &mut Simulator,
     armory: &mut Armory,
     devices: &HashMap<String, DeviceId>,
-    measured: &HashMap<String, (Pid, MeasuredKind)>,
+    tasks: &HashMap<String, Pid>,
     action: &ActionKind,
 ) -> Result<(), ScenarioError> {
     let inject = |e: sp_inject::InjectError| ScenarioError::Inject(e.to_string());
@@ -573,8 +628,7 @@ fn apply_action(
             sim.set_irq_affinity(dev, parse_mask(mask)?).map_err(ScenarioError::Kernel)
         }
         ActionKind::SetTaskAffinity { task, mask } => {
-            let (pid, _) =
-                measured.get(task).ok_or_else(|| ScenarioError::UnknownTask(task.clone()))?;
+            let pid = tasks.get(task).ok_or_else(|| ScenarioError::UnknownTask(task.clone()))?;
             sim.set_task_affinity(*pid, parse_mask(mask)?).map_err(ScenarioError::Kernel)
         }
     }
@@ -627,54 +681,149 @@ pub(crate) fn compute_recovery(
     }
 }
 
+fn device(name: &str, kind: DeviceKind) -> DeviceSpec {
+    DeviceSpec { name: name.into(), kind, irq_affinity: None }
+}
+
+/// One testbed of the paper: `task` (SCHED_FIFO 90, mlocked) on the RedHawk
+/// kernel, unpinned and unshielded, with no faults or timeline, for one
+/// simulated second.
+fn testbed(
+    name: &str,
+    machine: MachineConfig,
+    devices: Vec<DeviceSpec>,
+    workloads: Vec<WorkloadSpec>,
+    task: &str,
+    kind: MeasuredKind,
+) -> ScenarioSpec {
+    ScenarioSpec {
+        name: name.into(),
+        seed: default_seed(),
+        machine,
+        kernel: KernelVariant::RedHawk,
+        kernel_overrides: None,
+        devices,
+        workloads,
+        measured: vec![MeasuredSpec { name: task.into(), rt_prio: 90, kind, pin: None }],
+        shield: None,
+        faults: vec![],
+        timeline: vec![],
+        transient: None,
+        run_secs: 1.0,
+    }
+}
+
+fn stress_kernel() -> WorkloadSpec {
+    WorkloadSpec::StressKernel { nic: "eth0".into(), disk: "sda".into() }
+}
+
+impl ScenarioSpec {
+    /// The §6.1 testbed (Figures 5 and 6): the dual 933 MHz P3 under
+    /// stress-kernel, with `task` blocking in `read(/dev/rtc)` on the RTC's
+    /// periodic interrupt at `hz`. There is no generated Ethernet load, but
+    /// the box stays on a live network segment handling broadcast traffic.
+    pub fn rtc_testbed(task: &str, hz: u32) -> Self {
+        let broadcast = OnOffPoisson::continuous(Nanos::from_ms(20));
+        testbed(
+            "rtc-testbed",
+            MachineConfig::dual_xeon_p3(),
+            vec![
+                device("rtc", DeviceKind::Rtc { hz }),
+                device("eth0", DeviceKind::Nic { external: Some(broadcast) }),
+                device("sda", DeviceKind::Disk),
+            ],
+            vec![stress_kernel()],
+            task,
+            MeasuredKind::IrqWait { device: "rtc".into(), api: WaitApiSpec::Read },
+        )
+    }
+
+    /// The §6.3 testbed (Figure 7): the dual 2 GHz P4 under stress-kernel,
+    /// X11perf on the console and a ttcp stream over real 10BaseT Ethernet,
+    /// with `task` blocking in the RCIM driver's BKL-free `ioctl()` on the
+    /// card's periodic timer every `period_us`.
+    pub fn rcim_testbed(task: &str, period_us: u64) -> Self {
+        let ttcp = sp_workloads::ttcp_ethernet_profile();
+        testbed(
+            "rcim-testbed",
+            MachineConfig::dual_xeon_p4_2ghz(),
+            vec![
+                device("rcim", DeviceKind::Rcim { period_us, pcie: false }),
+                device("eth0", DeviceKind::Nic { external: Some(ttcp) }),
+                device("sda", DeviceKind::Disk),
+                device("gpu", DeviceKind::GpuX11perf),
+            ],
+            vec![stress_kernel(), WorkloadSpec::X11perfDriver],
+            task,
+            MeasuredKind::IrqWait {
+                device: "rcim".into(),
+                api: WaitApiSpec::Ioctl { driver_bkl_free: true },
+            },
+        )
+    }
+
+    /// The §5.1 testbed (Figures 1–4): the dual 1.4 GHz P4 (hyperthreading
+    /// as given) receiving a looping `scp` while `disknoise` runs, with
+    /// `task` timing a `work_ms` CPU-bound loop.
+    pub fn scp_testbed(hyperthreading: bool, task: &str, work_ms: u64) -> Self {
+        let scp = sp_workloads::scp_nic_profile();
+        testbed(
+            "scp-testbed",
+            MachineConfig::dual_xeon_p4(hyperthreading),
+            vec![
+                device("eth0", DeviceKind::Nic { external: Some(scp) }),
+                device("sda", DeviceKind::Disk),
+            ],
+            vec![
+                WorkloadSpec::ScpReceiver { disk: "sda".into() },
+                WorkloadSpec::Disknoise { disk: "sda".into() },
+            ],
+            task,
+            MeasuredKind::Loop { work_ms },
+        )
+    }
+
+    /// Pin every measured task to `cpu`. With `shield`, also shield `cpu`
+    /// fully and bind the tasks and the interrupts they wait on into it;
+    /// without, route those interrupts to `cpu` at start.
+    pub fn on_cpu(mut self, cpu: CpuId, shield: bool) -> Self {
+        let mask = CpuMask::single(cpu).to_string();
+        let irqs: Vec<String> = self
+            .measured
+            .iter()
+            .filter_map(|m| match &m.kind {
+                MeasuredKind::IrqWait { device, .. } => Some(device.clone()),
+                MeasuredKind::Loop { .. } => None,
+            })
+            .collect();
+        for m in &mut self.measured {
+            m.pin = Some(mask.clone());
+        }
+        if shield {
+            self.shield = Some(ShieldSpec {
+                cpus: mask,
+                keep_local_timer: false,
+                fence_kthreads: false,
+                bind_tasks: self.measured.iter().map(|m| m.name.clone()).collect(),
+                bind_irqs: irqs,
+            });
+        } else {
+            for d in self.devices.iter_mut().filter(|d| irqs.contains(&d.name)) {
+                d.irq_affinity = Some(mask.clone());
+            }
+        }
+        self
+    }
+}
+
 /// A ready-made spec reproducing the Figure 7 setup — also the reference
 /// example for the JSON schema (`examples/scenarios/fig7.json`).
 pub fn fig7_scenario() -> ScenarioSpec {
     ScenarioSpec {
         name: "fig7-rcim-shielded".into(),
         seed: 7,
-        machine: MachineConfig::dual_xeon_p4_2ghz(),
-        kernel: KernelVariant::RedHawk,
-        kernel_overrides: None,
-        devices: vec![
-            DeviceSpec {
-                name: "rcim".into(),
-                kind: DeviceKind::Rcim { period_us: 1_000 },
-                irq_affinity: None,
-            },
-            DeviceSpec {
-                name: "eth0".into(),
-                kind: DeviceKind::Nic {
-                    external: Some(sp_workloads::ttcp_ethernet_profile()),
-                },
-                irq_affinity: None,
-            },
-            DeviceSpec { name: "sda".into(), kind: DeviceKind::Disk, irq_affinity: None },
-            DeviceSpec { name: "gpu".into(), kind: DeviceKind::GpuX11perf, irq_affinity: None },
-        ],
-        workloads: vec![
-            WorkloadSpec::StressKernel { nic: "eth0".into(), disk: "sda".into() },
-            WorkloadSpec::X11perfDriver,
-        ],
-        measured: vec![MeasuredSpec {
-            name: "rcim-response".into(),
-            rt_prio: 90,
-            kind: MeasuredKind::IrqWait {
-                device: "rcim".into(),
-                api: WaitApiSpec::Ioctl { driver_bkl_free: true },
-            },
-            pin: Some("2".into()),
-        }],
-        shield: Some(ShieldSpec {
-            cpus: "2".into(),
-            keep_local_timer: false,
-            bind_tasks: vec!["rcim-response".into()],
-            bind_irqs: vec!["rcim".into()],
-        }),
-        faults: vec![],
-        timeline: vec![],
-        transient: None,
         run_secs: 10.0,
+        ..ScenarioSpec::rcim_testbed("rcim-response", 1_000).on_cpu(CpuId(1), true)
     }
 }
 
@@ -686,32 +835,6 @@ pub fn irq_storm_scenario() -> ScenarioSpec {
     ScenarioSpec {
         name: "irq-storm-unshielded".into(),
         seed: 0x57a0_1234,
-        machine: MachineConfig::dual_xeon_p3(),
-        kernel: KernelVariant::RedHawk,
-        kernel_overrides: None,
-        devices: vec![
-            DeviceSpec {
-                name: "rtc".into(),
-                kind: DeviceKind::Rtc { hz: 2048 },
-                irq_affinity: Some("2".into()),
-            },
-            DeviceSpec {
-                name: "eth0".into(),
-                kind: DeviceKind::Nic {
-                    external: Some(OnOffPoisson::continuous(Nanos::from_ms(20))),
-                },
-                irq_affinity: None,
-            },
-            DeviceSpec { name: "sda".into(), kind: DeviceKind::Disk, irq_affinity: None },
-        ],
-        workloads: vec![WorkloadSpec::StressKernel { nic: "eth0".into(), disk: "sda".into() }],
-        measured: vec![MeasuredSpec {
-            name: "realfeel".into(),
-            rt_prio: 90,
-            kind: MeasuredKind::IrqWait { device: "rtc".into(), api: WaitApiSpec::Read },
-            pin: Some("2".into()),
-        }],
-        shield: None,
         faults: vec![FaultSpec {
             name: "storm".into(),
             kind: FaultKind::IrqStorm { line: sp_inject::INJECT_LINE_BASE, rate_hz: 8_000.0 },
@@ -720,8 +843,8 @@ pub fn irq_storm_scenario() -> ScenarioSpec {
             TimedAction { at_secs: 0.5, action: ActionKind::Arm { fault: "storm".into() } },
             TimedAction { at_secs: 2.0, action: ActionKind::Disarm { fault: "storm".into() } },
         ],
-        transient: None,
         run_secs: 2.5,
+        ..ScenarioSpec::rtc_testbed("realfeel", 2048).on_cpu(CpuId(1), false)
     }
 }
 
@@ -731,72 +854,22 @@ pub fn irq_storm_scenario() -> ScenarioSpec {
 /// 30 µs bound holds again is measured
 /// (`examples/scenarios/reshield_transient.json`).
 pub fn reshield_transient_scenario() -> ScenarioSpec {
+    let shield_write = |file: &str| {
+        let path = format!("/proc/shield/{file}");
+        TimedAction { at_secs: 1.0, action: ActionKind::ProcShieldWrite { path, mask: "2".into() } }
+    };
     ScenarioSpec {
         name: "reshield-transient".into(),
         seed: 0x7e5_111d,
-        machine: MachineConfig::dual_xeon_p4_2ghz(),
-        kernel: KernelVariant::RedHawk,
-        kernel_overrides: None,
-        devices: vec![
-            DeviceSpec {
-                name: "rcim".into(),
-                kind: DeviceKind::Rcim { period_us: 1_000 },
-                // Bound to CPU 1 from the start: a mask fully inside the
-                // later shield is kept, so the measured interrupt keeps
-                // flowing after the reshield.
-                irq_affinity: Some("2".into()),
-            },
-            DeviceSpec {
-                name: "eth0".into(),
-                kind: DeviceKind::Nic {
-                    external: Some(sp_workloads::ttcp_ethernet_profile()),
-                },
-                irq_affinity: None,
-            },
-            DeviceSpec { name: "sda".into(), kind: DeviceKind::Disk, irq_affinity: None },
-            DeviceSpec { name: "gpu".into(), kind: DeviceKind::GpuX11perf, irq_affinity: None },
-        ],
-        workloads: vec![
-            WorkloadSpec::StressKernel { nic: "eth0".into(), disk: "sda".into() },
-            WorkloadSpec::X11perfDriver,
-        ],
-        measured: vec![MeasuredSpec {
-            name: "rcim-response".into(),
-            rt_prio: 90,
-            kind: MeasuredKind::IrqWait {
-                device: "rcim".into(),
-                api: WaitApiSpec::Ioctl { driver_bkl_free: true },
-            },
-            pin: Some("2".into()),
-        }],
-        shield: None,
         faults: vec![FaultSpec {
             name: "storm".into(),
             kind: FaultKind::IrqStorm { line: sp_inject::INJECT_LINE_BASE, rate_hz: 4_000.0 },
         }],
         timeline: vec![
             TimedAction { at_secs: 0.0, action: ActionKind::Arm { fault: "storm".into() } },
-            TimedAction {
-                at_secs: 1.0,
-                action: ActionKind::ProcShieldWrite {
-                    path: "/proc/shield/procs".into(),
-                    mask: "2".into(),
-                },
-            },
-            TimedAction {
-                at_secs: 1.0,
-                action: ActionKind::ProcShieldWrite {
-                    path: "/proc/shield/irqs".into(),
-                    mask: "2".into(),
-                },
-            },
-            TimedAction {
-                at_secs: 1.0,
-                action: ActionKind::ProcShieldWrite {
-                    path: "/proc/shield/ltmrs".into(),
-                    mask: "2".into(),
-                },
-            },
+            shield_write("procs"),
+            shield_write("irqs"),
+            shield_write("ltmrs"),
         ],
         transient: Some(TransientSpec {
             task: "rcim-response".into(),
@@ -805,6 +878,10 @@ pub fn reshield_transient_scenario() -> ScenarioSpec {
             settle: 50,
         }),
         run_secs: 2.5,
+        // The RCIM interrupt is bound to CPU 1 from the start: a mask fully
+        // inside the later shield is kept, so the measured interrupt keeps
+        // flowing after the reshield.
+        ..ScenarioSpec::rcim_testbed("rcim-response", 1_000).on_cpu(CpuId(1), false)
     }
 }
 
@@ -886,6 +963,7 @@ mod tests {
             shield: Some(ShieldSpec {
                 cpus: "2".into(),
                 keep_local_timer: false,
+                fence_kthreads: false,
                 bind_tasks: vec!["loop".into()],
                 bind_irqs: vec![],
             }),
@@ -964,6 +1042,50 @@ mod tests {
         assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::UnknownTask("nobody".into())));
     }
 
+    // Device parameters the models reject, and machine or kernel configs the
+    // simulator rejects, are typed errors rather than panics mid-build.
+    #[test]
+    fn bad_rtc_rates_are_rejected() {
+        let mut spec = irq_storm_scenario();
+        spec.devices[0].kind = DeviceKind::Rtc { hz: 1000 };
+        assert!(matches!(
+            run_scenario(&spec).err(),
+            Some(ScenarioError::BadDevice { device, .. }) if device == "rtc"
+        ));
+    }
+
+    #[test]
+    fn rcim_periods_under_ten_microseconds_are_rejected() {
+        let mut spec = fig7_scenario();
+        spec.devices[0].kind = DeviceKind::Rcim { period_us: 5, pcie: false };
+        assert!(matches!(
+            run_scenario(&spec).err(),
+            Some(ScenarioError::BadDevice { device, .. }) if device == "rcim"
+        ));
+    }
+
+    #[test]
+    fn invalid_machines_are_rejected() {
+        // No pins or masks, so no offline-CPU check can catch it first.
+        let mut spec = ScenarioSpec::rtc_testbed("realfeel", 2048);
+        spec.machine.physical_cores = 0;
+        assert_eq!(
+            run_scenario(&spec).err(),
+            Some(ScenarioError::Kernel("machine needs at least one core".into()))
+        );
+    }
+
+    #[test]
+    fn invalid_kernel_overrides_are_rejected() {
+        let mut spec = fig7_scenario();
+        spec.kernel_overrides =
+            Some(KernelConfig { local_timer_hz: 0, ..KernelConfig::new(spec.kernel) });
+        assert_eq!(
+            run_scenario(&spec).err(),
+            Some(ScenarioError::Kernel("local timer frequency must be positive".into()))
+        );
+    }
+
     #[test]
     fn irq_storm_timeline_degrades_the_unshielded_waiter() {
         let spec = irq_storm_scenario();
@@ -1017,6 +1139,7 @@ mod tests {
     #[test]
     fn example_scenario_files_match_the_builders() {
         for (file, spec) in [
+            ("fig7.json", fig7_scenario()),
             ("irq_storm.json", irq_storm_scenario()),
             ("reshield_transient.json", reshield_transient_scenario()),
         ] {

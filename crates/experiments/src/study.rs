@@ -2,8 +2,8 @@
 //! RCIM `ioctl()` waiter (Figure 7), as run by the figures, both fault
 //! matrices and the sweep. It owns the three decisions they share:
 //!
-//! 1. **Assembly** — a [`Rig`] is everything that shapes a measured
-//!    simulation except its seed, and [`Rig::build`] is the one builder.
+//! 1. **Assembly** — a [`Rig`] is a [`ScenarioSpec`] plus its sampling, and
+//!    [`Rig::build`] goes through [`ScenarioSpec::build`], the one builder.
 //! 2. **Sampling** — [`Rig::collect`] is the one sample-collection loop; its
 //!    [`Sampling`] data decides where `run_for` stops, so it decides the
 //!    histogram.
@@ -13,46 +13,17 @@
 //!    the first fork of that checkpoint. The per-fork step is the caller's:
 //!    [`reseed`] for shards and sweep cells, a fault arm for matrix cells.
 
+use crate::scenario::{DeviceKind, MeasuredKind, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
-use sp_fleet::run_indexed;
 use simcore::Nanos;
-use sp_core::ShieldPlan;
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_inject::{Armory, FaultSpec};
-use sp_kernel::devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_kernel::{
-    Checkpoint, KernelConfig, Op, Pid, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
+use sp_fleet::run_indexed;
+use sp_inject::Armory;
+use sp_kernel::{Checkpoint, Pid, Simulator, WorstCaseTrace};
 use sp_metrics::LatencyHistogram;
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
-
-/// The measured interrupt source. It also fixes the machine and the
-/// background load, as in the paper: each path has its own testbed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Source {
-    /// §6.1: RTC periodic interrupts at `hz`, waited on with `read()`, on
-    /// the dual P3 under stress-kernel.
-    Rtc { hz: u32 },
-    /// §6.3: the RCIM periodic timer, waited on with `ioctl()`, on the dual
-    /// 2 GHz P4 under stress-kernel, X11perf and a ttcp stream. `pcie` swaps
-    /// in the modern PCIe-attached card.
-    Rcim { period: Nanos, pcie: bool, bkl_free: bool },
-}
-
-impl Source {
-    /// One interrupt period; a healthy waiter samples once per period.
-    fn period(self) -> Nanos {
-        match self {
-            Source::Rtc { hz } => Nanos(1_000_000_000 / hz as u64),
-            Source::Rcim { period, .. } => period,
-        }
-    }
-}
 
 /// Where [`Rig::collect`] stops. The starvation deadline is
-/// `deadline_periods` source periods per requested sample, counted from the
-/// call; each `run_for` chunk covers the remaining samples' periods,
+/// `deadline_periods` interrupt periods per requested sample, counted from
+/// the call; each `run_for` chunk covers the remaining samples' periods,
 /// clamped to `chunk`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sampling {
@@ -60,24 +31,15 @@ pub(crate) struct Sampling {
     pub(crate) chunk: (u64, u64),
 }
 
-/// Everything that shapes a measured simulation except its seed. Two builds
-/// of one rig on one seed are interchangeable, the property warm-checkpoint
-/// forking relies on.
+/// A measured simulation minus its seed: a spec whose first measured task
+/// waits on a periodic interrupt (the RTC or the RCIM timer), and where
+/// sampling it stops. Two builds of one rig on one seed are
+/// interchangeable, the property warm-checkpoint forking relies on. Faults
+/// in the spec are registered disarmed in every build, so a checkpoint
+/// taken in one cell restores into any sibling cell's simulator.
 #[derive(Debug, Clone)]
 pub(crate) struct Rig {
-    pub(crate) kernel: KernelConfig,
-    pub(crate) source: Source,
-    /// The measured task's name.
-    pub(crate) task: &'static str,
-    /// The measured CPU: the measured task is pinned to it, and without a
-    /// shield the measured interrupt is routed to it.
-    pub(crate) cpu: Option<CpuId>,
-    /// Applied after start with the measured task and interrupt bound in.
-    pub(crate) shield: Option<ShieldPlan>,
-    /// Faults registered disarmed in every build, so a checkpoint taken in
-    /// one cell restores into any sibling cell's simulator. A disarmed
-    /// injector schedules no events, so it costs the hot loop nothing.
-    pub(crate) faults: Vec<FaultSpec>,
+    pub(crate) spec: ScenarioSpec,
     pub(crate) sampling: Sampling,
 }
 
@@ -102,69 +64,31 @@ pub(crate) struct Warm {
 }
 
 impl Rig {
-    /// Build a ready-to-sample simulation on `seed`: devices and load, the
-    /// fault arsenal, the measured waiter (watched), started and isolated.
+    /// Build a ready-to-sample simulation on `seed` through
+    /// [`ScenarioSpec::build`]; returns the measured task's pid.
     pub(crate) fn build(&self, seed: u64) -> (Simulator, Armory, Pid) {
-        let machine = match self.source {
-            Source::Rtc { .. } => MachineConfig::dual_xeon_p3(),
-            Source::Rcim { .. } => MachineConfig::dual_xeon_p4_2ghz(),
+        let built = self.spec.build(seed).expect("rig spec builds");
+        let pid = built.tasks[&self.spec.measured[0].name];
+        (built.sim, built.armory, pid)
+    }
+
+    /// The measured task's interrupt period; a healthy waiter samples once
+    /// per period.
+    fn period(&self) -> Nanos {
+        let MeasuredKind::IrqWait { device, .. } = &self.spec.measured[0].kind else {
+            panic!("a rig measures an interrupt waiter");
         };
-        let mut sim = Simulator::new(machine, self.kernel.clone(), seed);
-        let (device, api) = match self.source {
-            Source::Rtc { hz } => {
-                let rtc = sim.add_device(RtcDevice::new(hz));
-                // §6.1: no generated Ethernet load, but the box stays on a
-                // live network segment handling broadcast traffic.
-                let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-                    Nanos::from_ms(20),
-                ))));
-                let disk = sim.add_device(DiskDevice::new());
-                stress_kernel(&mut sim, StressDevices { nic, disk });
-                (rtc, WaitApi::ReadDevice)
-            }
-            Source::Rcim { period, pcie, bkl_free } => {
-                let card = if pcie { RcimDevice::modern(period) } else { RcimDevice::new(period) };
-                let rcim = sim.add_device(card);
-                // §6.3 load: ttcp across a real 10BaseT link + graphics.
-                let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-                let disk = sim.add_device(DiskDevice::new());
-                sim.add_device(GpuDevice::x11perf());
-                stress_kernel(&mut sim, StressDevices { nic, disk });
-                x11perf_driver(&mut sim);
-                (rcim, WaitApi::IoctlWait { driver_bkl_free: bkl_free })
-            }
-        };
-
-        let mut armory = Armory::new();
-        for f in &self.faults {
-            armory.register(&mut sim, f).expect("fault registers");
+        match self.spec.devices.iter().find(|d| d.name == *device).map(|d| &d.kind) {
+            Some(DeviceKind::Rtc { hz }) => Nanos(1_000_000_000 / *hz as u64),
+            Some(DeviceKind::Rcim { period_us, .. }) => Nanos::from_us(*period_us),
+            _ => panic!("a rig's waiter waits on a periodic timer"),
         }
-
-        let prog = Program::forever(vec![Op::WaitIrq { device, api }]);
-        let mut spec = TaskSpec::new(self.task, SchedPolicy::fifo(90), prog).mlockall();
-        if let Some(cpu) = self.cpu {
-            spec = spec.pinned(CpuMask::single(cpu));
-        }
-        let pid = sim.spawn(spec);
-        sim.watch_latency(pid);
-        sim.start();
-
-        match (&self.shield, self.cpu) {
-            (Some(plan), _) => {
-                plan.clone().bind_task(pid).bind_irq(device).apply(&mut sim).expect("shield plan");
-            }
-            (None, Some(cpu)) => {
-                sim.set_irq_affinity(device, CpuMask::single(cpu)).expect("irq affinity");
-            }
-            (None, None) => {}
-        }
-        (sim, armory, pid)
     }
 
     /// Advance `sim` until `pid` holds at least `samples` latency samples in
     /// total (samples restored from a checkpoint count).
     pub(crate) fn collect(&self, sim: &mut Simulator, pid: Pid, samples: u64) {
-        let period = self.source.period();
+        let period = self.period();
         let (lo, hi) = self.sampling.chunk;
         let deadline = sim.now() + period.scale(self.sampling.deadline_periods * samples as f64);
         loop {
@@ -172,7 +96,7 @@ impl Rig {
             if have >= samples {
                 break;
             }
-            assert!(sim.now() < deadline, "{} starved: {have} samples", self.task);
+            assert!(sim.now() < deadline, "{} starved: {have} samples", self.spec.measured[0].name);
             // Chunking never affects the trajectory; tracking the remaining
             // budget keeps small runs from overshooting by a whole chunk.
             sim.run_for(period * (samples - have).clamp(lo, hi));
@@ -215,7 +139,7 @@ impl Rig {
         self.collect(&mut sim, pid, had + budget);
 
         let histogram: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
-        let expected = sim.now().since(t0).as_ns() / self.source.period().as_ns();
+        let expected = sim.now().since(t0).as_ns() / self.period().as_ns();
         RunOut {
             overruns: expected.saturating_sub(histogram.count() - had),
             histogram,
