@@ -26,7 +26,7 @@ use crate::task::{
 };
 use simcore::flight::{ActivityClass, FlightEvent, FlightEventKind};
 use crate::params::{PreparedCosts, PreparedSections};
-use simcore::{EventKey, Instant, Nanos, SimRng, WheelQueue};
+use simcore::{pack_key, EventKey, Instant, Nanos, SimRng, WheelQueue};
 use sp_hw::{exec_context_mask, CpuId, CpuMask, IrqRouting, MachineConfig};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -35,9 +35,12 @@ use std::sync::Arc;
 /// configuration; drops are counted, not silent).
 const SOFTIRQ_PENDING_CAP: Nanos = Nanos::from_ms(50);
 
+/// `seg_end` value of a CPU with no armed segment end: above every real
+/// packed key, so the earliest-deadline scan never picks it.
+const DISARMED: u128 = u128::MAX;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    SegEnd { cpu: u32, token: u64 },
     Tick { cpu: u32 },
     Device { dev: u32, tag: u64 },
     SleepWake { pid: u32 },
@@ -169,9 +172,12 @@ pub struct Simulator {
     cpu_task: Vec<Option<Pid>>,
     /// When each CPU last stopped executing, in ns (longest-idle placement).
     cpu_last_busy_ns: Vec<u64>,
-    /// The armed segment-end event of each CPU's current activity
-    /// (`None` while idle or spinning).
-    seg_end: Vec<Option<(EventKey, u64)>>,
+    /// The armed end of each CPU's current activity as one packed
+    /// `(at, seq)` key ([`DISARMED`] while idle or spinning): the CPU's
+    /// local deadline, held here rather than in `queue`. Its `seq` comes
+    /// from [`WheelQueue::reserve_seq`], so `run_until` merges these
+    /// deadlines with the queue in exact `(at, seq)` order.
+    seg_end: Vec<u128>,
     /// The armed local-timer event per CPU (`None` when the timer is off).
     tick_keys: Vec<Option<EventKey>>,
     sched: SchedulerKind,
@@ -194,7 +200,6 @@ pub struct Simulator {
     /// [`Checkpoint`]s.
     pub flight: FlightRecorder,
     shield: ShieldCtl,
-    token_counter: u64,
     started: bool,
     /// Total events dispatched by [`run_until`], for throughput reporting.
     ///
@@ -259,7 +264,7 @@ impl Simulator {
             busy_mask: 0,
             cpu_task: vec![None; n],
             cpu_last_busy_ns: vec![0; n],
-            seg_end: vec![None; n],
+            seg_end: vec![DISARMED; n],
             tick_keys: vec![None; n],
             sched,
             locks: LockTable::new(),
@@ -273,7 +278,6 @@ impl Simulator {
             obs: Observations::new(n),
             flight: FlightRecorder::disarmed(),
             shield: ShieldCtl::NONE,
-            token_counter: 0,
             started: false,
             events_dispatched: 0,
             scratch_spinners: Vec::with_capacity(n),
@@ -657,11 +661,28 @@ impl Simulator {
         assert!(self.started, "call start() first");
         // Conservative: even a run that dispatches nothing advances `now`.
         self.dirty();
-        while let Some((at, ev)) = self.queue.pop_before(t) {
-            debug_assert!(at >= self.now, "event from the past");
-            self.now = at;
-            self.events_dispatched += 1;
-            self.dispatch(ev);
+        let limit = pack_key(t, u64::MAX);
+        loop {
+            // Whichever holds the smaller exact key fires next: the earliest
+            // armed segment end or the queue head (seqs are unique, so the
+            // two never tie).
+            let (cpu, seg) = self.next_seg_end();
+            if let Some((at, ev)) = self.queue.pop_until(seg.min(limit)) {
+                debug_assert!(at >= self.now, "event from the past");
+                self.now = at;
+                self.events_dispatched += 1;
+                self.dispatch(ev);
+            } else if seg != DISARMED && seg <= limit {
+                let at = Instant((seg >> 64) as u64);
+                debug_assert!(at >= self.now, "segment end from the past");
+                self.now = at;
+                self.events_dispatched += 1;
+                self.handle_seg_end(cpu);
+            } else {
+                break;
+            }
+            #[cfg(debug_assertions)]
+            self.check_seg_ends();
         }
         self.now = self.now.max(t);
     }
@@ -677,9 +698,40 @@ impl Simulator {
         self.run_until(t);
     }
 
+    /// The CPU with the earliest armed segment end and its packed key
+    /// ([`DISARMED`] when no CPU has one).
+    #[inline]
+    fn next_seg_end(&self) -> (usize, u128) {
+        let mut best = (0, DISARMED);
+        for (cpu, &key) in self.seg_end.iter().enumerate() {
+            if key < best.1 {
+                best = (cpu, key);
+            }
+        }
+        best
+    }
+
+    /// Debug-build invariant, checked after every dispatch: a CPU's segment
+    /// end is armed exactly when its current activity exists and is not a
+    /// spin wait (a spin ends on a lock grant, never by time), and no armed
+    /// deadline lies before `now`.
+    #[cfg(debug_assertions)]
+    fn check_seg_ends(&self) {
+        for (cpu, &key) in self.seg_end.iter().enumerate() {
+            let timed = self.cpus[cpu]
+                .current
+                .as_ref()
+                .is_some_and(|act| !matches!(act.kind, ActKind::SpinWait { .. }));
+            assert_eq!(key != DISARMED, timed, "cpu{cpu}: segment end armed ⇔ timed activity");
+            assert!(
+                key == DISARMED || (key >> 64) as u64 >= self.now.as_ns(),
+                "cpu{cpu}: armed segment end lies before now"
+            );
+        }
+    }
+
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::SegEnd { cpu, token } => self.handle_seg_end(cpu as usize, token),
             Ev::Tick { cpu } => self.handle_tick(cpu as usize),
             Ev::Device { dev, tag } => {
                 self.with_device(DeviceId(dev), |d, ctx, rng| d.on_timer(tag, ctx, rng));
@@ -697,9 +749,13 @@ impl Simulator {
     // Activity plumbing
     // ------------------------------------------------------------------
 
-    fn fresh_token(&mut self) -> u64 {
-        self.token_counter += 1;
-        self.token_counter
+    /// Arm `cpu`'s segment end for `act`, starting now: one array write,
+    /// which also overwrites any deadline armed before.
+    #[inline]
+    fn arm_seg_end(&mut self, cpu: usize, act: &Activity) {
+        let wall = act.remaining.scale(act.slowdown).max(Nanos(1));
+        let seq = self.queue.reserve_seq();
+        self.seg_end[cpu] = pack_key(self.now + wall, seq);
     }
 
     #[inline]
@@ -720,17 +776,14 @@ impl Simulator {
     /// Install a fresh activity as current on an empty CPU.
     fn install(&mut self, cpu: usize, kind: ActKind, work: Nanos) {
         debug_assert!(self.cpus[cpu].current.is_none(), "cpu{cpu} busy");
-        debug_assert!(self.seg_end[cpu].is_none(), "stale seg_end on cpu{cpu}");
+        debug_assert_eq!(self.seg_end[cpu], DISARMED, "stale seg_end on cpu{cpu}");
         let bit = 1u64 << cpu;
         let was_idle = self.busy_mask & bit == 0;
         self.busy_mask |= bit;
         let slowdown = self.sample_slowdown(cpu);
         let act = Activity { kind, remaining: work, since: self.now, slowdown };
         if !matches!(act.kind, ActKind::SpinWait { .. }) {
-            let token = self.fresh_token();
-            let wall = act.remaining.scale(act.slowdown).max(Nanos(1));
-            let key = self.queue.push(self.now + wall, Ev::SegEnd { cpu: cpu as u32, token });
-            self.seg_end[cpu] = Some((key, token));
+            self.arm_seg_end(cpu, &act);
         }
         self.cpus[cpu].current = Some(act);
         if was_idle {
@@ -739,12 +792,10 @@ impl Simulator {
     }
 
     /// Account the wall time the current activity consumed since `since`,
-    /// deduct the work done, and leave it cancelled (no end event).
+    /// deduct the work done, and leave it cancelled (segment end disarmed).
     fn checkpoint_current(&mut self, cpu: usize) -> Option<Activity> {
         let mut act = self.cpus[cpu].current.take()?;
-        if let Some((key, _)) = self.seg_end[cpu].take() {
-            self.queue.cancel(key);
-        }
+        self.seg_end[cpu] = DISARMED;
         let wall = self.now.since(act.since);
         self.account(cpu, &act.kind, wall);
         let done = Nanos((wall.as_ns() as f64 / act.slowdown) as u64);
@@ -766,10 +817,7 @@ impl Simulator {
         act.since = self.now;
         act.slowdown = self.sample_slowdown(cpu);
         if !matches!(act.kind, ActKind::SpinWait { .. }) {
-            let token = self.fresh_token();
-            let wall = act.remaining.scale(act.slowdown).max(Nanos(1));
-            let key = self.queue.push(self.now + wall, Ev::SegEnd { cpu: cpu as u32, token });
-            self.seg_end[cpu] = Some((key, token));
+            self.arm_seg_end(cpu, &act);
         }
         self.cpus[cpu].current = Some(act);
     }
@@ -781,7 +829,7 @@ impl Simulator {
             if cpu == changed {
                 continue;
             }
-            if self.seg_end[cpu].is_none() {
+            if self.seg_end[cpu] == DISARMED {
                 continue;
             }
             if let Some(mut act) = self.checkpoint_current(cpu) {
@@ -790,11 +838,7 @@ impl Simulator {
                     act.remaining = Nanos(1);
                 }
                 act.slowdown = self.sample_slowdown(cpu);
-                let token = self.fresh_token();
-                let wall = act.remaining.scale(act.slowdown).max(Nanos(1));
-                let key =
-                    self.queue.push(self.now + wall, Ev::SegEnd { cpu: cpu as u32, token });
-                self.seg_end[cpu] = Some((key, token));
+                self.arm_seg_end(cpu, &act);
                 self.cpus[cpu].current = Some(act);
             }
         }
@@ -1002,14 +1046,9 @@ impl Simulator {
     // Segment completion
     // ------------------------------------------------------------------
 
-    fn handle_seg_end(&mut self, cpu: usize, token: u64) {
-        let valid = self.seg_end[cpu].is_some_and(|(_, t)| t == token);
-        if !valid {
-            debug_assert!(false, "stale SegEnd should have been cancelled");
-            return;
-        }
-        self.seg_end[cpu] = None;
-        let act = self.cpus[cpu].current.take().expect("checked");
+    fn handle_seg_end(&mut self, cpu: usize) {
+        self.seg_end[cpu] = DISARMED;
+        let act = self.cpus[cpu].current.take().expect("armed segment end without an activity");
         let wall = self.now.since(act.since);
         self.account(cpu, &act.kind, wall);
         match act.kind {
@@ -2015,8 +2054,9 @@ impl Simulator {
     /// Freeze the complete mutable state of a started simulation.
     ///
     /// The checkpoint captures everything `run_until` can change: virtual
-    /// time, the event queue (with live [`EventKey`]s, so armed timer and
-    /// segment-end handles stay valid), the RNG streams (main + per-device),
+    /// time, the event queue (with live [`EventKey`]s, so armed timer
+    /// handles stay valid) and the per-CPU segment-end deadlines keyed
+    /// against its sequence counter, the RNG streams (main + per-device),
     /// task and CPU state, the scheduler's queues, lock/softirq state, IRQ
     /// routing and counters, device-internal state (via
     /// [`Device::snapshot`]), the shield masks, and the collectors in
@@ -2062,7 +2102,6 @@ impl Simulator {
             irq_counts: self.irq_counts.clone(),
             obs: self.obs.clone(),
             shield: self.shield,
-            token_counter: self.token_counter,
             started: self.started,
             events_dispatched: self.events_dispatched,
         });
@@ -2114,7 +2153,6 @@ impl Simulator {
         self.irq_counts.clone_from(&ck.irq_counts);
         self.obs.clone_from_reusing(&ck.obs);
         self.shield = ck.shield;
-        self.token_counter = ck.token_counter;
         self.started = ck.started;
         self.events_dispatched = ck.events_dispatched;
         // The simulator now *is* this image: cache it so an immediate
@@ -2147,7 +2185,7 @@ struct CheckpointImage {
     busy_mask: u64,
     cpu_task: Vec<Option<Pid>>,
     cpu_last_busy_ns: Vec<u64>,
-    seg_end: Vec<Option<(EventKey, u64)>>,
+    seg_end: Vec<u128>,
     tick_keys: Vec<Option<EventKey>>,
     sched: SchedulerKind,
     locks: LockTable,
@@ -2159,7 +2197,6 @@ struct CheckpointImage {
     irq_counts: Vec<Vec<u64>>,
     obs: Observations,
     shield: ShieldCtl,
-    token_counter: u64,
     started: bool,
     events_dispatched: u64,
 }

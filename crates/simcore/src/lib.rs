@@ -21,6 +21,6 @@ pub mod time;
 
 pub use dist::{DistError, DurationDist, ParetoTable, PreparedDist};
 pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing, TraceKind};
-pub use queue::{EventKey, WheelQueue};
+pub use queue::{pack_key, EventKey, WheelQueue};
 pub use rng::SimRng;
 pub use time::{Instant, Nanos};

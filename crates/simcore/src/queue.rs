@@ -36,6 +36,13 @@ impl EventKey {
     }
 }
 
+/// Pack an `(at, seq)` ordering key into one `u128`: `at` in the high 64
+/// bits dominates and `seq` breaks ties, so integer order is key order.
+#[inline]
+pub const fn pack_key(at: Instant, seq: u64) -> u128 {
+    ((at.0 as u128) << 64) | seq as u128
+}
+
 /// Location-word marker for slots that are not currently queued.
 const FREE: u32 = u32::MAX;
 
@@ -87,8 +94,8 @@ struct WheelEntry {
 }
 
 /// A hierarchical timing-wheel event queue: a single-level wheel of
-/// `WHEEL_BUCKETS` (1024) buckets covering the near future (dense timer/IRQ/seg
-/// traffic), backed by an indexed 4-ary min-heap as overflow for events
+/// `WHEEL_BUCKETS` (1024) buckets covering the near future (dense timer and
+/// device traffic), backed by an indexed 4-ary min-heap as overflow for events
 /// beyond the horizon. Events migrate heap → wheel as the wheel's
 /// base time advances past their window.
 ///
@@ -184,8 +191,7 @@ impl<E> WheelQueue<E> {
     /// Schedule `event` to fire at `at`. Returns a key usable with
     /// [`WheelQueue::cancel`].
     pub fn push(&mut self, at: Instant, event: E) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         // Decide the destination up front so the slot's location word is
         // written in the same touch that stores the event (one arena index
         // per push instead of three).
@@ -225,6 +231,18 @@ impl<E> WheelQueue<E> {
         EventKey::new(slot, generation)
     }
 
+    /// Take the next sequence number without queueing anything, for a
+    /// deadline the caller holds outside the queue. It comes from the same
+    /// counter as [`WheelQueue::push`], so the caller's `(at, seq)` keys and
+    /// the queued ones form one total order with unique keys, which
+    /// [`WheelQueue::pop_until`] merges exactly.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending.
     pub fn cancel(&mut self, key: EventKey) -> bool {
@@ -257,34 +275,37 @@ impl<E> WheelQueue<E> {
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        self.pop_before(Instant(u64::MAX))
+        self.pop_until(u128::MAX)
     }
 
-    /// Remove and return the earliest live event if it fires at or before
-    /// `t`; otherwise leave the queue untouched and return `None`.
+    /// Remove and return the earliest live event if its packed
+    /// [`pack_key`] `(at, seq)` key is at or below `bound`; otherwise leave
+    /// the queue untouched and return `None`.
     ///
-    /// This is the hot-loop entry point: one `settle` and one bucket
-    /// min-scan decide both "is there an event due?" and "which one?",
-    /// where a `peek_time` + `pop` pair would pay for each twice.
-    pub fn pop_before(&mut self, t: Instant) -> Option<(Instant, E)> {
+    /// This is the hot-loop entry point and the queue's one pop. A time
+    /// bound `t` is `pack_key(t, u64::MAX)`. A caller holding its own
+    /// deadlines outside the queue (keyed with [`WheelQueue::reserve_seq`])
+    /// passes the earliest of them as the bound, so whichever of the two
+    /// sides holds the smaller exact key fires first. One `settle` and one
+    /// bucket min-scan decide both "is there an event due?" and "which
+    /// one?", where a `peek_time` + `pop` pair would pay for each twice.
+    pub fn pop_until(&mut self, bound: u128) -> Option<(Instant, E)> {
         self.settle();
         if self.wheel_len == 0 {
             return None;
         }
         let bucket = &mut self.buckets[self.cursor];
-        // `(at, seq)` packed into one u128 so the min-scan is a single
-        // integer compare per entry (identical ordering: `at` in the high
-        // bits dominates, `seq` breaks ties).
+        // The min-scan is a single integer compare per entry.
         let mut best = 0;
-        let mut best_key = ((bucket[0].at.as_ns() as u128) << 64) | bucket[0].seq as u128;
+        let mut best_key = pack_key(bucket[0].at, bucket[0].seq);
         for (i, e) in bucket.iter().enumerate().skip(1) {
-            let key = ((e.at.as_ns() as u128) << 64) | e.seq as u128;
+            let key = pack_key(e.at, e.seq);
             if key < best_key {
                 best = i;
                 best_key = key;
             }
         }
-        if (best_key >> 64) as u64 > t.as_ns() {
+        if best_key > bound {
             return None;
         }
         let WheelEntry { at, slot, .. } = bucket.swap_remove(best);

@@ -1,7 +1,8 @@
 //! Property tests for the simulation core.
 
 use proptest::prelude::*;
-use simcore::{DurationDist, Instant, Nanos, SimRng, WheelQueue};
+use simcore::{pack_key, DurationDist, Instant, Nanos, SimRng, WheelQueue};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Number of distributions in [`dist_zoo`].
@@ -166,6 +167,70 @@ proptest! {
             prop_assert_eq!(q.pop(), Some((Instant(t), s)));
         }
         prop_assert_eq!(q.pop(), None);
+    }
+
+    /// Deadlines held outside the queue merge with queued events in exact
+    /// `(at, seq)` order. Four deadline slots each hold one packed key whose
+    /// `seq` comes from `reserve_seq`; re-arming a slot overwrites its key.
+    /// A merge step pops the queue through `pop_until` bounded by the
+    /// earliest deadline (and a time limit), and otherwise fires that
+    /// deadline. The merge must replay a sorted `(at, seq)` model of both
+    /// sides. Most times fall on the current instant, so same-nanosecond
+    /// ties are won by a deadline and by a queued event alike.
+    #[test]
+    fn deadline_merge_matches_sorted_model(
+        ops in proptest::collection::vec((0u8..6, 0usize..4, 0usize..4), 1..400),
+    ) {
+        // Offsets from `now`: a tie, the next nanosecond, a few wheel
+        // buckets out, and past the wheel's ~16.8 ms horizon.
+        const OFFSET: [u64; 4] = [0, 1, 50_000, 20_000_000];
+        let mut q = WheelQueue::new();
+        let mut deadlines = [u128::MAX; 4];
+        // (at, seq) -> the deadline slot, or `None` for a queued event.
+        let mut model: BTreeMap<(u64, u64), Option<usize>> = BTreeMap::new();
+        let mut next_seq = 0u64;
+        let mut now = 0u64;
+        let unpack = |key: u128| ((key >> 64) as u64, key as u64);
+        for (op, slot, pick) in ops {
+            let at = now + OFFSET[pick];
+            match op {
+                0 | 1 => {
+                    q.push(Instant(at), next_seq);
+                    model.insert((at, next_seq), None);
+                    next_seq += 1;
+                }
+                2 | 3 => {
+                    let seq = q.reserve_seq();
+                    prop_assert_eq!(seq, next_seq, "push and reserve_seq share one counter");
+                    next_seq += 1;
+                    if deadlines[slot] != u128::MAX {
+                        model.remove(&unpack(deadlines[slot]));
+                    }
+                    deadlines[slot] = pack_key(Instant(at), seq);
+                    model.insert((at, seq), Some(slot));
+                }
+                _ => {
+                    let limit = pack_key(Instant(at), u64::MAX);
+                    let merged = merge_pop(&mut q, &mut deadlines, limit);
+                    let expect = match model.first_key_value() {
+                        Some((&(t, seq), &src)) if t <= at => {
+                            model.pop_first();
+                            Some((t, seq, src))
+                        }
+                        _ => None,
+                    };
+                    prop_assert_eq!(merged, expect);
+                    if let Some((t, _, _)) = merged {
+                        now = t;
+                    }
+                }
+            }
+        }
+        while let Some(((t, seq), src)) = model.pop_first() {
+            prop_assert_eq!(merge_pop(&mut q, &mut deadlines, u128::MAX), Some((t, seq, src)));
+        }
+        prop_assert_eq!(merge_pop(&mut q, &mut deadlines, u128::MAX), None);
+        prop_assert!(q.is_empty());
     }
 
     /// Every distribution respects its reported bounds.
@@ -375,4 +440,24 @@ proptest! {
             prop_assert_eq!(dist.sample(&mut ra), a.sample(&mut rb));
         }
     }
+}
+
+/// One step of a deadline/queue merge: fire whichever of the earliest
+/// armed deadline (`u128::MAX` = disarmed) and the queue head holds the
+/// smaller packed key, if that key is at or below `limit`. Returns
+/// `(at, seq, deadline slot or None for a queued event)`.
+fn merge_pop(
+    q: &mut WheelQueue<u64>,
+    deadlines: &mut [u128; 4],
+    limit: u128,
+) -> Option<(u64, u64, Option<usize>)> {
+    let (slot, key) = deadlines.iter().copied().enumerate().min_by_key(|&(_, k)| k)?;
+    if let Some((at, seq)) = q.pop_until(key.min(limit)) {
+        return Some((at.0, seq, None));
+    }
+    if key != u128::MAX && key <= limit {
+        deadlines[slot] = u128::MAX;
+        return Some(((key >> 64) as u64, key as u64, Some(slot)));
+    }
+    None
 }
