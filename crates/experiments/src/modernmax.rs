@@ -321,7 +321,7 @@ mod tests {
 
     /// Every variant's matrix column is bit-identical whatever the fleet
     /// worker count — the new knobs preserve the determinism contract under
-    /// checkpoint/fork/restore and work stealing alike.
+    /// checkpoint/fork/restore and any fleet schedule alike.
     #[test]
     fn matrix_is_worker_count_invariant() {
         let cfg = ModernConfig { samples_per_cell: 600, shards: 2, seed: 0xA0DE_125EED };

@@ -1,7 +1,7 @@
-//! Run the full figure suite on the `sp-fleet` work-stealing pool: each
-//! figure is one fleet job, and the latency figures' internal shard fan-outs
-//! ride the same pool, so the whole suite saturates the machine without
-//! spawning a thread per shard.
+//! Run the full figure suite on the `sp-fleet` pool: each figure is one
+//! fleet job, and the latency figures' internal shard fan-outs are nested
+//! fleet batches at the same worker count, so the whole suite saturates the
+//! machine without spawning a thread per shard.
 
 use crate::determinism::{run_determinism, DeterminismConfig, DeterminismResult};
 use crate::rcim::{run_rcim_with_flight, RcimConfig, RcimResult};

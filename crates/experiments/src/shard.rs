@@ -20,8 +20,8 @@
 //!   model, so summaries for K=2 and K=8 differ in the same way two root
 //!   seeds differ.
 //! * Worker count is *not* part of the contract's key: the fan-out runs on
-//!   the `sp-fleet` work-stealing pool, and the pool returns results in
-//!   index order whatever `SP_WORKERS` (or `sp_fleet::with_workers`) says.
+//!   the `sp-fleet` pool, and the pool returns results in index order
+//!   whatever `SP_WORKERS` (or `sp_fleet::with_workers`) says.
 
 use simcore::SimRng;
 

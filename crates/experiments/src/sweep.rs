@@ -27,8 +27,8 @@
 //! itself a pure function of the group's warm config, and the reducer folds
 //! in strict cell-index order whatever the worker count. `reproduce_all
 //! --sweep` serializes the report as `SWEEP_study.json`, and CI `cmp`s the
-//! bytes across worker counts. Wall-clock facts (cells/sec, peak RSS,
-//! fleet counters) live in [`SweepTelemetry`] and stay out of the artifact.
+//! bytes across worker counts. Wall-clock facts (cells/sec, peak RSS) live
+//! in [`SweepTelemetry`] and stay out of the artifact.
 
 use crate::realfeel::RealfeelConfig;
 use crate::study::{self, Rig};
@@ -207,11 +207,6 @@ pub struct SweepTelemetry {
     /// it. An upper bound for the sweep itself, since it includes whatever
     /// ran before.
     pub peak_rss_kb: Option<u64>,
-    /// Fleet work charged to this sweep (scoped, not process-global).
-    pub fleet_batches: u64,
-    pub fleet_jobs: u64,
-    pub fleet_steals: u64,
-    pub fleet_stolen_jobs: u64,
 }
 
 /// Process peak RSS in kB from `/proc/self/status` (`VmHWM`). `None` where
@@ -275,39 +270,36 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     // arrival makes the tie-break (first cell wins) deterministic.
     let mut worst: Vec<(u64, usize, u64)> = Vec::new();
 
-    let ((warms, cells_run), scoped) = sp_fleet::counter_scope(|| {
-        let (warms, _) = sp_fleet::run_with(pool, warm_count, |j| {
-            rigs[j].warm(cfg.base_seed, cfg.warm_samples.max(1))
-        });
-        let (cells_run, _) = sp_fleet::run_stream(
-            pool,
-            cfg.cells(),
-            |cell: SweepCell, _| {
-                let w = warm_of[cell.group];
-                let reseed = |sim: &mut _, armory: &mut _| study::reseed(&cell.seed, sim, armory);
-                let out = rigs[w].fork(&warms[w], reseed, cfg.samples_per_cell, 0);
-                CellOutput {
-                    group: cell.group,
-                    seed: cell.seed,
-                    max_ns: out.histogram.max().as_ns(),
-                    histogram: out.histogram,
-                    overruns: out.overruns,
-                    events: out.events,
-                }
-            },
-            |_, out: CellOutput| {
-                let agg = &mut groups[out.group];
-                agg.histogram.merge(&out.histogram);
-                agg.cells += 1;
-                agg.overruns += out.overruns;
-                agg.events += out.events;
-                worst.push((out.max_ns, out.group, out.seed));
-                worst.sort_by_key(|cell| std::cmp::Reverse(cell.0));
-                worst.truncate(cfg.top_worst);
-            },
-        );
-        (warms, cells_run)
+    let (warms, _) = sp_fleet::run_with(pool, warm_count, |j| {
+        rigs[j].warm(cfg.base_seed, cfg.warm_samples.max(1))
     });
+    let (cells_run, _) = sp_fleet::run_stream(
+        pool,
+        cfg.cells(),
+        |cell: SweepCell, _| {
+            let w = warm_of[cell.group];
+            let reseed = |sim: &mut _, armory: &mut _| study::reseed(&cell.seed, sim, armory);
+            let out = rigs[w].fork(&warms[w], reseed, cfg.samples_per_cell, 0);
+            CellOutput {
+                group: cell.group,
+                seed: cell.seed,
+                max_ns: out.histogram.max().as_ns(),
+                histogram: out.histogram,
+                overruns: out.overruns,
+                events: out.events,
+            }
+        },
+        |_, out: CellOutput| {
+            let agg = &mut groups[out.group];
+            agg.histogram.merge(&out.histogram);
+            agg.cells += 1;
+            agg.overruns += out.overruns;
+            agg.events += out.events;
+            worst.push((out.max_ns, out.group, out.seed));
+            worst.sort_by_key(|cell| std::cmp::Reverse(cell.0));
+            worst.truncate(cfg.top_worst);
+        },
+    );
     let wall = t0.elapsed().as_secs_f64();
 
     let cell_events: u64 = groups.iter().map(|g| g.events).sum();
@@ -354,10 +346,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
         cells_per_sec: cells as f64 / wall.max(1e-9),
         workers: cfg.workers.max(1),
         peak_rss_kb: peak_rss_kb(),
-        fleet_batches: scoped.batches,
-        fleet_jobs: scoped.jobs,
-        fleet_steals: scoped.steals,
-        fleet_stolen_jobs: scoped.stolen_jobs,
     };
     (report, telemetry)
 }

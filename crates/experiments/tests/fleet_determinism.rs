@@ -50,7 +50,9 @@ fn mixed_batch() -> Vec<String> {
 
 /// Satellite: fixed `(seed, shards)` ⇒ a mixed batch's output — result
 /// payloads and captured trace latencies — is bit-identical across worker
-/// counts {1, 2, 8} *and* across two repeated runs at each count.
+/// counts {1, 2, 8} *and* across two repeated runs at each count. Pool
+/// workers inherit the `with_workers` count, so the nested shard batches
+/// run at each count too.
 #[test]
 fn mixed_batch_is_identical_across_worker_counts_and_repeats() {
     let reference = sp_fleet::with_workers(1, mixed_batch);
@@ -310,7 +312,7 @@ proptest! {
 
 /// The flattened fault-matrix batch is worker-count invariant too: cells,
 /// verdicts and captured per-cell traces all agree between a single-worker
-/// and a four-worker run.
+/// and a four-worker run, the nested cell batch included.
 #[test]
 fn fault_matrix_is_worker_count_invariant() {
     let cfg = FaultMatrixConfig { samples_per_cell: 800, shards: 2, seed: 0xFA17_5EED };

@@ -1,121 +1,77 @@
-//! The work-stealing pool: per-worker deques, a global injector, scoped OS
-//! threads, and index-ordered result collection.
+//! The pull-based pool: scoped OS threads that each pull the next job from
+//! one shared source, and an in-order reducer behind a reorder buffer.
 //!
 //! # Scheduling model
 //!
-//! A batch of `n` jobs (indices `0..n`) runs on `W` worker threads. All
-//! indices start in the **injector** (a global FIFO). Each worker loops:
+//! Every batch, [`run_with`]'s and [`run_stream`]'s alike, runs on one
+//! worker loop. The jobs come from one iterator behind one mutex, and each
+//! of the `W` workers loops:
 //!
-//! 1. pop a job from the *back* of its own deque and run it;
-//! 2. if the deque is empty, grab a batch from the injector into the deque;
-//! 3. if the injector is empty too, scan the other workers and **steal the
-//!    front half** of the first non-empty deque found;
-//! 4. if a full scan finds nothing, the batch is finished — jobs never
-//!    spawn jobs, so total pending work is monotonically decreasing and
-//!    an empty scan is a sound termination condition.
+//! 1. take the next job and its index from the source (waiting while the
+//!    reorder window is full);
+//! 2. run it;
+//! 3. put the output in the reorder buffer and reduce every buffered
+//!    output whose predecessors have all been reduced.
 //!
-//! Queues are mutex-protected `VecDeque`s rather than lock-free Chase–Lev
-//! deques: fleet jobs are entire simulations (milliseconds to seconds
-//! each), so queue operations are nanoseconds against millisecond jobs and
-//! the mutex never becomes the bottleneck. The repo benchmark's
-//! `fleet.dispatch.ns_per_job` probe measures the per-job overhead (see
-//! `benchmark/README.md`).
+//! A worker exits when the source is empty. A worker that finishes early
+//! just pulls again, so a long job never strands short ones behind it and
+//! every worker stays busy to the end of the batch.
+//!
+//! One mutex rather than lock-free queues: fleet jobs are entire
+//! simulations (milliseconds to seconds each), so the lock is nanoseconds
+//! against millisecond jobs and never becomes the bottleneck. The repo
+//! benchmark's `fleet.dispatch.ns_per_job` probe measures the per-job
+//! overhead (see `benchmark/README.md`).
 //!
 //! # Determinism
 //!
-//! Workers record `(index, output)` pairs privately and the pool reassembles
-//! them in index order after the scope joins. Steal order, worker count and
-//! finish order are therefore invisible in the output: `run_with` is a pure
-//! function of `(n, f)`.
+//! The reducer sees outputs in job-index order, whichever worker ran a job
+//! and whenever it finished; [`run_with`]'s reducer pushes them into the
+//! result `Vec`. Worker count and finish order are therefore invisible in
+//! the output: `run_with` is a pure function of `(n, f)`.
 
-use std::cell::RefCell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// How a batch's job indices are initially placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// All jobs start in the global injector (the default): workers pull
-    /// batches on demand, so early finishers naturally take more work.
-    Injector,
-    /// All jobs start in worker 0's deque: every job another worker runs
-    /// must be stolen. Used by tests to force the steal path; not useful
-    /// for real workloads.
-    Worker0,
-}
 
 /// Configuration of one batch execution.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Worker threads to run the batch on (clamped to at least 1; also
-    /// capped at the job count, since extra workers would just idle).
+    /// Worker threads to run the batch on (clamped to at least 1; [`run_with`]
+    /// also caps it at the job count, since extra workers would just idle).
     pub workers: u32,
-    /// Jobs a worker grabs from the injector per refill; `0` picks
-    /// `clamp(n / (workers * 4), 1, 32)` so refills stay frequent enough
-    /// for stealing to balance uneven tails.
-    pub grab: usize,
-    /// Initial placement of the job indices.
-    pub placement: Placement,
 }
 
 impl PoolConfig {
-    /// Injector placement with automatic grab sizing on `workers` threads.
+    /// A batch on `workers` threads.
     pub fn auto(workers: u32) -> Self {
-        PoolConfig { workers, grab: 0, placement: Placement::Injector }
+        PoolConfig { workers }
     }
 }
 
-/// What one batch execution did, for telemetry and the overhead benches.
+/// What one batch execution did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetStats {
     /// Worker threads the batch actually used.
     pub workers: u32,
     /// Jobs executed (equals the batch size).
     pub jobs: u64,
-    /// Jobs run straight off the owning worker's deque.
-    pub local_pops: u64,
-    /// Injector→deque refill operations.
-    pub injector_batches: u64,
-    /// Steal operations (each moves up to half a victim's deque).
-    pub steals: u64,
-    /// Jobs that arrived on their executing worker via a steal.
-    pub stolen_jobs: u64,
-    /// Sum of per-job execution wall-clock, in nanoseconds. On `W` busy
-    /// workers a batch's wall-clock approaches `busy_ns / W`; the ratio is
-    /// the batch's effective parallel speedup.
-    pub busy_ns: u64,
 }
 
-/// Process-wide cumulative fleet counters.
+/// Fleet counters accumulated by a [`counter_scope`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalStats {
-    /// Batches executed since process start.
+    /// Batches executed.
     pub batches: u64,
     /// Jobs executed across all batches.
     pub jobs: u64,
-    /// Steal operations across all batches.
+    /// Always 0: the pool has no steal path. Kept only because the
+    /// benchmark's `fleet.steals` row reads it.
     pub steals: u64,
-    /// Jobs that arrived via a steal.
+    /// Always 0: the pool has no steal path. Kept only because the
+    /// benchmark's `fleet.stolen_jobs` row reads it.
     pub stolen_jobs: u64,
-}
-
-static G_BATCHES: AtomicU64 = AtomicU64::new(0);
-static G_JOBS: AtomicU64 = AtomicU64::new(0);
-static G_STEALS: AtomicU64 = AtomicU64::new(0);
-static G_STOLEN_JOBS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot the process-wide cumulative counters. Prefer [`counter_scope`]
-/// for telemetry: a global snapshot diff counts every batch in the process,
-/// so two concurrent fleet consumers (e.g. a sweep and an autopilot study)
-/// contaminate each other's numbers.
-pub fn stats_snapshot() -> GlobalStats {
-    GlobalStats {
-        batches: G_BATCHES.load(Ordering::Relaxed),
-        jobs: G_JOBS.load(Ordering::Relaxed),
-        steals: G_STEALS.load(Ordering::Relaxed),
-        stolen_jobs: G_STOLEN_JOBS.load(Ordering::Relaxed),
-    }
 }
 
 /// One scope's accumulating counters (atomics: nested fan-outs bump them
@@ -124,19 +80,6 @@ pub fn stats_snapshot() -> GlobalStats {
 struct ScopeCell {
     batches: AtomicU64,
     jobs: AtomicU64,
-    steals: AtomicU64,
-    stolen_jobs: AtomicU64,
-}
-
-impl ScopeCell {
-    fn snapshot(&self) -> GlobalStats {
-        GlobalStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
-        }
-    }
 }
 
 std::thread_local! {
@@ -144,15 +87,17 @@ std::thread_local! {
     // batch's scope list, so nested fan-outs issued from inside a job are
     // credited to the scopes that were active at the outer call site.
     static SCOPES: RefCell<Vec<Arc<ScopeCell>>> = const { RefCell::new(Vec::new()) };
+    // The scoped `with_workers` override. Pool workers inherit it too, so
+    // nested fan-outs run at the caller's worker count.
+    static WORKER_OVERRIDE: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
 /// Run `f` and return its result together with the fleet counters for
 /// exactly the pool activity `f` caused: batches issued on this thread
 /// while the scope is active, plus any nested fan-outs their jobs issued on
-/// worker threads. Unlike a [`stats_snapshot`] diff, the counts are immune
-/// to concurrent fleet users in the same process — each consumer gets its
-/// own scope. Scopes nest: an inner scope's activity is also credited to
-/// the enclosing one.
+/// worker threads. The counts are immune to concurrent fleet users in the
+/// same process — each consumer gets its own scope. Scopes nest: an inner
+/// scope's activity is also credited to the enclosing one.
 pub fn counter_scope<T>(f: impl FnOnce() -> T) -> (T, GlobalStats) {
     let cell = Arc::new(ScopeCell::default());
     SCOPES.with(|s| s.borrow_mut().push(Arc::clone(&cell)));
@@ -166,25 +111,19 @@ pub fn counter_scope<T>(f: impl FnOnce() -> T) -> (T, GlobalStats) {
     }
     let _pop = Pop;
     let out = f();
-    let stats = cell.snapshot();
+    let stats = GlobalStats {
+        batches: cell.batches.load(Ordering::Relaxed),
+        jobs: cell.jobs.load(Ordering::Relaxed),
+        ..GlobalStats::default()
+    };
     (out, stats)
-}
-
-/// The scope list active on the calling thread, captured at batch start so
-/// worker threads (and `bump_globals`) can credit the right scopes.
-fn active_scopes() -> Vec<Arc<ScopeCell>> {
-    SCOPES.with(|s| s.borrow().clone())
-}
-
-std::thread_local! {
-    static WORKER_OVERRIDE: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
 }
 
 /// Default worker count: the scoped [`with_workers`] override if one is
 /// active on this thread, else `SP_WORKERS`, else the machine's available
 /// parallelism. Always at least 1.
 pub fn default_workers() -> u32 {
-    if let Some(w) = WORKER_OVERRIDE.with(|c| c.get()) {
+    if let Some(w) = WORKER_OVERRIDE.with(Cell::get) {
         return w.max(1);
     }
     if let Some(w) = std::env::var("SP_WORKERS").ok().and_then(|v| v.parse::<u32>().ok()) {
@@ -194,10 +133,11 @@ pub fn default_workers() -> u32 {
 }
 
 /// Run `f` with [`default_workers`] pinned to `workers` on this thread —
-/// every `run_indexed` call made (directly) inside `f` uses that worker
-/// count. The override is scoped: it is restored on exit, panics included.
-/// This is how the determinism tests hold `(seed, shards)` fixed while
-/// sweeping worker counts.
+/// every `run_indexed` call made inside `f`, including those in nested
+/// fan-outs on pool workers, uses that worker count. The override is
+/// scoped: it is restored on exit, panics included. This is how the
+/// determinism tests hold `(seed, shards)` fixed while sweeping worker
+/// counts.
 pub fn with_workers<R>(workers: u32, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<u32>);
     impl Drop for Restore {
@@ -209,9 +149,8 @@ pub fn with_workers<R>(workers: u32, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Run `f(0), …, f(n-1)` on the work-stealing pool with [`default_workers`]
-/// threads and return the outputs in index order. Drop-in replacement for
-/// the old thread-per-job fan-out, minus the oversubscription.
+/// Run `f(0), …, f(n-1)` on the pool with [`default_workers`] threads and
+/// return the outputs in index order.
 pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -221,155 +160,57 @@ where
 }
 
 /// Run a batch under an explicit [`PoolConfig`], also returning the batch's
-/// [`FleetStats`]. Output order is job-index order; the stats are the only
-/// thing the scheduling can influence.
+/// [`FleetStats`]. Output order is job-index order whatever the worker
+/// count.
 pub fn run_with<T, F>(cfg: PoolConfig, n: usize, f: F) -> (Vec<T>, FleetStats)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let workers = (cfg.workers.max(1) as usize).min(n.max(1));
-    let mut stats = FleetStats { workers: workers as u32, jobs: n as u64, ..Default::default() };
-    if n == 0 {
-        return (Vec::new(), stats);
-    }
-    let scopes = active_scopes();
-
-    // Single worker: run inline on the caller thread. Same results by
-    // construction; no spawn cost, and `shards == 1` keeps the classic
-    // serial profile exactly.
-    if workers == 1 {
-        let t0 = std::time::Instant::now();
-        let out: Vec<T> = (0..n).map(&f).collect();
-        stats.local_pops = n as u64;
-        stats.busy_ns = t0.elapsed().as_nanos() as u64;
-        bump_globals(&stats, &scopes);
-        return (out, stats);
-    }
-
-    let injector: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::new());
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    match cfg.placement {
-        Placement::Injector => injector.lock().unwrap().extend(0..n),
-        Placement::Worker0 => deques[0].lock().unwrap().extend(0..n),
-    }
-    let grab = if cfg.grab == 0 { (n / (workers * 4)).clamp(1, 32) } else { cfg.grab.max(1) };
-
-    let local_pops = AtomicU64::new(0);
-    let injector_batches = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-    let stolen_jobs = AtomicU64::new(0);
-    let busy_ns = AtomicU64::new(0);
-
-    let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let injector = &injector;
-                let deques = &deques;
-                let f = &f;
-                let (local_pops, injector_batches, steals, stolen_jobs, busy_ns) =
-                    (&local_pops, &injector_batches, &steals, &stolen_jobs, &busy_ns);
-                let scopes = &scopes;
-                scope.spawn(move || {
-                    // Inherit the caller's counter scopes so nested
-                    // fan-outs issued from inside jobs credit them.
-                    SCOPES.with(|s| s.borrow_mut().clone_from(scopes));
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    // Jobs taken in a steal run before the next local pop;
-                    // counted separately so the telemetry can say how much
-                    // work moved between workers.
-                    let mut stolen_run = 0u64;
-                    loop {
-                        let job = {
-                            let mut mine = deques[me].lock().unwrap();
-                            mine.pop_back()
-                        };
-                        if let Some(i) = job {
-                            if stolen_run > 0 {
-                                stolen_run -= 1;
-                                stolen_jobs.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                local_pops.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let t0 = std::time::Instant::now();
-                            out.push((i, f(i)));
-                            busy_ns
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            continue;
-                        }
-                        // Refill from the injector.
-                        {
-                            let mut inj = injector.lock().unwrap();
-                            if !inj.is_empty() {
-                                let take = grab.min(inj.len());
-                                let batch: Vec<usize> = inj.drain(..take).collect();
-                                drop(inj);
-                                deques[me].lock().unwrap().extend(batch);
-                                injector_batches.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                        // Steal the front half of the first non-empty
-                        // victim deque, scanning from our right neighbour.
-                        let mut found = false;
-                        for k in 1..workers {
-                            let victim = (me + k) % workers;
-                            let batch: Vec<usize> = {
-                                let mut v = deques[victim].lock().unwrap();
-                                let take = v.len().div_ceil(2);
-                                v.drain(..take).collect()
-                            };
-                            if !batch.is_empty() {
-                                stolen_run = batch.len() as u64;
-                                deques[me].lock().unwrap().extend(batch);
-                                steals.fetch_add(1, Ordering::Relaxed);
-                                found = true;
-                                break;
-                            }
-                        }
-                        if !found {
-                            // Injector and every deque were empty on a full
-                            // scan; no job creates jobs, so we are done.
-                            break;
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            per_worker.push(h.join().expect("fleet worker panicked"));
-        }
-    });
-
-    stats.local_pops = local_pops.into_inner();
-    stats.injector_batches = injector_batches.into_inner();
-    stats.steals = steals.into_inner();
-    stats.stolen_jobs = stolen_jobs.into_inner();
-    stats.busy_ns = busy_ns.into_inner();
-    bump_globals(&stats, &scopes);
-
-    // Reassemble in index order, independent of scheduling.
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for chunk in per_worker {
-        for (i, v) in chunk {
-            debug_assert!(slots[i].is_none(), "job {i} ran twice");
-            slots[i] = Some(v);
-        }
-    }
-    let out = slots.into_iter().map(|s| s.expect("fleet job produced no output")).collect();
+    let mut out = Vec::with_capacity(n);
+    // The caller keeps every output anyway, so the window is the batch.
+    let stats = pull_loop(workers, n, 0..n, |i, _| f(i), |_, v| out.push(v));
     (out, stats)
 }
 
-/// Shared state of one streaming batch: the lazy job source on the front
-/// end, the reorder buffer and in-order reducer on the back end. One mutex
-/// on purpose — the window condition ("don't issue more than `window` jobs
-/// ahead of the reducer") spans both ends, and fleet jobs are whole
-/// simulations, so the lock is nanoseconds against millisecond holds.
-struct StreamState<I, G, T> {
-    /// Lazy job source; `None` once exhausted.
+/// Run every job a lazy iterator yields and fold the outputs through
+/// `reduce` **in job-index order**, without ever materializing the job list
+/// or the result list: memory is bounded by the reorder window
+/// (`max(4 × workers, 16)` in-flight jobs), whatever the stream length.
+///
+/// `f(job, index)` runs on the pool's workers, which pull from the shared
+/// iterator on demand. `reduce(index, output)` observes exactly the
+/// sequence `(0, f(j₀,0)), (1, f(j₁,1)), …` regardless of worker count,
+/// completion order or repeat — the reorder buffer holds early finishers
+/// until their predecessors arrive. A deterministic `f` therefore makes the
+/// reduction bit-identical across worker counts, the same contract
+/// [`run_with`] gives for its output `Vec`.
+///
+/// Returns the number of jobs executed and the batch's [`FleetStats`].
+pub fn run_stream<J, T, F, G>(
+    cfg: PoolConfig,
+    jobs: impl IntoIterator<Item = J, IntoIter: Send>,
+    f: F,
+    reduce: G,
+) -> (usize, FleetStats)
+where
+    J: Send,
+    T: Send,
+    F: Fn(J, usize) -> T + Sync,
+    G: FnMut(usize, T) + Send,
+{
+    let workers = cfg.workers.max(1) as usize;
+    let stats = pull_loop(workers, (workers * 4).max(16), jobs.into_iter(), f, reduce);
+    (stats.jobs as usize, stats)
+}
+
+/// Shared state of one batch: the job source on the front end, the reorder
+/// buffer and in-order reducer on the back end. One mutex on purpose — the
+/// window condition ("don't issue more than `window` jobs ahead of the
+/// reducer") spans both ends.
+struct PullState<I, G, T> {
+    /// Job source; `None` once exhausted.
     iter: Option<I>,
     /// Index the next pulled job will get.
     next_issue: usize,
@@ -378,7 +219,7 @@ struct StreamState<I, G, T> {
     /// Completed `(index, output)` pairs waiting for `next_reduce` to catch
     /// up. Never holds more than `window` items.
     pending: BinaryHeap<std::cmp::Reverse<(usize, OrdIgnored<T>)>>,
-    /// The online reducer, invoked in strict index order.
+    /// The reducer, invoked in strict index order.
     reduce: G,
     /// A worker panicked: wake everyone and bail so the panic propagates.
     poisoned: bool,
@@ -404,181 +245,186 @@ impl<T> Ord for OrdIgnored<T> {
     }
 }
 
-/// Run every job a lazy iterator yields and fold the outputs through
-/// `reduce` **in job-index order**, without ever materializing the job list
-/// or the result list: memory is bounded by the reorder window
-/// (`max(4 × workers, 16)` in-flight jobs), whatever the stream length.
-///
-/// `f(job, index)` runs on the pool's workers, which pull from the shared
-/// iterator on demand (a lazy source self-balances, so there are no deques
-/// or steals on this path). `reduce(index, output)` observes exactly the
-/// sequence `(0, f(j₀,0)), (1, f(j₁,1)), …` regardless of worker count,
-/// completion order or repeat — the reorder buffer holds early finishers
-/// until their predecessors arrive. A deterministic `f` therefore makes the
-/// reduction bit-identical across worker counts, the same contract
-/// [`run_with`] gives for its output `Vec`.
-///
-/// Returns the number of jobs executed and the batch's [`FleetStats`].
-pub fn run_stream<J, T, F, G>(
-    cfg: PoolConfig,
-    jobs: impl IntoIterator<Item = J, IntoIter: Send>,
+/// The pool's one engine: run every job `jobs` yields on `workers` threads
+/// and hand each output to `reduce` in job-index order, with at most
+/// `window` jobs issued ahead of the reducer. Credits the batch to the
+/// caller's counter scopes.
+fn pull_loop<I, J, T, F, G>(
+    workers: usize,
+    window: usize,
+    jobs: I,
     f: F,
-    reduce: G,
-) -> (usize, FleetStats)
+    mut reduce: G,
+) -> FleetStats
 where
+    I: Iterator<Item = J> + Send,
     J: Send,
     T: Send,
     F: Fn(J, usize) -> T + Sync,
     G: FnMut(usize, T) + Send,
 {
-    let workers = cfg.workers.max(1) as usize;
-    let mut stats = FleetStats { workers: workers as u32, ..Default::default() };
-    let scopes = active_scopes();
-    let t0 = std::time::Instant::now();
+    let scopes = SCOPES.with(|s| s.borrow().clone());
+    let overridden = WORKER_OVERRIDE.with(Cell::get);
 
-    // Single worker: pull–run–reduce inline, trivially in index order.
-    if workers == 1 {
-        let mut reduce = reduce;
-        let mut n = 0usize;
-        for (i, job) in jobs.into_iter().enumerate() {
+    // Single worker: pull–run–reduce inline on the caller thread, trivially
+    // in index order. No spawn cost, and `shards == 1` keeps the classic
+    // serial profile exactly.
+    let n = if workers == 1 {
+        let mut n = 0;
+        for (i, job) in jobs.enumerate() {
             reduce(i, f(job, i));
             n += 1;
         }
-        stats.jobs = n as u64;
-        stats.local_pops = n as u64;
-        stats.busy_ns = t0.elapsed().as_nanos() as u64;
-        stats.workers = 1;
-        bump_globals(&stats, &scopes);
-        return (n, stats);
-    }
-
-    let window = (workers * 4).max(16);
-    let state = Mutex::new(StreamState {
-        iter: Some(jobs.into_iter()),
-        next_issue: 0,
-        next_reduce: 0,
-        pending: BinaryHeap::new(),
-        reduce,
-        poisoned: false,
-    });
-    let cond = Condvar::new();
-    let busy_ns = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let state = &state;
-                let cond = &cond;
-                let f = &f;
-                let busy_ns = &busy_ns;
-                let scopes = &scopes;
-                scope.spawn(move || {
-                    SCOPES.with(|s| s.borrow_mut().clone_from(scopes));
-                    // On panic (in `f` or `reduce`), poison the batch so
-                    // blocked peers exit and the join propagates the panic.
-                    struct Poison<'a, I, G, T> {
-                        state: &'a Mutex<StreamState<I, G, T>>,
-                        cond: &'a Condvar,
-                        armed: bool,
-                    }
-                    impl<I, G, T> Drop for Poison<'_, I, G, T> {
-                        fn drop(&mut self) {
-                            if self.armed {
-                                if let Ok(mut st) = self.state.lock() {
-                                    st.poisoned = true;
+        n
+    } else {
+        let state = Mutex::new(PullState {
+            iter: Some(jobs),
+            next_issue: 0,
+            next_reduce: 0,
+            pending: BinaryHeap::new(),
+            reduce,
+            poisoned: false,
+        });
+        let cond = Condvar::new();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (state, cond, f, scopes) = (&state, &cond, &f, &scopes);
+                    scope.spawn(move || {
+                        SCOPES.with(|s| s.borrow_mut().clone_from(scopes));
+                        WORKER_OVERRIDE.with(|c| c.set(overridden));
+                        // On panic (in `f` or `reduce`), poison the batch so
+                        // blocked peers exit and the join propagates the panic.
+                        struct Poison<'a, I, G, T> {
+                            state: &'a Mutex<PullState<I, G, T>>,
+                            cond: &'a Condvar,
+                            armed: bool,
+                        }
+                        impl<I, G, T> Drop for Poison<'_, I, G, T> {
+                            fn drop(&mut self) {
+                                if self.armed {
+                                    if let Ok(mut st) = self.state.lock() {
+                                        st.poisoned = true;
+                                    }
+                                    self.cond.notify_all();
                                 }
-                                self.cond.notify_all();
                             }
                         }
-                    }
-                    let mut guard = Poison { state, cond, armed: true };
-                    loop {
-                        // Pull the next job, honouring the reorder window.
-                        let (job, idx) = {
+                        let mut guard = Poison { state, cond, armed: true };
+                        loop {
+                            // Pull the next job, honouring the reorder window.
+                            let (job, idx) = {
+                                let mut st = state.lock().unwrap();
+                                loop {
+                                    if st.poisoned || st.iter.is_none() {
+                                        guard.armed = false;
+                                        return;
+                                    }
+                                    if st.next_issue - st.next_reduce < window {
+                                        break;
+                                    }
+                                    st = cond.wait(st).unwrap();
+                                }
+                                match st.iter.as_mut().unwrap().next() {
+                                    Some(job) => {
+                                        let idx = st.next_issue;
+                                        st.next_issue += 1;
+                                        (job, idx)
+                                    }
+                                    None => {
+                                        st.iter = None;
+                                        cond.notify_all();
+                                        guard.armed = false;
+                                        return;
+                                    }
+                                }
+                            };
+                            let out = f(job, idx);
+                            // Submit; drain the buffer if we unblocked it.
                             let mut st = state.lock().unwrap();
-                            loop {
-                                if st.poisoned {
-                                    guard.armed = false;
-                                    return;
-                                }
-                                if st.iter.is_none() {
-                                    guard.armed = false;
-                                    return;
-                                }
-                                if st.next_issue - st.next_reduce < window {
-                                    break;
-                                }
-                                st = cond.wait(st).unwrap();
+                            st.pending.push(std::cmp::Reverse((idx, OrdIgnored(out))));
+                            while st
+                                .pending
+                                .peek()
+                                .is_some_and(|std::cmp::Reverse((i, _))| *i == st.next_reduce)
+                            {
+                                let std::cmp::Reverse((i, OrdIgnored(v))) =
+                                    st.pending.pop().unwrap();
+                                st.next_reduce += 1;
+                                // Call with the state lock held: reducers are
+                                // cheap merges, and the lock is what serializes
+                                // them into index order.
+                                (st.reduce)(i, v);
                             }
-                            match st.iter.as_mut().unwrap().next() {
-                                Some(job) => {
-                                    let idx = st.next_issue;
-                                    st.next_issue += 1;
-                                    (job, idx)
-                                }
-                                None => {
-                                    st.iter = None;
-                                    cond.notify_all();
-                                    guard.armed = false;
-                                    return;
-                                }
-                            }
-                        };
-                        let t_job = std::time::Instant::now();
-                        let out = f(job, idx);
-                        busy_ns.fetch_add(t_job.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        // Submit; drain the buffer if we unblocked it.
-                        let mut st = state.lock().unwrap();
-                        st.pending.push(std::cmp::Reverse((idx, OrdIgnored(out))));
-                        while st
-                            .pending
-                            .peek()
-                            .is_some_and(|std::cmp::Reverse((i, _))| *i == st.next_reduce)
-                        {
-                            let std::cmp::Reverse((i, OrdIgnored(v))) = st.pending.pop().unwrap();
-                            st.next_reduce += 1;
-                            // Call with the state lock held: reducers are
-                            // cheap merges, and the lock is what serializes
-                            // them into index order.
-                            (st.reduce)(i, v);
+                            drop(st);
+                            cond.notify_all();
                         }
-                        drop(st);
-                        cond.notify_all();
-                    }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("fleet stream worker panicked");
-        }
-    });
+                .collect();
+            for h in handles {
+                h.join().expect("fleet worker panicked");
+            }
+        });
+        let st = state.into_inner().unwrap();
+        assert!(st.pending.is_empty() && st.next_reduce == st.next_issue, "fleet reducer starved");
+        st.next_reduce
+    };
 
-    let st = state.into_inner().unwrap();
-    assert!(st.pending.is_empty() && st.next_reduce == st.next_issue, "stream reducer starved");
-    let n = st.next_reduce;
-    stats.jobs = n as u64;
-    stats.local_pops = n as u64;
-    stats.busy_ns = busy_ns.into_inner();
-    bump_globals(&stats, &scopes);
-    (n, stats)
-}
-
-fn bump_globals(stats: &FleetStats, scopes: &[Arc<ScopeCell>]) {
-    G_BATCHES.fetch_add(1, Ordering::Relaxed);
-    G_JOBS.fetch_add(stats.jobs, Ordering::Relaxed);
-    G_STEALS.fetch_add(stats.steals, Ordering::Relaxed);
-    G_STOLEN_JOBS.fetch_add(stats.stolen_jobs, Ordering::Relaxed);
-    for cell in scopes {
+    for cell in &scopes {
         cell.batches.fetch_add(1, Ordering::Relaxed);
-        cell.jobs.fetch_add(stats.jobs, Ordering::Relaxed);
-        cell.steals.fetch_add(stats.steals, Ordering::Relaxed);
-        cell.stolen_jobs.fetch_add(stats.stolen_jobs, Ordering::Relaxed);
+        cell.jobs.fetch_add(n as u64, Ordering::Relaxed);
     }
+    FleetStats { workers: workers as u32, jobs: n as u64 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Busy-wait for `iters` rounds of a cheap hash, so jobs take uneven
+    /// wall-clock without sleeping.
+    fn spin(iters: u32) -> u64 {
+        (0..iters).fold(u64::from(iters), |h, k| {
+            std::hint::black_box(h.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x9E37_79B9)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Whatever the job costs and worker count, both entry points give
+        /// the serial map in index order, and a counter scope charges
+        /// exactly the jobs issued, nested fan-outs included.
+        #[test]
+        fn both_entry_points_equal_the_serial_map(
+            costs in proptest::collection::vec(0u32..4_000, 0..40),
+            pick in 0usize..4,
+        ) {
+            let workers = [1u32, 2, 3, 8][pick];
+            // Every third job issues a nested fan-out of two jobs.
+            let nested = |i: usize| if i.is_multiple_of(3) { 2 } else { 0 };
+            let job = |i: usize| {
+                let (inner, _) = run_with(PoolConfig::auto(2), nested(i), |k| k as u64);
+                spin(costs[i]) ^ inner.iter().sum::<u64>() ^ i as u64
+            };
+            let n = costs.len();
+            let serial: Vec<u64> = (0..n).map(job).collect();
+            let expect_jobs = (n + (0..n).map(nested).sum::<usize>()) as u64;
+
+            let (out, scoped) = counter_scope(|| run_with(PoolConfig::auto(workers), n, job).0);
+            prop_assert_eq!(&out, &serial, "run_with, workers={}", workers);
+            prop_assert_eq!(scoped.jobs, expect_jobs, "run_with, workers={}", workers);
+
+            let mut seen = Vec::new();
+            let (streamed, scoped) = counter_scope(|| {
+                run_stream(PoolConfig::auto(workers), 0..n, |j, _| job(j), |_, v| seen.push(v)).0
+            });
+            prop_assert_eq!(streamed, n);
+            prop_assert_eq!(&seen, &serial, "run_stream, workers={}", workers);
+            prop_assert_eq!(scoped.jobs, expect_jobs, "run_stream, workers={}", workers);
+        }
+    }
 
     #[test]
     fn outputs_are_index_ordered_for_every_worker_count() {
@@ -586,11 +432,6 @@ mod tests {
             let (out, stats) = run_with(PoolConfig::auto(workers), 100, |i| i * 3);
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>(), "workers={workers}");
             assert_eq!(stats.jobs, 100);
-            assert_eq!(
-                stats.local_pops + stats.stolen_jobs,
-                100,
-                "every job is either local or stolen: {stats:?}"
-            );
         }
     }
 
@@ -604,22 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn worker0_placement_forces_steals() {
-        let cfg = PoolConfig { workers: 4, grab: 0, placement: Placement::Worker0 };
-        // Slow jobs so the other workers reliably wake before worker 0
-        // drains its own deque.
-        let (out, stats) = run_with(cfg, 64, |i| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            i
-        });
-        assert_eq!(out.len(), 64);
-        assert!(stats.steals > 0, "no steals happened: {stats:?}");
-        assert!(stats.stolen_jobs > 0);
-    }
-
-    #[test]
     fn uneven_jobs_still_complete_and_balance() {
-        // One job is 100x the others; stealing must keep the rest flowing.
+        // One job is 100x the others; the other workers must keep the rest
+        // flowing.
         let (out, stats) = run_with(PoolConfig::auto(4), 40, |i| {
             let us = if i == 0 { 5_000 } else { 50 };
             std::thread::sleep(std::time::Duration::from_micros(us));
@@ -661,12 +489,10 @@ mod tests {
     }
 
     #[test]
-    fn global_counters_accumulate() {
-        let before = stats_snapshot();
-        run_with(PoolConfig::auto(2), 10, |i| i);
-        let after = stats_snapshot();
-        assert!(after.batches > before.batches);
-        assert!(after.jobs >= before.jobs + 10);
+    fn pool_workers_inherit_with_workers() {
+        // Without the inherited override, the jobs' own fan-outs would fall
+        // back to `SP_WORKERS` or the machine's thread count.
+        assert_eq!(with_workers(3, || run_indexed(2, |_| default_workers())), [3, 3]);
     }
 
     #[test]

@@ -2201,7 +2201,7 @@ struct CheckpointImage {
     events_dispatched: u64,
 }
 
-// The work-stealing fleet shares one warm checkpoint across worker threads
+// The fleet shares one warm checkpoint across worker threads
 // by reference (`Send + Sync`) and hands clones across thread boundaries
 // (`Send`). Checkpoints are plain data — any interior mutability or Rc-like
 // sharing slipped into a field would silently serialize the fleet, so pin

@@ -49,7 +49,7 @@
 //! | [`sp_core`] | **the contribution**: `/proc/shield` + [`ShieldPlan`](sp_core::ShieldPlan) |
 //! | [`sp_workloads`] | stress-kernel, scp/disknoise, X11perf, request-serving load generators |
 //! | [`sp_autopilot`] | closed-loop adaptive shielding: deterministic feedback controller |
-//! | [`sp_fleet`] | work-stealing job pool: real OS threads, deterministic index-ordered results |
+//! | [`sp_fleet`] | pull-based job pool: real OS threads, deterministic index-ordered results |
 //! | [`sp_experiments`] | one scenario per paper figure, fault matrices, sweeps, figure-suite runner |
 
 pub use simcore;
