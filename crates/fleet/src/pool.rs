@@ -536,8 +536,11 @@ mod tests {
             PoolConfig::auto(workers),
             0..1_000_000u64,
             |j, _| {
-                let in_flight =
-                    issued.fetch_add(1, Ordering::Relaxed) + 1 - reduced.load(Ordering::Relaxed);
+                // A worker preempted between these two reads can see
+                // `reduced` run past its `issued` value; that only
+                // underestimates in-flight jobs, so saturate at zero.
+                let issued_now = issued.fetch_add(1, Ordering::Relaxed) + 1;
+                let in_flight = issued_now.saturating_sub(reduced.load(Ordering::Relaxed));
                 peak.fetch_max(in_flight, Ordering::Relaxed);
                 j
             },

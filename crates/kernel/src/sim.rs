@@ -175,8 +175,9 @@ pub struct Simulator {
     /// The armed end of each CPU's current activity as one packed
     /// `(at, seq)` key ([`DISARMED`] while idle or spinning): the CPU's
     /// local deadline, held here rather than in `queue`. Its `seq` comes
-    /// from [`WheelQueue::reserve_seq`], so `run_until` merges these
-    /// deadlines with the queue in exact `(at, seq)` order.
+    /// from the queue's own counter ([`WheelQueue::reserve_seq`]), so
+    /// `run_until` merges these deadlines with the queue in exact
+    /// `(at, seq)` order.
     seg_end: Vec<u128>,
     /// The armed local-timer event per CPU (`None` when the timer is off).
     tick_keys: Vec<Option<EventKey>>,
@@ -2130,9 +2131,9 @@ impl Simulator {
         assert_eq!(self.cpus.len(), ck.cpus.len(), "checkpoint cpu count mismatch");
         self.now = ck.now;
         // `clone_from` throughout: a fork loop restores into the same
-        // simulator over and over, and every buffer below (the wheel's 1024
-        // buckets, the scheduler's per-priority queues, the observation
-        // sample vectors, …) keeps its allocation across iterations.
+        // simulator over and over, and the large buffers below (the
+        // scheduler's per-priority queues, the observation sample vectors,
+        // …) keep their allocations across iterations.
         self.queue.clone_from(&ck.queue);
         self.rng = ck.rng.clone();
         self.tasks.clone_from(&ck.tasks);

@@ -310,80 +310,6 @@ impl DurationDist {
         }
     }
 
-    /// Draw `out.len()` spans into `out`, bit-identical to calling
-    /// [`DurationDist::sample`] once per element.
-    ///
-    /// The batched path exists for speed, not for different statistics: the
-    /// parameter-derived constants (the memoized bounded-Pareto path, the
-    /// mean/median conversions) are resolved once per batch instead of once
-    /// per draw, and exactly one [`SimRng`] stream position is consumed per
-    /// element in the same order as the scalar path — so checkpoints, forks
-    /// and shards interleaved anywhere around (or inside) a batch see the
-    /// same stream the scalar path would have left behind.
-    pub fn sample_into(&self, rng: &mut SimRng, out: &mut [Nanos]) {
-        match self {
-            DurationDist::Constant(ns) => out.fill(Nanos(*ns)),
-            DurationDist::Uniform { lo, hi } => {
-                // `range_inclusive` may reject draws, so it cannot pre-fill a
-                // fixed-size raw buffer; the scalar call per element is
-                // already just a multiply-shift in the common case.
-                for slot in out.iter_mut() {
-                    *slot = Nanos(rng.range_inclusive(*lo, *hi));
-                }
-            }
-            DurationDist::Exponential { mean } => {
-                let mean = *mean as f64;
-                let mut raw = [0u64; DRAW_BATCH];
-                for chunk in out.chunks_mut(DRAW_BATCH) {
-                    let raw = &mut raw[..chunk.len()];
-                    rng.fill_u64(raw);
-                    for (slot, &bits) in chunk.iter_mut().zip(raw.iter()) {
-                        let u = 1.0 - u64_to_unit_f64(bits);
-                        *slot = Nanos(round_ns(-(u.ln()) * mean));
-                    }
-                }
-            }
-            DurationDist::LogNormal { median, sigma } => {
-                let median = *median as f64;
-                let sigma = *sigma;
-                for slot in out.iter_mut() {
-                    let z = sample_standard_normal(rng);
-                    *slot = Nanos(round_ns(median * (sigma * z).exp()));
-                }
-            }
-            DurationDist::BoundedPareto { lo, hi, alpha } => {
-                // One memo lookup for the whole batch; the refill loop then
-                // only does the per-draw inverse-CDF arithmetic.
-                let (la, ha, neg_inv_alpha) = pareto_constants(*lo, *hi, *alpha);
-                let (lo_f, hi_f) = (*lo as f64, *hi as f64);
-                let mut raw = [0u64; DRAW_BATCH];
-                for chunk in out.chunks_mut(DRAW_BATCH) {
-                    let raw = &mut raw[..chunk.len()];
-                    rng.fill_u64(raw);
-                    for (slot, &bits) in chunk.iter_mut().zip(raw.iter()) {
-                        let u = u64_to_unit_f64(bits);
-                        let x = ((1.0 - u) * la + u * ha).powf(neg_inv_alpha);
-                        *slot = Nanos(round_ns(x.clamp(lo_f, hi_f)));
-                    }
-                }
-            }
-            // A mixture re-picks its branch per draw, so there is no
-            // batch-invariant constant to hoist beyond the total weight.
-            DurationDist::Mix(_) => {
-                for slot in out.iter_mut() {
-                    *slot = self.sample(rng);
-                }
-            }
-            DurationDist::Shifted { base, rest } => {
-                rest.sample_into(rng, out);
-                let base = Nanos(*base);
-                for slot in out.iter_mut() {
-                    *slot = base + *slot;
-                }
-            }
-        }
-    }
-
     /// Compile this distribution for hot-loop sampling; see [`PreparedDist`].
     pub fn prepare(&self) -> PreparedDist {
         let kind = match self {
@@ -465,13 +391,6 @@ impl DurationDist {
 /// Chunk size for batched refills: small enough to live on the stack, large
 /// enough to amortize moving the RNG state in and out of registers.
 const DRAW_BATCH: usize = 32;
-
-/// Map one raw draw to uniform `[0, 1)` — the exact arithmetic of
-/// [`SimRng::f64`], applied to a buffered draw.
-#[inline]
-fn u64_to_unit_f64(bits: u64) -> f64 {
-    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Build-time bounded-Pareto constants — the same values the thread-local
 /// memo computes, resolved once when the distribution is prepared.

@@ -1,10 +1,11 @@
 //! # simcore — deterministic discrete-event simulation core
 //!
 //! Foundation layer for the shielded-processors reproduction: virtual time
-//! ([`Nanos`], [`Instant`]), a stable-ordered [`WheelQueue`], a reproducible
-//! RNG ([`SimRng`]) with the duration distributions ([`DurationDist`]) the
-//! kernel model draws service times from, and the bounded [`FlightRing`] of
-//! structured [`FlightEvent`]s that is the simulator's one event record.
+//! ([`Nanos`], [`Instant`]), a stable-ordered event queue ([`WheelQueue`],
+//! one sorted vector), a reproducible RNG ([`SimRng`]) with the duration
+//! distributions ([`DurationDist`]) the kernel model draws service times
+//! from, and the bounded [`FlightRing`] of structured [`FlightEvent`]s that
+//! is the simulator's one event record.
 //!
 //! Everything above this crate (hardware model, kernel, devices, workloads)
 //! is pure simulation logic driven by these primitives; given the same seed
