@@ -248,3 +248,106 @@ pub(crate) fn merge(runs: impl IntoIterator<Item = RunOut>, top_k: usize) -> Run
     merged.traces = crate::flight::merge_top(per_run, top_k);
     merged
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rcim::RcimConfig;
+    use crate::realfeel::RealfeelConfig;
+    use proptest::prelude::*;
+
+    /// A realfeel (`kind` even) or RCIM rig whose `run_for` chunks are
+    /// short, so tiny budgets stop close to their sample count.
+    fn rig(kind: usize) -> Rig {
+        let rig = match kind % 2 {
+            0 => RealfeelConfig::fig5_vanilla().rig(),
+            _ => RcimConfig::fig7_redhawk_shielded().rig(),
+        };
+        Rig { sampling: Sampling { chunk: (1, 64), ..rig.sampling }, ..rig }
+    }
+
+    /// Everything a merged cell reports, as one comparable string.
+    fn key(out: &RunOut) -> String {
+        format!("{:?}", (&out.histogram, out.overruns, out.events, &out.traces))
+    }
+
+    /// Reseed when the fork carries a seed; otherwise run on as restored.
+    fn prep(seed: &Option<u64>, sim: &mut Simulator, armory: &mut Armory) {
+        if let Some(seed) = seed {
+            reseed(seed, sim, armory);
+        }
+    }
+
+    /// The engine's contract, one simulation at a time: warm every
+    /// checkpoint, run every fork in order, charge each checkpoint's warm-up
+    /// events to its first fork and merge each cell's forks.
+    fn serial(groups: &[Group<Option<u64>>], top_k: usize) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        for g in groups {
+            let warms: Vec<Warm> = g.warms.iter().map(|&(s, n)| g.rig.warm(s, n)).collect();
+            let mut charged = vec![false; warms.len()];
+            let mut cells = Vec::new();
+            for forks in &g.cells {
+                let mut runs = Vec::new();
+                for (w, budget, seed) in forks {
+                    let mut run =
+                        g.rig.fork(&warms[*w], |sim, a| prep(seed, sim, a), *budget, top_k);
+                    if !std::mem::replace(&mut charged[*w], true) {
+                        run.events += warms[*w].events;
+                    }
+                    runs.push(run);
+                }
+                cells.push(key(&merge(runs, top_k)));
+            }
+            out.push(cells);
+        }
+        out
+    }
+
+    /// One group as drawn: a rig kind and checkpoint count (`shape`), and per
+    /// cell its forks as `(raw, budget)`. `raw` picks the checkpoint and
+    /// whether the fork reseeds.
+    type RawGroup = (usize, Vec<Vec<(u64, u64)>>);
+
+    fn groups(raw: Vec<RawGroup>) -> Vec<Group<Option<u64>>> {
+        let build = |(g, (shape, cells)): (usize, RawGroup)| {
+            let warm_count = 1 + shape / 2;
+            let warms = (0..warm_count).map(|i| (g as u64 * 7 + i as u64 + 1, 24 + 8 * i as u64));
+            let fork = |(raw, budget): (u64, u64)| {
+                ((raw % warm_count as u64) as usize, budget, (raw % 3 != 0).then_some(raw))
+            };
+            let cells = cells.into_iter().map(|forks| forks.into_iter().map(fork).collect());
+            Group { rig: rig(shape), warms: warms.collect(), cells: cells.collect() }
+        };
+        raw.into_iter().enumerate().map(build).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// Whatever the group shapes (cells without forks, cells with
+        /// several, checkpoints no fork uses) and worker count, the fleet
+        /// engine reports exactly what the serial reference computes.
+        #[test]
+        fn run_groups_equals_the_serial_reference(
+            raw in proptest::collection::vec(
+                (
+                    0usize..4,
+                    proptest::collection::vec(
+                        proptest::collection::vec((any::<u64>(), 8u64..40), 0..=3),
+                        0..=3,
+                    ),
+                ),
+                1..=3,
+            ),
+        ) {
+            let groups = groups(raw);
+            let expect = serial(&groups, 2);
+            for workers in [1, 2, 8] {
+                let got = sp_fleet::with_workers(workers, || {
+                    run_groups(&groups, 2, prep, |out| key(&out))
+                });
+                prop_assert_eq!(&got, &expect, "workers={}", workers);
+            }
+        }
+    }
+}
