@@ -20,7 +20,7 @@
 
 use crate::scenario::{reshield_transient_scenario, run_scenario, RecoveryReport, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
-use crate::study::{self, Group, Rig, Sampling};
+use crate::study::{self, Rig, Sampling};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_hw::{CpuId, CpuMask};
@@ -224,62 +224,61 @@ pub(crate) fn cell_seed(base: u64, index: u64) -> u64 {
     base ^ (index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One matrix group on root seed `seed`: per shard, one checkpoint warmed
-/// fault-free to a quarter of the shard budget; then, cell-major, the
-/// baseline and every fault of `rig` forked from each shard's checkpoint.
-/// Each fork arms its cell's fault (the baseline arms nothing) and samples
-/// the remaining three quarters on top of whatever the warm-up collected,
-/// so every cell samples its faulted regime even when the warm-up overshot
-/// its quarter. Warm-up samples count toward every cell's histogram; they
-/// are drawn under exactly the cell's no-fault conditions, so the baseline
-/// percentiles the bands compare against are unaffected and the faulted
-/// cells' worst cases still come from their faulted stretches.
-fn matrix_group(rig: Rig, seed: u64, shards: u32, samples: u64) -> Group<Option<String>> {
-    let shards = effective_shards(shards, samples);
-    let budgets = split_samples(samples, shards);
-    let faults = rig.spec.faults.iter().map(|f| Some(f.name.clone()));
-    let faults = std::iter::once(None).chain(faults);
-    let cells = faults
-        .map(|fault| {
-            budgets.iter().enumerate().map(|(w, b)| (w, b - b / 4, fault.clone())).collect()
-        })
-        .collect();
-    let warms = shard_seeds(seed, shards).into_iter().zip(&budgets).map(|(s, b)| (s, b / 4));
-    Group { rig, warms: warms.collect(), cells }
-}
-
 /// One merged matrix cell: its group index, fault label, summary, events
 /// and captured windows.
 pub(crate) type LabelledCell = (usize, String, LatencySummary, u64, Vec<WorstCaseTrace>);
 
-/// Run a matrix flattened across its groups: group `g` is the
-/// [`matrix_group`] of `rigs[g] = (root seed, rig)`, and every group's
-/// warms, then every group's forks, share one fleet batch each. Returns the
-/// merged cells in group then cell order, the baseline first.
+/// Run a matrix flattened across its groups, group `g` on
+/// `rigs[g] = (root seed, rig)`. Per shard, each group warms one checkpoint
+/// fault-free to a quarter of the shard budget; then, cell-major, the
+/// baseline and every fault of the group's rig fork from each shard's
+/// checkpoint. Each fork arms its cell's fault (the baseline arms nothing)
+/// and samples the remaining three quarters on top of whatever the warm-up
+/// collected, so every cell samples its faulted regime even when the warm-up
+/// overshot its quarter. Warm-up samples count toward every cell's
+/// histogram; they are drawn under exactly the cell's no-fault conditions,
+/// so the baseline percentiles the bands compare against are unaffected and
+/// the faulted cells' worst cases still come from their faulted stretches.
+///
+/// Every group's warms share one fleet batch and every group's forks one
+/// stream ([`study::run_groups`]). Returns the merged cells in group then
+/// cell order, the baseline first.
 pub(crate) fn run_matrix(
     rigs: Vec<(u64, Rig)>,
     shards: u32,
     samples: u64,
     top_k: usize,
 ) -> Vec<LabelledCell> {
-    let groups: Vec<_> =
-        rigs.into_iter().map(|(seed, rig)| matrix_group(rig, seed, shards, samples)).collect();
+    let shards = effective_shards(shards, samples);
+    let budgets = &split_samples(samples, shards);
+    // Group `g`'s shard `s` restores checkpoint `g * shards + s`.
+    let warms: Vec<_> = rigs
+        .iter()
+        .flat_map(|(seed, rig)| {
+            let seeds = shard_seeds(*seed, shards).into_iter().zip(budgets);
+            seeds.map(move |(s, b)| (rig, s, b / 4))
+        })
+        .collect();
+    let cells = rigs.iter().enumerate().flat_map(|(g, (_, rig))| {
+        let faults = rig.spec.faults.iter().map(|f| Some(f.name.clone()));
+        std::iter::once(None).chain(faults).map(move |fault| {
+            let first = g * shards as usize;
+            let forks = budgets.iter().enumerate();
+            let forks = forks.map(|(s, b)| (first + s, b - b / 4, fault.clone())).collect();
+            ((g, fault.unwrap_or_else(|| "baseline".to_string())), forks)
+        })
+    });
     let arm = |fault: &Option<String>, sim: &mut Simulator, armory: &mut Armory| {
         if let Some(name) = fault {
             armory.arm(sim, name).expect("arm");
         }
     };
-    let outs = study::run_groups(&groups, top_k, arm, |out| {
-        (LatencySummary::from_histogram(&out.histogram), out.events, out.traces)
+    let mut out = Vec::new();
+    study::run_groups(&warms, cells, top_k, arm, |(g, fault), run| {
+        let summary = LatencySummary::from_histogram(&run.histogram);
+        out.push((g, fault, summary, run.events, run.traces));
     });
-    let cells = groups.iter().zip(outs).enumerate().flat_map(|(g, (group, outs))| {
-        let faults = group.rig.spec.faults.iter().map(|f| f.name.clone());
-        let labels = std::iter::once("baseline".to_string()).chain(faults);
-        labels.zip(outs).map(move |(fault, (summary, events, traces))| {
-            (g, fault, summary, events, traces)
-        })
-    });
-    cells.collect()
+    out
 }
 
 /// Group `g`'s root seed (see [`cell_seed`]) and rig. Both cells of a pair
@@ -317,10 +316,11 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
 ///
 /// Execution is flattened across the whole matrix rather than group by
 /// group (see `run_matrix`): every `(group, shard)` warm-up runs in one
-/// fleet batch, then all `groups × cells × shards` forks in a second, and
-/// each group's cells merge in index order. The pool sees `4 × 6 × shards`
-/// forks at once instead of four serial six-job bursts, while every cell
-/// stays bit-identical to running its group alone (asserted in tests).
+/// fleet batch, then all `groups × cells × shards` forks stream through one
+/// pull loop, and each cell merges, in order, as its last fork lands. The
+/// pool sees `4 × 6 × shards` forks in one stream instead of four serial
+/// six-job bursts, while every cell stays bit-identical to running its
+/// group alone (asserted in tests).
 pub fn run_fault_matrix_with_flight(
     cfg: &FaultMatrixConfig,
     top_k: usize,
@@ -453,9 +453,10 @@ mod tests {
         );
     }
 
-    /// The flattened all-groups batch (warms, then cells + reshield, then
-    /// merge) must produce exactly the cells each group produces when run
-    /// through the engine alone — whatever the worker count.
+    /// The flattened all-groups run (warms, then the streamed cells beside
+    /// the reshield scenario) must produce exactly the cells each group
+    /// produces when run through the engine alone — whatever the worker
+    /// count.
     #[test]
     fn flattened_matrix_matches_group_by_group() {
         let cfg = FaultMatrixConfig { samples_per_cell: 800, shards: 2, seed: 0xFA17_5EED };

@@ -237,8 +237,9 @@ pub fn run_modern_matrix(cfg: &ModernConfig) -> ModernReport {
 
 /// [`run_modern_matrix`] with the flight recorder armed in every cell's
 /// forks. Execution is flattened: every `(group, shard)` warm-up runs in one
-/// fleet batch, all `groups × cells × shards` forks in a second, and cells
-/// merge in index order — bit-identical whatever the worker count.
+/// fleet batch, then all `groups × cells × shards` forks stream through one
+/// pull loop and each cell merges, in order, as its last fork lands —
+/// bit-identical whatever the worker count.
 pub fn run_modern_matrix_with_flight(
     cfg: &ModernConfig,
     top_k: usize,

@@ -7,16 +7,20 @@
 //! 2. **Sampling** — [`Rig::collect`] is the one sample-collection loop; its
 //!    [`Sampling`] data decides where `run_for` stops, so it decides the
 //!    histogram.
-//! 3. **Warm → fork → merge** — [`run_groups`] warms checkpoints, forks cells
-//!    off them and merges in index order. Each fork reports its events as
-//!    the delta since its restore; the warm-up's events are charged once, to
-//!    the first fork of that checkpoint. The per-fork step is the caller's:
-//!    [`reseed`] for shards and sweep cells, a fault arm for matrix cells.
+//! 3. **Warm → fork → reduce** — [`run_groups`] is the one engine: it warms
+//!    every checkpoint in one fleet batch, then streams the forks through
+//!    [`sp_fleet::run_stream`] and merges each cell the moment its last fork
+//!    lands, in cell order. Cells come from a lazy iterator, so memory stays
+//!    bounded by the reorder window however many cells run. Each fork
+//!    reports its events as the delta since its restore; the warm-up's
+//!    events are charged once, to the first fork of that checkpoint. The
+//!    per-fork step and the per-cell fold are the caller's: [`reseed`] for
+//!    figure shards and sweep cells, a fault arm for matrix cells.
 
 use crate::scenario::{DeviceKind, MeasuredKind, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
 use simcore::Nanos;
-use sp_fleet::run_indexed;
+use sp_fleet::{default_workers, run_indexed, PoolConfig};
 use sp_inject::Armory;
 use sp_kernel::{Checkpoint, Pid, Simulator, WorstCaseTrace};
 use sp_metrics::LatencyHistogram;
@@ -44,6 +48,7 @@ pub(crate) struct Rig {
 }
 
 /// One run's (or one merged cell's) measurements.
+#[derive(Default)]
 pub(crate) struct RunOut {
     pub(crate) histogram: LatencyHistogram,
     /// Periods that passed without a fresh sample.
@@ -156,15 +161,9 @@ pub(crate) fn reseed(seed: &u64, sim: &mut Simulator, _armory: &mut Armory) {
     sim.obs.reset_samples();
 }
 
-/// Warm checkpoints and the forks taken from them, grouped into cells. A
-/// cell's forks merge, in order, into one output.
-pub(crate) struct Group<C> {
-    pub(crate) rig: Rig,
-    /// `(seed, warm-up samples)` per checkpoint.
-    pub(crate) warms: Vec<(u64, u64)>,
-    /// Per cell, its forks: `(checkpoint index, sample budget, fork data)`.
-    pub(crate) cells: Vec<Vec<(usize, u64, C)>>,
-}
+/// One fork: the index of the checkpoint it restores, its sample budget and
+/// the data the caller's per-fork step applies.
+pub(crate) type Fork<C> = (usize, u64, C);
 
 /// A figure run's sample budget split across `shards` (clamped by
 /// [`effective_shards`]), one output per shard in shard order. One shard is
@@ -183,69 +182,85 @@ pub(crate) fn run_shards(
         let (sim, _armory, pid) = rig.build(seed);
         return vec![rig.sample(sim, pid, samples, top_k)];
     }
-    let (seeds, budgets) = (shard_seeds(seed, shards), split_samples(samples, shards));
-    let group = Group {
-        rig,
-        warms: vec![(seed, (samples / shards as u64 / 8).clamp(256, 4_096))],
-        cells: seeds.into_iter().zip(budgets).map(|(s, b)| vec![(0, b, s)]).collect(),
-    };
-    run_groups(&[group], top_k, reseed, |out| out).remove(0)
+    let warm = (&rig, seed, (samples / shards as u64 / 8).clamp(256, 4_096));
+    let forks = shard_seeds(seed, shards).into_iter().zip(split_samples(samples, shards));
+    let mut out = Vec::new();
+    run_groups(&[warm], forks.map(|(s, b)| ((), vec![(0, b, s)])), top_k, reseed, |(), run| {
+        out.push(run)
+    });
+    out
 }
 
-/// Run every group: phase A warms all checkpoints in one fleet batch, phase
-/// B runs all forks in a second, phase C merges each group's cells in index
-/// order. Bit-identical whatever the worker count. `finish` maps each cell
-/// as soon as it is merged, so a caller that keeps only a summary never
-/// holds every cell's histogram at once.
-pub(crate) fn run_groups<C: Sync, T>(
-    groups: &[Group<C>],
+/// The one warm → fork → reduce engine. Warm every checkpoint
+/// (`warms[i] = (rig, seed, warm-up samples)`) in one fleet batch, then
+/// stream the cells' forks through [`sp_fleet::run_stream`]: a cell is a key
+/// and its forks, pulled lazily from `cells`, and `finish` gets each cell's
+/// key and merged output in cell order, the moment its last fork lands. So
+/// at most a reorder window of fork outputs is alive at once, however many
+/// cells there are. A fork restores checkpoint `i`, applies `prep` and
+/// samples its budget; the first fork of each checkpoint also carries that
+/// checkpoint's warm-up events. Bit-identical whatever the worker count.
+/// Returns each checkpoint's warm-up events.
+pub(crate) fn run_groups<K: Send, C: Send>(
+    warms: &[(&Rig, u64, u64)],
+    cells: impl Iterator<Item = (K, Vec<Fork<C>>)> + Send,
     top_k: usize,
     prep: impl Fn(&C, &mut Simulator, &mut Armory) + Sync,
-    mut finish: impl FnMut(RunOut) -> T,
-) -> Vec<Vec<T>> {
-    // Flatten every group's checkpoints and forks; a fork names its
-    // checkpoint by flat index.
-    let (mut warm_at, mut fork_at) = (Vec::new(), Vec::new());
-    for g in groups {
-        let first = warm_at.len();
-        let forks = g.cells.iter().flatten();
-        fork_at.extend(forks.map(|(w, budget, data)| (&g.rig, first + w, *budget, data)));
-        warm_at.extend(g.warms.iter().map(|&(seed, samples)| (&g.rig, seed, samples)));
-    }
-
-    let warms = run_indexed(warm_at.len(), |j| {
-        let (rig, seed, samples) = warm_at[j];
+    mut finish: impl FnMut(K, RunOut) + Send,
+) -> Vec<u64> {
+    let warmed = run_indexed(warms.len(), |j| {
+        let (rig, seed, samples) = warms[j];
         rig.warm(seed, samples)
     });
-    let forks = run_indexed(fork_at.len(), |j| {
-        let (rig, w, budget, data) = fork_at[j];
-        rig.fork(&warms[w], |sim, armory| prep(data, sim, armory), budget, top_k)
-    });
 
-    let mut charged = vec![false; warms.len()];
-    let mut runs = forks.into_iter().zip(&fork_at).map(|(mut out, &(_, w, ..))| {
-        if !std::mem::replace(&mut charged[w], true) {
-            out.events += warms[w].events;
-        }
-        out
+    // One job per fork, the cell's last carrying its key; a cell without
+    // forks is one job that runs nothing and closes it.
+    let jobs = cells.flat_map(|(key, forks)| {
+        let (n, mut key) = (forks.len(), Some(key));
+        let forks = forks.into_iter().map(Some).chain((n == 0).then_some(None));
+        forks.enumerate().map(move |(i, fork)| (fork, if i + 1 >= n { key.take() } else { None }))
     });
-    let mut merge_cell = |forks: &Vec<_>| finish(merge(runs.by_ref().take(forks.len()), top_k));
-    groups.iter().map(|g| g.cells.iter().map(&mut merge_cell).collect()).collect()
+    let run = |(fork, key): (Option<Fork<C>>, Option<K>), _| {
+        let out = fork.map(|(w, budget, data)| {
+            let prep = |sim: &mut _, armory: &mut _| prep(&data, sim, armory);
+            (w, warms[w].0.fork(&warmed[w], prep, budget, top_k))
+        });
+        (out, key)
+    };
+    let (mut charged, mut cell) = (vec![false; warmed.len()], RunOut::default());
+    let reduce = |_, (out, key): (Option<(usize, RunOut)>, Option<K>)| {
+        if let Some((w, mut out)) = out {
+            if !std::mem::replace(&mut charged[w], true) {
+                out.events += warmed[w].events;
+            }
+            cell.absorb(out, top_k);
+        }
+        if let Some(key) = key {
+            finish(key, std::mem::take(&mut cell));
+        }
+    };
+    sp_fleet::run_stream(PoolConfig::auto(default_workers()), jobs, run, reduce);
+    warmed.iter().map(|w| w.events).collect()
 }
 
-/// Merge runs in order: histograms and counters add, captured windows merge
-/// into the global top-`top_k`.
-pub(crate) fn merge(runs: impl IntoIterator<Item = RunOut>, top_k: usize) -> RunOut {
-    let mut merged =
-        RunOut { histogram: LatencyHistogram::new(), overruns: 0, events: 0, traces: Vec::new() };
-    let mut per_run = Vec::new();
-    for run in runs {
-        merged.histogram.merge(&run.histogram);
-        merged.overruns += run.overruns;
-        merged.events += run.events;
-        per_run.push(run.traces);
+impl RunOut {
+    /// Fold `run` in after everything merged so far: histograms and counters
+    /// add, captured windows merge into the global top-`top_k`.
+    fn absorb(&mut self, run: RunOut, top_k: usize) {
+        self.histogram.merge(&run.histogram);
+        self.overruns += run.overruns;
+        self.events += run.events;
+        let traces = std::mem::take(&mut self.traces);
+        self.traces = crate::flight::merge_top(vec![traces, run.traces], top_k);
     }
-    merged.traces = crate::flight::merge_top(per_run, top_k);
+}
+
+/// Merge runs in order (see [`RunOut::absorb`]).
+pub(crate) fn merge(runs: impl IntoIterator<Item = RunOut>, top_k: usize) -> RunOut {
+    let mut merged = RunOut::default();
+    for run in runs {
+        merged.absorb(run, top_k);
+    }
     merged
 }
 
@@ -255,6 +270,7 @@ mod tests {
     use crate::rcim::RcimConfig;
     use crate::realfeel::RealfeelConfig;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// A realfeel (`kind` even) or RCIM rig whose `run_for` chunks are
     /// short, so tiny budgets stop close to their sample count.
@@ -278,48 +294,60 @@ mod tests {
         }
     }
 
+    /// Checkpoints and cells drawn from raw group shapes: per group a rig
+    /// kind and checkpoint count (`shape`), and per cell its forks as
+    /// `(raw, budget)`. `raw` picks one of the group's checkpoints and
+    /// whether the fork reseeds.
+    type RawGroup = (usize, Vec<Vec<(u64, u64)>>);
+    type Shape = (Vec<(Rig, u64, u64)>, Vec<Vec<Fork<Option<u64>>>>);
+
+    fn shape(raw: Vec<RawGroup>) -> Shape {
+        let (mut warms, mut cells) = (Vec::new(), Vec::new());
+        for (g, (shape, raw_cells)) in raw.into_iter().enumerate() {
+            let (first, count) = (warms.len(), 1 + shape / 2);
+            let warm = |i| (rig(shape), g as u64 * 7 + i as u64 + 1, 24 + 8 * i as u64);
+            warms.extend((0..count).map(warm));
+            let fork = |(raw, budget): (u64, u64)| {
+                (first + (raw % count as u64) as usize, budget, (raw % 3 != 0).then_some(raw))
+            };
+            cells.extend(raw_cells.into_iter().map(|forks| forks.into_iter().map(fork).collect()));
+        }
+        (warms, cells)
+    }
+
     /// The engine's contract, one simulation at a time: warm every
     /// checkpoint, run every fork in order, charge each checkpoint's warm-up
     /// events to its first fork and merge each cell's forks.
-    fn serial(groups: &[Group<Option<u64>>], top_k: usize) -> Vec<Vec<String>> {
+    fn serial((warms, cells): &Shape, top_k: usize) -> Vec<String> {
+        let warmed: Vec<Warm> = warms.iter().map(|(rig, s, n)| rig.warm(*s, *n)).collect();
+        let mut charged = vec![false; warms.len()];
         let mut out = Vec::new();
-        for g in groups {
-            let warms: Vec<Warm> = g.warms.iter().map(|&(s, n)| g.rig.warm(s, n)).collect();
-            let mut charged = vec![false; warms.len()];
-            let mut cells = Vec::new();
-            for forks in &g.cells {
-                let mut runs = Vec::new();
-                for (w, budget, seed) in forks {
-                    let mut run =
-                        g.rig.fork(&warms[*w], |sim, a| prep(seed, sim, a), *budget, top_k);
-                    if !std::mem::replace(&mut charged[*w], true) {
-                        run.events += warms[*w].events;
-                    }
-                    runs.push(run);
+        for forks in cells {
+            let mut runs = Vec::new();
+            for (w, budget, seed) in forks {
+                let prep = |sim: &mut _, armory: &mut _| prep(seed, sim, armory);
+                let mut run = warms[*w].0.fork(&warmed[*w], prep, *budget, top_k);
+                if !std::mem::replace(&mut charged[*w], true) {
+                    run.events += warmed[*w].events;
                 }
-                cells.push(key(&merge(runs, top_k)));
+                runs.push(run);
             }
-            out.push(cells);
+            out.push(key(&merge(runs, top_k)));
         }
         out
     }
 
-    /// One group as drawn: a rig kind and checkpoint count (`shape`), and per
-    /// cell its forks as `(raw, budget)`. `raw` picks the checkpoint and
-    /// whether the fork reseeds.
-    type RawGroup = (usize, Vec<Vec<(u64, u64)>>);
-
-    fn groups(raw: Vec<RawGroup>) -> Vec<Group<Option<u64>>> {
-        let build = |(g, (shape, cells)): (usize, RawGroup)| {
-            let warm_count = 1 + shape / 2;
-            let warms = (0..warm_count).map(|i| (g as u64 * 7 + i as u64 + 1, 24 + 8 * i as u64));
-            let fork = |(raw, budget): (u64, u64)| {
-                ((raw % warm_count as u64) as usize, budget, (raw % 3 != 0).then_some(raw))
-            };
-            let cells = cells.into_iter().map(|forks| forks.into_iter().map(fork).collect());
-            Group { rig: rig(shape), warms: warms.collect(), cells: cells.collect() }
-        };
-        raw.into_iter().enumerate().map(build).collect()
+    /// [`run_groups`] on `workers` threads, each cell keyed by its index.
+    fn engine((warms, cells): &Shape, top_k: usize, workers: u32) -> Vec<String> {
+        let warms: Vec<_> = warms.iter().map(|(rig, s, n)| (rig, *s, *n)).collect();
+        let mut out = Vec::new();
+        sp_fleet::with_workers(workers, || {
+            run_groups(&warms, cells.iter().cloned().enumerate(), top_k, prep, |i, run| {
+                assert_eq!(i, out.len(), "cells finish in order");
+                out.push(key(&run));
+            })
+        });
+        out
     }
 
     proptest! {
@@ -340,14 +368,43 @@ mod tests {
                 1..=3,
             ),
         ) {
-            let groups = groups(raw);
-            let expect = serial(&groups, 2);
+            let shape = shape(raw);
+            let expect = serial(&shape, 2);
             for workers in [1, 2, 8] {
-                let got = sp_fleet::with_workers(workers, || {
-                    run_groups(&groups, 2, prep, |out| key(&out))
-                });
-                prop_assert_eq!(&got, &expect, "workers={}", workers);
+                prop_assert_eq!(&engine(&shape, 2, workers), &expect, "workers={}", workers);
             }
+        }
+    }
+
+    /// Streaming bounds what is alive: a fork starts only while fewer than
+    /// the reorder window (`max(4 × workers, 16)`) of forks are unreduced,
+    /// so no fork starts more than that window, plus one fork per worker of
+    /// slack, ahead of the last finished cell. A batch engine that runs every
+    /// fork before merging any would start all of them first.
+    #[test]
+    fn forks_stay_within_a_window_of_the_last_finished_cell() {
+        let rig = rig(1);
+        for workers in [2u32, 4] {
+            let window = u64::from(4 * workers).max(16);
+            let (started, finished, peak) =
+                (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+            let prep = |seed: &u64, sim: &mut Simulator, armory: &mut Armory| {
+                // A stale `finished` only overstates the lead; saturate in
+                // case a worker's read runs ahead of its own `started`.
+                let lead =
+                    (started.fetch_add(1, Relaxed) + 1).saturating_sub(finished.load(Relaxed));
+                peak.fetch_max(lead, Relaxed);
+                reseed(seed, sim, armory);
+            };
+            let cells = (0..64u64).map(|i| (i, vec![(0, 4, i)]));
+            sp_fleet::with_workers(workers, || {
+                run_groups(&[(&rig, 1, 16)], cells, 0, prep, |_, _| {
+                    finished.fetch_add(1, Relaxed);
+                })
+            });
+            assert_eq!(finished.into_inner(), 64);
+            let peak = peak.into_inner();
+            assert!(peak <= window + u64::from(workers), "workers={workers}: lead {peak}");
         }
     }
 }

@@ -1,9 +1,10 @@
-//! Million-config sweep engine: stream a huge realfeel grid through the
-//! fleet in bounded memory.
+//! Million-config sweeps: stream a huge realfeel grid through the fleet in
+//! bounded memory.
 //!
 //! A sweep is a cross-product of `(kernel variant, shield)` *groups* with a
-//! per-group axis of forked seeds. Three mechanisms keep a run with a
-//! million cells tractable:
+//! per-group axis of forked seeds. It runs on `study::run_groups`, the
+//! warm → fork → reduce engine the figures and matrices share, which gives
+//! it three mechanisms that keep a run with a million cells tractable:
 //!
 //! * **warm up front** — every distinct group is warmed once, in one fleet
 //!   batch, before any cell runs; every cell in a group forks from that
@@ -14,11 +15,11 @@
 //!   ([`SweepConfig::cells`]), never a materialized spec list. Cell seeds
 //!   use the same labelled-fork scheme as [`crate::shard::shard_seeds`],
 //!   drawn on demand.
-//! * **streaming reduction** — results flow through
-//!   [`sp_fleet::run_stream`]'s index-ordered online reducer into per-group
-//!   aggregates and a bounded worst-cell list. No per-cell result vector
-//!   ever exists; peak memory is the pool's reorder window times one
-//!   histogram.
+//! * **streaming reduction** — forks flow through
+//!   [`sp_fleet::run_stream`]'s index-ordered online reducer, and each cell
+//!   folds into per-group aggregates and a bounded worst-cell list as it
+//!   lands. No per-cell result vector ever exists; peak memory is the
+//!   pool's reorder window times one histogram.
 //!
 //! # Determinism contract
 //!
@@ -34,7 +35,6 @@ use crate::realfeel::RealfeelConfig;
 use crate::study::{self, Rig};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
-use sp_fleet::PoolConfig;
 use sp_kernel::KernelVariant;
 use sp_metrics::{LatencyHistogram, LatencySummary};
 
@@ -229,22 +229,12 @@ struct GroupAgg {
     events: u64,
 }
 
-struct CellOutput {
-    group: usize,
-    seed: u64,
-    max_ns: u64,
-    histogram: LatencyHistogram,
-    overruns: u64,
-    events: u64,
-}
-
-/// Run the sweep: warm every distinct group in one fleet batch (the phase A
-/// of `study::run_groups`), then stream every cell through the fleet,
-/// folding results into per-group aggregates and the bounded worst-cell
-/// list as they arrive.
+/// Run the sweep through `study::run_groups`: every distinct group is one
+/// warm checkpoint, [`SweepConfig::cells`] is the lazy cell stream (one fork
+/// per cell), and each cell folds into its group's aggregate and the
+/// bounded worst-cell list as it lands, in cell order.
 pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     let t0 = std::time::Instant::now();
-    let pool = PoolConfig::auto(cfg.workers.max(1));
     // The distinct groups, and per group the index of its warm-up.
     let mut distinct: Vec<SweepGroup> = Vec::new();
     let warm_of: Vec<usize> = cfg
@@ -260,6 +250,10 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     let rigs: Vec<Rig> = distinct.iter().map(|g| cfg.warm_config(g).rig()).collect();
     // A grid without cells needs no warm-up.
     let warm_count = if cfg.seeds_per_group > 0 { rigs.len() } else { 0 };
+    let warms: Vec<_> = rigs[..warm_count]
+        .iter()
+        .map(|rig| (rig, cfg.base_seed, cfg.warm_samples.max(1)))
+        .collect();
 
     let mut groups: Vec<GroupAgg> = cfg
         .groups
@@ -270,42 +264,33 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     // arrival makes the tie-break (first cell wins) deterministic.
     let mut worst: Vec<(u64, usize, u64)> = Vec::new();
 
-    let (warms, _) = sp_fleet::run_with(pool, warm_count, |j| {
-        rigs[j].warm(cfg.base_seed, cfg.warm_samples.max(1))
-    });
-    let (cells_run, _) = sp_fleet::run_stream(
-        pool,
-        cfg.cells(),
-        |cell: SweepCell, _| {
-            let w = warm_of[cell.group];
-            let reseed = |sim: &mut _, armory: &mut _| study::reseed(&cell.seed, sim, armory);
-            let out = rigs[w].fork(&warms[w], reseed, cfg.samples_per_cell, 0);
-            CellOutput {
-                group: cell.group,
-                seed: cell.seed,
-                max_ns: out.histogram.max().as_ns(),
-                histogram: out.histogram,
-                overruns: out.overruns,
-                events: out.events,
-            }
-        },
-        |_, out: CellOutput| {
-            let agg = &mut groups[out.group];
+    let cells = cfg
+        .cells()
+        .map(|cell| (cell, vec![(warm_of[cell.group], cfg.samples_per_cell, cell.seed)]));
+    let warm_ups = sp_fleet::with_workers(cfg.workers.max(1), || {
+        study::run_groups(&warms, cells, 0, study::reseed, |cell: SweepCell, out| {
+            let agg = &mut groups[cell.group];
             agg.histogram.merge(&out.histogram);
             agg.cells += 1;
             agg.overruns += out.overruns;
             agg.events += out.events;
-            worst.push((out.max_ns, out.group, out.seed));
+            worst.push((out.histogram.max().as_ns(), cell.group, cell.seed));
             worst.sort_by_key(|cell| std::cmp::Reverse(cell.0));
             worst.truncate(cfg.top_worst);
-        },
-    );
+        })
+    });
+    // The engine charges each warm-up to its checkpoint's first cell, which
+    // belongs to the first group using it; the report counts warm-ups apart.
+    for (w, events) in warm_ups.iter().enumerate() {
+        let first = warm_of.iter().position(|&g| g == w).expect("a warm-up has a group");
+        groups[first].events -= events;
+    }
     let wall = t0.elapsed().as_secs_f64();
 
     let cell_events: u64 = groups.iter().map(|g| g.events).sum();
-    let warm_events: u64 = warms.iter().map(|w| w.events).sum();
-    let cells = cells_run as u64;
-    let warm_unique = warms.len() as u64;
+    let cells: u64 = groups.iter().map(|g| g.cells).sum();
+    let warm_unique = warm_ups.len() as u64;
+    let warm_events: u64 = warm_ups.iter().sum();
     let warm_logical_hits = cells.saturating_sub(warm_unique);
 
     let report = SweepReport {

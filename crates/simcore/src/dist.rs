@@ -9,64 +9,8 @@ use crate::fastmath::round_ns;
 use crate::rng::SimRng;
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Per-thread memo for bounded-Pareto constants.
-///
-/// `lo^-α`, `hi^-α` and `-1/α` depend only on the distribution's parameters,
-/// but `sample(&self)` cannot store them in the enum, so hot loops would pay
-/// two constant `powf` calls (roughly two thirds of the draw) per sample.
-/// The table is direct-mapped and recomputes on miss or collision: entries
-/// are pure functions of the key, so eviction can only cost time, never
-/// change a sample — determinism across threads and checkpoint forks holds
-/// regardless of cache state.
-const PARETO_WAYS: usize = 64;
-
-#[derive(Clone, Copy)]
-struct ParetoEntry {
-    /// `lo == 0` marks an empty slot; valid bounded Paretos require `lo > 0`.
-    lo: u64,
-    hi: u64,
-    alpha_bits: u64,
-    la: f64,
-    ha: f64,
-    neg_inv_alpha: f64,
-}
-
-const EMPTY_PARETO: ParetoEntry =
-    ParetoEntry { lo: 0, hi: 0, alpha_bits: 0, la: 0.0, ha: 0.0, neg_inv_alpha: 0.0 };
-
-thread_local! {
-    static PARETO_MEMO: RefCell<[ParetoEntry; PARETO_WAYS]> =
-        const { RefCell::new([EMPTY_PARETO; PARETO_WAYS]) };
-}
-
-/// `(lo^-α, hi^-α, -1/α)` for a bounded Pareto, memoized per thread.
-#[inline]
-fn pareto_constants(lo: u64, hi: u64, alpha: f64) -> (f64, f64, f64) {
-    let alpha_bits = alpha.to_bits();
-    let slot = ((lo ^ hi.rotate_left(27) ^ alpha_bits.rotate_left(49))
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        >> 58) as usize
-        & (PARETO_WAYS - 1);
-    PARETO_MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        let e = &mut memo[slot];
-        if e.lo != lo || e.hi != hi || e.alpha_bits != alpha_bits {
-            *e = ParetoEntry {
-                lo,
-                hi,
-                alpha_bits,
-                la: (lo as f64).powf(-alpha),
-                ha: (hi as f64).powf(-alpha),
-                neg_inv_alpha: -1.0 / alpha,
-            };
-        }
-        (e.la, e.ha, e.neg_inv_alpha)
-    })
-}
 
 /// A distribution over time spans.
 ///
@@ -289,9 +233,9 @@ impl DurationDist {
             DurationDist::BoundedPareto { lo, hi, alpha } => {
                 // Inverse CDF of the bounded Pareto on [lo, hi]:
                 // x = ((1−u)·lo^−α + u·hi^−α)^(−1/α).
-                let (la, ha, neg_inv_alpha) = pareto_constants(*lo, *hi, *alpha);
+                let (la, ha) = ((*lo as f64).powf(-alpha), (*hi as f64).powf(-alpha));
                 let u = rng.f64();
-                let x = ((1.0 - u) * la + u * ha).powf(neg_inv_alpha);
+                let x = ((1.0 - u) * la + u * ha).powf(-1.0 / alpha);
                 Nanos(round_ns(x.clamp(*lo as f64, *hi as f64)))
             }
             DurationDist::Mix(branches) => {
@@ -315,23 +259,19 @@ impl DurationDist {
         let kind = match self {
             DurationDist::Constant(ns) => PreparedKind::Constant(*ns),
             DurationDist::Uniform { lo, hi } => PreparedKind::Uniform { lo: *lo, hi: *hi },
-            DurationDist::Exponential { mean } => {
-                PreparedKind::Exponential { mean: *mean as f64 }
+            DurationDist::Exponential { mean } => PreparedKind::Exponential { mean: *mean as f64 },
+            DurationDist::BoundedPareto { lo, hi, alpha } => {
+                PreparedKind::Pareto { base: 0, tail: ParetoTail::new(*lo, *hi, *alpha) }
             }
-            DurationDist::BoundedPareto { lo, hi, alpha } => PreparedKind::Pareto {
-                base: 0,
-                tail: ParetoTail::new(*lo, *hi, *alpha),
-            },
             DurationDist::LogNormal { median, sigma } => {
                 PreparedKind::LogNormal { median: *median as f64, sigma: *sigma }
             }
             DurationDist::Shifted { base, rest } => match rest.as_ref() {
                 // The shape of every kernel path cost: fixed floor plus a
                 // bounded heavy tail. One fused arm, zero dispatch depth.
-                DurationDist::BoundedPareto { lo, hi, alpha } => PreparedKind::Pareto {
-                    base: *base,
-                    tail: ParetoTail::new(*lo, *hi, *alpha),
-                },
+                DurationDist::BoundedPareto { lo, hi, alpha } => {
+                    PreparedKind::Pareto { base: *base, tail: ParetoTail::new(*lo, *hi, *alpha) }
+                }
                 _ => PreparedKind::Shifted { base: *base, rest: Box::new(rest.prepare()) },
             },
             DurationDist::Mix(branches) => {
@@ -392,8 +332,9 @@ impl DurationDist {
 /// enough to amortize moving the RNG state in and out of registers.
 const DRAW_BATCH: usize = 32;
 
-/// Build-time bounded-Pareto constants — the same values the thread-local
-/// memo computes, resolved once when the distribution is prepared.
+/// Build-time bounded-Pareto constants — the same values
+/// [`DurationDist::sample`] computes per draw, resolved once when the
+/// distribution is prepared.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ParetoPow {
     lo: f64,
@@ -654,8 +595,8 @@ enum PreparedKind {
 /// A [`DurationDist`] compiled for hot-loop sampling.
 ///
 /// Parameter-derived constants (`lo^-α`, `hi^-α`, `-1/α`, mean conversions)
-/// are computed once at [`DurationDist::prepare`] time instead of per draw
-/// through the thread-local memo, and the common `Shifted + BoundedPareto`
+/// are computed once at [`DurationDist::prepare`] time instead of per draw,
+/// and the common `Shifted + BoundedPareto`
 /// path-cost shape collapses to a single match arm whose tail, when at most
 /// 4096 ns wide, is read from a shared [`ParetoTable`]. Sampling is
 /// bit-identical to [`DurationDist::sample`] — same draw count, same

@@ -268,18 +268,29 @@ pub struct FlightRing {
     capacity: usize,
     ring: VecDeque<FlightEvent>,
     dropped: u64,
+    /// Some push ended before its predecessor since the last clear, so end
+    /// times may decrease along the ring.
+    unordered: bool,
 }
 
 impl FlightRing {
     /// A ring holding the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight ring needs capacity");
-        FlightRing { capacity, ring: VecDeque::with_capacity(capacity), dropped: 0 }
+        FlightRing {
+            capacity,
+            ring: VecDeque::with_capacity(capacity),
+            dropped: 0,
+            unordered: false,
+        }
     }
 
     /// Append an event, evicting the oldest when full.
     #[inline]
     pub fn push(&mut self, ev: FlightEvent) {
+        if self.ring.back().is_some_and(|last| ev.end() < last.end()) {
+            self.unordered = true;
+        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -288,8 +299,14 @@ impl FlightRing {
     }
 
     /// Events intersecting the half-open window `[from, to)`, oldest first.
+    ///
+    /// The simulator records every event when it ends, so end times never
+    /// decrease along the ring and no record ending before `from` can follow
+    /// one that overlaps: the scan starts at the first record ending at or
+    /// after `from`. A ring pushed out of end order scans every record.
     pub fn window(&self, from: Instant, to: Instant) -> Vec<FlightEvent> {
-        self.ring.iter().filter(|e| e.overlaps(from, to)).copied().collect()
+        let start = if self.unordered { 0 } else { self.ring.partition_point(|e| e.end() < from) };
+        self.ring.range(start..).filter(|e| e.overlaps(from, to)).copied().collect()
     }
 
     /// Records currently held, in push order (oldest first). Spans are
@@ -318,12 +335,14 @@ impl FlightRing {
     pub fn clear(&mut self) {
         self.ring.clear();
         self.dropped = 0;
+        self.unordered = false;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn class_names_are_distinct_and_stable() {
@@ -374,5 +393,48 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w[0].kind, FlightEventKind::Span(ActivityClass::Isr));
         assert_eq!(w[1].kind, FlightEventKind::Wake);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// `window` equals the brute-force filter over every held record,
+        /// for rings pushed in end order (the simulator's case, where the
+        /// scan skips the records ending before the window) and out of it,
+        /// eviction included.
+        #[test]
+        fn window_equals_the_brute_force_filter(
+            capacity in 1usize..12,
+            pushes in proptest::collection::vec((0u64..20, 0u64..15, 0u64..8), 0..40),
+            queries in proptest::collection::vec((any::<u64>(), 0u64..3, 0u64..60), 1..8),
+            out_of_order in any::<bool>(),
+        ) {
+            let mut ring = FlightRing::new(capacity);
+            let (mut now, mut last_end, mut unordered) = (0, 0, false);
+            for (i, &(gap, dur, back)) in pushes.iter().enumerate() {
+                now += gap;
+                let end = if out_of_order { now.saturating_sub(back * 5) } else { now };
+                unordered |= end < last_end;
+                last_end = end;
+                let ev = if dur == 0 {
+                    FlightEvent::instant(Instant(end), None, FlightEventKind::Wake, i as u64)
+                } else {
+                    let dur = dur.min(end);
+                    FlightEvent::span(Instant(end - dur), Nanos(dur), 0, ActivityClass::Isr, i as u64)
+                };
+                ring.push(ev);
+            }
+            prop_assert_eq!(ring.unordered, unordered);
+            // Windows start just before, at or just after a held record's
+            // end, where an off-by-one in the skipped prefix would show.
+            let ends: Vec<u64> = ring.records().map(|e| e.end().0).collect();
+            for &(pick, shift, len) in &queries {
+                let end = if ends.is_empty() { 0 } else { ends[pick as usize % ends.len()] };
+                let from = (end + shift).saturating_sub(1);
+                let (from, to) = (Instant(from), Instant(from + len));
+                let brute: Vec<FlightEvent> =
+                    ring.records().filter(|e| e.overlaps(from, to)).copied().collect();
+                prop_assert_eq!(ring.window(from, to), brute, "[{:?}, {:?})", from, to);
+            }
+        }
     }
 }
