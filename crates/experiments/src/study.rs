@@ -20,7 +20,7 @@
 use crate::scenario::{DeviceKind, MeasuredKind, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
 use simcore::Nanos;
-use sp_fleet::{default_workers, run_indexed, PoolConfig};
+use sp_fleet::{default_workers, run_indexed, run_stream, PoolConfig};
 use sp_inject::Armory;
 use sp_kernel::{Checkpoint, Pid, Simulator, WorstCaseTrace};
 use sp_metrics::LatencyHistogram;
@@ -239,7 +239,7 @@ pub(crate) fn run_groups<K: Send, C: Send>(
             finish(key, std::mem::take(&mut cell));
         }
     };
-    sp_fleet::run_stream(PoolConfig::auto(default_workers()), jobs, run, reduce);
+    run_stream(PoolConfig::auto(default_workers()), jobs, run, reduce);
     warmed.iter().map(|w| w.events).collect()
 }
 
