@@ -301,7 +301,7 @@ impl Autopilot {
     /// once, after `sim.start()`.
     pub fn engage(&mut self, sim: &mut Simulator) -> Result<(), String> {
         assert!(self.next_tick.is_none(), "engage() called twice");
-        self.cursor = sim.obs.latencies(self.plant.server).len();
+        self.cursor = sim.obs.latency_count(self.plant.server);
         self.apply_level(sim, self.cfg.start_level)?;
         self.decisions.push(Decision {
             at_ns: sim.now().as_ns(),
@@ -321,10 +321,24 @@ impl Autopilot {
     /// sequence, so splitting a run into several `run_until` calls (or
     /// checkpoint-forking between them) changes nothing.
     pub fn run_until(&mut self, sim: &mut Simulator, t: Instant) -> Result<(), String> {
+        self.run_until_with(sim, t, |_, _| {})
+    }
+
+    /// [`Autopilot::run_until`], calling `after_step` right after every
+    /// control step (a decision made at the tick is already in
+    /// [`Autopilot::decisions`]). An observer that folds the latency feed
+    /// window by window hooks in here.
+    pub fn run_until_with(
+        &mut self,
+        sim: &mut Simulator,
+        t: Instant,
+        mut after_step: impl FnMut(&mut Simulator, &Autopilot),
+    ) -> Result<(), String> {
         let mut tick = self.next_tick.expect("engage() before run_until()");
         while tick <= t {
             sim.run_until(tick);
             self.step(sim)?;
+            after_step(sim, self);
             tick += self.cfg.period;
             self.next_tick = Some(tick);
         }

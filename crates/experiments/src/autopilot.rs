@@ -23,21 +23,26 @@
 //!    lighter rung);
 //! 3. **transients**: every reconfiguration's latency transient recovers
 //!    within [`AutopilotConfig::recovery_budget_secs`], graded by the same
-//!    [`compute_recovery`](crate::scenario) verdict scripted scenario
-//!    timelines get.
+//!    recovery verdict scripted scenario timelines get.
+//!
+//! A run never keeps the server's whole latency log. After every control
+//! step it folds the window's samples into the run histogram and the
+//! recovery verdicts, then discards them from the simulator's log
+//! ([`sp_kernel::Observations::discard_latencies`]), so memory is bounded
+//! by one control window, not by the length of the day.
 //!
 //! Everything here is a pure function of the config (seed included):
 //! [`run_autopilot_forked`] proves it by checkpoint-forking mid-flight and
 //! returning a bit-identical result.
 
-use crate::scenario::{compute_recovery, RecoveryReport, TransientSpec};
+use crate::scenario::{RecoveryReport, RecoveryTracker, TransientSpec};
 use serde::{Deserialize, Serialize};
-use simcore::Nanos;
+use simcore::{Instant, Nanos};
 use sp_autopilot::{
     Autopilot, ControllerConfig, DecisionCause, DecisionTrace, PlantBindings, ShieldLevel,
 };
 use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{AnyDevice, Simulator};
+use sp_kernel::{AnyDevice, Pid, Simulator};
 use sp_metrics::{LatencyHistogram, LatencySummary};
 use sp_workloads::{
     diurnal_burst_profile, request_kernel_config, request_serving, RequestService,
@@ -180,6 +185,8 @@ fn build_plant(cfg: &AutopilotConfig) -> (Simulator, RequestService) {
         cfg.seed,
     );
     let svc = request_serving(&mut sim, diurnal_burst_profile(), CpuId(3), cfg.analytics);
+    // The recovery verdicts place each sample before or after a decision.
+    sim.watch_latency_times(svc.server);
     sim.start();
     (sim, svc)
 }
@@ -196,48 +203,108 @@ fn engage(ctl: ControllerConfig, sim: &mut Simulator, svc: &RequestService) -> A
     ap
 }
 
-fn harvest(
-    cfg: &AutopilotConfig,
-    label: &str,
-    sim: &Simulator,
-    svc: &RequestService,
-    ap: &Autopilot,
-) -> AutopilotRun {
-    let h: LatencyHistogram = sim.obs.latencies(svc.server).iter().copied().collect();
-    let be_cpu: Nanos = svc.best_effort.iter().map(|&p| sim.task(p).cpu_time).sum();
-    let AnyDevice::Traffic(traffic) = sim.device(svc.device) else {
-        panic!("request plant registers a traffic device");
-    };
-    let recoveries = ap
-        .decisions()
-        .iter()
-        .filter(|d| d.cause != DecisionCause::Engage)
-        .map(|d| {
+/// What a run keeps of the server's latency log. After each control step
+/// the window's samples are folded into the run histogram, the over-SLA
+/// count and one recovery tracker per reconfiguration, then discarded from
+/// the simulator, which therefore holds at most one window of samples.
+/// Cloned with the controller when a run is checkpoint-forked.
+#[derive(Debug, Clone)]
+struct LatencyFold {
+    server: Pid,
+    /// Absolute feed cursor: every sample below it is folded and discarded.
+    /// Starts at 0, so samples recorded before the engage count too.
+    cursor: usize,
+    hist: LatencyHistogram,
+    /// Over-SLA samples folded so far.
+    out_of_bound: u64,
+    /// Controller decisions already seen (the engage included).
+    decisions_seen: usize,
+    recoveries: Vec<RecoveryTracker>,
+}
+
+impl LatencyFold {
+    fn new(server: Pid) -> Self {
+        LatencyFold {
+            server,
+            cursor: 0,
+            hist: LatencyHistogram::new(),
+            out_of_bound: 0,
+            decisions_seen: 0,
+            recoveries: Vec::new(),
+        }
+    }
+
+    /// Advance the run to `t`, folding after every control step.
+    fn run_until(
+        &mut self,
+        cfg: &AutopilotConfig,
+        ap: &mut Autopilot,
+        sim: &mut Simulator,
+        t: Instant,
+    ) {
+        ap.run_until_with(sim, t, |sim, ap| self.fold(cfg, sim, ap)).expect("controller runs");
+    }
+
+    /// Open a tracker for each reconfiguration made since the last fold,
+    /// fold every sample not yet folded, and discard them.
+    fn fold(&mut self, cfg: &AutopilotConfig, sim: &mut Simulator, ap: &Autopilot) {
+        for d in &ap.decisions()[self.decisions_seen..] {
+            if d.cause == DecisionCause::Engage {
+                continue;
+            }
             let spec = TransientSpec {
                 task: "req-server".into(),
                 bound_us: cfg.sla_us,
                 from_secs: d.at_ns as f64 / 1e9,
                 settle: cfg.settle,
             };
-            compute_recovery(
-                &spec,
-                simcore::Instant::ZERO,
-                sim.obs.latencies(svc.server),
-                sim.obs.latency_times(svc.server),
-            )
-        })
-        .collect();
-    let run_secs = cfg.run_secs();
-    AutopilotRun {
-        label: label.into(),
-        trace: ap.trace(),
-        latency: LatencySummary::from_histogram(&h),
-        be_cpu_secs: be_cpu.as_secs_f64(),
-        be_rate: be_cpu.as_secs_f64() / run_secs,
-        requests: traffic.requests,
-        irqs_fired: traffic.irqs_fired,
-        missed_irqs: traffic.missed,
-        recoveries,
+            // Decisions are taken at control ticks, and every sample folded
+            // so far completed by the previous tick: all lie before this
+            // decision. Its rounded `from` may land a nanosecond either side
+            // of the tick, so the tracker splits the unfolded samples itself.
+            self.recoveries.push(RecoveryTracker::new(spec, Instant::ZERO, self.out_of_bound));
+        }
+        self.decisions_seen = ap.decisions().len();
+
+        let bound = Nanos::from_us(cfg.sla_us);
+        let (lats, end) = sim.obs.latency_feed(self.server, self.cursor);
+        let times = sim.obs.latency_time_feed(self.server, self.cursor);
+        for &l in lats {
+            self.hist.record(l);
+            self.out_of_bound += u64::from(l > bound);
+        }
+        for r in &mut self.recoveries {
+            r.fold(lats, times);
+        }
+        self.cursor = end;
+        sim.obs.discard_latencies(self.server, end);
+    }
+
+    /// Fold what the last step left and report the run.
+    fn finish(
+        mut self,
+        cfg: &AutopilotConfig,
+        label: &str,
+        sim: &mut Simulator,
+        svc: &RequestService,
+        ap: &Autopilot,
+    ) -> AutopilotRun {
+        self.fold(cfg, sim, ap);
+        let be_cpu: Nanos = svc.best_effort.iter().map(|&p| sim.task(p).cpu_time).sum();
+        let AnyDevice::Traffic(traffic) = sim.device(svc.device) else {
+            panic!("request plant registers a traffic device");
+        };
+        AutopilotRun {
+            label: label.into(),
+            trace: ap.trace(),
+            latency: LatencySummary::from_histogram(&self.hist),
+            be_cpu_secs: be_cpu.as_secs_f64(),
+            be_rate: be_cpu.as_secs_f64() / cfg.run_secs(),
+            requests: traffic.requests,
+            irqs_fired: traffic.irqs_fired,
+            missed_irqs: traffic.missed,
+            recoveries: self.recoveries.into_iter().map(RecoveryTracker::report).collect(),
+        }
     }
 }
 
@@ -248,9 +315,10 @@ fn run_with_controller(
 ) -> AutopilotRun {
     let (mut sim, svc) = build_plant(cfg);
     let mut ap = engage(ctl, &mut sim, &svc);
+    let mut fold = LatencyFold::new(svc.server);
     let end = sim.now() + Nanos::from_secs_f64(cfg.run_secs());
-    ap.run_until(&mut sim, end).expect("controller runs");
-    harvest(cfg, label, &sim, &svc, &ap)
+    fold.run_until(cfg, &mut ap, &mut sim, end);
+    fold.finish(cfg, label, &mut sim, &svc, &ap)
 }
 
 /// Run the closed-loop autopilot over the diurnal-burst day.
@@ -270,24 +338,25 @@ pub fn run_static_level(cfg: &AutopilotConfig, level: usize) -> AutopilotRun {
 }
 
 /// Like [`run_autopilot`], but checkpoint-forks the warmed simulation (and
-/// clones the controller) halfway through and finishes the run in the fork.
-/// Decisions are taken purely from checkpointed state, so the result is
-/// bit-identical to the straight-through run — the determinism suite holds
-/// the two traces byte-for-byte equal.
+/// clones the controller and the latency fold) halfway through and finishes
+/// the run in the fork. Decisions are taken purely from checkpointed state,
+/// so the result is bit-identical to the straight-through run — the
+/// determinism suite holds the two traces byte-for-byte equal.
 pub fn run_autopilot_forked(cfg: &AutopilotConfig) -> AutopilotRun {
     let (mut sim, svc) = build_plant(cfg);
     let mut ap = engage(cfg.controller(), &mut sim, &svc);
+    let mut fold = LatencyFold::new(svc.server);
     let t0 = sim.now();
     let half = t0 + Nanos::from_secs_f64(cfg.run_secs() / 2.0);
     let end = t0 + Nanos::from_secs_f64(cfg.run_secs());
-    ap.run_until(&mut sim, half).expect("controller runs to the fork point");
+    fold.run_until(cfg, &mut ap, &mut sim, half);
 
     let ck = sim.checkpoint();
     let (mut fork, fork_svc) = build_plant(cfg);
     fork.restore(&ck);
-    let mut fork_ap = ap.clone();
-    fork_ap.run_until(&mut fork, end).expect("fork finishes the run");
-    harvest(cfg, "autopilot", &fork, &fork_svc, &fork_ap)
+    let (mut fork_ap, mut fork_fold) = (ap.clone(), fold.clone());
+    fork_fold.run_until(cfg, &mut fork_ap, &mut fork, end);
+    fork_fold.finish(cfg, "autopilot", &mut fork, &fork_svc, &fork_ap)
 }
 
 /// The full study: closed loop + every static rung + graded verdict.
@@ -379,6 +448,34 @@ mod tests {
         }
         assert!(study.autopilot.requests > 0);
         assert!(study.autopilot.irqs_fired > 0);
+    }
+
+    #[test]
+    fn latency_log_holds_at_most_one_control_window() {
+        let cfg = smoke_cfg();
+        let (mut sim, svc) = build_plant(&cfg);
+        let mut ap = engage(cfg.controller(), &mut sim, &svc);
+        let mut fold = LatencyFold::new(svc.server);
+        let end = sim.now() + Nanos::from_secs_f64(cfg.run_secs());
+        let (mut windows, mut most) = (0, 0);
+        ap.run_until_with(&mut sim, end, |sim, ap| {
+            let retained = sim.obs.latencies(svc.server).len();
+            // Just the window the step judged, each sample with its instant.
+            assert_eq!(retained, sim.obs.latency_count(svc.server) - fold.cursor);
+            assert_eq!(sim.obs.latency_times(svc.server).len(), retained);
+            fold.fold(&cfg, sim, ap);
+            assert!(sim.obs.latencies(svc.server).is_empty());
+            assert!(sim.obs.latency_times(svc.server).is_empty());
+            windows += 1;
+            most = most.max(retained);
+        })
+        .unwrap();
+        assert_eq!(windows, 64, "one 16 s day of 250 ms windows");
+        // The coalescing timer's gaps never drop below 87.5 µs (70 % of the
+        // 8 kHz mean), so a 250 ms window holds at most 2 858 wakes, while
+        // the day logs far more than one window's worth.
+        assert!((1_000..=2_858).contains(&most), "largest window {most}");
+        assert!(sim.obs.latency_count(svc.server) > 60 * most);
     }
 
     #[test]

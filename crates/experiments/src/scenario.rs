@@ -590,7 +590,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
     }
     let recovery = spec.transient.as_ref().map(|t| {
         let pid = tasks[&t.task];
-        compute_recovery(t, t0, sim.obs.latencies(pid), sim.obs.latency_times(pid))
+        let mut tracker = RecoveryTracker::new(t.clone(), t0, 0);
+        tracker.fold(sim.obs.latencies(pid), sim.obs.latency_times(pid));
+        tracker.report()
     });
     Ok(ScenarioReport {
         name: spec.name.clone(),
@@ -634,50 +636,82 @@ fn apply_action(
     }
 }
 
-/// Find the first run of `settle` consecutive in-bound samples at or after
-/// `from_secs` and report how long after the reconfiguration it began.
-/// Shared with the autopilot experiments, which grade every controller
-/// reconfiguration with the same verdict a scripted timeline gets.
-pub(crate) fn compute_recovery(
-    spec: &TransientSpec,
-    t0: Instant,
-    lats: &[Nanos],
-    times: &[Instant],
-) -> RecoveryReport {
-    debug_assert_eq!(lats.len(), times.len());
-    let bound = Nanos::from_us(spec.bound_us);
-    let from = t0 + Nanos::from_secs_f64(spec.from_secs);
-    let start = times.partition_point(|&t| t < from);
-    let out_of_bound_before = lats[..start].iter().filter(|&&l| l > bound).count() as u64;
-    let settle = spec.settle.max(1);
+/// The transient-recovery verdict as a streaming fold: find the first run
+/// of `settle` consecutive in-bound samples at or after `from_secs` and
+/// report how long after the reconfiguration it began. Fed a task's
+/// samples and completion instants in record order, in any chunking, it
+/// gives the verdict of the whole log. Scripted timelines fold their log
+/// once at the end; the autopilot experiments fold each control window as
+/// it closes, grading every controller reconfiguration with the same
+/// verdict a scripted timeline gets.
+#[derive(Debug, Clone)]
+pub(crate) struct RecoveryTracker {
+    spec: TransientSpec,
+    bound: Nanos,
+    from: Instant,
+    settle: usize,
+    out_of_bound_before: u64,
+    /// Length of the current in-bound run at or after `from`.
+    run: usize,
+    /// Completion instant of the current run's first sample.
+    run_start: Instant,
+    /// Worst latency since `run_start`.
+    worst: Nanos,
+    /// The run reached `settle` samples; `run_start` is the recovery point.
+    recovered: bool,
+}
 
-    let mut recovered_at = None;
-    let mut run = 0usize;
-    for (i, &lat) in lats.iter().enumerate().skip(start) {
-        if lat <= bound {
-            run += 1;
-            if run == settle {
-                recovered_at = Some(i + 1 - settle);
-                break;
-            }
-        } else {
-            run = 0;
+impl RecoveryTracker {
+    /// A tracker for `spec`, whose `from_secs` counts from `t0`.
+    /// `out_of_bound_before` counts over-bound samples already folded
+    /// elsewhere, all of which completed before the reconfiguration.
+    pub(crate) fn new(spec: TransientSpec, t0: Instant, out_of_bound_before: u64) -> Self {
+        RecoveryTracker {
+            bound: Nanos::from_us(spec.bound_us),
+            from: t0 + Nanos::from_secs_f64(spec.from_secs),
+            settle: spec.settle.max(1),
+            spec,
+            out_of_bound_before,
+            run: 0,
+            run_start: Instant::ZERO,
+            worst: Nanos::ZERO,
+            recovered: false,
         }
     }
-    let (recovery_secs, worst_after_us) = match recovered_at {
-        Some(i) => (
-            Some((times[i] - from).as_secs_f64()),
-            lats[i..].iter().max().map(|m| m.as_us_f64()),
-        ),
-        None => (None, None),
-    };
-    RecoveryReport {
-        task: spec.task.clone(),
-        bound_us: spec.bound_us,
-        from_secs: spec.from_secs,
-        recovery_secs,
-        worst_after_us,
-        out_of_bound_before,
+
+    /// Fold the next samples (latencies and their index-aligned completion
+    /// instants, non-decreasing).
+    pub(crate) fn fold(&mut self, lats: &[Nanos], times: &[Instant]) {
+        debug_assert_eq!(lats.len(), times.len());
+        for (&lat, &t) in lats.iter().zip(times) {
+            if t < self.from {
+                self.out_of_bound_before += u64::from(lat > self.bound);
+            } else if self.recovered {
+                self.worst = self.worst.max(lat);
+            } else if lat <= self.bound {
+                if self.run == 0 {
+                    self.run_start = t;
+                    self.worst = Nanos::ZERO;
+                }
+                self.worst = self.worst.max(lat);
+                self.run += 1;
+                self.recovered = self.run == self.settle;
+            } else {
+                self.run = 0;
+            }
+        }
+    }
+
+    /// The verdict over everything folded so far.
+    pub(crate) fn report(self) -> RecoveryReport {
+        RecoveryReport {
+            recovery_secs: self.recovered.then(|| (self.run_start - self.from).as_secs_f64()),
+            worst_after_us: self.recovered.then(|| self.worst.as_us_f64()),
+            out_of_bound_before: self.out_of_bound_before,
+            task: self.spec.task,
+            bound_us: self.spec.bound_us,
+            from_secs: self.spec.from_secs,
+        }
     }
 }
 
@@ -888,6 +922,101 @@ pub fn reshield_transient_scenario() -> ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The recovery verdict by its definition, over the whole log at once:
+    /// the first `settle` consecutive in-bound samples completing at or
+    /// after `from`, and the worst sample from there to the end.
+    fn recovery_by_definition(
+        spec: &TransientSpec,
+        t0: Instant,
+        lats: &[Nanos],
+        times: &[Instant],
+    ) -> RecoveryReport {
+        let bound = Nanos::from_us(spec.bound_us);
+        let from = t0 + Nanos::from_secs_f64(spec.from_secs);
+        let settle = spec.settle.max(1);
+        let after: Vec<usize> = (0..lats.len()).filter(|&i| times[i] >= from).collect();
+        let out_of_bound_before =
+            (0..lats.len()).filter(|&i| times[i] < from && lats[i] > bound).count() as u64;
+        let recovered_at = after
+            .iter()
+            .copied()
+            .find(|&i| i + settle <= lats.len() && lats[i..i + settle].iter().all(|&l| l <= bound));
+        RecoveryReport {
+            task: spec.task.clone(),
+            bound_us: spec.bound_us,
+            from_secs: spec.from_secs,
+            recovery_secs: recovered_at.map(|i| (times[i] - from).as_secs_f64()),
+            worst_after_us: recovered_at
+                .map(|i| lats[i..].iter().max().expect("nonempty").as_us_f64()),
+            out_of_bound_before,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The streaming tracker, fed the log in any chunking (optionally
+        /// after a prefix counted elsewhere, as the autopilot's windows
+        /// are), gives the verdict of the definition: `from` before, on,
+        /// between and after the samples, `settle` down to 1, and logs that
+        /// never recover.
+        #[test]
+        fn tracker_folds_to_the_recovery_definition(
+            samples in proptest::collection::vec((any::<u64>(), 0u64..3, 0u8..4), 0..60),
+            (from_mode, from_pick, spread) in (0u8..4, any::<u64>(), 1_001u64..4_000),
+            (settle, prefix_pick) in (0usize..=6, any::<u64>()),
+        ) {
+            // Sample times are whole microseconds after t0, converted the way
+            // `from_secs` is, so `from` can land exactly on a sample.
+            let t0 = Instant(7_000);
+            let at = |us: u64| t0 + Nanos::from_secs_f64(us as f64 / 1e6);
+            let mut us = 5;
+            let (mut lats, mut times, mut us_of) = (vec![], vec![], vec![]);
+            for &(raw, gap, _) in &samples {
+                us += gap;
+                // Shifts skew the draws small, so maxima differ between runs.
+                lats.push(Nanos((raw % spread) >> (raw >> 61)));
+                times.push(at(us));
+                us_of.push(us);
+            }
+            let from_us = match from_mode {
+                0 => 0,
+                1 if !us_of.is_empty() => us_of[(from_pick % us_of.len() as u64) as usize],
+                2 => us + 1,
+                _ => from_pick % (us + 3),
+            };
+            let spec = TransientSpec {
+                task: "t".into(),
+                bound_us: 1,
+                from_secs: from_us as f64 / 1e6,
+                settle,
+            };
+            let expect = recovery_by_definition(&spec, t0, &lats, &times);
+
+            // A prefix folded elsewhere must lie wholly before `from`.
+            let before = times.partition_point(|&t| t < at(from_us));
+            let prefix = (prefix_pick % (before as u64 + 1)) as usize;
+            let prefix_oob =
+                lats[..prefix].iter().filter(|&&l| l > Nanos::from_us(1)).count() as u64;
+            for skip in [0, prefix] {
+                let mut tracker = RecoveryTracker::new(
+                    spec.clone(),
+                    t0,
+                    if skip == 0 { 0 } else { prefix_oob },
+                );
+                let mut start = skip;
+                for i in skip..lats.len() {
+                    if samples[i].2 == 0 || i + 1 == lats.len() {
+                        tracker.fold(&lats[start..=i], &times[start..=i]);
+                        start = i + 1;
+                    }
+                }
+                tracker.fold(&[], &[]);
+                prop_assert_eq!(tracker.report(), expect.clone());
+            }
+        }
+    }
 
     #[test]
     fn fig7_scenario_runs_and_matches_the_figure() {

@@ -83,6 +83,10 @@ impl CpuAccounting {
 pub struct Observations {
     watched_latency: HashMap<Pid, Vec<Nanos>>,
     watched_latency_times: HashMap<Pid, Vec<Instant>>,
+    /// Per-pid count of leading latency samples (and their instants)
+    /// dropped by [`Observations::discard_latencies`]; feed cursors are
+    /// absolute, so a retained sample's cursor is `dropped + index`.
+    discarded_latency: HashMap<Pid, usize>,
     watched_breakdown: HashMap<Pid, Vec<WakeBreakdown>>,
     watched_laps: HashMap<Pid, Vec<Instant>>,
     pub cpu: Vec<CpuAccounting>,
@@ -102,6 +106,7 @@ impl Observations {
         Observations {
             watched_latency: HashMap::new(),
             watched_latency_times: HashMap::new(),
+            discarded_latency: HashMap::new(),
             watched_breakdown: HashMap::new(),
             watched_laps: HashMap::new(),
             cpu: vec![CpuAccounting::default(); cpus],
@@ -144,12 +149,14 @@ impl Observations {
     }
 
     /// Drop every recorded sample while keeping the watch registrations.
+    /// Feed cursors restart at zero (the discard offsets are cleared too).
     ///
     /// Used by warm-checkpoint forks that warmed up on shared randomness:
     /// the fork discards the warm-up samples so only its own (reseeded)
     /// draws are reported.
     pub fn reset_samples(&mut self) {
         self.version += 1;
+        self.discarded_latency.clear();
         for v in self.watched_latency.values_mut() {
             v.clear();
         }
@@ -179,6 +186,7 @@ impl Observations {
         }
         copy_map(&mut self.watched_latency, &source.watched_latency);
         copy_map(&mut self.watched_latency_times, &source.watched_latency_times);
+        self.discarded_latency.clone_from(&source.discarded_latency);
         copy_map(&mut self.watched_breakdown, &source.watched_breakdown);
         copy_map(&mut self.watched_laps, &source.watched_laps);
         self.cpu.clone_from(&source.cpu);
@@ -225,16 +233,30 @@ impl Observations {
         }
     }
 
-    /// Recorded latencies for a watched task.
+    /// Retained latencies for a watched task: every sample recorded since
+    /// the last [`Observations::discard_latencies`] cut (all of them if the
+    /// log was never cut). [`Observations::latency_count`] counts the
+    /// discarded ones too.
     pub fn latencies(&self, pid: Pid) -> &[Nanos] {
         self.watched_latency.get(&pid).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Completion instants for a task watched with
+    /// Retained completion instants for a task watched with
     /// [`Observations::watch_latency_times`], index-aligned with
     /// [`Observations::latencies`].
     pub fn latency_times(&self, pid: Pid) -> &[Instant] {
         self.watched_latency_times.get(&pid).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Samples ever recorded for `pid`: the discarded prefix plus the
+    /// retained [`Observations::latencies`]. This is the absolute cursor of
+    /// the next sample.
+    pub fn latency_count(&self, pid: Pid) -> usize {
+        self.discarded(pid) + self.latencies(pid).len()
+    }
+
+    fn discarded(&self, pid: Pid) -> usize {
+        self.discarded_latency.get(&pid).copied().unwrap_or(0)
     }
 
     /// Cursor-based feed of latency samples for in-simulation consumers (the
@@ -242,14 +264,16 @@ impl Observations {
     /// since `cursor` plus the advanced cursor to pass next time. Reading
     /// never mutates anything, so a feed consumer is pure observation — the
     /// trajectory is bit-identical with or without it. The cursor is an
-    /// index into [`Observations::latencies`], which is part of the
-    /// checkpoint image, so feed state survives warm-checkpoint forks (a
-    /// consumer that carries its cursor across `restore` sees exactly the
-    /// samples a straight run would).
+    /// absolute sample count ([`Observations::latency_count`]), unchanged by
+    /// [`Observations::discard_latencies`]; a cursor inside the discarded
+    /// prefix sees the retained samples only. The log and its discard
+    /// offset are part of the checkpoint image, so feed state survives
+    /// warm-checkpoint forks (a consumer that carries its cursor across
+    /// `restore` sees exactly the samples a straight run would).
     pub fn latency_feed(&self, pid: Pid, cursor: usize) -> (&[Nanos], usize) {
         let all = self.latencies(pid);
-        let start = cursor.min(all.len());
-        (&all[start..], all.len())
+        let start = cursor.saturating_sub(self.discarded(pid)).min(all.len());
+        (&all[start..], self.discarded(pid) + all.len())
     }
 
     /// Completion-instant window matching [`Observations::latency_feed`]:
@@ -257,7 +281,27 @@ impl Observations {
     /// [`Observations::watch_latency_times`], empty otherwise).
     pub fn latency_time_feed(&self, pid: Pid, cursor: usize) -> &[Instant] {
         let all = self.latency_times(pid);
-        &all[cursor.min(all.len())..]
+        &all[cursor.saturating_sub(self.discarded(pid)).min(all.len())..]
+    }
+
+    /// Drop `pid`'s retained latency samples (and their instants) below the
+    /// absolute cursor `upto`, keeping later ones. A consumer that has
+    /// folded the feed up to `upto` calls this so the log holds one window,
+    /// not the whole run; cursors stay absolute, so other feed readers are
+    /// unaffected as long as they have read past `upto`.
+    pub fn discard_latencies(&mut self, pid: Pid, upto: usize) {
+        let n = upto.saturating_sub(self.discarded(pid)).min(self.latencies(pid).len());
+        if n == 0 {
+            return;
+        }
+        self.version += 1;
+        if let Some(v) = self.watched_latency.get_mut(&pid) {
+            v.drain(..n);
+        }
+        if let Some(v) = self.watched_latency_times.get_mut(&pid) {
+            v.drain(..n.min(v.len()));
+        }
+        *self.discarded_latency.entry(pid).or_default() += n;
     }
 
     /// Recorded lap instants for a watched task.
@@ -318,6 +362,75 @@ mod tests {
         o.record_latency(Pid(4), Nanos(20), Instant(900));
         assert_eq!(o.latencies(Pid(4)), &[Nanos(10), Nanos(20)]);
         assert_eq!(o.latency_times(Pid(4)), &[Instant(500), Instant(900)]);
+    }
+
+    fn logged(n: u64) -> Observations {
+        let mut o = Observations::new(1);
+        o.watch_latency(Pid(5));
+        o.watch_latency_times(Pid(5));
+        for i in 0..n {
+            o.record_latency(Pid(5), Nanos(10 * i), Instant(100 * i));
+        }
+        o
+    }
+
+    #[test]
+    fn feed_without_discard_indexes_the_whole_log() {
+        let o = logged(4);
+        assert_eq!(o.latency_count(Pid(5)), 4);
+        assert_eq!(
+            o.latency_feed(Pid(5), 0),
+            (&[Nanos(0), Nanos(10), Nanos(20), Nanos(30)][..], 4)
+        );
+        assert_eq!(o.latency_feed(Pid(5), 3), (&[Nanos(30)][..], 4));
+        assert_eq!(o.latency_feed(Pid(5), 9), (&[][..], 4));
+        assert_eq!(o.latency_time_feed(Pid(5), 2), &[Instant(200), Instant(300)]);
+        assert_eq!(o.latency_feed(Pid(6), 0), (&[][..], 0));
+    }
+
+    #[test]
+    fn feed_cursors_stay_absolute_across_a_discard() {
+        let mut o = logged(5);
+        let v = o.version();
+        o.discard_latencies(Pid(5), 3);
+        assert!(o.version() > v, "a discard must invalidate cached checkpoints");
+        assert_eq!(o.latencies(Pid(5)), &[Nanos(30), Nanos(40)]);
+        assert_eq!(o.latency_times(Pid(5)), &[Instant(300), Instant(400)]);
+        assert_eq!(o.latency_count(Pid(5)), 5);
+        assert_eq!(o.latency_feed(Pid(5), 4), (&[Nanos(40)][..], 5));
+        assert_eq!(o.latency_time_feed(Pid(5), 4), &[Instant(400)]);
+        // A cursor inside the dropped prefix sees what is retained.
+        assert_eq!(o.latency_feed(Pid(5), 1), (&[Nanos(30), Nanos(40)][..], 5));
+        o.record_latency(Pid(5), Nanos(50), Instant(500));
+        assert_eq!(o.latency_feed(Pid(5), 5), (&[Nanos(50)][..], 6));
+        // Cutting below the offset, or past the end, drops only what exists.
+        o.discard_latencies(Pid(5), 2);
+        assert_eq!(o.latency_count(Pid(5)), 6);
+        o.discard_latencies(Pid(5), 99);
+        assert!(o.latencies(Pid(5)).is_empty());
+        assert!(o.latency_times(Pid(5)).is_empty());
+        assert_eq!(o.latency_feed(Pid(5), 6), (&[][..], 6));
+    }
+
+    #[test]
+    fn reset_samples_clears_the_discard_offset() {
+        let mut o = logged(4);
+        o.discard_latencies(Pid(5), 4);
+        o.reset_samples();
+        assert_eq!(o.latency_count(Pid(5)), 0);
+        o.record_latency(Pid(5), Nanos(7), Instant(9));
+        assert_eq!(o.latency_feed(Pid(5), 0), (&[Nanos(7)][..], 1));
+    }
+
+    #[test]
+    fn reusing_copy_carries_the_discard_offset() {
+        let mut src = logged(4);
+        src.discard_latencies(Pid(5), 3);
+        let mut dst = logged(9);
+        dst.clone_from_reusing(&src);
+        assert_eq!(dst.latency_count(Pid(5)), 4);
+        assert_eq!(dst.latency_feed(Pid(5), 3), src.latency_feed(Pid(5), 3));
+        assert_eq!(dst.latency_time_feed(Pid(5), 3), &[Instant(300)]);
     }
 
     #[test]

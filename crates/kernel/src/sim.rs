@@ -46,7 +46,7 @@ enum Ev {
     SleepWake { pid: u32 },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ActKind {
     User,
     Kernel { step: PlannedStep },
@@ -60,7 +60,7 @@ enum ActKind {
     IrqThread { dev: DeviceId, asserted: Instant },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Activity {
     kind: ActKind,
     remaining: Nanos,
@@ -105,7 +105,7 @@ struct CpuSim {
 impl Clone for CpuSim {
     fn clone(&self) -> Self {
         CpuSim {
-            current: self.current.clone(),
+            current: self.current,
             suspended: self.suspended.clone(),
             pending_irqs: self.pending_irqs.clone(),
             pending_irq_threads: self.pending_irq_threads.clone(),
@@ -118,7 +118,7 @@ impl Clone for CpuSim {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.current.clone_from(&source.current);
+        self.current = source.current;
         self.suspended.clone_from(&source.suspended);
         self.pending_irqs.clone_from(&source.pending_irqs);
         self.pending_irq_threads.clone_from(&source.pending_irq_threads);
@@ -795,13 +795,20 @@ impl Simulator {
     /// Account the wall time the current activity consumed since `since`,
     /// deduct the work done, and leave it cancelled (segment end disarmed).
     fn checkpoint_current(&mut self, cpu: usize) -> Option<Activity> {
-        let mut act = self.cpus[cpu].current.take()?;
-        self.seg_end[cpu] = DISARMED;
-        let wall = self.now.since(act.since);
-        self.account(cpu, &act.kind, wall);
+        // Update the activity in its slot and copy it out before clearing
+        // the slot: `Option::take` would move the payload first and then
+        // reload `since` from that fresh copy, a store-to-load forwarding
+        // stall on the event loop's hottest path.
+        let now = self.now;
+        let act = self.cpus[cpu].current.as_mut()?;
+        let wall = now.since(act.since);
         let done = Nanos((wall.as_ns() as f64 / act.slowdown) as u64);
         act.remaining = act.remaining.saturating_sub(done);
-        act.since = self.now;
+        act.since = now;
+        let act = *act;
+        self.cpus[cpu].current = None;
+        self.seg_end[cpu] = DISARMED;
+        self.account(cpu, &act.kind, wall);
         Some(act)
     }
 
@@ -1049,10 +1056,12 @@ impl Simulator {
 
     fn handle_seg_end(&mut self, cpu: usize) {
         self.seg_end[cpu] = DISARMED;
-        let act = self.cpus[cpu].current.take().expect("armed segment end without an activity");
-        let wall = self.now.since(act.since);
-        self.account(cpu, &act.kind, wall);
-        match act.kind {
+        // Read the finished activity in place (see `checkpoint_current`).
+        let act = self.cpus[cpu].current.as_ref().expect("armed segment end without an activity");
+        let (kind, wall) = (act.kind, self.now.since(act.since));
+        self.cpus[cpu].current = None;
+        self.account(cpu, &kind, wall);
+        match kind {
             ActKind::User => {
                 let pid = self.cpu_task[cpu].expect("user work without task");
                 self.advance_op(pid);

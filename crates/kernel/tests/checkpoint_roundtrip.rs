@@ -305,3 +305,29 @@ fn reseeded_forks_diverge_deterministically() {
     assert_eq!(a1, a2, "same reseed label must reproduce");
     assert_ne!(a1.2, b.2, "different reseed labels must sample different latencies");
 }
+
+/// A discarded latency prefix survives checkpoint → restore into a fresh
+/// shell: the fork's feed, from any absolute cursor, is the warm run's feed,
+/// and both keep recording at the same absolute positions. A checkpoint
+/// cached before the discard must not be served after it.
+#[test]
+fn discarded_feed_round_trips_through_a_checkpoint() {
+    let (mut warm, pid, _) = build(91);
+    warm.run_for(Nanos::from_ms(10));
+    let _primed = warm.checkpoint();
+    let cut = warm.obs.latency_count(pid);
+    assert!(cut > 4, "warm-up recorded {cut} samples");
+    warm.obs.discard_latencies(pid, cut - 2);
+    let ck = warm.checkpoint();
+
+    let (mut fork, fork_pid, _) = build(91);
+    fork.restore(&ck);
+    assert_eq!(fork.obs.latency_count(fork_pid), cut);
+    assert_eq!(fork.obs.latencies(fork_pid).len(), 2);
+    for cursor in [0, cut - 2, cut - 1, cut, cut + 5] {
+        assert_eq!(fork.obs.latency_feed(fork_pid, cursor), warm.obs.latency_feed(pid, cursor));
+    }
+    warm.run_for(Nanos::from_ms(10));
+    fork.run_for(Nanos::from_ms(10));
+    assert_eq!(fork.obs.latency_feed(fork_pid, cut), warm.obs.latency_feed(pid, cut));
+}

@@ -102,8 +102,9 @@ pub fn request_kernel_config() -> sp_kernel::KernelConfig {
 }
 
 /// Install the request-serving plant: the traffic device, the RT server
-/// pinned to `server_cpu` (latency-watched, with completion times for
-/// transient-recovery verdicts), and `analytics` best-effort tasks.
+/// pinned to `server_cpu` (latency-watched; a caller that also needs the
+/// samples' completion instants registers `watch_latency_times` itself),
+/// and `analytics` best-effort tasks.
 ///
 /// Must be called before `sim.start()` (the traffic queue is a device).
 /// Initial placement leaves the analytics tasks free to run anywhere; the
@@ -140,7 +141,6 @@ pub fn request_serving(
         .pinned(CpuMask::single(server_cpu)),
     );
     sim.watch_latency(server);
-    sim.watch_latency_times(server);
 
     // Best-effort analytics: log scans (dcache + file), rollup writes
     // (file + mm) and feed pulls (net) — the global-lock traffic whose
@@ -219,7 +219,8 @@ mod tests {
         let lats = sim.obs.latencies(svc.server);
         // night phase: 8 kHz of coalesced interrupts, all sampled.
         assert!(lats.len() > 3_000, "server sampled {} wakes", lats.len());
-        assert_eq!(lats.len(), sim.obs.latency_times(svc.server).len());
+        // Completion instants are logged only on request.
+        assert!(sim.obs.latency_times(svc.server).is_empty());
         let busy: Nanos = svc
             .best_effort
             .iter()
