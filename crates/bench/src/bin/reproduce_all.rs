@@ -18,9 +18,10 @@
 //!   --sla `<us>`       p99.9 SLA bound for the autopilot study, default 100
 //!   --sweep `<n>`      also stream an ~n-cell realfeel sweep (the canonical
 //!                    variant × shield × seed grid, per-cell samples scaled
-//!                    by the scale factor) through the warm-checkpoint cache and
-//!                    write `SWEEP_study.json`, the worker-count-invariant
-//!                    sweep artifact; see docs/SWEEPS.md
+//!                    by the scale factor), every cell forked off its group's
+//!                    shared warm checkpoint, and write `SWEEP_study.json`,
+//!                    the worker-count-invariant sweep artifact; see
+//!                    docs/SWEEPS.md
 //!   --modern         also run the modern-isolation matrix (5 kernel
 //!                    generations × 2 measured paths × 6 fault cells, every
 //!                    cell shielded; see docs/KERNELS.md) and write
@@ -247,7 +248,8 @@ fn main() {
     }
 
     // Streaming sweep: the canonical variant × shield × seed grid, every
-    // cell forked off a cached warm checkpoint, results folded online. The
+    // cell forked off its group's shared warm checkpoint, results folded
+    // online. The
     // report is a pure function of the config — byte-identical across
     // worker counts — which is what CI `cmp`s between runs.
     if let Some(cells) = sweep_cells {

@@ -59,7 +59,7 @@ pub(crate) struct RunOut {
 }
 
 /// A warmed simulation distilled to what a fork needs. Forks borrow it, so
-/// thousands of cells share one copy-on-write checkpoint.
+/// thousands of cells share one immutable checkpoint.
 pub(crate) struct Warm {
     /// The seed the warm simulation was built on; forks rebuild on it.
     seed: u64,

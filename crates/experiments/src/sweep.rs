@@ -9,7 +9,7 @@
 //! * **warm up front** — every distinct group is warmed once, in one fleet
 //!   batch, before any cell runs; every cell in a group forks from that
 //!   warmed simulation, so the build + warm-up cost is paid once per
-//!   *group*, not once per cell. The warm-ups are copy-on-write
+//!   *group*, not once per cell. The warm-ups are immutable
 //!   [`Checkpoint`](sp_kernel::Checkpoint)s shared by reference.
 //! * **lazy cell generation** — cells come from an iterator
 //!   ([`SweepConfig::cells`]), never a materialized spec list. Cell seeds

@@ -11,7 +11,6 @@
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Instant, Nanos, SimRng};
 use sp_hw::IrqLine;
-use std::collections::VecDeque;
 
 /// Deferred commands a device issues during a callback; the simulator
 /// executes them when the callback returns (the device is temporarily
@@ -89,72 +88,12 @@ impl IsrOutcome {
     }
 }
 
-/// Serialized mutable device state, captured by [`Device::snapshot`] and
-/// re-applied by [`Device::restore`] — the device half of a simulator
-/// [`crate::Checkpoint`].
-///
-/// The format is a flat word stream: each device pushes its mutable fields
-/// in a fixed order and reads them back in the same order. Immutable
-/// configuration (periods, distributions, lines) is *not* captured — a
-/// checkpoint is only ever restored into a simulator built from the same
-/// configuration, so only the evolving state needs to travel.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceState {
-    words: Vec<u64>,
-}
-
-impl DeviceState {
-    pub fn push(&mut self, w: u64) {
-        self.words.push(w);
-    }
-
-    pub fn push_bool(&mut self, b: bool) {
-        self.words.push(b as u64);
-    }
-
-    /// Length-prefixed pid sequence (order-preserving).
-    pub fn push_pids<'a>(&mut self, pids: impl ExactSizeIterator<Item = &'a Pid>) {
-        self.words.push(pids.len() as u64);
-        for p in pids {
-            self.words.push(p.0 as u64);
-        }
-    }
-
-    pub fn reader(&self) -> DeviceStateReader<'_> {
-        DeviceStateReader { words: &self.words, pos: 0 }
-    }
-}
-
-/// Cursor over a [`DeviceState`] word stream; reads must mirror the pushes.
-pub struct DeviceStateReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl DeviceStateReader<'_> {
-    pub fn next_u64(&mut self) -> u64 {
-        let w = self.words[self.pos];
-        self.pos += 1;
-        w
-    }
-
-    pub fn next_bool(&mut self) -> bool {
-        self.next_u64() != 0
-    }
-
-    pub fn next_pids(&mut self) -> Vec<Pid> {
-        let n = self.next_u64() as usize;
-        (0..n).map(|_| Pid(self.next_u64() as u32)).collect()
-    }
-
-    pub fn next_pid_queue(&mut self) -> VecDeque<Pid> {
-        let n = self.next_u64() as usize;
-        (0..n).map(|_| Pid(self.next_u64() as u32)).collect()
-    }
-}
-
 /// A simulated interrupt-driven device.
-pub trait Device: std::fmt::Debug + Send {
+///
+/// A device is checkpointed by cloning it whole (see [`DeviceClone`]), so
+/// every field — counters, queues, phase state and configuration alike —
+/// crosses a [`crate::Checkpoint`] without a per-device serializer.
+pub trait Device: std::fmt::Debug + Send + Sync + DeviceClone {
     fn name(&self) -> &str;
 
     /// The IRQ line this device asserts.
@@ -203,18 +142,27 @@ pub trait Device: std::fmt::Debug + Send {
     /// sent a control message (or is disarmed) contributes no events and the
     /// dispatch hot loop pays nothing for the hook's existence.
     fn control(&mut self, _cmd: u64, _ctx: &mut DeviceCtx, _rng: &mut SimRng) {}
+}
 
-    /// Capture all mutable device state for a simulator checkpoint. The
-    /// default (empty) snapshot is only correct for stateless devices;
-    /// devices with counters, queues or phase state must override both this
-    /// and [`Device::restore`] or a restored run will diverge.
-    fn snapshot(&self) -> DeviceState {
-        DeviceState::default()
+/// Object-safe cloning for devices, so a boxed foreign device
+/// ([`crate::devices::AnyDevice::Custom`]) clones like the built-in ones.
+/// Blanket-implemented for every `Clone` device: implementors only derive
+/// `Clone`.
+pub trait DeviceClone {
+    /// A boxed copy of this device.
+    fn box_clone(&self) -> Box<dyn Device>;
+}
+
+impl<T: Device + Clone + 'static> DeviceClone for T {
+    fn box_clone(&self) -> Box<dyn Device> {
+        Box::new(self.clone())
     }
+}
 
-    /// Re-apply state captured by [`Device::snapshot`] on an identically
-    /// configured device.
-    fn restore(&mut self, _state: &DeviceState) {}
+impl Clone for Box<dyn Device> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
+    }
 }
 
 /// Handle the simulator keeps per registered device.

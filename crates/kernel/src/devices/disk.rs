@@ -2,7 +2,7 @@
 //! syscalls (`IoSpec`), the controller interrupts on each completion, and the
 //! ISR raises a small block bottom half (request-queue maintenance).
 
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 const TAG_COMPLETE: u64 = 0;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DiskDevice {
     queue: VecDeque<Pid>,
     busy: bool,
@@ -18,7 +18,7 @@ pub struct DiskDevice {
     isr: PreparedDist,
     bh: PreparedDist,
     /// Recycled wake-list allocation (see [`Device::reclaim_wake_buf`]);
-    /// capacity cache only, never snapshot state.
+    /// capacity cache only, never read as state.
     wake_spare: Vec<Pid>,
     pub completions: u64,
 }
@@ -106,21 +106,6 @@ impl Device for DiskDevice {
     fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
         self.wake_spare = buf;
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_pids(self.queue.iter());
-        s.push_bool(self.busy);
-        s.push(self.completions);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.queue = r.next_pid_queue();
-        self.busy = r.next_bool();
-        self.completions = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -151,21 +136,5 @@ mod tests {
         let mut ctx = DeviceCtx::default();
         let out = disk.on_isr(&mut ctx, &mut rng);
         assert_eq!(out.softirq.unwrap().0, SoftirqClass::Block);
-    }
-
-    #[test]
-    fn snapshot_round_trips_queue() {
-        let mut disk = DiskDevice::new();
-        let mut rng = SimRng::new(9);
-        let mut ctx = DeviceCtx::default();
-        disk.submit_io(Pid(4), &mut ctx, &mut rng);
-        disk.submit_io(Pid(5), &mut ctx, &mut rng);
-        let snap = disk.snapshot();
-
-        let mut other = DiskDevice::new();
-        other.restore(&snap);
-        assert!(other.busy);
-        assert_eq!(other.on_isr(&mut ctx, &mut rng).wake, vec![Pid(4)]);
-        assert_eq!(other.on_isr(&mut ctx, &mut rng).wake, vec![Pid(5)]);
     }
 }

@@ -3,7 +3,7 @@
 //! tasklet work (fence/vblank processing).
 
 use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -11,7 +11,7 @@ use sp_hw::IrqLine;
 const TAG_PHASE: u64 = 0;
 const TAG_ARRIVAL: u64 = 1;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GpuDevice {
     profile: PreparedOnOff,
     state: OnOffState,
@@ -97,19 +97,6 @@ impl Device for GpuDevice {
     fn on_isr(&mut self, _ctx: &mut DeviceCtx, rng: &mut SimRng) -> IsrOutcome {
         IsrOutcome::none().with_softirq(SoftirqClass::Tasklet, self.tasklet.sample(rng))
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_bool(self.state.on);
-        s.push(self.irqs);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.state.on = r.next_bool();
-        self.irqs = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -126,19 +113,5 @@ mod tests {
         assert_eq!(class, SoftirqClass::Tasklet);
         assert!(work >= Nanos::from_us(15) && work <= Nanos::from_us(400));
         assert!(out.wake.is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trips_phase() {
-        let mut gpu = GpuDevice::x11perf();
-        let mut rng = SimRng::new(12);
-        let mut ctx = DeviceCtx::default();
-        gpu.on_timer(TAG_PHASE, &mut ctx, &mut rng); // flips ON
-        gpu.on_timer(TAG_ARRIVAL, &mut ctx, &mut rng);
-        let snap = gpu.snapshot();
-        let mut other = GpuDevice::x11perf();
-        other.restore(&snap);
-        assert!(other.state.on);
-        assert_eq!(other.irqs, 1);
     }
 }

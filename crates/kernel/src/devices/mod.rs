@@ -38,7 +38,7 @@ pub use rtc::RtcDevice;
 pub use storm::{StormDevice, CTRL_ARM, CTRL_DISARM};
 pub use traffic::{TrafficDevice, TrafficPhase, TrafficProfile};
 
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
 use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
@@ -46,7 +46,9 @@ use sp_hw::IrqLine;
 /// The closed set of device implementations, devirtualizing the simulator's
 /// hot-path dispatch. Constructed via `From` impls (`sim.add_device(rtc)`)
 /// or [`AnyDevice::custom`] for foreign [`Device`] implementations.
-#[derive(Debug)]
+/// `Clone` copies the whole device, so a checkpoint image holds its devices
+/// as plain values.
+#[derive(Debug, Clone)]
 pub enum AnyDevice {
     Rtc(RtcDevice),
     Rcim(RcimDevice),
@@ -140,16 +142,6 @@ impl Device for AnyDevice {
     #[inline]
     fn control(&mut self, cmd: u64, ctx: &mut DeviceCtx, rng: &mut SimRng) {
         dispatch!(self, control(cmd, ctx, rng))
-    }
-
-    #[inline]
-    fn snapshot(&self) -> DeviceState {
-        dispatch!(self, snapshot())
-    }
-
-    #[inline]
-    fn restore(&mut self, state: &DeviceState) {
-        dispatch!(self, restore(state))
     }
 }
 

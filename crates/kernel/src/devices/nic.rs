@@ -10,7 +10,7 @@
 //!   TX interrupt.
 
 use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -21,7 +21,7 @@ const TAG_ARRIVAL: u64 = 1;
 const TAG_TX_DONE: u64 = 2;
 
 /// NIC with optional autonomous RX traffic.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NicDevice {
     external: Option<PreparedOnOff>,
     state: OnOffState,
@@ -142,25 +142,6 @@ impl Device for NicDevice {
         // RX: protocol processing for the coalesced batch.
         out.with_softirq(SoftirqClass::NetRx, self.rx_softirq.sample(rng))
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_bool(self.state.on);
-        s.push_pids(self.tx_waiters.iter());
-        s.push(self.tx_done_pending as u64);
-        s.push(self.rx_irqs);
-        s.push(self.tx_irqs);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.state.on = r.next_bool();
-        self.tx_waiters = r.next_pid_queue();
-        self.tx_done_pending = r.next_u64() as u32;
-        self.rx_irqs = r.next_u64();
-        self.tx_irqs = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -261,24 +242,5 @@ mod tests {
             .unwrap();
         assert!(max > Nanos::from_ms(1), "tail burst: {max}");
         assert!(max <= Nanos::from_ms(3));
-    }
-
-    #[test]
-    fn snapshot_round_trips_waiters_and_phase() {
-        let mut nic = NicDevice::new(Some(OnOffPoisson::continuous(Nanos::from_ms(1))));
-        let mut rng = SimRng::new(9);
-        let mut ctx = DeviceCtx::default();
-        nic.on_timer(TAG_PHASE, &mut ctx, &mut rng); // flips ON
-        nic.submit_io(Pid(1), &mut ctx, &mut rng);
-        nic.submit_io(Pid(2), &mut ctx, &mut rng);
-        nic.on_timer(TAG_TX_DONE, &mut ctx, &mut rng);
-        let snap = nic.snapshot();
-
-        let mut other = NicDevice::new(Some(OnOffPoisson::continuous(Nanos::from_ms(1))));
-        other.restore(&snap);
-        assert!(other.state.on);
-        assert_eq!(other.tx_done_pending, 1);
-        assert_eq!(other.on_isr(&mut ctx, &mut rng).wake, vec![Pid(1)]);
-        assert_eq!(other.tx_waiters, VecDeque::from([Pid(2)]));
     }
 }

@@ -9,7 +9,7 @@
 //! [`Device::reader_exit_work`].
 
 use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -17,7 +17,7 @@ use sp_hw::IrqLine;
 const TAG_PERIOD: u64 = 0;
 
 /// The RCIM's periodic timer function.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RcimDevice {
     period: Nanos,
     subscribers: Vec<Pid>,
@@ -124,28 +124,13 @@ impl Device for RcimDevice {
     fn reader_exit_work(&self) -> Option<DurationDist> {
         Some(self.exit_work.clone())
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_pids(self.subscribers.iter());
-        s.push(self.fired);
-        s.push(self.missed);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.subscribers = r.next_pids();
-        self.fired = r.next_u64();
-        self.missed = r.next_u64();
-    }
 }
 
 /// The RCIM's second function (§4): external edge-triggered interrupt
 /// inputs. Field wiring connects real-world signals to the card; each edge
 /// interrupts the host and wakes whoever armed the input. Edges are modelled
 /// as an [`OnOffPoisson`] arrival process (the external world's behaviour).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RcimExternalInput {
     line: IrqLine,
     edges: PreparedOnOff,
@@ -249,23 +234,6 @@ impl Device for RcimExternalInput {
     fn reader_exit_work(&self) -> Option<DurationDist> {
         Some(self.exit_work.clone())
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_bool(self.state.on);
-        s.push_pids(self.subscribers.iter());
-        s.push(self.edges_seen);
-        s.push(self.missed);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.state.on = r.next_bool();
-        self.subscribers = r.next_pids();
-        self.edges_seen = r.next_u64();
-        self.missed = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -325,27 +293,5 @@ mod tests {
         assert_eq!(out.wake, vec![Pid(4)]);
         assert!(dev.on_isr(&mut ctx, &mut rng).wake.is_empty());
         assert_eq!(dev.missed, 1);
-    }
-
-    #[test]
-    fn snapshot_round_trips_both_rcim_shapes() {
-        let mut timer = RcimDevice::new(Nanos::from_ms(1));
-        timer.subscribe(Pid(2));
-        timer.fired = 7;
-        let mut other = RcimDevice::new(Nanos::from_ms(1));
-        other.restore(&timer.snapshot());
-        assert_eq!(other.fired, 7);
-
-        let mut ext =
-            RcimExternalInput::new(IrqLine(21), OnOffPoisson::continuous(Nanos::from_ms(1)));
-        ext.state.on = true;
-        ext.edges_seen = 3;
-        ext.subscribe(Pid(9));
-        let mut other =
-            RcimExternalInput::new(IrqLine(21), OnOffPoisson::continuous(Nanos::from_ms(1)));
-        other.restore(&ext.snapshot());
-        assert!(other.state.on);
-        assert_eq!(other.edges_seen, 3);
-        assert_eq!(other.subscribers, vec![Pid(9)]);
     }
 }

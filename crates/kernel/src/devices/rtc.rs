@@ -2,7 +2,7 @@
 //! benchmark (§6.1): programmed for periodic interrupts at 2048 Hz, consumed
 //! through `read()` on `/dev/rtc`.
 
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -10,7 +10,7 @@ use sp_hw::IrqLine;
 const TAG_PERIOD: u64 = 0;
 
 /// Periodic RTC at a fixed rate.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RtcDevice {
     period: Nanos,
     subscribers: Vec<Pid>,
@@ -89,21 +89,6 @@ impl Device for RtcDevice {
             self.subscribers = buf;
         }
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_pids(self.subscribers.iter());
-        s.push(self.fired);
-        s.push(self.missed);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.subscribers = r.next_pids();
-        self.fired = r.next_u64();
-        self.missed = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -144,23 +129,5 @@ mod tests {
             let c = rtc.isr_cost(&mut rng);
             assert!(c >= Nanos(1_900) && c <= Nanos(4_800), "{c}");
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_counters_and_subscribers() {
-        let mut rtc = RtcDevice::new(2048);
-        let mut rng = SimRng::new(3);
-        let mut ctx = DeviceCtx::default();
-        rtc.subscribe(Pid(3));
-        rtc.subscribe(Pid(7));
-        rtc.on_timer(TAG_PERIOD, &mut ctx, &mut rng);
-        let snap = rtc.snapshot();
-
-        let mut other = RtcDevice::new(2048);
-        other.restore(&snap);
-        assert_eq!(other.fired, 1);
-        assert_eq!(other.missed, 0);
-        let out = other.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(3), Pid(7)]);
     }
 }

@@ -9,7 +9,7 @@
 //! counter in the event tag makes stale timer events from a previous arm
 //! harmless across rapid disarm/re-arm cycles.
 
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
 use sp_hw::IrqLine;
@@ -20,7 +20,7 @@ pub const CTRL_ARM: u64 = 1;
 pub const CTRL_DISARM: u64 = 2;
 
 /// A configurable interrupt source used as a fault injector.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StormDevice {
     label: &'static str,
     line: IrqLine,
@@ -161,21 +161,6 @@ impl Device for StormDevice {
             other => unreachable!("unknown injector control {other}"),
         }
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push_bool(self.armed);
-        s.push(self.epoch);
-        s.push(self.asserted);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.armed = r.next_bool();
-        self.epoch = r.next_u64();
-        self.asserted = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -268,25 +253,5 @@ mod tests {
         let (class, work) = out.softirq.expect("flood raises bottom-half work");
         assert_eq!(class, SoftirqClass::Tasklet);
         assert!(work <= Nanos::from_ms(3) && work >= Nanos::from_us(300));
-    }
-
-    #[test]
-    fn snapshot_round_trips_arm_state() {
-        let mut dev = StormDevice::irq_storm(IrqLine(24), 1_000.0);
-        let mut rng = SimRng::new(5);
-        let mut ctx = DeviceCtx::default();
-        dev.control(CTRL_ARM, &mut ctx, &mut rng);
-        drive(&mut dev, &mut ctx, &mut rng, 1);
-        let snap = dev.snapshot();
-
-        let mut other = StormDevice::irq_storm(IrqLine(24), 1_000.0);
-        other.restore(&snap);
-        assert!(other.is_armed());
-        assert_eq!(other.epoch, 1);
-        assert_eq!(other.asserted, 1);
-        // A live-epoch event still fires on the restored device.
-        let mut ctx = DeviceCtx::default();
-        drive(&mut other, &mut ctx, &mut rng, 1);
-        assert_eq!(other.asserted, 2);
     }
 }

@@ -10,7 +10,7 @@
 //! accounting is therefore `samples × batch`: one wake-to-user latency
 //! sample speaks for every request in its batch.
 
-use crate::device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
 use serde::{Deserialize, Serialize};
 use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
@@ -95,10 +95,10 @@ const COPYOUT_PER_REQ_NS: u64 = 12;
 /// The front-end traffic NIC: walks a [`TrafficProfile`], asserting one
 /// coalesced interrupt per Poisson arrival and counting the requests each
 /// one carried.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TrafficDevice {
     profile: TrafficProfile,
-    /// Per-phase arrival-gap distributions (derived, not snapshotted).
+    /// Per-phase arrival-gap distributions, derived from `profile`.
     gaps: Vec<PreparedDist>,
     phase: usize,
     subscribers: Vec<Pid>,
@@ -241,25 +241,6 @@ impl Device for TrafficDevice {
             self.exit_work.clone(),
         ))
     }
-
-    fn snapshot(&self) -> DeviceState {
-        let mut s = DeviceState::default();
-        s.push(self.phase as u64);
-        s.push_pids(self.subscribers.iter());
-        s.push(self.irqs_fired);
-        s.push(self.requests);
-        s.push(self.missed);
-        s
-    }
-
-    fn restore(&mut self, state: &DeviceState) {
-        let mut r = state.reader();
-        self.phase = r.next_u64() as usize;
-        self.subscribers = r.next_pids();
-        self.irqs_fired = r.next_u64();
-        self.requests = r.next_u64();
-        self.missed = r.next_u64();
-    }
 }
 
 #[cfg(test)]
@@ -335,21 +316,6 @@ mod tests {
         dev.on_timer(TAG_PHASE, &mut ctx, &mut rng);
         dev.on_timer(TAG_PHASE, &mut ctx, &mut rng);
         assert_eq!(dev.current_phase().name, "burst");
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let mut dev = TrafficDevice::new(two_phase());
-        dev.phase = 1;
-        dev.irqs_fired = 42;
-        dev.requests = 42_000;
-        dev.subscribe(Pid(3));
-        let mut other = TrafficDevice::new(two_phase());
-        other.restore(&dev.snapshot());
-        assert_eq!(other.phase, 1);
-        assert_eq!(other.irqs_fired, 42);
-        assert_eq!(other.requests, 42_000);
-        assert_eq!(other.subscribers, vec![Pid(3)]);
     }
 
     #[test]

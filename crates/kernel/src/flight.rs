@@ -17,8 +17,8 @@
 //!   RNG draws, and verdicts are bit-identical either way (the recorder is
 //!   pure observation — it never touches the event queue or RNG).
 //! * **Checkpoint-transparent.** The recorder is *not* part of
-//!   [`Checkpoint`](crate::Checkpoint); forks clear it so per-fork traces
-//!   cover exactly the samples that fork reports.
+//!   [`Checkpoint`](crate::Checkpoint); a fork arms a fresh recorder after
+//!   it restores, so its traces cover exactly the samples that fork reports.
 //! * **Bounded.** The ring holds a fixed number of events; a window older
 //!   than the ring's memory is flagged `truncated`, never silently wrong.
 
@@ -176,14 +176,6 @@ impl FlightRecorder {
     pub fn ring_dropped(&self) -> u64 {
         self.ring.dropped()
     }
-
-    /// Drop all captured state while staying armed. Forked shard runs call
-    /// this after `restore` + `reseed` so each fork's traces cover exactly
-    /// its own reported samples, not the parent's warm-up.
-    pub fn reset(&mut self) {
-        self.ring.clear();
-        self.top.clear();
-    }
 }
 
 #[cfg(test)]
@@ -249,16 +241,5 @@ mod tests {
         let t = r.worst().unwrap();
         assert!(t.truncated);
         assert!(!t.events.is_empty());
-    }
-
-    #[test]
-    fn reset_clears_but_stays_armed() {
-        let mut r = FlightRecorder::armed(1);
-        r.record(ev(10, 5));
-        r.offer(Pid(1), Nanos(50), Instant(0), Instant(50), None);
-        r.reset();
-        assert!(r.is_armed());
-        assert!(r.worst().is_none());
-        assert_eq!(r.ring_dropped(), 0);
     }
 }

@@ -32,7 +32,7 @@ pub mod sim;
 pub mod syscall;
 pub mod task;
 
-pub use device::{Device, DeviceCtx, DeviceState, IsrOutcome};
+pub use device::{Device, DeviceClone, DeviceCtx, IsrOutcome};
 pub use devices::AnyDevice;
 pub use flight::{FlightRecorder, WorstCaseTrace};
 pub use ids::{DeviceId, LockId, Pid, SoftirqClass, SyscallId};

@@ -13,7 +13,7 @@ use simcore::{Instant, Nanos};
 use std::collections::VecDeque;
 
 /// State of one global spinlock.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LockState {
     pub holder: Option<Pid>,
     /// Spinning waiters, FIFO. (Real 2.4 spinlocks were unfair; FIFO keeps
@@ -26,31 +26,6 @@ pub struct LockState {
     pub total_spin_time: Nanos,
     held_since: Option<Instant>,
     pub max_hold: Nanos,
-}
-
-// Manual so checkpoint restores reuse the waiter deque via `clone_from`.
-impl Clone for LockState {
-    fn clone(&self) -> Self {
-        LockState {
-            holder: self.holder,
-            waiters: self.waiters.clone(),
-            acquisitions: self.acquisitions,
-            contended_acquisitions: self.contended_acquisitions,
-            total_spin_time: self.total_spin_time,
-            held_since: self.held_since,
-            max_hold: self.max_hold,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.holder = source.holder;
-        self.waiters.clone_from(&source.waiters);
-        self.acquisitions = source.acquisitions;
-        self.contended_acquisitions = source.contended_acquisitions;
-        self.total_spin_time = source.total_spin_time;
-        self.held_since = source.held_since;
-        self.max_hold = source.max_hold;
-    }
 }
 
 impl LockState {
@@ -124,19 +99,9 @@ impl LockState {
 }
 
 /// All global locks, indexed by [`LockId`].
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LockTable {
     locks: Vec<LockState>,
-}
-
-impl Clone for LockTable {
-    fn clone(&self) -> Self {
-        LockTable { locks: self.locks.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.locks.clone_from(&source.locks);
-    }
 }
 
 impl Default for LockTable {

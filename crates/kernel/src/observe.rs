@@ -93,12 +93,6 @@ pub struct Observations {
     /// Softirq work dropped because the pending queue overflowed (a starving
     /// configuration; nonzero values mean the load exceeds the model's cap).
     pub softirq_dropped: u64,
-    /// Bumped by every `&mut self` collector method. `Simulator::checkpoint`
-    /// snapshots this so a cached copy-on-write checkpoint image can be
-    /// invalidated when the collectors are mutated *through the pub field*
-    /// (`sim.obs.reset_samples()` in the fork pattern) — mutations the
-    /// simulator itself cannot observe.
-    version: u64,
 }
 
 impl Observations {
@@ -111,20 +105,11 @@ impl Observations {
             watched_laps: HashMap::new(),
             cpu: vec![CpuAccounting::default(); cpus],
             softirq_dropped: 0,
-            version: 0,
         }
-    }
-
-    /// Mutation counter for checkpoint-cache invalidation — see the
-    /// `version` field. Monotone per instance; not comparable across
-    /// instances (clones copy it verbatim).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Start recording wake-to-user latencies for `pid`'s `WaitIrq` ops.
     pub fn watch_latency(&mut self, pid: Pid) {
-        self.version += 1;
         self.watched_latency.entry(pid).or_default();
     }
 
@@ -132,19 +117,16 @@ impl Observations {
     /// (index-aligned with [`Observations::latencies`]); used to locate
     /// samples relative to mid-run reconfiguration actions.
     pub fn watch_latency_times(&mut self, pid: Pid) {
-        self.version += 1;
         self.watched_latency_times.entry(pid).or_default();
     }
 
     /// Start recording `MarkLap` timestamps for `pid`.
     pub fn watch_laps(&mut self, pid: Pid) {
-        self.version += 1;
         self.watched_laps.entry(pid).or_default();
     }
 
     /// Start recording per-sample latency breakdowns for `pid`.
     pub fn watch_breakdown(&mut self, pid: Pid) {
-        self.version += 1;
         self.watched_breakdown.entry(pid).or_default();
     }
 
@@ -155,7 +137,6 @@ impl Observations {
     /// the fork discards the warm-up samples so only its own (reseeded)
     /// draws are reported.
     pub fn reset_samples(&mut self) {
-        self.version += 1;
         self.discarded_latency.clear();
         for v in self.watched_latency.values_mut() {
             v.clear();
@@ -171,29 +152,6 @@ impl Observations {
         }
     }
 
-    /// Allocation-reusing copy for warm-checkpoint restores. Equivalent to
-    /// `*self = source.clone()` except the per-pid sample vectors already in
-    /// `self` keep their buffers (restore targets are built by the same
-    /// registration sequence as the checkpoint source, so the watch keys
-    /// match and every map entry is reused in place; any key mismatch falls
-    /// back to inserting/removing entries, preserving equivalence).
-    pub(crate) fn clone_from_reusing(&mut self, source: &Self) {
-        fn copy_map<T: Clone>(dst: &mut HashMap<Pid, Vec<T>>, src: &HashMap<Pid, Vec<T>>) {
-            dst.retain(|pid, _| src.contains_key(pid));
-            for (pid, v) in src {
-                dst.entry(*pid).or_default().clone_from(v);
-            }
-        }
-        copy_map(&mut self.watched_latency, &source.watched_latency);
-        copy_map(&mut self.watched_latency_times, &source.watched_latency_times);
-        self.discarded_latency.clone_from(&source.discarded_latency);
-        copy_map(&mut self.watched_breakdown, &source.watched_breakdown);
-        copy_map(&mut self.watched_laps, &source.watched_laps);
-        self.cpu.clone_from(&source.cpu);
-        self.softirq_dropped = source.softirq_dropped;
-        self.version = source.version;
-    }
-
     pub(crate) fn wants_breakdown(&self, pid: Pid) -> bool {
         self.watched_breakdown.contains_key(&pid)
     }
@@ -205,7 +163,6 @@ impl Observations {
     }
 
     pub(crate) fn record_breakdown(&mut self, pid: Pid, b: WakeBreakdown) {
-        self.version += 1;
         if let Some(v) = self.watched_breakdown.get_mut(&pid) {
             v.push(b);
         }
@@ -217,7 +174,6 @@ impl Observations {
     }
 
     pub(crate) fn record_latency(&mut self, pid: Pid, lat: Nanos, at: Instant) {
-        self.version += 1;
         if let Some(v) = self.watched_latency.get_mut(&pid) {
             v.push(lat);
         }
@@ -227,7 +183,6 @@ impl Observations {
     }
 
     pub(crate) fn record_lap(&mut self, pid: Pid, at: Instant) {
-        self.version += 1;
         if let Some(v) = self.watched_laps.get_mut(&pid) {
             v.push(at);
         }
@@ -294,7 +249,6 @@ impl Observations {
         if n == 0 {
             return;
         }
-        self.version += 1;
         if let Some(v) = self.watched_latency.get_mut(&pid) {
             v.drain(..n);
         }
@@ -391,9 +345,7 @@ mod tests {
     #[test]
     fn feed_cursors_stay_absolute_across_a_discard() {
         let mut o = logged(5);
-        let v = o.version();
         o.discard_latencies(Pid(5), 3);
-        assert!(o.version() > v, "a discard must invalidate cached checkpoints");
         assert_eq!(o.latencies(Pid(5)), &[Nanos(30), Nanos(40)]);
         assert_eq!(o.latency_times(Pid(5)), &[Instant(300), Instant(400)]);
         assert_eq!(o.latency_count(Pid(5)), 5);
@@ -420,17 +372,6 @@ mod tests {
         assert_eq!(o.latency_count(Pid(5)), 0);
         o.record_latency(Pid(5), Nanos(7), Instant(9));
         assert_eq!(o.latency_feed(Pid(5), 0), (&[Nanos(7)][..], 1));
-    }
-
-    #[test]
-    fn reusing_copy_carries_the_discard_offset() {
-        let mut src = logged(4);
-        src.discard_latencies(Pid(5), 3);
-        let mut dst = logged(9);
-        dst.clone_from_reusing(&src);
-        assert_eq!(dst.latency_count(Pid(5)), 4);
-        assert_eq!(dst.latency_feed(Pid(5), 3), src.latency_feed(Pid(5), 3));
-        assert_eq!(dst.latency_time_feed(Pid(5), 3), &[Instant(300)]);
     }
 
     #[test]

@@ -16,25 +16,13 @@ use simcore::{Nanos, SimRng};
 use sp_hw::CpuId;
 use std::collections::VecDeque;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Linux24Scheduler {
     /// Queued runnable tasks (global, unordered: order only breaks goodness
     /// ties, where FIFO insertion order applies).
     queue: VecDeque<Pid>,
     /// Tasks whose quantum just ran out (requeue behind peers).
     just_expired: Vec<bool>,
-}
-
-// Manual so checkpoint restores reuse the queue allocations via `clone_from`.
-impl Clone for Linux24Scheduler {
-    fn clone(&self) -> Self {
-        Linux24Scheduler { queue: self.queue.clone(), just_expired: self.just_expired.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.queue.clone_from(&source.queue);
-        self.just_expired.clone_from(&source.just_expired);
-    }
 }
 
 /// Tick quantum from nice: `(20 - nice) / 4 + 1` jiffies, the 2.4 formula

@@ -84,32 +84,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
 /// The closed set of scheduler implementations. The simulator used to hold a
 /// `Box<dyn Scheduler>`; every wake/pick/tick in the event hot loop then
 /// paid a vtable call. This enum dispatches with a two-way match the
-/// compiler can inline, and is `Clone` so a [`crate::Checkpoint`] can carry
-/// the full run-queue state.
-#[derive(Debug)]
+/// compiler can inline. `Clone` copies the full run-queue state, which is
+/// how a [`crate::Checkpoint`] carries it.
+#[derive(Debug, Clone)]
 pub enum SchedulerKind {
     Linux24(Linux24Scheduler),
     O1(O1Scheduler),
-}
-
-// Manual so restoring a checkpoint into a same-variant scheduler (the only
-// case the fork pattern produces) forwards to the variant's allocation-
-// reusing `clone_from` instead of rebuilding every run queue.
-impl Clone for SchedulerKind {
-    fn clone(&self) -> Self {
-        match self {
-            SchedulerKind::Linux24(s) => SchedulerKind::Linux24(s.clone()),
-            SchedulerKind::O1(s) => SchedulerKind::O1(s.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (SchedulerKind::Linux24(a), SchedulerKind::Linux24(b)) => a.clone_from(b),
-            (SchedulerKind::O1(a), SchedulerKind::O1(b)) => a.clone_from(b),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
 }
 
 macro_rules! sched_dispatch {

@@ -18,26 +18,11 @@ use sp_hw::CpuId;
 
 const NUM_PRIOS: usize = 140;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PrioArray {
     bitmap: [u64; 3],
     queues: Vec<std::collections::VecDeque<Pid>>,
     count: usize,
-}
-
-// Manual so `clone_from` reuses the 140 per-priority deques: a derived
-// impl's default `clone_from` would reallocate all of them on every
-// checkpoint restore (2 arrays × NUM_PRIOS × CPUs deques per fork).
-impl Clone for PrioArray {
-    fn clone(&self) -> Self {
-        PrioArray { bitmap: self.bitmap, queues: self.queues.clone(), count: self.count }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.bitmap = source.bitmap;
-        self.queues.clone_from(&source.queues);
-        self.count = source.count;
-    }
 }
 
 impl PrioArray {
@@ -103,21 +88,10 @@ impl PrioArray {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Runqueue {
     active: PrioArray,
     expired: PrioArray,
-}
-
-impl Clone for Runqueue {
-    fn clone(&self) -> Self {
-        Runqueue { active: self.active.clone(), expired: self.expired.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.active.clone_from(&source.active);
-        self.expired.clone_from(&source.expired);
-    }
 }
 
 impl Runqueue {
@@ -138,7 +112,7 @@ struct Slot {
     expired: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct O1Scheduler {
     rqs: Vec<Runqueue>,
     /// pid -> queue slot, for O(1) removal. Dense by pid.
@@ -146,22 +120,6 @@ pub struct O1Scheduler {
     /// Tasks whose quantum just expired (routed to the expired array on the
     /// next requeue).
     just_expired: Vec<bool>,
-}
-
-impl Clone for O1Scheduler {
-    fn clone(&self) -> Self {
-        O1Scheduler {
-            rqs: self.rqs.clone(),
-            slots: self.slots.clone(),
-            just_expired: self.just_expired.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.rqs.clone_from(&source.rqs);
-        self.slots.clone_from(&source.slots);
-        self.just_expired.clone_from(&source.just_expired);
-    }
 }
 
 impl O1Scheduler {

@@ -10,7 +10,7 @@
 //!
 //! Everything is event-driven and deterministic for a given seed.
 
-use crate::device::{Device, DeviceCmd, DeviceCtx, DeviceSlot, DeviceState};
+use crate::device::{Device, DeviceCmd, DeviceCtx, DeviceSlot};
 use crate::devices::AnyDevice;
 use crate::flight::FlightRecorder;
 use crate::ids::{DeviceId, LockId, Pid, SoftirqClass, SyscallId};
@@ -84,7 +84,7 @@ struct PendingIrqThread {
     work: Nanos,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CpuSim {
     current: Option<Activity>,
     /// Interrupted activities (task at the bottom, then softirq, then...).
@@ -98,36 +98,6 @@ struct CpuSim {
     /// CPU is inside interrupt context (ISR/tick/softirq processing), even
     /// between activities while the handler's outcome is being applied.
     in_irq: bool,
-}
-
-// Manual so checkpoint restores reuse the per-CPU pending queues and the
-// suspended-activity stack via `clone_from`.
-impl Clone for CpuSim {
-    fn clone(&self) -> Self {
-        CpuSim {
-            current: self.current,
-            suspended: self.suspended.clone(),
-            pending_irqs: self.pending_irqs.clone(),
-            pending_irq_threads: self.pending_irq_threads.clone(),
-            pending_softirq: self.pending_softirq.clone(),
-            pending_softirq_total: self.pending_softirq_total,
-            need_resched: self.need_resched,
-            local_timer_on: self.local_timer_on,
-            in_irq: self.in_irq,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.current = source.current;
-        self.suspended.clone_from(&source.suspended);
-        self.pending_irqs.clone_from(&source.pending_irqs);
-        self.pending_irq_threads.clone_from(&source.pending_irq_threads);
-        self.pending_softirq.clone_from(&source.pending_softirq);
-        self.pending_softirq_total = source.pending_softirq_total;
-        self.need_resched = source.need_resched;
-        self.local_timer_on = source.local_timer_on;
-        self.in_irq = source.in_irq;
-    }
 }
 
 impl CpuSim {
@@ -215,16 +185,6 @@ pub struct Simulator {
     /// syscall/wake cycle doesn't malloc+free a `Vec` per plan. Capacity
     /// only — contents are cleared on recycle. Excluded from checkpoints.
     plan_pool: Vec<Vec<PlannedStep>>,
-    /// Clean-state checkpoint cache: `Some(image)` when no checkpointed
-    /// state has mutated since `image` was captured (or restored), making
-    /// [`Simulator::checkpoint`] a reference-count bump. Every mutating
-    /// entry point clears it (see [`Simulator::dirty`]); mutations applied
-    /// through the pub `obs` field are caught by comparing
-    /// [`Observations::version`] against `ck_obs_version`. Not itself state:
-    /// excluded from checkpoints.
-    ck_cache: Option<Arc<CheckpointImage>>,
-    /// `self.obs.version()` at the instant `ck_cache` was captured.
-    ck_obs_version: u64,
 }
 
 /// A syscall profile compiled for the plan builder (see
@@ -284,17 +244,7 @@ impl Simulator {
             scratch_spinners: Vec::with_capacity(n),
             scratch_cmds: Vec::new(),
             plan_pool: Vec::new(),
-            ck_cache: None,
-            ck_obs_version: 0,
         }
-    }
-
-    /// Drop the cached clean-state checkpoint image. Called by every entry
-    /// point that can change checkpointed state; one `Option` write, always
-    /// safe to over-call.
-    #[inline]
-    fn dirty(&mut self) {
-        self.ck_cache = None;
     }
 
     // ------------------------------------------------------------------
@@ -308,7 +258,6 @@ impl Simulator {
     /// devices go through [`AnyDevice::custom`].
     pub fn add_device(&mut self, dev: impl Into<AnyDevice>) -> DeviceId {
         assert!(!self.started, "devices must be registered before start()");
-        self.dirty();
         let dev = dev.into();
         let id = DeviceId(self.devices.len() as u32);
         let line = dev.line();
@@ -335,7 +284,6 @@ impl Simulator {
     /// Register a syscall profile for use in task programs.
     pub fn register_syscall(&mut self, svc: SyscallService) -> SyscallId {
         svc.validate().expect("invalid syscall profile");
-        self.dirty();
         let id = SyscallId(self.syscalls.len() as u32);
         self.prepared_syscalls.push(PreparedSyscall {
             segments: svc
@@ -360,7 +308,6 @@ impl Simulator {
     /// afterwards they are woken immediately.
     pub fn spawn(&mut self, spec: TaskSpec) -> Pid {
         validate_program(&spec);
-        self.dirty();
         let pid = Pid(self.tasks.len() as u32);
         let online = self.machine.online_mask();
         let mut task = Task::from_spec(pid, spec, online);
@@ -444,7 +391,6 @@ impl Simulator {
     /// `sched_setaffinity`: change a task's requested mask. The effective
     /// mask is recomputed under the current shield.
     pub fn set_task_affinity(&mut self, pid: Pid, mask: CpuMask) -> Result<(), String> {
-        self.dirty();
         let online = self.machine.online_mask();
         if (mask & online).is_empty() {
             return Err(format!("{pid}: affinity excludes all online CPUs"));
@@ -456,7 +402,6 @@ impl Simulator {
 
     /// `sched_setscheduler`: change a task's policy/priority at runtime.
     pub fn set_task_policy(&mut self, pid: Pid, policy: crate::task::SchedPolicy) {
-        self.dirty();
         let old = self.tasks[pid.index()].policy;
         if old == policy {
             return;
@@ -482,7 +427,6 @@ impl Simulator {
 
     /// `/proc/irq/<n>/smp_affinity`: change a device IRQ's requested mask.
     pub fn set_irq_affinity(&mut self, dev: DeviceId, mask: CpuMask) -> Result<(), String> {
-        self.dirty();
         let online = self.machine.online_mask();
         if (mask & online).is_empty() {
             return Err(format!("{dev}: affinity excludes all online CPUs"));
@@ -496,7 +440,6 @@ impl Simulator {
     /// migrating whatever no longer belongs (the dynamic enable of §3).
     /// Requires a kernel with shield support.
     pub fn set_shield(&mut self, ctl: ShieldCtl) -> Result<(), String> {
-        self.dirty();
         if !self.cfg.shield_support && !ctl.is_none() {
             return Err(format!("{} has no shield support", self.cfg.variant));
         }
@@ -531,7 +474,6 @@ impl Simulator {
 
     /// Enable or disable the local timer interrupt on one CPU.
     pub fn set_local_timer(&mut self, cpu: CpuId, on: bool) {
-        self.dirty();
         let i = cpu.index();
         if self.cpus[i].local_timer_on == on {
             return;
@@ -554,7 +496,6 @@ impl Simulator {
     /// the event dispatch loop never calls it, so an injector that is
     /// registered but never armed costs the hot loop nothing.
     pub fn device_control(&mut self, dev: DeviceId, cmd: u64) {
-        self.dirty();
         self.with_device(dev, |d, ctx, rng| d.control(cmd, ctx, rng));
     }
 
@@ -637,7 +578,6 @@ impl Simulator {
     /// Start the simulation: arm device and timer events, place initial tasks.
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
-        self.dirty();
         self.started = true;
         // Local timer ticks, staggered so CPUs don't tick in lockstep.
         let jiffy = self.cfg.jiffy();
@@ -660,8 +600,6 @@ impl Simulator {
     /// Advance virtual time to `t`, processing all events on the way.
     pub fn run_until(&mut self, t: Instant) {
         assert!(self.started, "call start() first");
-        // Conservative: even a run that dispatches nothing advances `now`.
-        self.dirty();
         let limit = pack_key(t, u64::MAX);
         loop {
             // Whichever holds the smaller exact key fires next: the earliest
@@ -2054,7 +1992,6 @@ impl Simulator {
     /// instead of replaying identical randomness. Deterministic — the same
     /// label always produces the same streams.
     pub fn reseed(&mut self, label: u64) {
-        self.dirty();
         self.rng = SimRng::new(label);
         for (i, slot) in self.devices.iter_mut().enumerate() {
             slot.rng = self.rng.fork(0x1000 + i as u64);
@@ -2068,28 +2005,22 @@ impl Simulator {
     /// handles stay valid) and the per-CPU segment-end deadlines keyed
     /// against its sequence counter, the RNG streams (main + per-device),
     /// task and CPU state, the scheduler's queues, lock/softirq state, IRQ
-    /// routing and counters, device-internal state (via
-    /// [`Device::snapshot`]), the shield masks, and the collectors in
-    /// [`Simulator::obs`]. It does *not* capture configuration
-    /// (machine/kernel config, registered devices/tasks/syscalls, watch
-    /// lists, flight recorder): [`Simulator::restore`] therefore requires a simulator
-    /// built by the same registration sequence.
+    /// routing and counters, every device (cloned whole), the shield masks,
+    /// and the collectors in [`Simulator::obs`], watch lists included. It
+    /// does *not* capture what the simulator is built with (machine and
+    /// kernel config with their prepared cost tables, the IRQ line map,
+    /// syscall profiles) or the flight recorder: [`Simulator::restore`]
+    /// therefore requires a simulator built by the same registration
+    /// sequence.
     ///
-    /// Checkpoints are `Clone + Send + Sync` and copy-on-write: the state
-    /// lives in one immutable [`Arc`]'d image, so cloning a checkpoint (or
-    /// handing it to another thread) is a reference-count bump, and taking a
-    /// second checkpoint of an unmutated simulator returns the same shared
-    /// image without re-snapshotting anything. Warm up one simulator per
-    /// configuration, snapshot it, and fork every experiment cell from the
-    /// shared checkpoint across threads. Restoring and running is
+    /// Each call clones that state into one immutable [`Arc`]'d image, so a
+    /// checkpoint is `Clone + Send + Sync` and cloning it (or handing it to
+    /// another thread) is a reference-count bump. Warm up one simulator per
+    /// configuration, checkpoint it once, and fork every experiment cell
+    /// from the shared checkpoint across threads. Restoring and running is
     /// bit-identical to having run the original simulator straight through.
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        if let Some(image) = &self.ck_cache {
-            if self.obs.version() == self.ck_obs_version {
-                return Checkpoint { image: Arc::clone(image) };
-            }
-        }
-        let image = Arc::new(CheckpointImage {
+    pub fn checkpoint(&self) -> Checkpoint {
+        let image = CheckpointImage {
             now: self.now,
             queue: self.queue.clone(),
             rng: self.rng.clone(),
@@ -2105,7 +2036,7 @@ impl Simulator {
             devices: self
                 .devices
                 .iter()
-                .map(|s| (s.dev.as_ref().expect("device reentrancy").snapshot(), s.rng.clone()))
+                .map(|s| (s.dev.clone().expect("device reentrancy"), s.rng.clone()))
                 .collect(),
             irq_routes: self.irq_routes.clone(),
             irq_requested: self.irq_requested.clone(),
@@ -2114,78 +2045,67 @@ impl Simulator {
             shield: self.shield,
             started: self.started,
             events_dispatched: self.events_dispatched,
-        });
-        self.ck_cache = Some(Arc::clone(&image));
-        self.ck_obs_version = self.obs.version();
-        Checkpoint { image }
+        };
+        Checkpoint { image: Arc::new(image) }
     }
 
     /// Reset this simulator to a state previously frozen with
-    /// [`Simulator::checkpoint`].
+    /// [`Simulator::checkpoint`] by copying every captured field out of the
+    /// image.
     ///
     /// `self` must have been built by the same registration sequence (same
     /// machine and kernel config, same devices in the same order, same
     /// tasks, same syscall profiles) as the simulator the checkpoint came
     /// from — typically by re-running the scenario builder, or by reusing
-    /// the warmed simulator itself. Watch lists and the flight recorder
-    /// are left as-is so a fork can observe different tasks than
-    /// the parent did (forks that arm the recorder call
-    /// [`FlightRecorder::reset`] after restoring so captured windows cover
-    /// only their own samples).
+    /// the warmed simulator itself. Watch lists live in [`Simulator::obs`],
+    /// which the checkpoint replaces: a watch registered on `self` before
+    /// `restore` is gone after it, so a fork that observes other tasks
+    /// registers those watches after restoring. The flight recorder is not
+    /// touched; a fork that wants traces of its own samples only arms it
+    /// ([`Simulator::arm_flight`]) after restoring.
     pub fn restore(&mut self, ck: &Checkpoint) {
-        let image = Arc::clone(&ck.image);
-        let ck = &*image;
+        let ck = &*ck.image;
         assert_eq!(self.devices.len(), ck.devices.len(), "checkpoint device set mismatch");
         assert_eq!(self.tasks.len(), ck.tasks.len(), "checkpoint task set mismatch");
         assert_eq!(self.cpus.len(), ck.cpus.len(), "checkpoint cpu count mismatch");
         self.now = ck.now;
-        // `clone_from` throughout: a fork loop restores into the same
-        // simulator over and over, and the large buffers below (the
-        // scheduler's per-priority queues, the observation sample vectors,
-        // …) keep their allocations across iterations.
-        self.queue.clone_from(&ck.queue);
+        self.queue = ck.queue.clone();
         self.rng = ck.rng.clone();
-        self.tasks.clone_from(&ck.tasks);
-        self.cpus.clone_from(&ck.cpus);
+        self.tasks = ck.tasks.clone();
+        self.cpus = ck.cpus.clone();
         self.busy_mask = ck.busy_mask;
-        self.cpu_task.clone_from(&ck.cpu_task);
-        self.cpu_last_busy_ns.clone_from(&ck.cpu_last_busy_ns);
-        self.seg_end.clone_from(&ck.seg_end);
-        self.tick_keys.clone_from(&ck.tick_keys);
-        self.sched.clone_from(&ck.sched);
-        self.locks.clone_from(&ck.locks);
-        for (slot, (state, rng)) in self.devices.iter_mut().zip(&ck.devices) {
-            slot.dev.as_mut().expect("device reentrancy").restore(state);
+        self.cpu_task = ck.cpu_task.clone();
+        self.cpu_last_busy_ns = ck.cpu_last_busy_ns.clone();
+        self.seg_end = ck.seg_end.clone();
+        self.tick_keys = ck.tick_keys.clone();
+        self.sched = ck.sched.clone();
+        self.locks = ck.locks.clone();
+        for (slot, (dev, rng)) in self.devices.iter_mut().zip(&ck.devices) {
+            slot.dev = Some(dev.clone());
             slot.rng = rng.clone();
         }
-        self.irq_routes.clone_from(&ck.irq_routes);
-        self.irq_requested.clone_from(&ck.irq_requested);
-        self.irq_counts.clone_from(&ck.irq_counts);
-        self.obs.clone_from_reusing(&ck.obs);
+        self.irq_routes = ck.irq_routes.clone();
+        self.irq_requested = ck.irq_requested.clone();
+        self.irq_counts = ck.irq_counts.clone();
+        self.obs = ck.obs.clone();
         self.shield = ck.shield;
         self.started = ck.started;
         self.events_dispatched = ck.events_dispatched;
-        // The simulator now *is* this image: cache it so an immediate
-        // re-checkpoint (fork-of-fork chains, cache-warming layers) is a
-        // reference bump instead of a fresh deep snapshot.
-        self.ck_obs_version = self.obs.version();
-        self.ck_cache = Some(image);
     }
 }
 
 /// A frozen copy of a [`Simulator`]'s mutable state — see
 /// [`Simulator::checkpoint`]. A cheap handle to one shared immutable image:
-/// `clone()` bumps a reference count, so one warm checkpoint can seed
-/// millions of forked runs (and cross thread boundaries) without copying
-/// simulator state.
+/// `clone()` bumps a reference count, so one warm checkpoint can seed any
+/// number of forked runs, on any thread; each fork copies the image out
+/// once, in [`Simulator::restore`].
 #[derive(Clone)]
 pub struct Checkpoint {
     image: Arc<CheckpointImage>,
 }
 
-/// The actual frozen state behind a [`Checkpoint`] — one allocation shared
-/// copy-on-write by every handle; forks copy out of it only in
-/// [`Simulator::restore`].
+/// The frozen state behind a [`Checkpoint`]: a plain clone of each
+/// checkpointed [`Simulator`] field, shared by every handle.
 struct CheckpointImage {
     now: Instant,
     queue: WheelQueue<Ev>,
@@ -2199,9 +2119,9 @@ struct CheckpointImage {
     tick_keys: Vec<Option<EventKey>>,
     sched: SchedulerKind,
     locks: LockTable,
-    /// Per-device `(internal state, RNG stream)`, index-aligned with the
+    /// Per-device `(device, RNG stream)`, index-aligned with the
     /// simulator's registration order.
-    devices: Vec<(DeviceState, SimRng)>,
+    devices: Vec<(AnyDevice, SimRng)>,
     irq_routes: Vec<IrqRouting>,
     irq_requested: Vec<CpuMask>,
     irq_counts: Vec<Vec<u64>>,

@@ -30,7 +30,7 @@ fn zero_time_loop_program_rejected() {
 #[test]
 #[should_panic(expected = "already in use")]
 fn duplicate_irq_line_rejected() {
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Dummy;
     impl sp_kernel::Device for Dummy {
         fn name(&self) -> &str {

@@ -98,7 +98,6 @@ proptest! {
         let (mut fork, fork_pid) = build(seed);
         fork.restore(&ck);
         fork.arm_flight(2);
-        fork.flight.reset();
         fork.run_for(Nanos::from_ms(run_ms));
 
         prop_assert_eq!(fingerprint(&fork, fork_pid), fingerprint(&straight, pid));

@@ -12,7 +12,7 @@ use sp_kernel::{
 };
 
 /// A bare periodic interrupt source for tests.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TestTimer {
     line: IrqLine,
     period: Nanos,

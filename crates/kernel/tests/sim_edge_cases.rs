@@ -12,7 +12,7 @@ use sp_kernel::{
 };
 
 /// Periodic interrupt source with configurable softirq payload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Timer {
     line: IrqLine,
     period: Nanos,

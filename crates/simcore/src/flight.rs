@@ -329,14 +329,6 @@ impl FlightRing {
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
-
-    /// Drop every held record and reset the eviction counter (used when a
-    /// fork discards its parent's warm-up history).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.dropped = 0;
-        self.unordered = false;
-    }
 }
 
 #[cfg(test)]
@@ -377,9 +369,6 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let held: Vec<u64> = r.records().map(|e| e.detail).collect();
         assert_eq!(held, vec![2, 3, 4]);
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
     }
 
     #[test]
