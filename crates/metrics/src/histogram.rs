@@ -2,10 +2,15 @@
 //!
 //! Values are bucketed exactly below 64 ns and into 64 linear sub-buckets per
 //! power-of-two octave above that, giving ≤ 1.6 % relative error across the
-//! full `u64` nanosecond range with a fixed ~30 KiB footprint — cheap enough
-//! to record every one of the millions of samples an experiment produces.
+//! full `u64` nanosecond range — cheap enough to record every one of the
+//! millions of samples an experiment produces.
+//!
+//! A histogram stores counts only up to its highest occupied bucket, so one
+//! whose maximum is 1 ms holds about 7.5 KiB of counts instead of all 3,776
+//! buckets (29.5 KiB). Its JSON form stays dense: `counts` always lists all
+//! 3,776 buckets.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use simcore::Nanos;
 
 const SUB_BITS: u32 = 6;
@@ -54,8 +59,10 @@ fn index_to_upper(idx: usize) -> u64 {
 /// assert_eq!(h.max(), Nanos::from_us(27));
 /// assert_eq!(h.count_below(Nanos::from_us(20)), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Per-bucket counts up to the highest occupied bucket; buckets past the
+    /// end are empty.
     counts: Vec<u64>,
     count: u64,
     sum: u128,
@@ -84,7 +91,7 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; NUM_BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -95,7 +102,14 @@ impl LatencyHistogram {
     /// Record one sample.
     pub fn record(&mut self, v: Nanos) {
         let ns = v.as_ns();
-        self.counts[value_to_index(ns)] += 1;
+        let idx = value_to_index(ns);
+        match self.counts.get_mut(idx) {
+            Some(c) => *c += 1,
+            None => {
+                self.grow_to(idx + 1);
+                self.counts[idx] = 1;
+            }
+        }
         self.count += 1;
         self.sum += ns as u128;
         self.min = self.min.min(ns);
@@ -163,8 +177,21 @@ impl LatencyHistogram {
         self.counts.iter().take(t_idx + 1).sum()
     }
 
+    /// Extend `counts` with empty buckets to `len`. Capacity is reserved
+    /// to the end of `len`'s 64-bucket block, so a rising maximum
+    /// reallocates at most once per octave.
+    #[cold]
+    fn grow_to(&mut self, len: usize) {
+        let cap = len.next_multiple_of(SUB as usize);
+        self.counts.reserve_exact(cap - self.counts.len());
+        self.counts.resize(len, 0);
+    }
+
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.grow_to(other.counts.len());
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -181,6 +208,47 @@ impl LatencyHistogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(idx, &c)| (Nanos(index_to_upper(idx)), c))
+    }
+}
+
+impl Serialize for LatencyHistogram {
+    fn to_value(&self) -> Value {
+        let counts = self.counts.iter().copied().chain(std::iter::repeat(0)).take(NUM_BUCKETS);
+        Value::Object(vec![
+            ("counts".into(), Value::Array(counts.map(Value::U64).collect())),
+            ("count".into(), self.count.to_value()),
+            ("sum".into(), self.sum.to_value()),
+            ("min".into(), self.min.to_value()),
+            ("max".into(), self.max.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for LatencyHistogram {
+    /// Accepts up to 3,776 counts (fewer means the rest are empty) and keeps
+    /// them up to the last non-zero one.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let fields = v.as_object().ok_or_else(|| serde::Error::expected("object", v))?;
+        let field = |name| {
+            serde::find(fields, name)
+                .ok_or_else(|| serde::Error::missing_field("LatencyHistogram", name))
+        };
+        let mut counts = Vec::<u64>::from_value(field("counts")?)?;
+        if counts.len() > NUM_BUCKETS {
+            return Err(serde::Error::custom(format!(
+                "histogram has {} buckets, more than {NUM_BUCKETS}",
+                counts.len()
+            )));
+        }
+        counts.truncate(counts.iter().rposition(|&c| c > 0).map_or(0, |top| top + 1));
+        counts.shrink_to_fit();
+        Ok(LatencyHistogram {
+            counts,
+            count: Deserialize::from_value(field("count")?)?,
+            sum: Deserialize::from_value(field("sum")?)?,
+            min: Deserialize::from_value(field("min")?)?,
+            max: Deserialize::from_value(field("max")?)?,
+        })
     }
 }
 
@@ -316,6 +384,35 @@ mod tests {
         );
         let empty: LatencyHistogram = std::iter::empty().collect();
         assert_eq!((empty.count, empty.min, empty.max), (0, u64::MAX, 0));
+    }
+
+    #[test]
+    fn short_counts_array_is_valid_storage() {
+        // Seven counts, the last one empty: the one sample at 5 ns is in
+        // bucket 5.
+        let json = r#"{"counts":[0,0,0,0,0,1,0],"count":1,"sum":5,"min":5,"max":5}"#;
+        let mut h: LatencyHistogram = serde_json::from_str(json).unwrap();
+        assert_eq!(h.counts, [0, 0, 0, 0, 0, 1], "trailing zeros are trimmed");
+        let dense = serde_json::to_string(&LatencyHistogram::from_iter([Nanos(5)])).unwrap();
+        assert_eq!(serde_json::to_string(&h).unwrap(), dense);
+        // A sample past the stored buckets grows them instead of panicking.
+        h.record(Nanos::from_ms(5));
+        assert_eq!(h.count_below(Nanos::from_ms(10)), 2);
+        assert_eq!(h.quantile(1.0), Nanos::from_ms(5));
+    }
+
+    #[test]
+    fn overlong_counts_array_is_an_error() {
+        let mut v = LatencyHistogram::new().to_value();
+        let Value::Object(fields) = &mut v else { unreachable!() };
+        let Value::Array(counts) = &mut fields[0].1 else { unreachable!() };
+        assert_eq!(counts.len(), NUM_BUCKETS);
+        // Even an all-zero tail is refused: padding would drop it silently.
+        counts.push(Value::U64(0));
+        let err = LatencyHistogram::from_value(&v).unwrap_err();
+        assert!(err.0.contains("3777 buckets"), "{err}");
+        let text = serde_json::to_string(&v).unwrap();
+        assert!(serde_json::from_str::<LatencyHistogram>(&text).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # sp-metrics — measurement and reporting
 //!
-//! Fixed-footprint latency histograms ([`LatencyHistogram`]), scalar digests
-//! ([`LatencySummary`]), the paper's cumulative "samples < X" blocks
+//! Latency histograms sized to their samples ([`LatencyHistogram`]), scalar
+//! digests ([`LatencySummary`]), the paper's cumulative "samples < X" blocks
 //! ([`CumulativeReport`]), the execution-determinism jitter series of §5
 //! ([`JitterSeries`]), aligned text tables, ASCII figure plots, flight-ring
 //! timeline analysis ([`timeline`]), Chrome/Perfetto trace export
