@@ -1,10 +1,11 @@
 //! The §3 shielding semantics, exercised through the `/proc/shield`
 //! interface and the `ShieldPlan` API against a live simulation.
 
+use proptest::prelude::*;
 use simcore::{DurationDist, Nanos};
-use sp_core::{PlanError, ProcShield, ProcWriteError, ShieldFile, ShieldPlan};
+use sp_core::{PlanError, ProcIrq, ProcShield, ProcWriteError, ShieldFile, ShieldPlan};
 use sp_devices::RcimDevice;
-use sp_hw::{CpuId, CpuMask, MachineConfig};
+use sp_hw::{CpuId, CpuMask, IrqLine, MachineConfig};
 use sp_kernel::{
     KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
 };
@@ -39,10 +40,12 @@ fn files_read_back_what_was_written() {
 fn write_validation_mirrors_procfs() {
     let mut s = sim();
     s.start();
-    assert!(matches!(
-        ProcShield::write(&mut s, ShieldFile::Procs, "zz"),
-        Err(ProcWriteError::BadMask(_))
-    ));
+    // Hex digits only after an optional `0x`: no sign, separator or
+    // non-ASCII digit, at most 16 significant digits.
+    for text in ["zz", "", "   ", "0x", "+3", "0x+3", "-1", "1,2", "10000000000000000", "３"] {
+        let r = ProcShield::write(&mut s, ShieldFile::Procs, text);
+        assert!(matches!(r, Err(ProcWriteError::BadMask(_))), "{text:?}: {r:?}");
+    }
     assert!(matches!(
         ProcShield::write(&mut s, ShieldFile::Procs, "0x4"),
         Err(ProcWriteError::OfflineCpus(m)) if m == CpuMask(0b100)
@@ -185,4 +188,48 @@ fn keep_local_timer_variant() {
     ShieldPlan::cpu(CpuId(1)).keep_local_timer().apply(&mut s).unwrap();
     s.run_for(Nanos::from_secs(1));
     assert!(s.obs.cpu[1].ticks > 90, "local timer still ticking: {}", s.obs.cpu[1].ticks);
+}
+
+/// Pieces hostile `/proc` writes are glued from: whitespace, prefixes,
+/// signs, digits, a 16-digit run, separators and non-ASCII.
+#[rustfmt::skip]
+const FRAGMENTS: [&str; 18] = [
+    "", " ", "\t", "\n", "0x", "0X", "+", "-", "0", "1", "3", "f", "G",
+    "ffffffffffffffff", ",", "_", "é", "\u{ff10}",
+];
+
+/// The hex mask grammar: trimmed, an optional `0x`, then one or more hex
+/// digits whose value fits in 64 bits (leading zeros allowed).
+fn is_hex_mask(s: &str) -> bool {
+    let t = s.trim();
+    let t = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")).unwrap_or(t);
+    let significant = t.trim_start_matches('0');
+    !t.is_empty() && t.bytes().all(|b| b.is_ascii_hexdigit()) && significant.len() <= 16
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever is written to a shield file or an `smp_affinity` file, the
+    /// write returns `Ok` or a typed error and never panics, and it is a
+    /// `BadMask` exactly when the text is not a hex mask: a sign (`+3`,
+    /// `0x+3`), a bare `0x`, commas, more than 16 significant digits and
+    /// non-ASCII digits are all refused.
+    #[test]
+    fn hostile_proc_writes_return_typed_errors(
+        pieces in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..7),
+        line in 15u32..18,
+    ) {
+        let text: String = pieces.iter().map(|&i| FRAGMENTS[i]).collect();
+        let mut s = sim();
+        s.add_device(RcimDevice::new(Nanos::from_us(500)));
+        s.start();
+        let bad = |r: &Result<(), ProcWriteError>| matches!(r, Err(ProcWriteError::BadMask(_)));
+        for file in ShieldFile::ALL {
+            let r = ProcShield::write(&mut s, file, &text);
+            prop_assert_eq!(bad(&r), !is_hex_mask(&text), "{:?} <- {:?}: {:?}", file, text, r);
+        }
+        let r = ProcIrq::write(&mut s, IrqLine(line), &text);
+        prop_assert_eq!(bad(&r), !is_hex_mask(&text), "irq {} <- {:?}: {:?}", line, text, r);
+    }
 }

@@ -32,8 +32,8 @@
 //! by one control window, not by the length of the day.
 //!
 //! Everything here is a pure function of the config (seed included):
-//! [`run_autopilot_forked`] proves it by checkpoint-forking mid-flight and
-//! returning a bit-identical result.
+//! [`run_autopilot_forked`] proves it by forking mid-flight and returning a
+//! bit-identical result.
 
 use crate::scenario::{RecoveryReport, RecoveryTracker, TransientSpec};
 use serde::{Deserialize, Serialize};
@@ -207,7 +207,7 @@ fn engage(ctl: ControllerConfig, sim: &mut Simulator, svc: &RequestService) -> A
 /// the window's samples are folded into the run histogram, the over-SLA
 /// count and one recovery tracker per reconfiguration, then discarded from
 /// the simulator, which therefore holds at most one window of samples.
-/// Cloned with the controller when a run is checkpoint-forked.
+/// Cloned with the controller when a run is forked.
 #[derive(Debug, Clone)]
 struct LatencyFold {
     server: Pid,
@@ -337,11 +337,11 @@ pub fn run_static_level(cfg: &AutopilotConfig, level: usize) -> AutopilotRun {
     run_with_controller(cfg, ctl, &label)
 }
 
-/// Like [`run_autopilot`], but checkpoint-forks the warmed simulation (and
-/// clones the controller and the latency fold) halfway through and finishes
-/// the run in the fork. Decisions are taken purely from checkpointed state,
-/// so the result is bit-identical to the straight-through run — the
-/// determinism suite holds the two traces byte-for-byte equal.
+/// Like [`run_autopilot`], but forks the warmed simulation (a clone of it,
+/// the controller and the latency fold) halfway through, drops the original
+/// and finishes the run in the fork. Decisions are taken purely from the
+/// cloned state, so the result is bit-identical to the straight-through
+/// run — the determinism suite holds the two traces byte-for-byte equal.
 pub fn run_autopilot_forked(cfg: &AutopilotConfig) -> AutopilotRun {
     let (mut sim, svc) = build_plant(cfg);
     let mut ap = engage(cfg.controller(), &mut sim, &svc);
@@ -351,12 +351,10 @@ pub fn run_autopilot_forked(cfg: &AutopilotConfig) -> AutopilotRun {
     let end = t0 + Nanos::from_secs_f64(cfg.run_secs());
     fold.run_until(cfg, &mut ap, &mut sim, half);
 
-    let ck = sim.checkpoint();
-    let (mut fork, fork_svc) = build_plant(cfg);
-    fork.restore(&ck);
-    let (mut fork_ap, mut fork_fold) = (ap.clone(), fold.clone());
+    let (mut fork, mut fork_ap, mut fork_fold) = (sim.clone(), ap.clone(), fold.clone());
+    drop(sim);
     fork_fold.run_until(cfg, &mut fork_ap, &mut fork, end);
-    fork_fold.finish(cfg, "autopilot", &mut fork, &fork_svc, &fork_ap)
+    fork_fold.finish(cfg, "autopilot", &mut fork, &svc, &fork_ap)
 }
 
 /// The full study: closed loop + every static rung + graded verdict.

@@ -229,10 +229,10 @@ pub(crate) fn cell_seed(base: u64, index: u64) -> u64 {
 pub(crate) type LabelledCell = (usize, String, LatencySummary, u64, Vec<WorstCaseTrace>);
 
 /// Run a matrix flattened across its groups, group `g` on
-/// `rigs[g] = (root seed, rig)`. Per shard, each group warms one checkpoint
+/// `rigs[g] = (root seed, rig)`. Per shard, each group warms one simulation
 /// fault-free to a quarter of the shard budget; then, cell-major, the
 /// baseline and every fault of the group's rig fork from each shard's
-/// checkpoint. Each fork arms its cell's fault (the baseline arms nothing)
+/// warm simulation. Each fork arms its cell's fault (the baseline arms nothing)
 /// and samples the remaining three quarters on top of whatever the warm-up
 /// collected, so every cell samples its faulted regime even when the warm-up
 /// overshot its quarter. Warm-up samples count toward every cell's
@@ -251,7 +251,7 @@ pub(crate) fn run_matrix(
 ) -> Vec<LabelledCell> {
     let shards = effective_shards(shards, samples);
     let budgets = &split_samples(samples, shards);
-    // Group `g`'s shard `s` restores checkpoint `g * shards + s`.
+    // Group `g`'s shard `s` clones warm simulation `g * shards + s`.
     let warms: Vec<_> = rigs
         .iter()
         .flat_map(|(seed, rig)| {
@@ -300,7 +300,7 @@ fn matrix_cell(key: (MatrixPath, bool), cell: LabelledCell) -> (MatrixCell, Cell
 /// Run the full matrix: `(1 baseline + 5 faults) × 2 paths × 2 shield
 /// states` = 24 cells, plus the reshield-transient scenario, then check
 /// every band. Each `(path, shielded)` group warms once per shard and forks
-/// its six cells from the shared checkpoint (see `run_matrix`).
+/// its six cells from the shared warm simulation (see `run_matrix`).
 pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
     run_fault_matrix_with_flight(cfg, 0).0
 }
@@ -308,7 +308,7 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
 /// [`run_fault_matrix`] with the flight recorder armed in every cell's
 /// forks: each cell additionally reports the causal windows behind its
 /// `top_k` worst samples *from the faulted (post-warm-up) stretch*. Warm-up
-/// samples restored from the shared checkpoint still count toward the cell
+/// samples carried over from the shared warm-up still count toward the cell
 /// histograms, so a quiet cell's histogram max can predate its capture
 /// window; the faulted cells the bands judge take their worst case from the
 /// faulted stretch the recorder covers. The report itself is bit-identical
@@ -473,33 +473,5 @@ mod tests {
             serde_json::to_string(&report.cells).unwrap(),
             serde_json::to_string(&expected).unwrap()
         );
-    }
-
-    /// Tentpole acceptance: a cell forked from a warm checkpoint — rebuild,
-    /// restore, arm — is bit-identical to continuing the warm simulation and
-    /// arming the same fault there, latencies, clock and event count alike.
-    #[test]
-    fn forked_cell_is_bit_identical_to_continuing_the_warm_sim() {
-        let seed = 0xFA17_5EED;
-        let rig = MatrixPath::Realfeel.rig(KernelConfig::new(KernelVariant::RedHawk), false);
-
-        let (mut warm, mut warm_armory, pid) = rig.build(seed);
-        rig.collect(&mut warm, pid, 400);
-        let ck = warm.checkpoint();
-
-        let (mut fork, mut fork_armory, fork_pid) = rig.build(seed);
-        fork.restore(&ck);
-        assert_eq!(fork_pid, pid);
-        assert_eq!(fork.now(), warm.now());
-
-        let name = &rig.spec.faults[0].name;
-        warm_armory.arm(&mut warm, name).expect("arm warm");
-        fork_armory.arm(&mut fork, name).expect("arm fork");
-        rig.collect(&mut warm, pid, 1_200);
-        rig.collect(&mut fork, fork_pid, 1_200);
-
-        assert_eq!(warm.now(), fork.now());
-        assert_eq!(warm.events_dispatched(), fork.events_dispatched());
-        assert_eq!(warm.obs.latencies(pid), fork.obs.latencies(fork_pid));
     }
 }

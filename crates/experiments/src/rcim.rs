@@ -116,8 +116,8 @@ pub struct RcimResult {
 ///
 /// Sharding follows the same determinism contract as
 /// [`crate::realfeel::run_realfeel`]: `shards == 1` is the classic
-/// single-simulation path on `cfg.seed`; K > 1 warms one simulation,
-/// checkpoints it, and forks K reseeded copies merged in shard-index order.
+/// single-simulation path on `cfg.seed`; K > 1 warms one simulation and
+/// forks K reseeded copies merged in shard-index order.
 pub fn run_rcim(cfg: &RcimConfig) -> RcimResult {
     run_rcim_with_flight(cfg, 0).0
 }

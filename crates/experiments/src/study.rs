@@ -8,21 +8,23 @@
 //!    [`Sampling`] data decides where `run_for` stops, so it decides the
 //!    histogram.
 //! 3. **Warm → fork → reduce** — [`run_groups`] is the one engine: it warms
-//!    every checkpoint in one fleet batch, then streams the forks through
+//!    every simulation in one fleet batch, then streams the forks through
 //!    [`sp_fleet::run_stream`] and merges each cell the moment its last fork
-//!    lands, in cell order. Cells come from a lazy iterator, so memory stays
-//!    bounded by the reorder window however many cells run. Each fork
-//!    reports its events as the delta since its restore; the warm-up's
-//!    events are charged once, to the first fork of that checkpoint. The
-//!    per-fork step and the per-cell fold are the caller's: [`reseed`] for
-//!    figure shards and sweep cells, a fault arm for matrix cells.
+//!    lands, in cell order. A fork is a clone of the warm simulator and its
+//!    fault registry; nothing is rebuilt. Cells come from a lazy iterator,
+//!    so memory stays bounded by the reorder window however many cells run.
+//!    Each fork reports its events as the delta since the fork; the
+//!    warm-up's events are charged once, to the first fork of that warm
+//!    simulation. The per-fork step and the per-cell fold are the caller's:
+//!    [`reseed`] for figure shards and sweep cells, a fault arm for matrix
+//!    cells.
 
 use crate::scenario::{DeviceKind, MeasuredKind, ScenarioSpec};
 use crate::shard::{effective_shards, shard_seeds, split_samples};
 use simcore::Nanos;
 use sp_fleet::{default_workers, run_indexed, run_stream, PoolConfig};
 use sp_inject::Armory;
-use sp_kernel::{Checkpoint, Pid, Simulator, WorstCaseTrace};
+use sp_kernel::{Pid, Simulator, WorstCaseTrace};
 use sp_metrics::LatencyHistogram;
 
 /// Where [`Rig::collect`] stops. The starvation deadline is
@@ -37,10 +39,9 @@ pub(crate) struct Sampling {
 
 /// A measured simulation minus its seed: a spec whose first measured task
 /// waits on a periodic interrupt (the RTC or the RCIM timer), and where
-/// sampling it stops. Two builds of one rig on one seed are
-/// interchangeable, the property warm-checkpoint forking relies on. Faults
-/// in the spec are registered disarmed in every build, so a checkpoint
-/// taken in one cell restores into any sibling cell's simulator.
+/// sampling it stops. Faults in the spec are registered disarmed in every
+/// build, so one warm simulation forks into every cell of its group, each
+/// arming its own fault.
 #[derive(Debug, Clone)]
 pub(crate) struct Rig {
     pub(crate) spec: ScenarioSpec,
@@ -58,12 +59,13 @@ pub(crate) struct RunOut {
     pub(crate) traces: Vec<WorstCaseTrace>,
 }
 
-/// A warmed simulation distilled to what a fork needs. Forks borrow it, so
-/// thousands of cells share one immutable checkpoint.
+/// A warmed simulation: the simulator, its fault registry and the measured
+/// task. Forks borrow it and clone it, so thousands of cells share one warm
+/// simulator across the fleet's workers.
 pub(crate) struct Warm {
-    /// The seed the warm simulation was built on; forks rebuild on it.
-    seed: u64,
-    ck: Checkpoint,
+    sim: Simulator,
+    armory: Armory,
+    pid: Pid,
     /// Events the warm-up dispatched.
     pub(crate) events: u64,
 }
@@ -91,7 +93,7 @@ impl Rig {
     }
 
     /// Advance `sim` until `pid` holds at least `samples` latency samples in
-    /// total (samples restored from a checkpoint count).
+    /// total (samples taken before a fork count).
     pub(crate) fn collect(&self, sim: &mut Simulator, pid: Pid, samples: u64) {
         let period = self.period();
         let (lo, hi) = self.sampling.chunk;
@@ -108,17 +110,20 @@ impl Rig {
         }
     }
 
-    /// Build on `seed`, run to `samples` samples of steady state, checkpoint.
-    /// A pure function of `(rig, seed, samples)`.
+    /// Build on `seed` and run to `samples` samples of steady state. A pure
+    /// function of `(rig, seed, samples)`.
     pub(crate) fn warm(&self, seed: u64, samples: u64) -> Warm {
-        let (mut sim, _armory, pid) = self.build(seed);
+        let (mut sim, armory, pid) = self.build(seed);
         self.collect(&mut sim, pid, samples);
-        Warm { seed, ck: sim.checkpoint(), events: sim.events_dispatched() }
+        let events = sim.events_dispatched();
+        // Keep a clone: cloned vectors carry none of the spare capacity the
+        // warm-up grew, and a warm simulator lives for the whole batch.
+        Warm { sim: sim.clone(), armory, pid, events }
     }
 
-    /// Fork one run off `warm`: rebuild the shell, restore, apply the
-    /// caller's per-fork step, then collect `budget` more samples. The
-    /// output's events are the delta since the restore.
+    /// Fork one run off `warm`: clone the warm simulator and its armory,
+    /// apply the caller's per-fork step, then collect `budget` more
+    /// samples. The output's events are the delta since the fork.
     pub(crate) fn fork(
         &self,
         warm: &Warm,
@@ -126,15 +131,14 @@ impl Rig {
         budget: u64,
         top_k: usize,
     ) -> RunOut {
-        let (mut sim, mut armory, pid) = self.build(warm.seed);
-        sim.restore(&warm.ck);
+        let (mut sim, mut armory) = (warm.sim.clone(), warm.armory.clone());
         prep(&mut sim, &mut armory);
-        self.sample(sim, pid, budget, top_k)
+        self.sample(sim, warm.pid, budget, top_k)
     }
 
     /// Arm the recorder (`top_k > 0`; pure observation), collect `budget`
     /// samples past the current count and distill the run. Arming here,
-    /// after any restore, keeps each fork's windows on its own stretch.
+    /// after the fork, keeps each fork's windows on its own stretch.
     pub(crate) fn sample(&self, mut sim: Simulator, pid: Pid, budget: u64, top_k: usize) -> RunOut {
         if top_k > 0 {
             sim.arm_flight(top_k);
@@ -161,8 +165,8 @@ pub(crate) fn reseed(seed: &u64, sim: &mut Simulator, _armory: &mut Armory) {
     sim.obs.reset_samples();
 }
 
-/// One fork: the index of the checkpoint it restores, its sample budget and
-/// the data the caller's per-fork step applies.
+/// One fork: the index of the warm simulation it clones, its sample budget
+/// and the data the caller's per-fork step applies.
 pub(crate) type Fork<C> = (usize, u64, C);
 
 /// A figure run's sample budget split across `shards` (clamped by
@@ -191,16 +195,16 @@ pub(crate) fn run_shards(
     out
 }
 
-/// The one warm → fork → reduce engine. Warm every checkpoint
+/// The one warm → fork → reduce engine. Warm every simulation
 /// (`warms[i] = (rig, seed, warm-up samples)`) in one fleet batch, then
 /// stream the cells' forks through [`sp_fleet::run_stream`]: a cell is a key
 /// and its forks, pulled lazily from `cells`, and `finish` gets each cell's
 /// key and merged output in cell order, the moment its last fork lands. So
 /// at most a reorder window of fork outputs is alive at once, however many
-/// cells there are. A fork restores checkpoint `i`, applies `prep` and
-/// samples its budget; the first fork of each checkpoint also carries that
-/// checkpoint's warm-up events. Bit-identical whatever the worker count.
-/// Returns each checkpoint's warm-up events.
+/// cells there are. A fork clones warm simulation `i`, applies `prep` and
+/// samples its budget; the first fork of each warm simulation also carries
+/// its warm-up events. Bit-identical whatever the worker count. Returns each
+/// warm-up's events.
 pub(crate) fn run_groups<K: Send, C: Send>(
     warms: &[(&Rig, u64, u64)],
     cells: impl Iterator<Item = (K, Vec<Fork<C>>)> + Send,
@@ -267,9 +271,12 @@ pub(crate) fn merge(runs: impl IntoIterator<Item = RunOut>, top_k: usize) -> Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultmatrix::MatrixPath;
+    use crate::modernmax::ModernVariant;
     use crate::rcim::RcimConfig;
     use crate::realfeel::RealfeelConfig;
     use proptest::prelude::*;
+    use sp_kernel::{KernelConfig, KernelVariant};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// A realfeel (`kind` even) or RCIM rig whose `run_for` chunks are
@@ -287,16 +294,16 @@ mod tests {
         format!("{:?}", (&out.histogram, out.overruns, out.events, &out.traces))
     }
 
-    /// Reseed when the fork carries a seed; otherwise run on as restored.
+    /// Reseed when the fork carries a seed; otherwise run on as forked.
     fn prep(seed: &Option<u64>, sim: &mut Simulator, armory: &mut Armory) {
         if let Some(seed) = seed {
             reseed(seed, sim, armory);
         }
     }
 
-    /// Checkpoints and cells drawn from raw group shapes: per group a rig
-    /// kind and checkpoint count (`shape`), and per cell its forks as
-    /// `(raw, budget)`. `raw` picks one of the group's checkpoints and
+    /// Warm-ups and cells drawn from raw group shapes: per group a rig
+    /// kind and warm-up count (`shape`), and per cell its forks as
+    /// `(raw, budget)`. `raw` picks one of the group's warm-ups and
     /// whether the fork reseeds.
     type RawGroup = (usize, Vec<Vec<(u64, u64)>>);
     type Shape = (Vec<(Rig, u64, u64)>, Vec<Vec<Fork<Option<u64>>>>);
@@ -316,7 +323,7 @@ mod tests {
     }
 
     /// The engine's contract, one simulation at a time: warm every
-    /// checkpoint, run every fork in order, charge each checkpoint's warm-up
+    /// simulation, run every fork in order, charge each warm-up's
     /// events to its first fork and merge each cell's forks.
     fn serial((warms, cells): &Shape, top_k: usize) -> Vec<String> {
         let warmed: Vec<Warm> = warms.iter().map(|(rig, s, n)| rig.warm(*s, *n)).collect();
@@ -353,7 +360,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         /// Whatever the group shapes (cells without forks, cells with
-        /// several, checkpoints no fork uses) and worker count, the fleet
+        /// several, warm-ups no fork uses) and worker count, the fleet
         /// engine reports exactly what the serial reference computes.
         #[test]
         fn run_groups_equals_the_serial_reference(
@@ -405,6 +412,52 @@ mod tests {
             assert_eq!(finished.into_inner(), 64);
             let peak = peak.into_inner();
             assert!(peak <= window + u64::from(workers), "workers={workers}: lead {peak}");
+        }
+    }
+
+    /// A fork through [`Rig::warm`] + [`Rig::fork`] starts at the warm
+    /// simulator's clock and is bit-identical to continuing the warm
+    /// simulator itself with the same fault armed at the fork point:
+    /// histogram, overruns, events and captured windows alike. Rows: the
+    /// fig-6 realfeel rig, both fault-matrix paths with a fault armed (a
+    /// device fault and a task fault), and every modern variant's RCIM rig,
+    /// whose knobs must all survive the fork.
+    #[test]
+    fn a_fork_is_bit_identical_to_continuing_the_warm_sim() {
+        let fig6 = RealfeelConfig::fig6_redhawk_shielded();
+        let matrix = |path: MatrixPath, shielded| {
+            path.rig(KernelConfig::new(KernelVariant::RedHawk), shielded)
+        };
+        let (matrix_seed, modern_seed) = (0xFA17_5EED, 0xA0DE_125EED);
+        let (storm, hog) = (Some("irq_storm"), Some("cpu_hog"));
+        let mut table = vec![
+            ("fig6 realfeel", fig6.rig(), fig6.seed, 1_000, 3_000, None),
+            ("matrix realfeel", matrix(MatrixPath::Realfeel, false), matrix_seed, 400, 800, storm),
+            ("matrix rcim", matrix(MatrixPath::Rcim, true), matrix_seed, 400, 800, hog),
+        ];
+        for v in ModernVariant::ALL {
+            table.push((v.name(), v.rig(MatrixPath::Rcim), modern_seed, 300, 600, storm));
+        }
+        for (label, rig, seed, warm_samples, budget, fault) in table {
+            let arm = |sim: &mut Simulator, armory: &mut Armory| {
+                if let Some(name) = fault {
+                    armory.arm(sim, name).expect("arm");
+                }
+            };
+            let warm = rig.warm(seed, warm_samples);
+            let at = warm.sim.now();
+            let prep = |sim: &mut Simulator, armory: &mut Armory| {
+                assert_eq!(sim.now(), at, "{label}: the fork starts at the warm clock");
+                arm(sim, armory);
+            };
+            let fork = rig.fork(&warm, prep, budget, 2);
+
+            let Warm { mut sim, mut armory, pid, .. } = warm;
+            arm(&mut sim, &mut armory);
+            let continued = rig.sample(sim, pid, budget, 2);
+            assert!(continued.histogram.count() >= warm_samples + budget, "{label}");
+            assert!(!continued.traces.is_empty(), "{label}: no window captured");
+            assert_eq!(key(&fork), key(&continued), "{label}");
         }
     }
 }

@@ -9,8 +9,8 @@
 //! * **warm up front** — every distinct group is warmed once, in one fleet
 //!   batch, before any cell runs; every cell in a group forks from that
 //!   warmed simulation, so the build + warm-up cost is paid once per
-//!   *group*, not once per cell. The warm-ups are immutable
-//!   [`Checkpoint`](sp_kernel::Checkpoint)s shared by reference.
+//!   *group*, not once per cell. The warm simulators are shared by
+//!   reference, and each cell runs on its own clone of one.
 //! * **lazy cell generation** — cells come from an iterator
 //!   ([`SweepConfig::cells`]), never a materialized spec list. Cell seeds
 //!   use the same labelled-fork scheme as [`crate::shard::shard_seeds`],
@@ -24,7 +24,7 @@
 //! # Determinism contract
 //!
 //! [`SweepReport`] is a pure function of the [`SweepConfig`]: cell seeds are
-//! forked deterministically, every cell forks from a checkpoint that is
+//! forked deterministically, every cell clones a warm simulation that is
 //! itself a pure function of the group's warm config, and the reducer folds
 //! in strict cell-index order whatever the worker count. `reproduce_all
 //! --sweep` serializes the report as `SWEEP_study.json`, and CI `cmp`s the
@@ -38,8 +38,8 @@ use simcore::SimRng;
 use sp_kernel::KernelVariant;
 use sp_metrics::{LatencyHistogram, LatencySummary};
 
-/// One `(variant, shield)` sweep group. All of a group's cells share a warm
-/// checkpoint; the seed axis runs inside the group.
+/// One `(variant, shield)` sweep group. All of a group's cells fork from one
+/// warm simulation; the seed axis runs inside the group.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepGroup {
     pub variant: KernelVariant,
@@ -69,7 +69,7 @@ pub struct SweepConfig {
     pub base_seed: u64,
     /// Latency samples each cell collects after its fork.
     pub samples_per_cell: u64,
-    /// Samples the shared warm-up runs before checkpointing.
+    /// Samples the shared warm-up runs before the cells fork.
     pub warm_samples: u64,
     /// Worst cells kept in the report (bounded, merged online).
     pub top_worst: usize,
@@ -183,13 +183,13 @@ pub struct SweepReport {
     pub groups: Vec<SweepGroupReport>,
     /// The grid's worst cells, worst first (ties broken by cell order).
     pub worst: Vec<SweepWorstCell>,
-    /// Distinct warm checkpoints the grid needed (= distinct groups).
+    /// Distinct warm simulations the grid needed (= distinct groups).
     pub warm_unique: u64,
-    /// Cells that logically reused a warm checkpoint: `cells - warm_unique`.
+    /// Cells that logically reused a warm simulation: `cells - warm_unique`.
     pub warm_logical_hits: u64,
     /// `warm_logical_hits / cells`.
     pub warm_logical_hit_rate: f64,
-    /// Events the shared warm-ups dispatched, once per unique checkpoint.
+    /// Events the shared warm-ups dispatched, once per unique warm-up.
     pub warm_events: u64,
     /// Total events: cell forks plus the warm-ups.
     pub total_events: u64,
@@ -230,7 +230,7 @@ struct GroupAgg {
 }
 
 /// Run the sweep through `study::run_groups`: every distinct group is one
-/// warm checkpoint, [`SweepConfig::cells`] is the lazy cell stream (one fork
+/// warm simulation, [`SweepConfig::cells`] is the lazy cell stream (one fork
 /// per cell), and each cell folds into its group's aggregate and the
 /// bounded worst-cell list as it lands, in cell order.
 pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
@@ -279,7 +279,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
             worst.truncate(cfg.top_worst);
         })
     });
-    // The engine charges each warm-up to its checkpoint's first cell, which
+    // The engine charges each warm-up to its first cell, which
     // belongs to the first group using it; the report counts warm-ups apart.
     for (w, events) in warm_ups.iter().enumerate() {
         let first = warm_of.iter().position(|&g| g == w).expect("a warm-up has a group");

@@ -188,12 +188,30 @@ impl fmt::Display for CpuMask {
 }
 
 /// Parse hex with optional `0x` prefix, as the /proc files accept.
+/// Error from parsing a [`CpuMask`]: the trimmed text is not an optional
+/// `0x` followed by hex digits whose value fits in 64 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseMaskError;
+
+impl fmt::Display for ParseMaskError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("not a hex cpu mask")
+    }
+}
+
+impl std::error::Error for ParseMaskError {}
+
 impl FromStr for CpuMask {
-    type Err = std::num::ParseIntError;
+    type Err = ParseMaskError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim();
         let t = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")).unwrap_or(t);
-        u64::from_str_radix(t, 16).map(CpuMask)
+        // Hex digits only, as Linux's mask parser: `from_str_radix` alone
+        // would also take a sign ("+3").
+        if !t.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(ParseMaskError);
+        }
+        u64::from_str_radix(t, 16).map(CpuMask).map_err(|_| ParseMaskError)
     }
 }
 
@@ -253,8 +271,10 @@ mod tests {
             assert_eq!(m, back);
         }
         assert_eq!("0x3".parse::<CpuMask>().unwrap(), CpuMask(0b11));
-        assert!("zz".parse::<CpuMask>().is_err());
-        assert!("".parse::<CpuMask>().is_err());
+        for bad in ["zz", "", " ", "0x", "+3", "0x+3", "-3", "0x-1", "1,0", "1_0", "é", "10000000000000000"] {
+            assert_eq!(bad.parse::<CpuMask>(), Err(ParseMaskError), "{bad:?}");
+        }
+        assert_eq!("00000000000000003".parse::<CpuMask>(), Ok(CpuMask(0b11)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl std::fmt::Display for InjectError {
 
 impl std::error::Error for InjectError {}
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FaultState {
     /// Device registered with the simulator, currently disarmed.
     DeviceIdle(DeviceId),
@@ -52,7 +52,7 @@ enum FaultState {
     TaskDemoted(Vec<Pid>),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     spec: FaultSpec,
     state: FaultState,
@@ -66,10 +66,18 @@ struct Entry {
 /// them demotes the rogue tasks to `SCHED_OTHER nice 19` (a held spinlock
 /// cannot be revoked, and the simulator has no task kill, so demotion is the
 /// honest model of "the operator renices the runaway process").
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Armory {
     entries: Vec<Entry>,
 }
+
+// Forks share one warm armory across worker threads by reference and clone
+// it on each worker; pin the bounds so no field can silently serialize the
+// fleet.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Armory>()
+};
 
 impl Armory {
     pub fn new() -> Self {
@@ -366,5 +374,38 @@ mod tests {
         armory.arm(&mut sim, "hog").unwrap();
         assert_eq!(armory.task_pids("hog"), pids);
         assert_eq!(sim.task(pids[0]).policy, SchedPolicy::fifo(95));
+    }
+
+    /// A task fault's spawned state travels with a clone: arm a hog (its
+    /// rogue task spawns), clone the simulator and the armory together,
+    /// then disarm in both. The clone's armory demotes the same pid, and
+    /// the two continuations stay bit-identical.
+    #[test]
+    fn cloned_armory_disarms_the_spawned_task_like_the_original() {
+        let mut sim = sim();
+        let mut armory = Armory::new();
+        let hog = FaultSpec {
+            name: "hog".into(),
+            kind: FaultKind::CpuHog { rt_prio: 95, burst_ms: 2, idle_ms: 2, pin: None },
+        };
+        armory.register(&mut sim, &hog).unwrap();
+        sim.start();
+        armory.arm(&mut sim, "hog").unwrap();
+        sim.run_for(Nanos::from_ms(10));
+        let pids = armory.task_pids("hog");
+        assert_eq!(pids.len(), 1);
+
+        let (mut clone, mut clone_armory) = (sim.clone(), armory.clone());
+        assert_eq!(clone_armory.task_pids("hog"), pids);
+        for (sim, armory) in [(&mut sim, &mut armory), (&mut clone, &mut clone_armory)] {
+            armory.disarm(sim, "hog").unwrap();
+            assert!(!armory.is_armed("hog"));
+            assert_eq!(sim.task(pids[0]).policy, SchedPolicy::nice(19));
+            sim.run_for(Nanos::from_ms(20));
+        }
+        assert_eq!(clone.now(), sim.now());
+        assert_eq!(clone.events_dispatched(), sim.events_dispatched());
+        assert_eq!(clone.task(pids[0]).cpu_time, sim.task(pids[0]).cpu_time);
+        assert_eq!(clone.obs.cpu, sim.obs.cpu);
     }
 }

@@ -166,7 +166,7 @@ impl Clone for Box<dyn Device> {
 }
 
 /// Handle the simulator keeps per registered device.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DeviceSlot {
     /// `None` only while a callback is in flight (re-entrancy guard).
     pub dev: Option<crate::devices::AnyDevice>,

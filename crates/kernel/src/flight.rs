@@ -16,9 +16,11 @@
 //!   disarmed recorder records nothing and the simulation's event stream,
 //!   RNG draws, and verdicts are bit-identical either way (the recorder is
 //!   pure observation — it never touches the event queue or RNG).
-//! * **Checkpoint-transparent.** The recorder is *not* part of
-//!   [`Checkpoint`](crate::Checkpoint); a fork arms a fresh recorder after
-//!   it restores, so its traces cover exactly the samples that fork reports.
+//! * **Checkpoint-transparent.** A [`Checkpoint`](crate::Checkpoint) holds
+//!   its simulator with the recorder disarmed, and `restore` keeps the
+//!   restoring simulator's own recorder. A fork (a clone of the warm
+//!   simulator, or a restore) arms a fresh recorder before it samples, so
+//!   its traces cover exactly the samples that fork reports.
 //! * **Bounded.** The ring holds a fixed number of events; a window older
 //!   than the ring's memory is flagged `truncated`, never silently wrong.
 

@@ -118,6 +118,10 @@ impl CpuSim {
 
 /// The simulator. See the crate docs for the model; see `sp-experiments` for
 /// ready-made scenario builders matching the paper's figures.
+///
+/// `clone()` forks the whole simulation: the clone continues bit-identically
+/// to the original, so a warm simulator can seed any number of forked runs.
+#[derive(Clone)]
 pub struct Simulator {
     machine: MachineConfig,
     cfg: KernelConfig,
@@ -167,8 +171,8 @@ pub struct Simulator {
     pub obs: Observations,
     /// Worst-case flight recorder and the simulator's one event record;
     /// disarmed (zero-cost) by default. It is pure observation: arming it
-    /// changes no simulated behaviour, and it is excluded from
-    /// [`Checkpoint`]s.
+    /// changes no simulated behaviour. A [`Checkpoint`] holds it disarmed
+    /// and [`Simulator::restore`] keeps the restoring simulator's own.
     pub flight: FlightRecorder,
     shield: ShieldCtl,
     started: bool,
@@ -183,13 +187,14 @@ pub struct Simulator {
     scratch_cmds: Vec<DeviceCmd>,
     /// Retired `KernelPlan` step buffers, reused by the plan builders so the
     /// syscall/wake cycle doesn't malloc+free a `Vec` per plan. Capacity
-    /// only — contents are cleared on recycle. Excluded from checkpoints.
+    /// only — contents are cleared on recycle.
     plan_pool: Vec<Vec<PlannedStep>>,
 }
 
 /// A syscall profile compiled for the plan builder (see
 /// [`Simulator::register_syscall`]): the prepared form of each
 /// [`KernelSegment`], plus the flags the builder branches on.
+#[derive(Clone)]
 struct PreparedSegment {
     dur: simcore::PreparedDist,
     lock: Option<LockId>,
@@ -197,6 +202,7 @@ struct PreparedSegment {
     prob: f64,
 }
 
+#[derive(Clone)]
 struct PreparedSyscall {
     segments: Box<[PreparedSegment]>,
     io: Option<crate::syscall::IoSpec>,
@@ -1998,147 +2004,56 @@ impl Simulator {
         }
     }
 
-    /// Freeze the complete mutable state of a started simulation.
+    /// Freeze this simulation: a clone of the whole simulator with its
+    /// flight recorder disarmed, so a checkpoint never carries a ring.
     ///
-    /// The checkpoint captures everything `run_until` can change: virtual
-    /// time, the event queue (with live [`EventKey`]s, so armed timer
-    /// handles stay valid) and the per-CPU segment-end deadlines keyed
-    /// against its sequence counter, the RNG streams (main + per-device),
-    /// task and CPU state, the scheduler's queues, lock/softirq state, IRQ
-    /// routing and counters, every device (cloned whole), the shield masks,
-    /// and the collectors in [`Simulator::obs`], watch lists included. It
-    /// does *not* capture what the simulator is built with (machine and
-    /// kernel config with their prepared cost tables, the IRQ line map,
-    /// syscall profiles) or the flight recorder: [`Simulator::restore`]
-    /// therefore requires a simulator built by the same registration
-    /// sequence.
-    ///
-    /// Each call clones that state into one immutable [`Arc`]'d image, so a
-    /// checkpoint is `Clone + Send + Sync` and cloning it (or handing it to
-    /// another thread) is a reference-count bump. Warm up one simulator per
-    /// configuration, checkpoint it once, and fork every experiment cell
-    /// from the shared checkpoint across threads. Restoring and running is
+    /// The image is held behind an [`Arc`], so a checkpoint is
+    /// `Clone + Send + Sync` and cloning it (or handing it to another
+    /// thread) is a reference-count bump. Restoring and running is
     /// bit-identical to having run the original simulator straight through.
+    /// A fork that already holds the warm simulator can simply `clone()` it.
     pub fn checkpoint(&self) -> Checkpoint {
-        let image = CheckpointImage {
-            now: self.now,
-            queue: self.queue.clone(),
-            rng: self.rng.clone(),
-            tasks: self.tasks.clone(),
-            cpus: self.cpus.clone(),
-            busy_mask: self.busy_mask,
-            cpu_task: self.cpu_task.clone(),
-            cpu_last_busy_ns: self.cpu_last_busy_ns.clone(),
-            seg_end: self.seg_end.clone(),
-            tick_keys: self.tick_keys.clone(),
-            sched: self.sched.clone(),
-            locks: self.locks.clone(),
-            devices: self
-                .devices
-                .iter()
-                .map(|s| (s.dev.clone().expect("device reentrancy"), s.rng.clone()))
-                .collect(),
-            irq_routes: self.irq_routes.clone(),
-            irq_requested: self.irq_requested.clone(),
-            irq_counts: self.irq_counts.clone(),
-            obs: self.obs.clone(),
-            shield: self.shield,
-            started: self.started,
-            events_dispatched: self.events_dispatched,
-        };
+        let mut image = self.clone();
+        image.flight = FlightRecorder::disarmed();
         Checkpoint { image: Arc::new(image) }
     }
 
-    /// Reset this simulator to a state previously frozen with
-    /// [`Simulator::checkpoint`] by copying every captured field out of the
-    /// image.
+    /// Become a copy of the simulator frozen in `ck`, keeping only this
+    /// simulator's own flight recorder.
     ///
-    /// `self` must have been built by the same registration sequence (same
-    /// machine and kernel config, same devices in the same order, same
-    /// tasks, same syscall profiles) as the simulator the checkpoint came
-    /// from — typically by re-running the scenario builder, or by reusing
-    /// the warmed simulator itself. Watch lists live in [`Simulator::obs`],
-    /// which the checkpoint replaces: a watch registered on `self` before
-    /// `restore` is gone after it, so a fork that observes other tasks
-    /// registers those watches after restoring. The flight recorder is not
-    /// touched; a fork that wants traces of its own samples only arms it
-    /// ([`Simulator::arm_flight`]) after restoring.
+    /// Everything else is replaced, the watch lists in [`Simulator::obs`]
+    /// included: a fork that observes other tasks registers those watches
+    /// after restoring. A fork that wants traces of its own samples arms
+    /// the recorder ([`Simulator::arm_flight`]) after restoring. The
+    /// device, task and CPU counts must match, which catches a checkpoint
+    /// restored into the wrong scenario.
     pub fn restore(&mut self, ck: &Checkpoint) {
-        let ck = &*ck.image;
-        assert_eq!(self.devices.len(), ck.devices.len(), "checkpoint device set mismatch");
-        assert_eq!(self.tasks.len(), ck.tasks.len(), "checkpoint task set mismatch");
-        assert_eq!(self.cpus.len(), ck.cpus.len(), "checkpoint cpu count mismatch");
-        self.now = ck.now;
-        self.queue = ck.queue.clone();
-        self.rng = ck.rng.clone();
-        self.tasks = ck.tasks.clone();
-        self.cpus = ck.cpus.clone();
-        self.busy_mask = ck.busy_mask;
-        self.cpu_task = ck.cpu_task.clone();
-        self.cpu_last_busy_ns = ck.cpu_last_busy_ns.clone();
-        self.seg_end = ck.seg_end.clone();
-        self.tick_keys = ck.tick_keys.clone();
-        self.sched = ck.sched.clone();
-        self.locks = ck.locks.clone();
-        for (slot, (dev, rng)) in self.devices.iter_mut().zip(&ck.devices) {
-            slot.dev = Some(dev.clone());
-            slot.rng = rng.clone();
-        }
-        self.irq_routes = ck.irq_routes.clone();
-        self.irq_requested = ck.irq_requested.clone();
-        self.irq_counts = ck.irq_counts.clone();
-        self.obs = ck.obs.clone();
-        self.shield = ck.shield;
-        self.started = ck.started;
-        self.events_dispatched = ck.events_dispatched;
+        let image = &*ck.image;
+        assert_eq!(self.devices.len(), image.devices.len(), "checkpoint device set mismatch");
+        assert_eq!(self.tasks.len(), image.tasks.len(), "checkpoint task set mismatch");
+        assert_eq!(self.cpus.len(), image.cpus.len(), "checkpoint cpu count mismatch");
+        let flight = std::mem::take(&mut self.flight);
+        *self = Simulator { flight, ..image.clone() };
     }
 }
 
-/// A frozen copy of a [`Simulator`]'s mutable state — see
-/// [`Simulator::checkpoint`]. A cheap handle to one shared immutable image:
+/// A frozen [`Simulator`] — see [`Simulator::checkpoint`]. A cheap handle
+/// to one shared immutable image whose flight recorder is disarmed:
 /// `clone()` bumps a reference count, so one warm checkpoint can seed any
 /// number of forked runs, on any thread; each fork copies the image out
 /// once, in [`Simulator::restore`].
 #[derive(Clone)]
 pub struct Checkpoint {
-    image: Arc<CheckpointImage>,
+    image: Arc<Simulator>,
 }
 
-/// The frozen state behind a [`Checkpoint`]: a plain clone of each
-/// checkpointed [`Simulator`] field, shared by every handle.
-struct CheckpointImage {
-    now: Instant,
-    queue: WheelQueue<Ev>,
-    rng: SimRng,
-    tasks: Vec<Task>,
-    cpus: Vec<CpuSim>,
-    busy_mask: u64,
-    cpu_task: Vec<Option<Pid>>,
-    cpu_last_busy_ns: Vec<u64>,
-    seg_end: Vec<u128>,
-    tick_keys: Vec<Option<EventKey>>,
-    sched: SchedulerKind,
-    locks: LockTable,
-    /// Per-device `(device, RNG stream)`, index-aligned with the
-    /// simulator's registration order.
-    devices: Vec<(AnyDevice, SimRng)>,
-    irq_routes: Vec<IrqRouting>,
-    irq_requested: Vec<CpuMask>,
-    irq_counts: Vec<Vec<u64>>,
-    obs: Observations,
-    shield: ShieldCtl,
-    started: bool,
-    events_dispatched: u64,
-}
-
-// The fleet shares one warm checkpoint across worker threads
-// by reference (`Send + Sync`) and hands clones across thread boundaries
-// (`Send`). Checkpoints are plain data — any interior mutability or Rc-like
-// sharing slipped into a field would silently serialize the fleet, so pin
-// the bounds at compile time.
+// Forks share one warm simulator across worker threads by reference
+// (`Send + Sync`) and clone it on each worker. A simulator is plain data —
+// any interior mutability or Rc-like sharing slipped into a field would
+// silently serialize the fleet, so pin the bounds at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Checkpoint>()
+    assert_send_sync::<Simulator>()
 };
 
 /// One row of the simulator's interrupt inventory.

@@ -1,8 +1,8 @@
 //! Warm-checkpoint round-trip properties.
 //!
-//! The fork contract: build an identically-configured simulator, `restore` a
-//! [`sp_kernel::Checkpoint`] into it, and from that instant on it is
-//! indistinguishable from the simulator the checkpoint was taken from —
+//! The fork contract: `clone()` a simulator, or build an identically-configured
+//! one and `restore` a [`sp_kernel::Checkpoint`] into it, and from that
+//! instant on it is indistinguishable from the simulator it came from —
 //! bit-identical clock, event count, recorded samples and per-CPU
 //! accounting, for any split point and any continuation length, with or
 //! without an armed fault injector, and for every device type the simulator
@@ -177,21 +177,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `restore(checkpoint(sim))` then `run_for(d)` is bit-identical to
-    /// running straight through, for arbitrary split points.
+    /// running straight through, for arbitrary split points, and so is a
+    /// `clone()` of the warm simulator (the fork the study engine takes),
+    /// with the storm injector disarmed or armed before the split.
     #[test]
     fn restore_then_run_matches_straight_run(
         seed in 1u64..1_000,
         warm_ms in 5u64..40,
         run_ms in 5u64..60,
+        armed in any::<bool>(),
     ) {
-        let (mut straight, _, _) = build(seed);
+        let build = |seed| {
+            let (mut sim, pid, storm) = build(seed);
+            if armed {
+                sim.device_control(storm, CTRL_ARM);
+            }
+            (sim, pid)
+        };
+        let (mut straight, _) = build(seed);
         straight.run_for(Nanos::from_ms(warm_ms + run_ms));
 
-        let (mut warm, _, _) = build(seed);
+        let (mut warm, _) = build(seed);
         warm.run_for(Nanos::from_ms(warm_ms));
         let ck = warm.checkpoint();
 
-        let (mut fork, fork_pid, _) = build(seed);
+        let (mut fork, fork_pid) = build(seed);
         // Watch lists live in `obs`, which the checkpoint replaces: a watch
         // registered only on the fork shell does not survive the restore.
         let churn = Pid(fork_pid.0 + 1);
@@ -201,7 +211,11 @@ proptest! {
         prop_assert_eq!(fork.now(), warm.now());
         fork.run_for(Nanos::from_ms(run_ms));
 
+        let mut clone = warm.clone();
+        clone.run_for(Nanos::from_ms(run_ms));
+
         prop_assert_eq!(fingerprint(&fork), fingerprint(&straight));
+        prop_assert_eq!(fingerprint(&clone), fingerprint(&straight));
     }
 
     /// Same property with the injector armed before the split, so the
@@ -351,6 +365,40 @@ fn one_checkpoint_forks_many_identical_runs() {
     }
     assert_eq!(prints[0], prints[1]);
     assert_eq!(prints[1], prints[2]);
+}
+
+/// A checkpoint never carries a ring: one taken while the recorder is armed
+/// restores into shells whose own recorders stay as they were, disarmed or
+/// armed with their own records, and the continuation is unchanged.
+#[test]
+fn restore_keeps_the_shells_own_flight_recorder() {
+    let (mut straight, _, _) = build(81);
+    straight.run_for(Nanos::from_ms(30));
+
+    let (mut warm, _, _) = build(81);
+    warm.arm_flight(2);
+    warm.run_for(Nanos::from_ms(15));
+    assert!(warm.flight.records().next().is_some(), "armed warm-up recorded nothing");
+    let ck = warm.checkpoint();
+
+    let (mut disarmed, _, _) = build(81);
+    disarmed.restore(&ck);
+    assert!(!disarmed.flight.is_armed(), "restore armed a disarmed shell's recorder");
+    assert_eq!(disarmed.flight.records().count(), 0);
+
+    let (mut armed, _, _) = build(82);
+    armed.arm_flight(1);
+    armed.run_for(Nanos::from_ms(5));
+    let own: Vec<_> = armed.flight.records().copied().collect();
+    armed.restore(&ck);
+    assert!(armed.flight.is_armed());
+    assert_eq!(armed.flight.top_k(), 1);
+    assert_eq!(armed.flight.records().copied().collect::<Vec<_>>(), own);
+
+    for fork in [&mut disarmed, &mut armed] {
+        fork.run_for(Nanos::from_ms(15));
+        assert_eq!(fingerprint(fork), fingerprint(&straight));
+    }
 }
 
 /// The fleet handoff pattern: one warm checkpoint shared by reference
