@@ -27,7 +27,7 @@ fn run(lockfree: bool, exit_lock_prob: f64, seconds: u64) -> LatencySummary {
         run_secs: seconds as f64,
         ..ScenarioSpec::rtc_testbed("reader", 2048).on_cpu(CpuId(1), true)
     };
-    let nic = Some(OnOffPoisson::continuous(Nanos::from_us(700)));
+    let nic = Some(Box::new(OnOffPoisson::continuous(Nanos::from_us(700))));
     spec.devices[1].kind = DeviceKind::Nic { external: nic };
     let report = run_scenario(&spec).expect("read-path scenario runs");
     let MeasuredResult::Latency { summary, .. } = &report.results["reader"] else {

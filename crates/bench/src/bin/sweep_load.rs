@@ -18,7 +18,7 @@ use sp_metrics::{LatencySummary, Table};
 fn run(nic_rate_hz: u64, shielded: bool, seconds: u64) -> LatencySummary {
     let external = 1_000_000_000u64
         .checked_div(nic_rate_hz)
-        .map(|period| OnOffPoisson::continuous(Nanos(period)));
+        .map(|period| Box::new(OnOffPoisson::continuous(Nanos(period))));
     let mut spec = ScenarioSpec {
         seed: 0x5EEB + nic_rate_hz,
         machine: MachineConfig::dual_xeon_p3(),

@@ -73,13 +73,6 @@ impl ShieldPlan {
         Self::full(CpuMask::single(cpu))
     }
 
-    /// Shield from processes only.
-    pub fn procs_only(mut self) -> Self {
-        self.shield_irqs = false;
-        self.shield_ltmrs = false;
-        self
-    }
-
     /// Keep the local timer running on the shielded CPUs (ablation A2).
     pub fn keep_local_timer(mut self) -> Self {
         self.shield_ltmrs = false;

@@ -91,11 +91,6 @@ pub fn maybe_write_csv(h: &sp_metrics::LatencyHistogram) {
     }
 }
 
-/// One row for the EXPERIMENTS.md paper-vs-measured table.
-pub fn experiments_md_row(id: &str, paper: &str, measured: &str, verdict: &str) -> String {
-    format!("| {id} | {paper} | {measured} | {verdict} |\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,11 +135,5 @@ mod tests {
             .map(|l| l.split(',').nth(1).unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(total, r.histogram.count());
-    }
-
-    #[test]
-    fn md_row_formats() {
-        let row = experiments_md_row("fig7", "27us", "24us", "in band");
-        assert_eq!(row, "| fig7 | 27us | 24us | in band |\n");
     }
 }

@@ -83,7 +83,9 @@ pub enum DeviceKind {
         #[serde(default)]
         pcie: bool,
     },
-    Nic { external: Option<OnOffPoisson> },
+    /// The NIC, with optional autonomous RX traffic (boxed: three
+    /// distributions outweigh every other variant).
+    Nic { external: Option<Box<OnOffPoisson>> },
     Disk,
     GpuX11perf,
 }
@@ -322,12 +324,15 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
         }
     }
     for d in &spec.devices {
-        let why = match d.kind {
-            DeviceKind::Rtc { hz } if !(hz.is_power_of_two() && (2..=8192).contains(&hz)) => {
+        let why = match &d.kind {
+            DeviceKind::Rtc { hz } if !(hz.is_power_of_two() && (2..=8192).contains(hz)) => {
                 Some(format!("RTC rate {hz} Hz is not a power of two in 2..=8192"))
             }
-            DeviceKind::Rcim { period_us, .. } if period_us < 10 => {
+            DeviceKind::Rcim { period_us, .. } if *period_us < 10 => {
                 Some(format!("RCIM period {period_us} µs is under 10 µs"))
+            }
+            DeviceKind::Nic { external: Some(traffic) } => {
+                traffic.validate().err().map(|e| format!("NIC traffic {e}"))
             }
             _ => None,
         };
@@ -446,7 +451,9 @@ impl ScenarioSpec {
                 DeviceKind::Rcim { period_us, pcie: true } => {
                     sim.add_device(RcimDevice::modern(Nanos::from_us(*period_us)))
                 }
-                DeviceKind::Nic { external } => sim.add_device(NicDevice::new(external.clone())),
+                DeviceKind::Nic { external } => {
+                    sim.add_device(NicDevice::new(external.as_deref().cloned()))
+                }
                 DeviceKind::Disk => sim.add_device(DiskDevice::new()),
                 DeviceKind::GpuX11perf => sim.add_device(GpuDevice::x11perf()),
             };
@@ -763,7 +770,7 @@ impl ScenarioSpec {
             MachineConfig::dual_xeon_p3(),
             vec![
                 device("rtc", DeviceKind::Rtc { hz }),
-                device("eth0", DeviceKind::Nic { external: Some(broadcast) }),
+                device("eth0", DeviceKind::Nic { external: Some(Box::new(broadcast)) }),
                 device("sda", DeviceKind::Disk),
             ],
             vec![stress_kernel()],
@@ -783,7 +790,7 @@ impl ScenarioSpec {
             MachineConfig::dual_xeon_p4_2ghz(),
             vec![
                 device("rcim", DeviceKind::Rcim { period_us, pcie: false }),
-                device("eth0", DeviceKind::Nic { external: Some(ttcp) }),
+                device("eth0", DeviceKind::Nic { external: Some(Box::new(ttcp)) }),
                 device("sda", DeviceKind::Disk),
                 device("gpu", DeviceKind::GpuX11perf),
             ],
@@ -805,7 +812,7 @@ impl ScenarioSpec {
             "scp-testbed",
             MachineConfig::dual_xeon_p4(hyperthreading),
             vec![
-                device("eth0", DeviceKind::Nic { external: Some(scp) }),
+                device("eth0", DeviceKind::Nic { external: Some(Box::new(scp)) }),
                 device("sda", DeviceKind::Disk),
             ],
             vec![
@@ -923,6 +930,7 @@ pub fn reshield_transient_scenario() -> ScenarioSpec {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use simcore::DistShape;
 
     /// The recovery verdict by its definition, over the whole log at once:
     /// the first `settle` consecutive in-bound samples completing at or
@@ -1191,6 +1199,40 @@ mod tests {
             run_scenario(&spec).err(),
             Some(ScenarioError::BadDevice { device, .. }) if device == "rcim"
         ));
+    }
+
+    /// The shipped storm scenario with `eth0`'s arrival gap replaced.
+    fn storm_with_nic_gap(gap: DistShape) -> ScenarioSpec {
+        let mut spec = irq_storm_scenario();
+        let eth0 = spec.devices.iter_mut().find(|d| d.name == "eth0").expect("eth0");
+        let DeviceKind::Nic { external: Some(traffic) } = &mut eth0.kind else {
+            panic!("eth0 carries external traffic");
+        };
+        traffic.gap = gap.into();
+        spec
+    }
+
+    fn assert_bad_eth0(spec: &ScenarioSpec) {
+        let err = validate(spec).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::BadDevice { device, .. } if device == "eth0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nic_zero_mean_gap_is_rejected() {
+        assert_bad_eth0(&storm_with_nic_gap(DistShape::Exponential { mean: 0 }));
+    }
+
+    #[test]
+    fn nic_zero_constant_gap_is_rejected() {
+        assert_bad_eth0(&storm_with_nic_gap(DistShape::Constant(0)));
+    }
+
+    #[test]
+    fn nic_inverted_uniform_gap_is_rejected() {
+        assert_bad_eth0(&storm_with_nic_gap(DistShape::Uniform { lo: 9, hi: 3 }));
     }
 
     #[test]

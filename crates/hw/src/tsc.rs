@@ -2,7 +2,7 @@
 //! timestamp with sub-microsecond resolution.
 
 use serde::{Deserialize, Serialize};
-use simcore::{Instant, Nanos};
+use simcore::Instant;
 
 /// A free-running cycle counter at the core clock rate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,12 +20,6 @@ impl Tsc {
     pub fn read(&self, now: Instant) -> u64 {
         (now.as_ns() as f64 * self.hz / 1e9) as u64
     }
-
-    /// Convert a tick delta back to a span, as the benchmarks do when
-    /// post-processing.
-    pub fn ticks_to_nanos(&self, ticks: u64) -> Nanos {
-        Nanos((ticks as f64 * 1e9 / self.hz).round() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -37,15 +31,5 @@ mod tests {
         let tsc = Tsc::new(1.4);
         assert_eq!(tsc.read(Instant(0)), 0);
         assert_eq!(tsc.read(Instant(1_000)), 1_400);
-    }
-
-    #[test]
-    fn roundtrip_within_rounding() {
-        let tsc = Tsc::new(0.933);
-        let span = Nanos::from_us(250);
-        let ticks = tsc.read(Instant(span.as_ns())) - tsc.read(Instant(0));
-        let back = tsc.ticks_to_nanos(ticks);
-        let err = back.as_ns().abs_diff(span.as_ns());
-        assert!(err <= 2, "roundtrip error {err}ns");
     }
 }

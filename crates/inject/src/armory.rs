@@ -19,6 +19,13 @@ pub enum InjectError {
     BadMask(String),
     /// Device faults must be registered before `Simulator::start()`.
     TooLate(String),
+    /// A fault's rate, burst or priority that its injector cannot model.
+    BadParameter {
+        /// The fault's name.
+        fault: String,
+        /// What is wrong with the number.
+        why: String,
+    },
 }
 
 impl std::fmt::Display for InjectError {
@@ -32,6 +39,7 @@ impl std::fmt::Display for InjectError {
             InjectError::TooLate(n) => {
                 write!(f, "device fault '{n}' must be registered before start()")
             }
+            InjectError::BadParameter { fault, why } => write!(f, "fault '{fault}': {why}"),
         }
     }
 }
@@ -91,6 +99,7 @@ impl Armory {
         if self.entries.iter().any(|e| e.spec.name == spec.name) {
             return Err(InjectError::DuplicateFault(spec.name.clone()));
         }
+        check_fault_numbers(spec)?;
         let state = match &spec.kind {
             FaultKind::IrqStorm { line, rate_hz } => FaultState::DeviceIdle(self.add_device(
                 sim,
@@ -257,6 +266,32 @@ fn spawn_task_fault(sim: &mut Simulator, spec: &FaultSpec) -> Result<Vec<Pid>, I
     }
 }
 
+/// Reject the numbers the injectors assert on: a storm rate whose mean gap
+/// is not a positive whole nanosecond, a flood burst no longer than its
+/// 1 µs floor, or a rogue task's SCHED_FIFO priority outside 1..=99.
+fn check_fault_numbers(spec: &FaultSpec) -> Result<(), InjectError> {
+    let why = match spec.kind {
+        FaultKind::IrqStorm { rate_hz, .. } | FaultKind::SoftirqFlood { rate_hz, .. }
+            if !(rate_hz > 0.0 && rate_hz <= 1e9) =>
+        {
+            format!("rate {rate_hz} Hz is not in (0, 1e9]")
+        }
+        FaultKind::SoftirqFlood { burst_us, .. } if burst_us < 2 => {
+            format!("burst {burst_us} µs is under 2 µs")
+        }
+        FaultKind::StuckIsr { rate_hz, .. } if !(1..=1_000_000_000).contains(&rate_hz) => {
+            format!("rate {rate_hz} Hz is not in 1..=1e9")
+        }
+        FaultKind::LockHolder { rt_prio, .. } | FaultKind::CpuHog { rt_prio, .. }
+            if !(1..=99).contains(&rt_prio) =>
+        {
+            format!("rt_prio {rt_prio} is not in 1..=99")
+        }
+        _ => return Ok(()),
+    };
+    Err(InjectError::BadParameter { fault: spec.name.clone(), why })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +304,39 @@ mod tests {
 
     fn storm(name: &str, line: u32) -> FaultSpec {
         FaultSpec { name: name.into(), kind: FaultKind::IrqStorm { line, rate_hz: 2_000.0 } }
+    }
+
+    /// Register `kind` as fault "bad" and expect a `BadParameter` error
+    /// rather than a panic in the injector.
+    fn assert_rejected(kind: FaultKind) {
+        let spec = FaultSpec { name: "bad".into(), kind };
+        let err = Armory::new().register(&mut sim(), &spec).unwrap_err();
+        assert!(matches!(&err, InjectError::BadParameter { fault, .. } if fault == "bad"), "{err}");
+    }
+
+    #[test]
+    fn irq_storm_rate_zero_is_rejected() {
+        assert_rejected(FaultKind::IrqStorm { line: 24, rate_hz: 0.0 });
+    }
+
+    #[test]
+    fn irq_storm_rate_above_one_ghz_is_rejected() {
+        assert_rejected(FaultKind::IrqStorm { line: 24, rate_hz: 1e12 });
+    }
+
+    #[test]
+    fn softirq_flood_one_microsecond_burst_is_rejected() {
+        assert_rejected(FaultKind::SoftirqFlood { line: 24, rate_hz: 1_000.0, burst_us: 1 });
+    }
+
+    #[test]
+    fn stuck_isr_rate_zero_is_rejected() {
+        assert_rejected(FaultKind::StuckIsr { line: 24, rate_hz: 0, stuck_us: 100 });
+    }
+
+    #[test]
+    fn rogue_task_priority_zero_is_rejected() {
+        assert_rejected(FaultKind::CpuHog { rt_prio: 0, burst_ms: 1, idle_ms: 1, pin: None });
     }
 
     #[test]

@@ -78,10 +78,6 @@ impl IsrOutcome {
         Self::default()
     }
 
-    pub fn wake_one(pid: Pid) -> Self {
-        IsrOutcome { wake: vec![pid], softirq: None }
-    }
-
     pub fn with_softirq(mut self, class: SoftirqClass, work: Nanos) -> Self {
         self.softirq = Some((class, work));
         self
@@ -172,8 +168,8 @@ pub(crate) struct DeviceSlot {
     pub dev: Option<crate::devices::AnyDevice>,
     /// Private random stream so one device's draws don't perturb another's.
     pub rng: SimRng,
-    /// [`Device::reader_exit_work`] cached (and compiled) at registration, so
-    /// the wake path neither clones a `DurationDist` (mix/shifted variants
-    /// heap-allocate) nor resolves sampling constants per wake.
-    pub exit_work: Option<simcore::PreparedDist>,
+    /// [`Device::reader_exit_work`] cached at registration, so the wake path
+    /// doesn't clone a `DurationDist` (mix/shifted variants heap-allocate)
+    /// per wake.
+    pub exit_work: Option<DurationDist>,
 }

@@ -4,7 +4,7 @@
 
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 use std::collections::VecDeque;
 
@@ -14,9 +14,9 @@ const TAG_COMPLETE: u64 = 0;
 pub struct DiskDevice {
     queue: VecDeque<Pid>,
     busy: bool,
-    service: PreparedDist,
-    isr: PreparedDist,
-    bh: PreparedDist,
+    service: DurationDist,
+    isr: DurationDist,
+    bh: DurationDist,
     /// Recycled wake-list allocation (see [`Device::reclaim_wake_buf`]);
     /// capacity cache only, never read as state.
     wake_spare: Vec<Pid>,
@@ -32,15 +32,12 @@ impl DiskDevice {
             service: DurationDist::mix(vec![
                 (0.6, DurationDist::uniform(Nanos::from_us(300), Nanos::from_ms(2))),
                 (0.4, DurationDist::uniform(Nanos::from_ms(2), Nanos::from_ms(20))),
-            ])
-            .prepare(),
+            ]),
             isr: DurationDist::shifted(
                 Nanos::from_us(5),
                 DurationDist::bounded_pareto(Nanos(300), Nanos::from_us(12), 1.2),
-            )
-            .prepare(),
-            bh: DurationDist::bounded_pareto(Nanos::from_us(10), Nanos::from_us(150), 1.2)
-                .prepare(),
+            ),
+            bh: DurationDist::bounded_pareto(Nanos::from_us(10), Nanos::from_us(150), 1.2),
             wake_spare: Vec::new(),
             completions: 0,
         }

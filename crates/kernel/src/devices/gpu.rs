@@ -2,10 +2,10 @@
 //! the §6.3 load): an autonomous ON/OFF interrupt source whose ISRs raise
 //! tasklet work (fence/vblank processing).
 
-use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
+use super::profile::{OnOffPoisson, OnOffState};
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 
 const TAG_PHASE: u64 = 0;
@@ -13,25 +13,23 @@ const TAG_ARRIVAL: u64 = 1;
 
 #[derive(Debug, Clone)]
 pub struct GpuDevice {
-    profile: PreparedOnOff,
+    profile: OnOffPoisson,
     state: OnOffState,
-    isr: PreparedDist,
-    tasklet: PreparedDist,
+    isr: DurationDist,
+    tasklet: DurationDist,
     pub irqs: u64,
 }
 
 impl GpuDevice {
     pub fn new(profile: OnOffPoisson) -> Self {
         GpuDevice {
-            profile: profile.prepare(),
+            profile,
             state: OnOffState::default(),
             isr: DurationDist::shifted(
                 Nanos::from_us(3),
                 DurationDist::bounded_pareto(Nanos(200), Nanos::from_us(6), 1.2),
-            )
-            .prepare(),
-            tasklet: DurationDist::bounded_pareto(Nanos::from_us(15), Nanos::from_us(400), 1.1)
-                .prepare(),
+            ),
+            tasklet: DurationDist::bounded_pareto(Nanos::from_us(15), Nanos::from_us(400), 1.1),
             irqs: 0,
         }
     }

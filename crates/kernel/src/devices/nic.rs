@@ -9,10 +9,10 @@
 //! * **local I/O** — tasks that block in `send()` are completed by a later
 //!   TX interrupt.
 
-use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
+use super::profile::{OnOffPoisson, OnOffState};
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 use std::collections::VecDeque;
 
@@ -23,19 +23,19 @@ const TAG_TX_DONE: u64 = 2;
 /// NIC with optional autonomous RX traffic.
 #[derive(Debug, Clone)]
 pub struct NicDevice {
-    external: Option<PreparedOnOff>,
+    external: Option<OnOffPoisson>,
     state: OnOffState,
     /// Tasks blocked in a send, FIFO.
     tx_waiters: VecDeque<Pid>,
     /// TX completions that have interrupted but not yet been matched.
     tx_done_pending: u32,
-    isr: PreparedDist,
+    isr: DurationDist,
     /// net_rx bottom-half work raised per RX interrupt (covers a coalesced
     /// batch of frames — protocol processing, copies, socket wakeups).
-    rx_softirq: PreparedDist,
-    tx_service: PreparedDist,
+    rx_softirq: DurationDist,
+    tx_service: DurationDist,
     /// net_tx bottom-half work per TX-completion interrupt (ring cleanup).
-    tx_softirq: PreparedDist,
+    tx_softirq: DurationDist,
     pub rx_irqs: u64,
     pub tx_irqs: u64,
 }
@@ -43,26 +43,23 @@ pub struct NicDevice {
 impl NicDevice {
     pub fn new(external: Option<OnOffPoisson>) -> Self {
         NicDevice {
-            external: external.map(|p| p.prepare()),
+            external,
             state: OnOffState::default(),
             tx_waiters: VecDeque::new(),
             tx_done_pending: 0,
             isr: DurationDist::shifted(
                 Nanos::from_us(4),
                 DurationDist::bounded_pareto(Nanos(200), Nanos::from_us(8), 1.2),
-            )
-            .prepare(),
+            ),
             rx_softirq: DurationDist::mix(vec![
                 // Typical coalesced batch...
                 (0.93, DurationDist::bounded_pareto(Nanos::from_us(20), Nanos::from_us(200), 1.1)),
                 // ...and the occasional heavy burst (backlog drain) that 2.4
                 // bottom halves were notorious for.
                 (0.07, DurationDist::bounded_pareto(Nanos::from_us(200), Nanos::from_ms(3), 1.1)),
-            ])
-            .prepare(),
-            tx_service: DurationDist::exponential(Nanos::from_us(400)).prepare(),
-            tx_softirq: DurationDist::bounded_pareto(Nanos::from_us(5), Nanos::from_us(40), 1.2)
-                .prepare(),
+            ]),
+            tx_service: DurationDist::exponential(Nanos::from_us(400)),
+            tx_softirq: DurationDist::bounded_pareto(Nanos::from_us(5), Nanos::from_us(40), 1.2),
             rx_irqs: 0,
             tx_irqs: 0,
         }

@@ -7,7 +7,7 @@
 //! constant offset, so the generators model it explicitly.
 
 use serde::{Deserialize, Serialize};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 
 /// An interrupt-arrival process that alternates ON and OFF phases; arrivals
 /// are Poisson with the given mean gap while ON.
@@ -53,15 +53,19 @@ impl OnOffPoisson {
         }
     }
 
-    /// Compile the three distributions for per-arrival sampling; devices do
-    /// this once at construction so the arrival loop never touches the
-    /// memoized-constant path.
-    pub fn prepare(&self) -> PreparedOnOff {
-        PreparedOnOff {
-            gap: self.gap.prepare(),
-            on_len: self.on_len.prepare(),
-            off_len: self.off_len.prepare(),
+    /// Check a profile that arrived without the constructors' asserts (a
+    /// scenario file): each distribution must be valid and must not always
+    /// draw 0 ns, which would repeat one arrival or phase flip at the same
+    /// instant forever.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, d) in [("gap", &self.gap), ("on_len", &self.on_len), ("off_len", &self.off_len)]
+        {
+            d.validate().map_err(|e| format!("{name}: {e}"))?;
+            if d.upper_bound() == Some(Nanos::ZERO) {
+                return Err(format!("{name} is always 0 ns"));
+            }
         }
+        Ok(())
     }
 
     /// Long-run average arrival rate in Hz.
@@ -79,15 +83,6 @@ impl OnOffPoisson {
     }
 }
 
-/// An [`OnOffPoisson`] compiled by [`OnOffPoisson::prepare`] — sampling is
-/// bit-identical to drawing from the source profile.
-#[derive(Debug, Clone)]
-pub struct PreparedOnOff {
-    pub gap: PreparedDist,
-    pub on_len: PreparedDist,
-    pub off_len: PreparedDist,
-}
-
 /// Driver state for an [`OnOffPoisson`] process inside a device.
 #[derive(Debug, Clone, Default)]
 pub struct OnOffState {
@@ -96,7 +91,7 @@ pub struct OnOffState {
 
 impl OnOffState {
     /// Length of the next phase after flipping.
-    pub fn flip(&mut self, profile: &PreparedOnOff, rng: &mut SimRng) -> Nanos {
+    pub fn flip(&mut self, profile: &OnOffPoisson, rng: &mut SimRng) -> Nanos {
         self.on = !self.on;
         if self.on {
             profile.on_len.sample(rng)
@@ -105,7 +100,7 @@ impl OnOffState {
         }
     }
 
-    pub fn next_gap(&self, profile: &PreparedOnOff, rng: &mut SimRng) -> Nanos {
+    pub fn next_gap(&self, profile: &OnOffPoisson, rng: &mut SimRng) -> Nanos {
         profile.gap.sample(rng)
     }
 }
@@ -132,8 +127,18 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_invalid_and_zero_length_draws() {
+        assert_eq!(OnOffPoisson::continuous(Nanos::from_ms(1)).validate(), Ok(()));
+        let mut p = OnOffPoisson::continuous(Nanos::from_ms(1));
+        p.off_len = DurationDist::constant(Nanos::ZERO);
+        assert_eq!(p.validate(), Err("off_len is always 0 ns".into()));
+        p.gap = simcore::DistShape::Exponential { mean: 0 }.into();
+        assert_eq!(p.validate(), Err("gap: exponential mean is zero".into()));
+    }
+
+    #[test]
     fn state_flips() {
-        let p = OnOffPoisson::bursty(100, Nanos::from_ms(10), Nanos::from_ms(20)).prepare();
+        let p = OnOffPoisson::bursty(100, Nanos::from_ms(10), Nanos::from_ms(20));
         let mut rng = SimRng::new(3);
         let mut st = OnOffState::default();
         assert!(!st.on);

@@ -8,10 +8,10 @@
 //! part of the measured path: we model it (plus the driver's return path) as
 //! [`Device::reader_exit_work`].
 
-use super::profile::{OnOffPoisson, OnOffState, PreparedOnOff};
+use super::profile::{OnOffPoisson, OnOffState};
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 
 const TAG_PERIOD: u64 = 0;
@@ -21,7 +21,7 @@ const TAG_PERIOD: u64 = 0;
 pub struct RcimDevice {
     period: Nanos,
     subscribers: Vec<Pid>,
-    isr: PreparedDist,
+    isr: DurationDist,
     exit_work: DurationDist,
     pub fired: u64,
     pub missed: u64,
@@ -39,8 +39,7 @@ impl RcimDevice {
             isr: DurationDist::shifted(
                 Nanos::from_ns(5_300),
                 DurationDist::bounded_pareto(Nanos(100), Nanos::from_us(9), 1.15),
-            )
-            .prepare(),
+            ),
             // Driver return + mapped count-register read (PCI read, ~µs).
             exit_work: DurationDist::shifted(
                 Nanos::from_ns(500),
@@ -61,8 +60,7 @@ impl RcimDevice {
         d.isr = DurationDist::shifted(
             Nanos::from_ns(40),
             DurationDist::bounded_pareto(Nanos(5), Nanos::from_ns(40), 1.2),
-        )
-        .prepare();
+        );
         d.exit_work = DurationDist::shifted(
             Nanos::from_ns(25),
             DurationDist::bounded_pareto(Nanos(3), Nanos::from_ns(30), 1.3),
@@ -133,10 +131,10 @@ impl Device for RcimDevice {
 #[derive(Debug, Clone)]
 pub struct RcimExternalInput {
     line: IrqLine,
-    edges: PreparedOnOff,
+    edges: OnOffPoisson,
     state: OnOffState,
     subscribers: Vec<Pid>,
-    isr: PreparedDist,
+    isr: DurationDist,
     exit_work: DurationDist,
     pub edges_seen: u64,
     pub missed: u64,
@@ -151,14 +149,13 @@ impl RcimExternalInput {
     pub fn new(line: IrqLine, edges: OnOffPoisson) -> Self {
         RcimExternalInput {
             line,
-            edges: edges.prepare(),
+            edges,
             state: OnOffState::default(),
             subscribers: Vec::new(),
             isr: DurationDist::shifted(
                 Nanos::from_ns(4_000),
                 DurationDist::bounded_pareto(Nanos(100), Nanos::from_us(5), 1.2),
-            )
-            .prepare(),
+            ),
             exit_work: DurationDist::shifted(
                 Nanos::from_ns(500),
                 DurationDist::bounded_pareto(Nanos(50), Nanos::from_ns(900), 1.4),

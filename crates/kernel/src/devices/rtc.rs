@@ -4,7 +4,7 @@
 
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 
 const TAG_PERIOD: u64 = 0;
@@ -14,7 +14,7 @@ const TAG_PERIOD: u64 = 0;
 pub struct RtcDevice {
     period: Nanos,
     subscribers: Vec<Pid>,
-    isr: PreparedDist,
+    isr: DurationDist,
     /// Interrupts fired (including ones nobody was waiting for).
     pub fired: u64,
     /// Fired while no reader was waiting — the benchmark missed them.
@@ -32,8 +32,7 @@ impl RtcDevice {
             isr: DurationDist::shifted(
                 Nanos::from_ns(1_800),
                 DurationDist::bounded_pareto(Nanos(100), Nanos::from_us(3), 1.3),
-            )
-            .prepare(),
+            ),
             fired: 0,
             missed: 0,
         }

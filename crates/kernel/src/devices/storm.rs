@@ -11,7 +11,7 @@
 
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::{Pid, SoftirqClass};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 
 /// `device_control` command: start asserting.
@@ -25,11 +25,11 @@ pub struct StormDevice {
     label: &'static str,
     line: IrqLine,
     /// Inter-assert gap while armed.
-    gap: PreparedDist,
+    gap: DurationDist,
     /// Per-interrupt handler cost.
-    isr: PreparedDist,
+    isr: DurationDist,
     /// Bottom-half payload raised by each interrupt.
-    softirq: Option<(SoftirqClass, PreparedDist)>,
+    softirq: Option<(SoftirqClass, DurationDist)>,
     armed: bool,
     /// Bumped on every arm; scheduled events carry it as their tag so events
     /// scheduled before a disarm can't re-seed a later arm cycle.
@@ -50,12 +50,10 @@ impl StormDevice {
             isr: DurationDist::shifted(
                 Nanos::from_us(5),
                 DurationDist::bounded_pareto(Nanos(200), Nanos::from_us(6), 1.2),
-            )
-            .prepare(),
+            ),
             softirq: Some((
                 SoftirqClass::NetRx,
-                DurationDist::bounded_pareto(Nanos::from_us(40), Nanos::from_us(1_200), 1.1)
-                    .prepare(),
+                DurationDist::bounded_pareto(Nanos::from_us(40), Nanos::from_us(1_200), 1.1),
             )),
             armed: false,
             epoch: 0,
@@ -71,10 +69,10 @@ impl StormDevice {
             label: "inject-softirq-flood",
             line,
             gap: rate_to_gap(rate_hz),
-            isr: DurationDist::constant(Nanos::from_us(2)).prepare(),
+            isr: DurationDist::constant(Nanos::from_us(2)),
             softirq: Some((
                 SoftirqClass::Tasklet,
-                DurationDist::bounded_pareto(lo, burst, 1.1).prepare(),
+                DurationDist::bounded_pareto(lo, burst, 1.1),
             )),
             armed: false,
             epoch: 0,
@@ -89,8 +87,8 @@ impl StormDevice {
         StormDevice {
             label: "inject-stuck-isr",
             line,
-            gap: DurationDist::constant(Nanos(1_000_000_000 / rate_hz)).prepare(),
-            isr: DurationDist::constant(stuck).prepare(),
+            gap: DurationDist::constant(Nanos(1_000_000_000 / rate_hz)),
+            isr: DurationDist::constant(stuck),
             softirq: None,
             armed: false,
             epoch: 0,
@@ -103,9 +101,9 @@ impl StormDevice {
     }
 }
 
-fn rate_to_gap(rate_hz: f64) -> PreparedDist {
+fn rate_to_gap(rate_hz: f64) -> DurationDist {
     assert!(rate_hz > 0.0, "storm rate must be positive");
-    DurationDist::exponential(Nanos((1e9 / rate_hz) as u64)).prepare()
+    DurationDist::exponential(Nanos((1e9 / rate_hz) as u64))
 }
 
 impl Device for StormDevice {

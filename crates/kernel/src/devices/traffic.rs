@@ -13,7 +13,7 @@
 use crate::device::{Device, DeviceCtx, IsrOutcome};
 use crate::ids::Pid;
 use serde::{Deserialize, Serialize};
-use simcore::{DurationDist, Nanos, PreparedDist, SimRng};
+use simcore::{DurationDist, Nanos, SimRng};
 use sp_hw::IrqLine;
 
 /// One phase of a traffic profile: a coalesced-interrupt rate held for a
@@ -57,16 +57,6 @@ impl TrafficProfile {
         self.phases.iter().map(|p| p.requests_per_sec()).max().unwrap_or(0)
     }
 
-    /// Uniformly scale every phase duration (compressing a day into a test
-    /// budget). Rates and batch sizes are untouched, so per-window sample
-    /// counts stay the same.
-    pub fn scale_durations(mut self, factor: f64) -> Self {
-        for p in &mut self.phases {
-            p.duration = p.duration.scale(factor);
-        }
-        self
-    }
-
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("traffic profile needs at least one phase".into());
@@ -99,10 +89,10 @@ const COPYOUT_PER_REQ_NS: u64 = 12;
 pub struct TrafficDevice {
     profile: TrafficProfile,
     /// Per-phase arrival-gap distributions, derived from `profile`.
-    gaps: Vec<PreparedDist>,
+    gaps: Vec<DurationDist>,
     phase: usize,
     subscribers: Vec<Pid>,
-    isr: PreparedDist,
+    isr: DurationDist,
     exit_work: DurationDist,
     /// Coalesced interrupts asserted.
     pub irqs_fired: u64,
@@ -128,7 +118,6 @@ impl TrafficDevice {
                     Nanos(mean * 7 / 10),
                     DurationDist::exponential(Nanos(mean * 3 / 10)),
                 )
-                .prepare()
             })
             .collect();
         TrafficDevice {
@@ -141,8 +130,7 @@ impl TrafficDevice {
             isr: DurationDist::shifted(
                 Nanos::from_ns(2_000),
                 DurationDist::bounded_pareto(Nanos(200), Nanos::from_us(6), 1.2),
-            )
-            .prepare(),
+            ),
             // Fixed part of the driver return path; the per-request copy-out
             // is added per batch in `reader_exit_work`.
             exit_work: DurationDist::shifted(
@@ -273,8 +261,6 @@ mod tests {
         assert_eq!(p.cycle_len(), Nanos::from_ms(150));
         assert_eq!(p.peak_requests_per_sec(), 4_000_000);
         assert!(p.validate().is_ok());
-        let compressed = p.scale_durations(0.5);
-        assert_eq!(compressed.cycle_len(), Nanos::from_ms(75));
     }
 
     #[test]

@@ -228,8 +228,40 @@ mod tests {
     fn validation_rejects_invalid_cost_distributions() {
         let mut c = KernelConfig::modern();
         c.costs.context_switch =
-            simcore::DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.3 };
+            simcore::DistShape::BoundedPareto { lo: 10, hi: 5, alpha: 1.3 }.into();
         assert!(c.validate().unwrap_err().contains("context_switch"));
+    }
+
+    /// A config file carrying one hostile distribution parses without
+    /// panicking, and validation names the field that carries it.
+    #[test]
+    fn hostile_distributions_parse_and_fail_validation_by_field() {
+        for (group, field, bad) in [
+            ("costs", "irq_entry", r#"{"BoundedPareto":{"lo":0,"hi":1600,"alpha":1.3}}"#),
+            (
+                "costs",
+                "wake",
+                r#"{"Shifted":{"base":15,"rest":{"BoundedPareto":{"lo":10,"hi":5,"alpha":1.4}}}}"#,
+            ),
+            ("sections", "bkl_hold", r#"{"BoundedPareto":{"lo":1000,"hi":500000,"alpha":-1.1}}"#),
+            ("costs", "tick", r#"{"Uniform":{"lo":9,"hi":3}}"#),
+            ("costs", "ipi", r#"{"Exponential":{"mean":0}}"#),
+            ("sections", "long_section", r#"{"Mix":[]}"#),
+        ] {
+            let mut cfg = serde_json::to_value(&KernelConfig::modern()).unwrap();
+            let serde::Value::Object(groups) = &mut cfg else { panic!("config is an object") };
+            let (_, serde::Value::Object(fields)) =
+                groups.iter_mut().find(|(k, _)| k == group).expect("group")
+            else {
+                panic!("{group} is an object")
+            };
+            fields.iter_mut().find(|(k, _)| k == field).expect("field").1 =
+                serde_json::from_str(bad).unwrap();
+            let text = serde_json::to_string(&cfg).unwrap();
+            let parsed: KernelConfig = serde_json::from_str(&text).unwrap();
+            let err = parsed.validate().unwrap_err();
+            assert!(err.starts_with(&format!("{group}.{field}:")), "{group}.{field}: {err}");
+        }
     }
 
     #[test]

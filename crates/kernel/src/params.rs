@@ -11,7 +11,7 @@
 
 use crate::kconfig::KernelVariant;
 use serde::{Deserialize, Serialize};
-use simcore::{DurationDist, Nanos, PreparedDist};
+use simcore::{DurationDist, Nanos};
 
 #[inline]
 fn path_cost(base_ns: u64, tail_lo_ns: u64, tail_hi_ns: u64, alpha: f64) -> DurationDist {
@@ -133,51 +133,6 @@ impl KernelCosts {
         }
         Ok(())
     }
-
-    /// Compile every cost for hot-loop sampling. Samples from the prepared
-    /// form are bit-identical to the source distributions; see
-    /// [`PreparedDist`].
-    pub fn prepare(&self) -> PreparedCosts {
-        PreparedCosts {
-            irq_entry: self.irq_entry.prepare(),
-            irq_ack: self.irq_ack.prepare(),
-            irq_exit: self.irq_exit.prepare(),
-            wake: self.wake.prepare(),
-            sched_pick_o1: self.sched_pick_o1.prepare(),
-            sched_pick_24_base: self.sched_pick_24_base.prepare(),
-            sched_pick_24_per_task: self.sched_pick_24_per_task,
-            context_switch: self.context_switch.prepare(),
-            syscall_entry: self.syscall_entry.prepare(),
-            syscall_exit: self.syscall_exit.prepare(),
-            tick: self.tick.prepare(),
-            ipi: self.ipi.prepare(),
-            idle_exit: self.idle_exit.prepare(),
-            page_fault: self.page_fault.prepare(),
-        }
-    }
-}
-
-/// [`KernelCosts`] compiled once at simulator construction: every
-/// `Shifted + BoundedPareto` path cost becomes a single fused sampler with
-/// its Pareto constants resolved, so the per-event hot loop never touches
-/// the thread-local constant memo. Field-for-field mirror of
-/// [`KernelCosts`]; draws are bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedCosts {
-    pub irq_entry: PreparedDist,
-    pub irq_ack: PreparedDist,
-    pub irq_exit: PreparedDist,
-    pub wake: PreparedDist,
-    pub sched_pick_o1: PreparedDist,
-    pub sched_pick_24_base: PreparedDist,
-    pub sched_pick_24_per_task: Nanos,
-    pub context_switch: PreparedDist,
-    pub syscall_entry: PreparedDist,
-    pub syscall_exit: PreparedDist,
-    pub tick: PreparedDist,
-    pub ipi: PreparedDist,
-    pub idle_exit: PreparedDist,
-    pub page_fault: PreparedDist,
 }
 
 /// Critical-section behaviour of background kernel work, per kernel variant.
@@ -288,38 +243,12 @@ impl SectionProfile {
         }
         Ok(())
     }
-
-    /// Compile the section-hold distributions for hot-loop sampling; see
-    /// [`KernelCosts::prepare`].
-    pub fn prepare(&self) -> PreparedSections {
-        PreparedSections {
-            long_section_prob: self.long_section_prob,
-            long_section: self.long_section.prepare(),
-            read_exit_file_lock_prob: self.read_exit_file_lock_prob,
-            read_exit_lock_hold: self.read_exit_lock_hold.prepare(),
-            bkl_hold: self.bkl_hold.prepare(),
-            softirq_burst_cap: self.softirq_burst_cap,
-        }
-    }
-}
-
-/// [`SectionProfile`] with its hold-time distributions compiled; the plan
-/// builders sample these on every syscall. Draws are bit-identical to the
-/// source profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedSections {
-    pub long_section_prob: f64,
-    pub long_section: PreparedDist,
-    pub read_exit_file_lock_prob: f64,
-    pub read_exit_lock_hold: PreparedDist,
-    pub bkl_hold: PreparedDist,
-    pub softirq_burst_cap: Option<Nanos>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimRng;
+    use simcore::{DistShape, SimRng};
 
     #[test]
     fn long_sections_shrink_down_the_patch_stack() {
@@ -409,7 +338,7 @@ mod tests {
         let mut c = KernelCosts::modern();
         c.wake = DurationDist::shifted(
             Nanos(15),
-            DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.4 },
+            DistShape::BoundedPareto { lo: 10, hi: 5, alpha: 1.4 }.into(),
         );
         let err = c.validate().unwrap_err();
         assert!(err.starts_with("costs.wake:"), "{err}");
@@ -418,7 +347,7 @@ mod tests {
     #[test]
     fn costs_reject_a_pareto_tail_from_zero() {
         let c = KernelCosts {
-            irq_entry: DurationDist::BoundedPareto { lo: 0, hi: 1_600, alpha: 1.3 },
+            irq_entry: DistShape::BoundedPareto { lo: 0, hi: 1_600, alpha: 1.3 }.into(),
             ..KernelCosts::default()
         };
         assert!(c.validate().unwrap_err().starts_with("costs.irq_entry:"));
@@ -427,7 +356,7 @@ mod tests {
     #[test]
     fn sections_reject_a_bad_hold_alpha() {
         let mut s = SectionProfile::for_variant(KernelVariant::RedHawk);
-        s.bkl_hold = DurationDist::BoundedPareto { lo: 1_000, hi: 500_000, alpha: -1.1 };
+        s.bkl_hold = DistShape::BoundedPareto { lo: 1_000, hi: 500_000, alpha: -1.1 }.into();
         assert!(s.validate().unwrap_err().starts_with("sections.bkl_hold:"));
     }
 

@@ -82,15 +82,6 @@ impl Program {
         Program { ops, loop_to: Some(0) }
     }
 
-    /// A program that runs `prefix` once, then loops over `body`.
-    pub fn with_prelude(prefix: Vec<Op>, body: Vec<Op>) -> Self {
-        assert!(!body.is_empty(), "empty loop body");
-        let loop_to = prefix.len();
-        let mut ops = prefix;
-        ops.extend(body);
-        Program { ops, loop_to: Some(loop_to) }
-    }
-
     pub fn op(&self, idx: usize) -> Option<&Op> {
         self.ops.get(idx)
     }
@@ -140,14 +131,6 @@ mod tests {
         let p = Program::forever(vec![compute(), Op::MarkLap]);
         assert_eq!(p.next_index(1), Some(0));
         assert!(p.loops());
-    }
-
-    #[test]
-    fn prelude_loops_into_body_only() {
-        let p = Program::with_prelude(vec![compute()], vec![Op::MarkLap, Op::Yield]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.next_index(0), Some(1));
-        assert_eq!(p.next_index(2), Some(1), "loops back to body start, not prelude");
     }
 
     #[test]

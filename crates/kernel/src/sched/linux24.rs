@@ -10,7 +10,7 @@
 
 use super::{place_for_wake, CpuView, Scheduler};
 use crate::ids::Pid;
-use crate::params::PreparedCosts;
+use crate::params::KernelCosts;
 use crate::task::{SchedPolicy, Task};
 use simcore::{Nanos, SimRng};
 use sp_hw::CpuId;
@@ -138,7 +138,7 @@ impl Scheduler for Linux24Scheduler {
         None
     }
 
-    fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos {
+    fn pick_cost(&self, costs: &KernelCosts, rng: &mut SimRng) -> Nanos {
         costs.sched_pick_24_base.sample(rng)
             + Nanos(costs.sched_pick_24_per_task.as_ns() * self.queue.len() as u64)
     }
@@ -272,7 +272,7 @@ mod tests {
     fn pick_cost_scales_with_queue_length() {
         let mut tasks = make_tasks(&[SchedPolicy::nice(0); 21]);
         let mut s = Linux24Scheduler::new();
-        let costs = crate::params::KernelCosts::default().prepare();
+        let costs = crate::params::KernelCosts::default();
         let mut rng = SimRng::new(5);
         let empty_cost = s.pick_cost(&costs, &mut rng);
         let running = [Some(Pid(20))];

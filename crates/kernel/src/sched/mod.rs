@@ -18,7 +18,7 @@ pub use linux24::Linux24Scheduler;
 pub use o1::O1Scheduler;
 
 use crate::ids::Pid;
-use crate::params::PreparedCosts;
+use crate::params::KernelCosts;
 use crate::task::Task;
 use simcore::{Nanos, SimRng};
 use sp_hw::{CpuId, CpuMask};
@@ -63,7 +63,7 @@ pub trait Scheduler: std::fmt::Debug + Send {
     fn pick(&mut self, cpu: CpuId, tasks: &mut [Task]) -> Option<Pid>;
 
     /// CPU cost of one pick (the O(1)/O(n) distinction the paper leans on).
-    fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos;
+    fn pick_cost(&self, costs: &KernelCosts, rng: &mut SimRng) -> Nanos;
 
     /// Strict "should cand preempt cur".
     fn preempts(&self, cand: Pid, cur: Pid, tasks: &[Task]) -> bool;
@@ -128,7 +128,7 @@ impl Scheduler for SchedulerKind {
     }
 
     #[inline]
-    fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos {
+    fn pick_cost(&self, costs: &KernelCosts, rng: &mut SimRng) -> Nanos {
         sched_dispatch!(self, pick_cost(costs, rng))
     }
 

@@ -11,7 +11,7 @@
 
 use super::{place_for_wake, CpuView, Scheduler};
 use crate::ids::Pid;
-use crate::params::PreparedCosts;
+use crate::params::KernelCosts;
 use crate::task::{SchedPolicy, Task};
 use simcore::{Nanos, SimRng};
 use sp_hw::CpuId;
@@ -327,7 +327,7 @@ impl Scheduler for O1Scheduler {
         Some(pid)
     }
 
-    fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos {
+    fn pick_cost(&self, costs: &KernelCosts, rng: &mut SimRng) -> Nanos {
         costs.sched_pick_o1.sample(rng)
     }
 

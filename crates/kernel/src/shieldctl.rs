@@ -47,16 +47,9 @@ impl ShieldCtl {
 
     /// Shield `mask` from processes, interrupts and the local timer at once
     /// (the common full-shield configuration of the paper's experiments).
-    /// The kthread mask stays empty — it is a post-paper extension enabled
-    /// separately via [`ShieldCtl::with_kthreads`].
+    /// The kthread mask stays empty — it is a post-paper extension.
     pub fn full(mask: CpuMask) -> Self {
         ShieldCtl { procs: mask, irqs: mask, ltmrs: mask, kthreads: CpuMask::EMPTY }
-    }
-
-    /// Additionally fence housekeeping kthreads off `mask` (effective only
-    /// on kernels with the `kthread_iso` knob).
-    pub fn with_kthreads(self, mask: CpuMask) -> Self {
-        ShieldCtl { kthreads: mask, ..self }
     }
 
     pub fn is_none(&self) -> bool {

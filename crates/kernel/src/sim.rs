@@ -25,7 +25,6 @@ use crate::task::{
     BlockReason, KernelPlan, Phase, PlanEnd, PlannedStep, Task, TaskSpec, TaskState,
 };
 use simcore::flight::{ActivityClass, FlightEvent, FlightEventKind};
-use crate::params::{PreparedCosts, PreparedSections};
 use simcore::{pack_key, EventKey, Instant, Nanos, SimRng, WheelQueue};
 use sp_hw::{exec_context_mask, CpuId, CpuMask, IrqRouting, MachineConfig};
 use std::collections::{HashMap, VecDeque};
@@ -125,12 +124,6 @@ impl CpuSim {
 pub struct Simulator {
     machine: MachineConfig,
     cfg: KernelConfig,
-    /// Fixed-path cost distributions from `cfg.costs`, pre-resolved at
-    /// construction so the hot loop samples without the per-draw
-    /// distribution-shape dispatch and memo-cache lookups.
-    costs: PreparedCosts,
-    /// Critical-section profile from `cfg.sections`, pre-resolved likewise.
-    sections: PreparedSections,
     now: Instant,
     queue: WheelQueue<Ev>,
     rng: SimRng,
@@ -164,10 +157,6 @@ pub struct Simulator {
     /// Interrupts handled, per device per CPU (the /proc/interrupts counts).
     irq_counts: Vec<Vec<u64>>,
     syscalls: Vec<SyscallService>,
-    /// Plan-builder view of `syscalls`, compiled at registration: segment
-    /// distributions prepared, per-instance flags copied out flat, so
-    /// `build_syscall_plan` never walks the memoized-constant sampling path.
-    prepared_syscalls: Vec<PreparedSyscall>,
     pub obs: Observations,
     /// Worst-case flight recorder and the simulator's one event record;
     /// disarmed (zero-cost) by default. It is pure observation: arming it
@@ -191,38 +180,15 @@ pub struct Simulator {
     plan_pool: Vec<Vec<PlannedStep>>,
 }
 
-/// A syscall profile compiled for the plan builder (see
-/// [`Simulator::register_syscall`]): the prepared form of each
-/// [`KernelSegment`], plus the flags the builder branches on.
-#[derive(Clone)]
-struct PreparedSegment {
-    dur: simcore::PreparedDist,
-    lock: Option<LockId>,
-    irqs_off: bool,
-    prob: f64,
-}
-
-#[derive(Clone)]
-struct PreparedSyscall {
-    segments: Box<[PreparedSegment]>,
-    io: Option<crate::syscall::IoSpec>,
-    takes_bkl: bool,
-    injectable: bool,
-}
-
 impl Simulator {
     pub fn new(machine: MachineConfig, cfg: KernelConfig, seed: u64) -> Self {
         machine.validate().expect("invalid machine config");
         cfg.validate().expect("invalid kernel config");
         let n = machine.logical_cpus() as usize;
         let sched = build_scheduler(cfg.o1_scheduler, machine.logical_cpus());
-        let costs = cfg.costs.prepare();
-        let sections = cfg.sections.prepare();
         Simulator {
             machine,
             cfg,
-            costs,
-            sections,
             now: Instant::ZERO,
             queue: WheelQueue::new(),
             rng: SimRng::new(seed),
@@ -241,7 +207,6 @@ impl Simulator {
             irq_requested: Vec::new(),
             irq_counts: Vec::new(),
             syscalls: Vec::new(),
-            prepared_syscalls: Vec::new(),
             obs: Observations::new(n),
             flight: FlightRecorder::disarmed(),
             shield: ShieldCtl::NONE,
@@ -280,9 +245,8 @@ impl Simulator {
         ));
         let rng = self.rng.fork(0x1000 + id.0 as u64);
         self.irq_counts.push(vec![0; self.cpus.len()]);
-        // Cached (and compiled) here so every wake-exit plan doesn't re-query
-        // the device or re-resolve sampling constants.
-        let exit_work = dev.reader_exit_work().map(|d| d.prepare());
+        // Cached here so every wake-exit plan doesn't re-query the device.
+        let exit_work = dev.reader_exit_work();
         self.devices.push(DeviceSlot { dev: Some(dev), rng, exit_work });
         id
     }
@@ -291,21 +255,6 @@ impl Simulator {
     pub fn register_syscall(&mut self, svc: SyscallService) -> SyscallId {
         svc.validate().expect("invalid syscall profile");
         let id = SyscallId(self.syscalls.len() as u32);
-        self.prepared_syscalls.push(PreparedSyscall {
-            segments: svc
-                .segments
-                .iter()
-                .map(|seg| PreparedSegment {
-                    dur: seg.dur.prepare(),
-                    lock: seg.lock,
-                    irqs_off: seg.irqs_off,
-                    prob: seg.prob,
-                })
-                .collect(),
-            io: svc.io,
-            takes_bkl: svc.takes_bkl,
-            injectable: svc.injectable,
-        });
         self.syscalls.push(svc);
         id
     }
@@ -879,13 +828,13 @@ impl Simulator {
     }
 
     fn begin_isr(&mut self, cpu: usize, pend: PendingIrq) {
-        let entry = self.costs.irq_entry.sample(&mut self.rng);
-        let exit = self.costs.irq_exit.sample(&mut self.rng);
+        let entry = self.cfg.costs.irq_entry.sample(&mut self.rng);
+        let exit = self.cfg.costs.irq_exit.sample(&mut self.rng);
         // Threaded mode: the hard handler is only mask-line + wake-thread;
         // the device body is drawn (from the device's own stream) when the
         // ack finishes and runs as an `IrqThread` activity instead.
         let body = if self.cfg.threaded_irqs {
-            self.costs.irq_ack.sample(&mut self.rng)
+            self.cfg.costs.irq_ack.sample(&mut self.rng)
         } else {
             let slot = &mut self.devices[pend.dev.index()];
             let dev = slot.dev.as_mut().expect("device reentrancy");
@@ -971,7 +920,7 @@ impl Simulator {
             // but irq-off windows are ≪ a jiffy so the distinction is noise).
             return;
         }
-        let cost = self.costs.tick.sample(&mut self.rng);
+        let cost = self.cfg.costs.tick.sample(&mut self.rng);
         self.suspend_current(cpu);
         self.cpus[cpu].in_irq = true;
         self.obs.cpu[cpu].ticks += 1;
@@ -1232,7 +1181,7 @@ impl Simulator {
             self.cpus[cpu].suspended.iter().any(|a| matches!(a.kind, ActKind::Softirq));
         let softirq_ok = !(deferred || nested);
         if !self.cpus[cpu].pending_softirq.is_empty() && softirq_ok {
-            self.begin_softirq_burst(cpu, self.sections.softirq_burst_cap);
+            self.begin_softirq_burst(cpu, self.cfg.sections.softirq_burst_cap);
             return;
         }
         // 3. Leaving interrupt context.
@@ -1380,7 +1329,7 @@ impl Simulator {
         self.cpu_task[c] = None;
         self.cpus[c].need_resched = false;
         // IPI + schedule + switch.
-        let ipi = self.costs.ipi.sample(&mut self.rng);
+        let ipi = self.cfg.costs.ipi.sample(&mut self.rng);
         self.begin_switch_with_extra(c, ipi);
     }
 
@@ -1443,9 +1392,9 @@ impl Simulator {
         let plan = match reason {
             BlockReason::Sleep | BlockReason::IoWait(_) => {
                 let mut steps = self.steps_buf();
-                let exit = self.costs.syscall_exit.sample(&mut self.rng);
+                let exit = self.cfg.costs.syscall_exit.sample(&mut self.rng);
                 steps.push(PlannedStep { work: exit, lock: None, irqs_off: false });
-                KernelPlan { syscall: None, steps, cur: 0, then: PlanEnd::ReturnToUser }
+                KernelPlan { steps, cur: 0, then: PlanEnd::ReturnToUser }
             }
             BlockReason::IrqWait(dev) => {
                 let api = self.tasks[pid.index()]
@@ -1475,7 +1424,7 @@ impl Simulator {
 
     fn begin_switch(&mut self, cpu: usize, from_idle: bool) {
         let extra = if from_idle {
-            self.costs.idle_exit.sample(&mut self.rng)
+            self.cfg.costs.idle_exit.sample(&mut self.rng)
         } else {
             Nanos::ZERO
         };
@@ -1492,7 +1441,7 @@ impl Simulator {
             self.begin_irq_thread(cpu, p, extra);
             return;
         }
-        let pick_cost = self.sched.pick_cost(&self.costs, &mut self.rng);
+        let pick_cost = self.sched.pick_cost(&self.cfg.costs, &mut self.rng);
         match self.sched.pick(CpuId(cpu as u32), &mut self.tasks) {
             Some(pid) => {
                 let t = &mut self.tasks[pid.index()];
@@ -1500,7 +1449,7 @@ impl Simulator {
                 t.state = TaskState::Running;
                 t.last_cpu = CpuId(cpu as u32);
                 self.cpu_task[cpu] = Some(pid);
-                let switch = self.costs.context_switch.sample(&mut self.rng);
+                let switch = self.cfg.costs.context_switch.sample(&mut self.rng);
                 self.install(cpu, ActKind::Switch { to: pid }, extra + pick_cost + switch);
             }
             None => {
@@ -1697,18 +1646,14 @@ impl Simulator {
                 }
                 Phase::Start => {
                     // Match the op in place — cloning it out would heap-copy
-                    // mix/shifted distributions on every program step. The
-                    // `Compute`/`Sleep` arms sample from the per-task prepared
-                    // table (built at spawn) instead of the raw distribution.
-                    let op_idx = t.op_idx;
-                    match t.program.op(op_idx).expect("op index in range") {
-                        Op::Compute(_) => {
-                            let d = t.prepared_ops[op_idx].as_ref().expect("compute op prepared");
+                    // mix/shifted distributions on every program step.
+                    match t.program.op(t.op_idx).expect("op index in range") {
+                        Op::Compute(d) => {
                             let work = d.sample(&mut self.rng);
                             let mlocked = t.mlocked;
                             if !mlocked && self.rng.chance(0.02) {
                                 // First-touch page fault on an unlocked page.
-                                let cost = self.costs.page_fault.sample(&mut self.rng);
+                                let cost = self.cfg.costs.page_fault.sample(&mut self.rng);
                                 let mut steps = self.steps_buf();
                                 steps.push(PlannedStep {
                                     work: cost,
@@ -1716,7 +1661,6 @@ impl Simulator {
                                     irqs_off: false,
                                 });
                                 self.tasks[pid.index()].phase = Phase::Kernel(KernelPlan {
-                                    syscall: None,
                                     steps,
                                     cur: 0,
                                     then: PlanEnd::ResumeUser(work),
@@ -1740,8 +1684,7 @@ impl Simulator {
                             t.phase = Phase::Kernel(plan);
                             continue;
                         }
-                        Op::Sleep(_) => {
-                            let d = t.prepared_ops[op_idx].as_ref().expect("sleep op prepared");
+                        Op::Sleep(d) => {
                             let dur = d.sample(&mut self.rng);
                             let wake_at = self.sleep_deadline(dur);
                             self.queue.push(wake_at, Ev::SleepWake { pid: pid.0 });
@@ -1880,9 +1823,9 @@ impl Simulator {
 
     fn build_syscall_plan(&mut self, id: SyscallId) -> KernelPlan {
         let mut steps = self.steps_buf();
-        let entry = self.costs.syscall_entry.sample(&mut self.rng);
-        let exit = self.costs.syscall_exit.sample(&mut self.rng);
-        let svc = &self.prepared_syscalls[id.index()];
+        let entry = self.cfg.costs.syscall_entry.sample(&mut self.rng);
+        let exit = self.cfg.costs.syscall_exit.sample(&mut self.rng);
+        let svc = &self.syscalls[id.index()];
         let takes_bkl = svc.takes_bkl;
         let injectable = svc.injectable;
         let io = svc.io;
@@ -1890,21 +1833,21 @@ impl Simulator {
         steps.reserve(n_segs + 4);
         steps.push(PlannedStep { work: entry, lock: None, irqs_off: false });
         if takes_bkl {
-            let hold = self.sections.bkl_hold.sample(&mut self.rng);
+            let hold = self.cfg.sections.bkl_hold.sample(&mut self.rng);
             steps.push(PlannedStep { work: hold, lock: Some(LockId::BKL), irqs_off: false });
         }
         for i in 0..n_segs {
-            // `prepared_syscalls` and `rng` are disjoint fields, so the
-            // segment (and its duration distribution) can be borrowed across
-            // the samples without cloning.
-            let seg = &self.prepared_syscalls[id.index()].segments[i];
+            // `syscalls` and `rng` are disjoint fields, so the segment (and
+            // its duration distribution) can be borrowed across the samples
+            // without cloning.
+            let seg = &self.syscalls[id.index()].segments[i];
             if seg.prob >= 1.0 || self.rng.chance(seg.prob) {
                 let work = seg.dur.sample(&mut self.rng);
                 steps.push(PlannedStep { work, lock: seg.lock, irqs_off: seg.irqs_off });
             }
         }
-        if injectable && self.rng.chance(self.sections.long_section_prob) {
-            let work = self.sections.long_section.sample(&mut self.rng);
+        if injectable && self.rng.chance(self.cfg.sections.long_section_prob) {
+            let work = self.cfg.sections.long_section.sample(&mut self.rng);
             // The long section lands on one of the busy global locks.
             let lock = match self.rng.below(5) {
                 0 => LockId::FILE,
@@ -1920,12 +1863,12 @@ impl Simulator {
             Some(spec) => PlanEnd::BlockOnIo(spec.device),
             None => PlanEnd::ReturnToUser,
         };
-        KernelPlan { syscall: Some(id), steps, cur: 0, then }
+        KernelPlan { steps, cur: 0, then }
     }
 
     fn build_wait_entry_plan(&mut self, dev: DeviceId, api: WaitApi) -> KernelPlan {
         let mut steps = self.steps_buf();
-        let entry = self.costs.syscall_entry.sample(&mut self.rng);
+        let entry = self.cfg.costs.syscall_entry.sample(&mut self.rng);
         steps.push(PlannedStep { work: entry, lock: None, irqs_off: false });
         if let WaitApi::IoctlWait { driver_bkl_free } = api {
             if !(driver_bkl_free && self.cfg.bkl_ioctl_optout) {
@@ -1941,12 +1884,12 @@ impl Simulator {
         }
         // Driver-side arming of the wait.
         steps.push(PlannedStep { work: Nanos::from_us(1), lock: None, irqs_off: false });
-        KernelPlan { syscall: None, steps, cur: 0, then: PlanEnd::BlockOnIrq(dev) }
+        KernelPlan { steps, cur: 0, then: PlanEnd::BlockOnIrq(dev) }
     }
 
     fn build_wait_exit_plan(&mut self, dev: DeviceId, api: WaitApi) -> KernelPlan {
         let mut steps = self.steps_buf();
-        let exit = self.costs.syscall_exit.sample(&mut self.rng);
+        let exit = self.cfg.costs.syscall_exit.sample(&mut self.rng);
         match api {
             WaitApi::ReadDevice => {
                 // Driver-side copy-out under its own irq-safe lock.
@@ -1959,9 +1902,9 @@ impl Simulator {
                 // lock (dnotify/fasync-style shared state) — the §6.2 tail.
                 // The §7 future-work kernel removes it entirely.
                 if !self.cfg.file_layer_lockfree
-                    && self.rng.chance(self.sections.read_exit_file_lock_prob)
+                    && self.rng.chance(self.cfg.sections.read_exit_file_lock_prob)
                 {
-                    let hold = self.sections.read_exit_lock_hold.sample(&mut self.rng);
+                    let hold = self.cfg.sections.read_exit_lock_hold.sample(&mut self.rng);
                     steps.push(PlannedStep { work: hold, lock: Some(LockId::FILE), irqs_off: false });
                 }
             }
@@ -1983,7 +1926,7 @@ impl Simulator {
             steps.push(PlannedStep { work, lock: None, irqs_off: false });
         }
         steps.push(PlannedStep { work: exit, lock: None, irqs_off: false });
-        KernelPlan { syscall: None, steps, cur: 0, then: PlanEnd::CompleteIrqWait }
+        KernelPlan { steps, cur: 0, then: PlanEnd::CompleteIrqWait }
     }
 
     // ------------------------------------------------------------------

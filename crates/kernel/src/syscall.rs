@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn segment_duration_validation() {
-        let seg = KernelSegment::work(DurationDist::BoundedPareto { lo: 10, hi: 5, alpha: 1.2 });
+        let seg = KernelSegment::work(simcore::DistShape::BoundedPareto { lo: 10, hi: 5, alpha: 1.2 }.into());
         let err = SyscallService::new("d").segment(seg).validate().unwrap_err();
         assert!(err.starts_with("d: segment 0:"), "{err}");
     }

@@ -1,7 +1,7 @@
 //! Tasks: the kernel's schedulable entities.
 
-use crate::ids::{DeviceId, LockId, Pid, SyscallId};
-use crate::program::{Op, Program, WaitApi};
+use crate::ids::{DeviceId, LockId, Pid};
+use crate::program::{Program, WaitApi};
 use serde::{Deserialize, Serialize};
 use simcore::{Instant, Nanos};
 use sp_hw::{CpuId, CpuMask};
@@ -75,9 +75,6 @@ pub enum TaskState {
 /// regardless of how it's interleaved with interrupts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelPlan {
-    /// Which registered profile this instance came from (None for the
-    /// synthetic wake-exit paths).
-    pub syscall: Option<SyscallId>,
     pub steps: Vec<PlannedStep>,
     pub cur: usize,
     /// What happens when the last step completes.
@@ -168,10 +165,6 @@ pub struct Task {
     pub state: TaskState,
     pub last_cpu: CpuId,
     pub program: Program,
-    /// Per-op sampling plans, compiled once at spawn: `prepared_ops[i]` is
-    /// the prepared form of op `i`'s distribution (`Compute`/`Sleep` ops
-    /// only), so the step loop never walks the memoized-constant path.
-    pub prepared_ops: Box<[Option<simcore::PreparedDist>]>,
     pub op_idx: usize,
     pub phase: Phase,
     /// Lock this task is currently spinning on, if any.
@@ -196,12 +189,6 @@ impl Task {
     pub fn from_spec(pid: Pid, spec: TaskSpec, online: CpuMask) -> Self {
         let requested = spec.affinity & online;
         let requested = if requested.is_empty() { online } else { requested };
-        let prepared_ops = (0..spec.program.len())
-            .map(|i| match spec.program.op(i) {
-                Some(Op::Compute(d)) | Some(Op::Sleep(d)) => Some(d.prepare()),
-                _ => None,
-            })
-            .collect();
         Task {
             pid,
             name: spec.name,
@@ -212,7 +199,6 @@ impl Task {
             state: TaskState::Ready,
             last_cpu: requested.first().expect("non-empty affinity"),
             program: spec.program,
-            prepared_ops,
             op_idx: 0,
             phase: Phase::Start,
             spinning_on: None,
@@ -232,10 +218,6 @@ impl Task {
 
     pub fn is_rt(&self) -> bool {
         self.policy.is_rt()
-    }
-
-    pub fn is_runnable(&self) -> bool {
-        matches!(self.state, TaskState::Ready | TaskState::Running)
     }
 }
 
@@ -292,6 +274,5 @@ mod tests {
         assert_eq!(t.op_idx, 0);
         assert_eq!(t.phase, Phase::Start);
         assert!(t.is_rt());
-        assert!(t.is_runnable());
     }
 }

@@ -1,13 +1,13 @@
 //! The bounded-Pareto lookup tables behind every narrow shipped path cost.
 //!
-//! A prepared bounded Pareto whose span is at most 4096 ns answers most draws
-//! from a shared `simcore::ParetoTable` instead of calling `pow`. This test
-//! prepares every cost, section profile, device ISR and reader-exit cost the
-//! kernel model ships, then audits each table the process built: the table's
+//! A bounded Pareto whose span is at most 4096 ns answers most draws from a
+//! shared `simcore::ParetoTable` instead of calling `pow`. This test builds
+//! every cost, section profile, device ISR and reader-exit cost the kernel
+//! model ships, then audits each table the process built: the table's
 //! answer must be the `pow` path's answer on every draw within ±2048 grid
 //! points of each step, at the guard distance, and on 10⁶ random draws.
 
-use simcore::{DurationDist, Nanos, ParetoTable, PreparedDist, SimRng};
+use simcore::{DistShape, DurationDist, Nanos, ParetoTable, SimRng};
 use sp_hw::IrqLine;
 use sp_kernel::devices::{
     DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RcimExternalInput, RtcDevice,
@@ -44,34 +44,31 @@ fn costs(c: &KernelCosts) -> Vec<DurationDist> {
 }
 
 /// The narrow tail's `(lo, hi)` of a bare or shifted bounded Pareto.
-fn narrow_tail(d: &DurationDist) -> Option<(u64, u64)> {
+fn narrow_tail(d: &DistShape) -> Option<(u64, u64)> {
     match d {
-        DurationDist::BoundedPareto { lo, hi, .. } if hi - lo <= 4096 => Some((*lo, *hi)),
-        DurationDist::Shifted { rest, .. } => narrow_tail(rest),
+        DistShape::BoundedPareto { lo, hi, .. } if hi - lo <= 4096 => Some((*lo, *hi)),
+        DistShape::Shifted { rest, .. } => narrow_tail(rest),
         _ => None,
     }
 }
 
-/// Prepare everything the kernel model ships that samples a bounded Pareto,
+/// Build everything the kernel model ships that samples a bounded Pareto,
 /// so the process-wide table registry holds every shipped narrow table.
-fn prepare_shipped() -> Vec<PreparedDist> {
-    let mut prepared = Vec::new();
+fn build_shipped() -> Vec<DurationDist> {
+    let mut built = Vec::new();
     for c in [KernelCosts::default(), KernelCosts::modern()] {
         for d in costs(&c) {
-            let p = d.prepare();
             assert_eq!(
-                p.pareto_table().is_some(),
-                narrow_tail(&d).is_some(),
+                d.pareto_table().is_some(),
+                narrow_tail(d.shape()).is_some(),
                 "{d:?}: a table iff the tail is at most 4096 ns wide"
             );
-            prepared.push(p);
+            built.push(d);
         }
     }
     for v in KernelVariant::ALL {
         let s = SectionProfile::for_variant(v);
-        for d in [&s.long_section, &s.read_exit_lock_hold, &s.bkl_hold] {
-            prepared.push(d.prepare());
-        }
+        built.extend([s.long_section, s.read_exit_lock_hold, s.bkl_hold]);
     }
     let edges = OnOffPoisson::continuous(Nanos::from_us(100));
     let traffic = TrafficProfile {
@@ -83,8 +80,8 @@ fn prepare_shipped() -> Vec<PreparedDist> {
         }],
         cycle: true,
     };
-    // Device constructors prepare their ISR costs; the reader-exit costs are
-    // prepared by the simulator when the device is added.
+    // Device constructors build their ISR costs; the reader-exit costs are
+    // built when the device is asked for them.
     let devices: Vec<Box<dyn Device>> = vec![
         Box::new(RtcDevice::new(2048)),
         Box::new(RcimDevice::new(Nanos::from_us(100))),
@@ -98,12 +95,8 @@ fn prepare_shipped() -> Vec<PreparedDist> {
         Box::new(StormDevice::stuck_isr(IrqLine(13), 100, Nanos::from_us(500))),
         Box::new(TrafficDevice::new(traffic)),
     ];
-    for dev in &devices {
-        if let Some(exit) = dev.reader_exit_work() {
-            prepared.push(exit.prepare());
-        }
-    }
-    prepared
+    built.extend(devices.iter().filter_map(|dev| dev.reader_exit_work()));
+    built
 }
 
 /// Check the table against the `pow` path at one draw; returns the `pow`
@@ -153,7 +146,7 @@ fn audit(t: &ParetoTable, seed: u64) -> u64 {
 
 #[test]
 fn every_shipped_narrow_pareto_table_equals_the_pow_path() {
-    let _prepared = prepare_shipped();
+    let _built = build_shipped();
     let tables = ParetoTable::interned_tables();
     // Default costs, modern costs, and the device ISR / exit tails.
     assert!(tables.len() >= 20, "only {} tables built", tables.len());

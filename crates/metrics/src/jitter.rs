@@ -25,10 +25,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JitterSeries {
     samples: Vec<Nanos>,
-    /// Externally calibrated ideal duration; when absent, the observed
-    /// minimum is used (the paper calibrates on an unloaded system, which in
-    /// simulation equals the contention-free lower bound).
-    ideal_override: Option<Nanos>,
 }
 
 /// The digest printed under Figures 1–4.
@@ -60,11 +56,6 @@ impl JitterSeries {
         Self::default()
     }
 
-    /// Fix the ideal (unloaded) duration instead of inferring it.
-    pub fn with_ideal(ideal: Nanos) -> Self {
-        JitterSeries { samples: Vec::new(), ideal_override: Some(ideal) }
-    }
-
     /// Add one iteration's wall time.
     pub fn record(&mut self, wall: Nanos) {
         self.samples.push(wall);
@@ -80,11 +71,11 @@ impl JitterSeries {
         self.samples.is_empty()
     }
 
-    /// The ideal (unloaded) iteration time: the override if set, otherwise
-    /// the observed minimum.
+    /// The ideal (unloaded) iteration time: the observed minimum. The paper
+    /// calibrates on an unloaded system, which in simulation equals the
+    /// contention-free lower bound.
     pub fn ideal(&self) -> Nanos {
-        self.ideal_override
-            .unwrap_or_else(|| self.samples.iter().copied().min().unwrap_or(Nanos::ZERO))
+        self.samples.iter().copied().min().unwrap_or(Nanos::ZERO)
     }
 
     /// The slowest recorded iteration.
@@ -147,16 +138,6 @@ mod tests {
         assert_eq!(sum.max, Nanos::from_ms(1_448));
         assert_eq!(sum.jitter, Nanos::from_ms(300));
         assert!((sum.jitter_pct() - 26.13).abs() < 0.05, "{}", sum.jitter_pct());
-    }
-
-    #[test]
-    fn ideal_override_is_respected() {
-        let mut s = JitterSeries::with_ideal(Nanos::from_ms(1_000));
-        s.record(Nanos::from_ms(1_100));
-        let sum = s.summary();
-        assert_eq!(sum.ideal, Nanos::from_ms(1_000));
-        assert_eq!(sum.jitter, Nanos::from_ms(100));
-        assert!((sum.jitter_pct() - 10.0).abs() < 1e-9);
     }
 
     #[test]

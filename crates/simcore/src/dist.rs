@@ -12,19 +12,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A distribution over time spans.
+/// The shape of a distribution over time spans: its family and parameters,
+/// exactly as a config serializes them.
 ///
-/// ```
-/// use simcore::{DurationDist, Nanos, SimRng};
-///
-/// // Mostly-short critical sections with a bounded heavy tail.
-/// let hold = DurationDist::bounded_pareto(Nanos::from_us(2), Nanos::from_ms(1), 1.1);
-/// let mut rng = SimRng::new(7);
-/// let sample = hold.sample(&mut rng);
-/// assert!(sample >= Nanos::from_us(2) && sample <= Nanos::from_ms(1));
-/// ```
+/// A [`DurationDist`] holds one of these beside its compiled sampler;
+/// [`DistShape::sample`] is the plain per-draw reference that sampler is
+/// tested against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DurationDist {
+pub enum DistShape {
     /// Always the same span.
     Constant(u64),
     /// Uniform over `[lo, hi]` nanoseconds.
@@ -62,13 +57,13 @@ pub enum DurationDist {
     /// Mixture: pick one branch by weight, then sample it. Weights need not
     /// sum to 1. Models e.g. "mostly-fast syscall, occasionally takes the
     /// slow path through a long critical section".
-    Mix(Vec<(f64, DurationDist)>),
+    Mix(Vec<(f64, DistShape)>),
     /// Base distribution plus a constant offset, for "fixed overhead + noise".
     Shifted {
         /// Constant offset added to every draw (ns).
         base: u64,
         /// The distribution the offset is added to.
-        rest: Box<DurationDist>,
+        rest: Box<DistShape>,
     },
 }
 
@@ -127,77 +122,33 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-impl DurationDist {
-    /// A distribution that always yields `d`.
-    pub fn constant(d: Nanos) -> Self {
-        DurationDist::Constant(d.as_ns())
-    }
-
-    /// Uniform over `[lo, hi]`.
-    pub fn uniform(lo: Nanos, hi: Nanos) -> Self {
-        assert!(lo <= hi, "uniform: lo > hi");
-        DurationDist::Uniform { lo: lo.as_ns(), hi: hi.as_ns() }
-    }
-
-    /// Exponential with mean `mean`.
-    pub fn exponential(mean: Nanos) -> Self {
-        assert!(!mean.is_zero(), "exponential: zero mean");
-        DurationDist::Exponential { mean: mean.as_ns() }
-    }
-
-    /// Log-normal with the given median and normal-space `sigma`.
-    pub fn log_normal(median: Nanos, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "log_normal: negative sigma");
-        DurationDist::LogNormal { median: median.as_ns(), sigma }
-    }
-
-    /// Bounded Pareto over `[lo, hi]` with tail index `alpha`.
-    pub fn bounded_pareto(lo: Nanos, hi: Nanos, alpha: f64) -> Self {
-        assert!(lo < hi, "bounded_pareto: lo >= hi");
-        assert!(lo.as_ns() > 0, "bounded_pareto: lo must be positive");
-        assert!(alpha > 0.0, "bounded_pareto: alpha must be positive");
-        DurationDist::BoundedPareto { lo: lo.as_ns(), hi: hi.as_ns(), alpha }
-    }
-
-    /// Weighted mixture of distributions.
-    pub fn mix(branches: Vec<(f64, DurationDist)>) -> Self {
-        assert!(!branches.is_empty(), "mix: empty");
-        assert!(branches.iter().all(|(w, _)| *w >= 0.0), "mix: negative weight");
-        assert!(branches.iter().map(|(w, _)| w).sum::<f64>() > 0.0, "mix: zero total weight");
-        DurationDist::Mix(branches)
-    }
-
-    /// `rest` plus a constant `base` offset.
-    pub fn shifted(base: Nanos, rest: DurationDist) -> Self {
-        DurationDist::Shifted { base: base.as_ns(), rest: Box::new(rest) }
-    }
-
+impl DistShape {
     /// Check parameters that arrived without the constructors' asserts
-    /// (deserialized configs, struct literals): every draw of a valid
+    /// (deserialized configs, shapes built by hand): every draw of a valid
     /// distribution stays inside its reported bounds without panicking.
     /// Recurses through `Mix` branches and `Shifted` rests.
     pub fn validate(&self) -> Result<(), DistError> {
         match self {
-            DurationDist::Constant(_) => Ok(()),
-            DurationDist::Uniform { lo, hi } if lo > hi => {
+            DistShape::Constant(_) => Ok(()),
+            DistShape::Uniform { lo, hi } if lo > hi => {
                 Err(DistError::UniformInverted { lo: *lo, hi: *hi })
             }
-            DurationDist::Uniform { .. } => Ok(()),
-            DurationDist::Exponential { mean: 0 } => Err(DistError::ZeroMean),
-            DurationDist::Exponential { .. } => Ok(()),
-            DurationDist::LogNormal { sigma, .. } if !(sigma.is_finite() && *sigma >= 0.0) => {
+            DistShape::Uniform { .. } => Ok(()),
+            DistShape::Exponential { mean: 0 } => Err(DistError::ZeroMean),
+            DistShape::Exponential { .. } => Ok(()),
+            DistShape::LogNormal { sigma, .. } if !(sigma.is_finite() && *sigma >= 0.0) => {
                 Err(DistError::BadSigma(*sigma))
             }
-            DurationDist::LogNormal { .. } => Ok(()),
-            DurationDist::BoundedPareto { lo: 0, .. } => Err(DistError::ParetoZeroLo),
-            DurationDist::BoundedPareto { lo, hi, .. } if lo >= hi => {
+            DistShape::LogNormal { .. } => Ok(()),
+            DistShape::BoundedPareto { lo: 0, .. } => Err(DistError::ParetoZeroLo),
+            DistShape::BoundedPareto { lo, hi, .. } if lo >= hi => {
                 Err(DistError::ParetoEmpty { lo: *lo, hi: *hi })
             }
-            DurationDist::BoundedPareto { alpha, .. } if !(alpha.is_finite() && *alpha > 0.0) => {
+            DistShape::BoundedPareto { alpha, .. } if !(alpha.is_finite() && *alpha > 0.0) => {
                 Err(DistError::BadAlpha(*alpha))
             }
-            DurationDist::BoundedPareto { .. } => Ok(()),
-            DurationDist::Mix(branches) => {
+            DistShape::BoundedPareto { .. } => Ok(()),
+            DistShape::Mix(branches) => {
                 if branches.is_empty() {
                     return Err(DistError::EmptyMix);
                 }
@@ -213,24 +164,26 @@ impl DurationDist {
                     Err(DistError::ZeroTotalWeight)
                 }
             }
-            DurationDist::Shifted { rest, .. } => rest.validate(),
+            DistShape::Shifted { rest, .. } => rest.validate(),
         }
     }
 
-    /// Draw one span.
+    /// Draw one span the plain way: every parameter-derived constant is
+    /// recomputed per draw. This is the reference the compiled
+    /// [`DurationDist::sample`] must match bit for bit.
     pub fn sample(&self, rng: &mut SimRng) -> Nanos {
         match self {
-            DurationDist::Constant(ns) => Nanos(*ns),
-            DurationDist::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
-            DurationDist::Exponential { mean } => {
+            DistShape::Constant(ns) => Nanos(*ns),
+            DistShape::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
+            DistShape::Exponential { mean } => {
                 let u = rng.f64_open0();
                 Nanos(round_ns(-(u.ln()) * *mean as f64))
             }
-            DurationDist::LogNormal { median, sigma } => {
+            DistShape::LogNormal { median, sigma } => {
                 let z = sample_standard_normal(rng);
                 Nanos(round_ns(*median as f64 * (sigma * z).exp()))
             }
-            DurationDist::BoundedPareto { lo, hi, alpha } => {
+            DistShape::BoundedPareto { lo, hi, alpha } => {
                 // Inverse CDF of the bounded Pareto on [lo, hi]:
                 // x = ((1−u)·lo^−α + u·hi^−α)^(−1/α).
                 let (la, ha) = ((*lo as f64).powf(-alpha), (*hi as f64).powf(-alpha));
@@ -238,7 +191,7 @@ impl DurationDist {
                 let x = ((1.0 - u) * la + u * ha).powf(-1.0 / alpha);
                 Nanos(round_ns(x.clamp(*lo as f64, *hi as f64)))
             }
-            DurationDist::Mix(branches) => {
+            DistShape::Mix(branches) => {
                 let total: f64 = branches.iter().map(|(w, _)| w).sum();
                 let mut pick = rng.f64() * total;
                 for (w, d) in branches {
@@ -250,71 +203,37 @@ impl DurationDist {
                 // Floating-point slop: fall through to the last branch.
                 branches.last().expect("mix is non-empty").1.sample(rng)
             }
-            DurationDist::Shifted { base, rest } => Nanos(*base) + rest.sample(rng),
+            DistShape::Shifted { base, rest } => Nanos(*base) + rest.sample(rng),
         }
-    }
-
-    /// Compile this distribution for hot-loop sampling; see [`PreparedDist`].
-    pub fn prepare(&self) -> PreparedDist {
-        let kind = match self {
-            DurationDist::Constant(ns) => PreparedKind::Constant(*ns),
-            DurationDist::Uniform { lo, hi } => PreparedKind::Uniform { lo: *lo, hi: *hi },
-            DurationDist::Exponential { mean } => PreparedKind::Exponential { mean: *mean as f64 },
-            DurationDist::BoundedPareto { lo, hi, alpha } => {
-                PreparedKind::Pareto { base: 0, tail: ParetoTail::new(*lo, *hi, *alpha) }
-            }
-            DurationDist::LogNormal { median, sigma } => {
-                PreparedKind::LogNormal { median: *median as f64, sigma: *sigma }
-            }
-            DurationDist::Shifted { base, rest } => match rest.as_ref() {
-                // The shape of every kernel path cost: fixed floor plus a
-                // bounded heavy tail. One fused arm, zero dispatch depth.
-                DurationDist::BoundedPareto { lo, hi, alpha } => {
-                    PreparedKind::Pareto { base: *base, tail: ParetoTail::new(*lo, *hi, *alpha) }
-                }
-                _ => PreparedKind::Shifted { base: *base, rest: Box::new(rest.prepare()) },
-            },
-            DurationDist::Mix(branches) => {
-                // The scalar sampler re-sums the weights per draw; summing in
-                // the same left-to-right order here yields the exact same f64,
-                // so branch selection against it is bit-identical.
-                let total: f64 = branches.iter().map(|(w, _)| w).sum();
-                PreparedKind::Mix {
-                    total,
-                    branches: branches.iter().map(|(w, d)| (*w, d.prepare())).collect(),
-                }
-            }
-        };
-        PreparedDist { kind }
     }
 
     /// The smallest value the distribution can produce (used by tests and by
     /// budget sanity checks in scenario builders).
     pub fn lower_bound(&self) -> Nanos {
         match self {
-            DurationDist::Constant(ns) => Nanos(*ns),
-            DurationDist::Uniform { lo, .. } => Nanos(*lo),
-            DurationDist::Exponential { .. } => Nanos::ZERO,
-            DurationDist::LogNormal { .. } => Nanos::ZERO,
-            DurationDist::BoundedPareto { lo, .. } => Nanos(*lo),
-            DurationDist::Mix(branches) => branches
+            DistShape::Constant(ns) => Nanos(*ns),
+            DistShape::Uniform { lo, .. } => Nanos(*lo),
+            DistShape::Exponential { .. } => Nanos::ZERO,
+            DistShape::LogNormal { .. } => Nanos::ZERO,
+            DistShape::BoundedPareto { lo, .. } => Nanos(*lo),
+            DistShape::Mix(branches) => branches
                 .iter()
                 .filter(|(w, _)| *w > 0.0)
                 .map(|(_, d)| d.lower_bound())
                 .min()
                 .unwrap_or(Nanos::ZERO),
-            DurationDist::Shifted { base, rest } => Nanos(*base) + rest.lower_bound(),
+            DistShape::Shifted { base, rest } => Nanos(*base) + rest.lower_bound(),
         }
     }
 
     /// An upper bound if one exists (heavy-tailed unbounded forms return None).
     pub fn upper_bound(&self) -> Option<Nanos> {
         match self {
-            DurationDist::Constant(ns) => Some(Nanos(*ns)),
-            DurationDist::Uniform { hi, .. } => Some(Nanos(*hi)),
-            DurationDist::Exponential { .. } | DurationDist::LogNormal { .. } => None,
-            DurationDist::BoundedPareto { hi, .. } => Some(Nanos(*hi)),
-            DurationDist::Mix(branches) => {
+            DistShape::Constant(ns) => Some(Nanos(*ns)),
+            DistShape::Uniform { hi, .. } => Some(Nanos(*hi)),
+            DistShape::Exponential { .. } | DistShape::LogNormal { .. } => None,
+            DistShape::BoundedPareto { hi, .. } => Some(Nanos(*hi)),
+            DistShape::Mix(branches) => {
                 let mut max = Nanos::ZERO;
                 for (w, d) in branches {
                     if *w > 0.0 {
@@ -323,8 +242,160 @@ impl DurationDist {
                 }
                 Some(max)
             }
-            DurationDist::Shifted { base, rest } => Some(Nanos(*base) + rest.upper_bound()?),
+            DistShape::Shifted { base, rest } => Some(Nanos(*base) + rest.upper_bound()?),
         }
+    }
+}
+
+/// A distribution over time spans, compiled for sampling when it is built.
+///
+/// It keeps its [`DistShape`], which is all that serializes, compares or
+/// prints, and a sampler built once from it: parameter-derived constants
+/// (`lo^-α`, `hi^-α`, `-1/α`, mean conversions) are resolved up front, the
+/// `Shifted + BoundedPareto` shape of every kernel path cost is one fused
+/// arm, and a bounded-Pareto tail at most 4096 ns wide is read from a shared
+/// [`ParetoTable`]. Every draw is bit-identical to [`DistShape::sample`] —
+/// same draw count, same arithmetic or a table holding its exact answers,
+/// same rounding.
+///
+/// ```
+/// use simcore::{DurationDist, Nanos, SimRng};
+///
+/// // Mostly-short critical sections with a bounded heavy tail.
+/// let hold = DurationDist::bounded_pareto(Nanos::from_us(2), Nanos::from_ms(1), 1.1);
+/// let mut rng = SimRng::new(7);
+/// let sample = hold.sample(&mut rng);
+/// assert!(sample >= Nanos::from_us(2) && sample <= Nanos::from_ms(1));
+/// ```
+#[derive(Clone)]
+pub struct DurationDist {
+    shape: DistShape,
+    sampler: Sampler,
+}
+
+impl DurationDist {
+    /// A distribution that always yields `d`.
+    pub fn constant(d: Nanos) -> Self {
+        DistShape::Constant(d.as_ns()).into()
+    }
+
+    /// Uniform over `[lo, hi]`.
+    pub fn uniform(lo: Nanos, hi: Nanos) -> Self {
+        assert!(lo <= hi, "uniform: lo > hi");
+        DistShape::Uniform { lo: lo.as_ns(), hi: hi.as_ns() }.into()
+    }
+
+    /// Exponential with mean `mean`.
+    pub fn exponential(mean: Nanos) -> Self {
+        assert!(!mean.is_zero(), "exponential: zero mean");
+        DistShape::Exponential { mean: mean.as_ns() }.into()
+    }
+
+    /// Log-normal with the given median and normal-space `sigma`.
+    pub fn log_normal(median: Nanos, sigma: f64) -> Self {
+        assert!(sigma >= 0.0, "log_normal: negative sigma");
+        DistShape::LogNormal { median: median.as_ns(), sigma }.into()
+    }
+
+    /// Bounded Pareto over `[lo, hi]` with tail index `alpha`.
+    pub fn bounded_pareto(lo: Nanos, hi: Nanos, alpha: f64) -> Self {
+        assert!(lo < hi, "bounded_pareto: lo >= hi");
+        assert!(lo.as_ns() > 0, "bounded_pareto: lo must be positive");
+        assert!(alpha > 0.0, "bounded_pareto: alpha must be positive");
+        DistShape::BoundedPareto { lo: lo.as_ns(), hi: hi.as_ns(), alpha }.into()
+    }
+
+    /// Weighted mixture of distributions.
+    pub fn mix(branches: Vec<(f64, DurationDist)>) -> Self {
+        assert!(!branches.is_empty(), "mix: empty");
+        assert!(branches.iter().all(|(w, _)| *w >= 0.0), "mix: negative weight");
+        assert!(branches.iter().map(|(w, _)| w).sum::<f64>() > 0.0, "mix: zero total weight");
+        DistShape::Mix(branches.into_iter().map(|(w, d)| (w, d.shape)).collect()).into()
+    }
+
+    /// `rest` plus a constant `base` offset.
+    pub fn shifted(base: Nanos, rest: DurationDist) -> Self {
+        DistShape::Shifted { base: base.as_ns(), rest: Box::new(rest.shape) }.into()
+    }
+
+    /// The family and parameters this distribution was built from.
+    pub fn shape(&self) -> &DistShape {
+        &self.shape
+    }
+
+    /// [`DistShape::validate`] on the shape.
+    pub fn validate(&self) -> Result<(), DistError> {
+        self.shape.validate()
+    }
+
+    /// [`DistShape::lower_bound`] of the shape.
+    pub fn lower_bound(&self) -> Nanos {
+        self.shape.lower_bound()
+    }
+
+    /// [`DistShape::upper_bound`] of the shape.
+    pub fn upper_bound(&self) -> Option<Nanos> {
+        self.shape.upper_bound()
+    }
+
+    /// Draw one span; bit-identical to [`DistShape::sample`].
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> Nanos {
+        self.sampler.sample(rng)
+    }
+
+    /// Draw `out.len()` spans, bit-identical to the scalar loop.
+    pub fn sample_into(&self, rng: &mut SimRng, out: &mut [Nanos]) {
+        self.sampler.sample_into(rng, out)
+    }
+
+    /// The shared lookup table of a bounded-Pareto tail (bare or shifted),
+    /// if its span got one.
+    pub fn pareto_table(&self) -> Option<&Arc<ParetoTable>> {
+        match &self.sampler {
+            Sampler::Pareto { tail: ParetoTail::Table(table), .. } => Some(table),
+            _ => None,
+        }
+    }
+
+    /// A clone: every `DurationDist` is compiled when it is built. Kept
+    /// because the benchmark's distribution probe calls it.
+    pub fn prepare(&self) -> Self {
+        self.clone()
+    }
+}
+
+impl From<DistShape> for DurationDist {
+    /// Compile a shape. Never panics, even on a shape
+    /// [`DistShape::validate`] rejects; sampling such a shape may.
+    fn from(shape: DistShape) -> Self {
+        let sampler = Sampler::compile(&shape);
+        DurationDist { shape, sampler }
+    }
+}
+
+impl std::fmt::Debug for DurationDist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.shape.fmt(f)
+    }
+}
+
+/// The sampler is a pure function of the shape.
+impl PartialEq for DurationDist {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+    }
+}
+
+impl Serialize for DurationDist {
+    fn to_value(&self) -> serde::Value {
+        self.shape.to_value()
+    }
+}
+
+impl Deserialize for DurationDist {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        DistShape::from_value(v).map(DurationDist::from)
     }
 }
 
@@ -333,8 +404,8 @@ impl DurationDist {
 const DRAW_BATCH: usize = 32;
 
 /// Build-time bounded-Pareto constants — the same values
-/// [`DurationDist::sample`] computes per draw, resolved once when the
-/// distribution is prepared.
+/// [`DistShape::sample`] computes per draw, resolved once when the
+/// distribution is compiled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ParetoPow {
     lo: f64,
@@ -355,7 +426,7 @@ impl ParetoPow {
         }
     }
 
-    /// The inverse-CDF expression of [`DurationDist::sample`] at one 53-bit
+    /// The inverse-CDF expression of [`DistShape::sample`] at one 53-bit
     /// draw (`next_u64() >> 11`).
     #[inline]
     fn tail_ns(&self, draw: u64) -> u64 {
@@ -393,8 +464,8 @@ const MAX_WALK: usize = 8;
 /// `pow` path at both guarded ends of every value's interval and keeps no
 /// table if one differs. See `docs/MODELING.md` §10.
 ///
-/// Tables are immutable and interned per process: every preparation of the
-/// same `(lo, hi, α)` shares one [`Arc`].
+/// Tables are immutable and interned per process: every distribution
+/// compiled with the same `(lo, hi, α)` shares one [`Arc`].
 pub struct ParetoTable {
     /// Per bucket: the answer's offset from `lo`, or `DIRTY |` the number of
     /// steps at least `GUARD` below the bucket. Inline, so a draw reaches
@@ -416,7 +487,7 @@ static TABLES: Mutex<BTreeMap<TableKey, Option<Arc<ParetoTable>>>> = Mutex::new(
 
 impl ParetoTable {
     /// The shared table for these parameters, built on first use. `None` for
-    /// spans wider than 4096 ns, for parameters [`DurationDist::validate`]
+    /// spans wider than 4096 ns, for parameters [`DistShape::validate`]
     /// rejects, and if the build's own check against `pow` fails.
     fn interned(lo: u64, hi: u64, alpha: f64) -> Option<Arc<ParetoTable>> {
         if !(lo > 0 && lo < hi && hi - lo <= TABLE_MAX_SPAN && alpha.is_finite() && alpha > 0.0) {
@@ -510,7 +581,7 @@ impl ParetoTable {
         (clear_above && clear_below).then_some(self.lo + i as u64)
     }
 
-    /// The `pow` expression of [`DurationDist::sample`] at a 53-bit draw.
+    /// The `pow` expression of [`DistShape::sample`] at a 53-bit draw.
     pub fn pow_path(&self, draw: u64) -> u64 {
         self.pow.tail_ns(draw)
     }
@@ -548,7 +619,7 @@ impl PartialEq for ParetoTable {
     }
 }
 
-/// The bounded-Pareto tail of a prepared distribution: the shared lookup
+/// The bounded-Pareto tail of a compiled distribution: the shared lookup
 /// table when the span is narrow, else the `pow` expression alone.
 #[derive(Debug, Clone, PartialEq)]
 enum ParetoTail {
@@ -574,8 +645,9 @@ impl ParetoTail {
     }
 }
 
+/// The compiled form of a [`DistShape`] that [`DurationDist`] samples from.
 #[derive(Debug, Clone, PartialEq)]
-enum PreparedKind {
+enum Sampler {
     Constant(u64),
     Uniform { lo: u64, hi: u64 },
     Exponential { mean: f64 },
@@ -584,37 +656,52 @@ enum PreparedKind {
     /// path cost.
     Pareto { base: u64, tail: ParetoTail },
     LogNormal { median: f64, sigma: f64 },
-    /// Weighted mixture over prepared branches, with the per-draw weight
-    /// re-summation hoisted to prepare time.
-    Mix { total: f64, branches: Vec<(f64, PreparedDist)> },
-    /// Constant offset over a prepared rest (non-Pareto shapes only; the
+    /// Weighted mixture over compiled branches, with the per-draw weight
+    /// re-summation hoisted to compile time.
+    Mix { total: f64, branches: Vec<(f64, Sampler)> },
+    /// Constant offset over a compiled rest (non-Pareto shapes only; the
     /// Pareto shape fuses into the arm above).
-    Shifted { base: u64, rest: Box<PreparedDist> },
+    Shifted { base: u64, rest: Box<Sampler> },
 }
 
-/// A [`DurationDist`] compiled for hot-loop sampling.
-///
-/// Parameter-derived constants (`lo^-α`, `hi^-α`, `-1/α`, mean conversions)
-/// are computed once at [`DurationDist::prepare`] time instead of per draw,
-/// and the common `Shifted + BoundedPareto`
-/// path-cost shape collapses to a single match arm whose tail, when at most
-/// 4096 ns wide, is read from a shared [`ParetoTable`]. Sampling is
-/// bit-identical to [`DurationDist::sample`] — same draw count, same
-/// arithmetic or a table holding its exact answers, same rounding — so
-/// swapping a prepared distribution into a hot loop can never change a
-/// trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedDist {
-    kind: PreparedKind,
-}
+impl Sampler {
+    fn compile(shape: &DistShape) -> Self {
+        match shape {
+            DistShape::Constant(ns) => Sampler::Constant(*ns),
+            DistShape::Uniform { lo, hi } => Sampler::Uniform { lo: *lo, hi: *hi },
+            DistShape::Exponential { mean } => Sampler::Exponential { mean: *mean as f64 },
+            DistShape::BoundedPareto { lo, hi, alpha } => {
+                Sampler::Pareto { base: 0, tail: ParetoTail::new(*lo, *hi, *alpha) }
+            }
+            DistShape::LogNormal { median, sigma } => {
+                Sampler::LogNormal { median: *median as f64, sigma: *sigma }
+            }
+            DistShape::Shifted { base, rest } => match rest.as_ref() {
+                // The shape of every kernel path cost: fixed floor plus a
+                // bounded heavy tail. One fused arm, zero dispatch depth.
+                DistShape::BoundedPareto { lo, hi, alpha } => {
+                    Sampler::Pareto { base: *base, tail: ParetoTail::new(*lo, *hi, *alpha) }
+                }
+                _ => Sampler::Shifted { base: *base, rest: Box::new(Sampler::compile(rest)) },
+            },
+            DistShape::Mix(branches) => {
+                // The reference sampler re-sums the weights per draw; summing
+                // in the same left-to-right order here yields the exact same
+                // f64, so branch selection against it is bit-identical.
+                let total: f64 = branches.iter().map(|(w, _)| w).sum();
+                Sampler::Mix {
+                    total,
+                    branches: branches.iter().map(|(w, d)| (*w, Sampler::compile(d))).collect(),
+                }
+            }
+        }
+    }
 
-impl PreparedDist {
-    /// Draw one span; bit-identical to the source distribution's `sample`.
     #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> Nanos {
+    fn sample(&self, rng: &mut SimRng) -> Nanos {
         // A tabled tail is most kernel-cost draws; its table hit is small
         // enough to inline at every call site.
-        if let PreparedKind::Pareto { base, tail: ParetoTail::Table(table) } = &self.kind {
+        if let Sampler::Pareto { base, tail: ParetoTail::Table(table) } = self {
             return Nanos(base + table.tail_ns(rng.next_u64() >> 11));
         }
         self.sample_untabled(rng)
@@ -622,19 +709,19 @@ impl PreparedDist {
 
     #[inline(never)]
     fn sample_untabled(&self, rng: &mut SimRng) -> Nanos {
-        match &self.kind {
-            PreparedKind::Pareto { base, tail } => Nanos(base + tail.tail_ns(rng.next_u64())),
-            PreparedKind::Constant(ns) => Nanos(*ns),
-            PreparedKind::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
-            PreparedKind::Exponential { mean } => {
+        match self {
+            Sampler::Pareto { base, tail } => Nanos(base + tail.tail_ns(rng.next_u64())),
+            Sampler::Constant(ns) => Nanos(*ns),
+            Sampler::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
+            Sampler::Exponential { mean } => {
                 let u = rng.f64_open0();
                 Nanos(round_ns(-(u.ln()) * mean))
             }
-            PreparedKind::LogNormal { median, sigma } => {
+            Sampler::LogNormal { median, sigma } => {
                 let z = sample_standard_normal(rng);
                 Nanos(round_ns(median * (sigma * z).exp()))
             }
-            PreparedKind::Mix { total, branches } => {
+            Sampler::Mix { total, branches } => {
                 let mut pick = rng.f64() * total;
                 for (w, d) in branches {
                     if pick < *w {
@@ -644,23 +731,13 @@ impl PreparedDist {
                 }
                 branches.last().expect("mix is non-empty").1.sample(rng)
             }
-            PreparedKind::Shifted { base, rest } => Nanos(*base) + rest.sample(rng),
+            Sampler::Shifted { base, rest } => Nanos(*base) + rest.sample(rng),
         }
     }
 
-    /// The shared lookup table of a bounded-Pareto tail (bare or shifted),
-    /// if its span got one.
-    pub fn pareto_table(&self) -> Option<&Arc<ParetoTable>> {
-        match &self.kind {
-            PreparedKind::Pareto { tail: ParetoTail::Table(table), .. } => Some(table),
-            _ => None,
-        }
-    }
-
-    /// Draw `out.len()` spans, bit-identical to the scalar loop.
-    pub fn sample_into(&self, rng: &mut SimRng, out: &mut [Nanos]) {
-        match &self.kind {
-            PreparedKind::Pareto { base, tail } => {
+    fn sample_into(&self, rng: &mut SimRng, out: &mut [Nanos]) {
+        match self {
+            Sampler::Pareto { base, tail } => {
                 let mut raw = [0u64; DRAW_BATCH];
                 for chunk in out.chunks_mut(DRAW_BATCH) {
                     let raw = &mut raw[..chunk.len()];
@@ -670,7 +747,7 @@ impl PreparedDist {
                     }
                 }
             }
-            PreparedKind::Shifted { base, rest } => {
+            Sampler::Shifted { base, rest } => {
                 rest.sample_into(rng, out);
                 let base = Nanos(*base);
                 for slot in out.iter_mut() {
@@ -805,7 +882,7 @@ mod tests {
     }
 
     fn pareto(lo: u64, hi: u64, alpha: f64) -> DurationDist {
-        DurationDist::BoundedPareto { lo, hi, alpha }
+        DistShape::BoundedPareto { lo, hi, alpha }.into()
     }
 
     #[test]
@@ -847,31 +924,31 @@ mod tests {
 
     #[test]
     fn validate_rejects_an_inverted_uniform() {
-        let d = DurationDist::Uniform { lo: 9, hi: 3 };
+        let d = DistShape::Uniform { lo: 9, hi: 3 };
         assert_eq!(d.validate(), Err(DistError::UniformInverted { lo: 9, hi: 3 }));
     }
 
     #[test]
     fn validate_rejects_a_zero_mean_exponential() {
-        assert_eq!(DurationDist::Exponential { mean: 0 }.validate(), Err(DistError::ZeroMean));
+        assert_eq!(DistShape::Exponential { mean: 0 }.validate(), Err(DistError::ZeroMean));
     }
 
     #[test]
     fn validate_rejects_a_bad_sigma() {
-        let d = DurationDist::LogNormal { median: 10, sigma: -0.5 };
+        let d = DistShape::LogNormal { median: 10, sigma: -0.5 };
         assert_eq!(d.validate(), Err(DistError::BadSigma(-0.5)));
     }
 
     #[test]
     fn validate_rejects_bad_mix_weights() {
-        let one = || DurationDist::constant(Nanos(1));
-        assert_eq!(DurationDist::Mix(vec![]).validate(), Err(DistError::EmptyMix));
+        let one = || DistShape::Constant(1);
+        assert_eq!(DistShape::Mix(vec![]).validate(), Err(DistError::EmptyMix));
         assert_eq!(
-            DurationDist::Mix(vec![(-1.0, one()), (2.0, one())]).validate(),
+            DistShape::Mix(vec![(-1.0, one()), (2.0, one())]).validate(),
             Err(DistError::BadWeight(-1.0))
         );
         assert_eq!(
-            DurationDist::Mix(vec![(0.0, one()), (0.0, one())]).validate(),
+            DistShape::Mix(vec![(0.0, one()), (0.0, one())]).validate(),
             Err(DistError::ZeroTotalWeight)
         );
     }
@@ -881,7 +958,7 @@ mod tests {
         let bad = pareto(10, 5, 1.2);
         let err = Err(DistError::ParetoEmpty { lo: 10, hi: 5 });
         let one = DurationDist::constant(Nanos(1));
-        let mixed = DurationDist::Mix(vec![(1.0, one), (1.0, bad.clone())]);
+        let mixed = DurationDist::mix(vec![(1.0, one), (1.0, bad.clone())]);
         assert_eq!(mixed.validate(), err);
         assert_eq!(DurationDist::shifted(Nanos(100), bad).validate(), err);
     }
@@ -889,13 +966,13 @@ mod tests {
     #[test]
     fn narrow_valid_paretos_get_a_shared_table() {
         let d = DurationDist::shifted(Nanos(9), pareto(1, 10, 1.4));
-        let (a, b) = (d.prepare(), pareto(1, 10, 1.4).prepare());
+        let (a, b) = (d, pareto(1, 10, 1.4));
         assert!(Arc::ptr_eq(a.pareto_table().unwrap(), b.pareto_table().unwrap()));
         assert_eq!(a.pareto_table().unwrap().steps().len(), 9);
         // One value per step past `lo`, the 4096-wide edge included.
-        assert_eq!(pareto(100, 4196, 1.1).prepare().pareto_table().unwrap().steps().len(), 4096);
-        assert!(pareto(100, 4197, 1.1).prepare().pareto_table().is_none(), "too wide");
-        assert!(DurationDist::uniform(Nanos(1), Nanos(9)).prepare().pareto_table().is_none());
+        assert_eq!(pareto(100, 4196, 1.1).pareto_table().unwrap().steps().len(), 4096);
+        assert!(pareto(100, 4197, 1.1).pareto_table().is_none(), "too wide");
+        assert!(DurationDist::uniform(Nanos(1), Nanos(9)).pareto_table().is_none());
     }
 
     #[test]
@@ -903,13 +980,13 @@ mod tests {
         let invalid =
             [pareto(0, 5, 1.2), pareto(10, 5, 1.2), pareto(1, 5, f64::NAN), pareto(1, 5, -1.0)];
         for d in invalid {
-            assert!(d.prepare().pareto_table().is_none(), "{d:?}");
+            assert!(d.pareto_table().is_none(), "{d:?}");
         }
     }
 
     #[test]
     fn table_lookup_falls_back_near_every_step() {
-        let t = pareto(3, 30, 1.3).prepare().pareto_table().unwrap().clone();
+        let t = pareto(3, 30, 1.3).pareto_table().unwrap().clone();
         for (j, &step) in t.steps().iter().enumerate() {
             assert_eq!(t.lookup(step), None);
             assert_eq!(t.lookup(step - 1), None);

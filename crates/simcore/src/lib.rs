@@ -20,7 +20,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use dist::{DistError, DurationDist, ParetoTable, PreparedDist};
+pub use dist::{DistError, DistShape, DurationDist, ParetoTable};
 pub use flight::{ActivityClass, FlightEvent, FlightEventKind, FlightRing, TraceKind};
 pub use queue::{pack_key, EventKey, WheelQueue};
 pub use rng::SimRng;

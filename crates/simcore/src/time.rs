@@ -51,13 +51,6 @@ impl Nanos {
         Nanos((s * 1e9).round() as u64)
     }
 
-    /// Build a span from fractional microseconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration: {us}");
-        Nanos((us * 1e3).round() as u64)
-    }
-
     /// The span in whole nanoseconds.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -67,11 +60,6 @@ impl Nanos {
     #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-    /// The span in (possibly fractional) milliseconds.
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
     /// The span in (possibly fractional) seconds.
     #[inline]
@@ -266,7 +254,6 @@ mod tests {
         assert_eq!(Nanos::from_ms(3), Nanos(3_000_000));
         assert_eq!(Nanos::from_secs(3), Nanos(3_000_000_000));
         assert_eq!(Nanos::from_secs_f64(1.5), Nanos(1_500_000_000));
-        assert_eq!(Nanos::from_us_f64(2.5), Nanos(2_500));
     }
 
     #[test]
@@ -310,7 +297,6 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         let n = Nanos::from_ms(565);
-        assert!((n.as_ms_f64() - 565.0).abs() < 1e-9);
         assert!((n.as_us_f64() - 565_000.0).abs() < 1e-6);
         assert!((n.as_secs_f64() - 0.565).abs() < 1e-12);
     }

@@ -1,15 +1,15 @@
 //! Property tests for the simulation core.
 
 use proptest::prelude::*;
-use simcore::{pack_key, DurationDist, Instant, Nanos, SimRng, WheelQueue};
+use simcore::{pack_key, DistShape, DurationDist, Instant, Nanos, SimRng, WheelQueue};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Number of distributions in [`dist_zoo`].
 const ZOO: u8 = 11;
 
-/// A zoo of distributions covering every `DurationDist` arm, including the
-/// nested Mix / LogNormal / Shifted shapes the prepared sampler fuses and
+/// A zoo of distributions covering every `DistShape` arm, including the
+/// nested Mix / LogNormal / Shifted shapes the compiled sampler fuses and
 /// the narrow bounded Paretos it answers from a lookup table.
 fn dist_zoo(pick: u8) -> DurationDist {
     match pick % ZOO {
@@ -283,7 +283,7 @@ proptest! {
         prop_assert_eq!(scalar.next_u64(), batch.next_u64());
     }
 
-    /// Batched prepared sampling is bit-identical to the scalar loop for
+    /// Batched sampling is bit-identical to the reference scalar loop for
     /// arbitrary batch sizes — including sizes that cross the internal
     /// refill chunk — and leaves the generator at exactly the same stream
     /// position.
@@ -292,9 +292,9 @@ proptest! {
         let dist = dist_zoo(pick);
         let mut scalar_rng = SimRng::new(seed);
         let mut batch_rng = SimRng::new(seed);
-        let scalar: Vec<Nanos> = (0..n).map(|_| dist.sample(&mut scalar_rng)).collect();
+        let scalar: Vec<Nanos> = (0..n).map(|_| dist.shape().sample(&mut scalar_rng)).collect();
         let mut batched = vec![Nanos::ZERO; n];
-        dist.prepare().sample_into(&mut batch_rng, &mut batched);
+        dist.sample_into(&mut batch_rng, &mut batched);
         prop_assert_eq!(&scalar, &batched);
         prop_assert_eq!(scalar_rng.next_u64(), batch_rng.next_u64());
     }
@@ -304,7 +304,7 @@ proptest! {
     /// another — reproduces the scalar per-draw stream bit-for-bit. Chunk
     /// sizes exceed the internal refill chunk, so the checkpoint and reseed
     /// boundaries land mid-refill relative to the batch partitioning. Every
-    /// chunk goes through the prepared sampler, lookup tables included.
+    /// chunk goes through the compiled sampler, lookup tables included.
     #[test]
     fn batched_draws_survive_checkpoint_and_reseed(
         seed in any::<u64>(),
@@ -315,7 +315,6 @@ proptest! {
         reseed_at in 0usize..6,
     ) {
         let dist = dist_zoo(pick);
-        let prepared = dist.prepare();
 
         // Reference: pure scalar draws, reseeding at the same cumulative
         // draw index the batched path reseeds at. A boundary index of
@@ -330,7 +329,7 @@ proptest! {
             if reseeds && i == reseed_index {
                 rng = SimRng::new(reseed);
             }
-            reference.push(dist.sample(&mut rng));
+            reference.push(dist.shape().sample(&mut rng));
         }
         // A reseed boundary that falls after the final draw (trailing
         // zero-length chunks included) never fires inside the loop; mirror
@@ -357,7 +356,7 @@ proptest! {
                 brng = saved;
             }
             let mut buf = vec![Nanos::ZERO; len];
-            prepared.sample_into(&mut brng, &mut buf);
+            dist.sample_into(&mut brng, &mut buf);
             candidate.extend_from_slice(&buf);
         }
         if reseed_at == chunks.len() {
@@ -367,25 +366,25 @@ proptest! {
         prop_assert_eq!(rng.next_u64(), brng.next_u64());
     }
 
-    /// Prepared distributions are bit-identical to their source for every
-    /// arm — including the Mix, LogNormal and Shifted shapes — on both the
-    /// scalar and batched paths.
+    /// The compiled sampler is bit-identical to its shape's reference
+    /// sampler for every arm — including the Mix, LogNormal and Shifted
+    /// shapes — on both the scalar and batched paths.
     #[test]
-    fn prepared_matches_scalar_all_arms(seed in any::<u64>(), pick in 0u8..ZOO, n in 0usize..100) {
+    fn compiled_matches_reference_all_arms(seed in any::<u64>(), pick in 0u8..ZOO, n in 0usize..100) {
         let dist = dist_zoo(pick);
-        let prepared = dist.prepare();
+        let shape = dist.shape();
         let mut a = SimRng::new(seed);
         let mut b = SimRng::new(seed);
         for i in 0..n {
-            prop_assert_eq!(dist.sample(&mut a), prepared.sample(&mut b), "draw {} diverged", i);
+            prop_assert_eq!(shape.sample(&mut a), dist.sample(&mut b), "draw {} diverged", i);
         }
         prop_assert_eq!(a.next_u64(), b.next_u64());
 
         let mut pa = SimRng::new(seed.wrapping_add(1));
         let mut pb = SimRng::new(seed.wrapping_add(1));
-        let scalar: Vec<Nanos> = (0..n).map(|_| dist.sample(&mut pa)).collect();
+        let scalar: Vec<Nanos> = (0..n).map(|_| shape.sample(&mut pa)).collect();
         let mut batched = vec![Nanos::ZERO; n];
-        prepared.sample_into(&mut pb, &mut batched);
+        dist.sample_into(&mut pb, &mut batched);
         prop_assert_eq!(scalar, batched);
         prop_assert_eq!(pa.next_u64(), pb.next_u64());
     }
@@ -405,8 +404,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A bounded Pareto gets a lookup table exactly when its span is at most
-    /// 4096 ns; every preparation of the same parameters shares that one
-    /// table, and its draws equal the source distribution's.
+    /// 4096 ns; every distribution built with the same parameters shares
+    /// that one table, and its draws equal the reference sampler's.
     #[test]
     fn narrow_paretos_share_one_exact_table(
         lo in 1u64..5_000,
@@ -416,7 +415,7 @@ proptest! {
     ) {
         let alpha = alpha_centi as f64 / 100.0;
         let dist = DurationDist::bounded_pareto(Nanos(lo), Nanos(lo + span), alpha);
-        let (a, b) = (dist.prepare(), dist.prepare());
+        let (a, b) = (&dist, DurationDist::from(dist.shape().clone()));
         prop_assert_eq!(a.pareto_table().is_some(), span <= 4096);
         if let (Some(x), Some(y)) = (a.pareto_table(), b.pareto_table()) {
             prop_assert!(Arc::ptr_eq(x, y));
@@ -424,8 +423,97 @@ proptest! {
         let mut ra = SimRng::new(seed);
         let mut rb = SimRng::new(seed);
         for _ in 0..2_000 {
-            prop_assert_eq!(dist.sample(&mut ra), a.sample(&mut rb));
+            prop_assert_eq!(dist.shape().sample(&mut ra), a.sample(&mut rb));
         }
+    }
+}
+
+/// Random valid [`DistShape`]s: every arm, with `Mix` and `Shifted` nested
+/// up to `depth` levels, and bounded-Pareto spans both narrow enough for a
+/// lookup table and wider.
+struct ValidShape {
+    depth: u32,
+}
+
+impl Strategy for ValidShape {
+    type Value = DistShape;
+
+    fn generate(&self, rng: &mut TestRng) -> DistShape {
+        let arms = if self.depth == 0 { 5 } else { 7 };
+        match below(rng, arms) {
+            0 => DistShape::Constant(below(rng, 1_000_000)),
+            1 => {
+                let lo = below(rng, 1_000_000);
+                DistShape::Uniform { lo, hi: lo + below(rng, 1_000_000) }
+            }
+            2 => DistShape::Exponential { mean: 1 + below(rng, 1_000_000) },
+            3 => DistShape::LogNormal {
+                median: below(rng, 1_000_000),
+                sigma: below(rng, 200) as f64 / 100.0,
+            },
+            4 => {
+                let lo = 1 + below(rng, 100_000);
+                let span =
+                    1 + if below(rng, 2) == 0 { below(rng, 4_096) } else { below(rng, 10_000_000) };
+                DistShape::BoundedPareto {
+                    lo,
+                    hi: lo + span,
+                    alpha: (1 + below(rng, 300)) as f64 / 100.0,
+                }
+            }
+            5 => {
+                let child = ValidShape { depth: self.depth - 1 };
+                let n = 1 + below(rng, 3);
+                let mut branches = Vec::new();
+                for i in 0..n {
+                    // The first weight is positive, so the total is too.
+                    let w = (below(rng, 100) + u64::from(i == 0)) as f64 / 10.0;
+                    branches.push((w, child.generate(rng)));
+                }
+                DistShape::Mix(branches)
+            }
+            _ => {
+                let base = below(rng, 1_000_000);
+                let rest = ValidShape { depth: self.depth - 1 }.generate(rng);
+                DistShape::Shifted { base, rest: Box::new(rest) }
+            }
+        }
+    }
+}
+
+/// A uniform draw from `0..n`.
+fn below(rng: &mut TestRng, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A valid shape written as JSON and read back as a `DurationDist`
+    /// prints the same bytes, and its compiled sampler draws the shape's
+    /// reference sequence bit for bit, leaving the generator in the same
+    /// state.
+    #[test]
+    fn deserialized_dists_keep_their_bytes_and_draws(
+        shape in ValidShape { depth: 3 },
+        seed in any::<u64>(),
+        n in 0usize..200,
+    ) {
+        prop_assert_eq!(shape.validate(), Ok(()));
+        let json = serde_json::to_string(&shape).unwrap();
+        let dist: DurationDist = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(serde_json::to_string(&dist).unwrap(), json);
+        prop_assert_eq!(dist.shape(), &shape);
+        let (mut reference, mut compiled) = (SimRng::new(seed), SimRng::new(seed));
+        for i in 0..n {
+            prop_assert_eq!(
+                shape.sample(&mut reference),
+                dist.sample(&mut compiled),
+                "draw {} diverged",
+                i
+            );
+        }
+        prop_assert_eq!(format!("{reference:?}"), format!("{compiled:?}"));
     }
 }
 
