@@ -40,18 +40,20 @@ fn main() {
 
     // The worst captured window across every cell: the matrix's "why was
     // the max the max" exhibit.
-    let worst_cell = flights
+    let worst_cell = report
+        .cells
         .iter()
-        .filter(|f| !f.traces.is_empty())
-        .max_by_key(|f| f.traces[0].latency);
-    if let Some(cell) = worst_cell {
+        .zip(&flights)
+        .filter(|(_, traces)| !traces.is_empty())
+        .max_by_key(|(_, traces)| traces[0].latency);
+    if let Some((cell, traces)) = worst_cell {
         let label = format!(
             "{}/{} ({})",
             cell.fault,
             cell.path,
             if cell.shielded { "shielded" } else { "unshielded" }
         );
-        match flightout::emit_worst_case("faultmatrix", &label, &cell.traces) {
+        match flightout::emit_worst_case("faultmatrix", &label, traces) {
             Ok(Some(chain)) => print!("\n{chain}"),
             Ok(None) => {}
             Err(e) => eprintln!("note: could not write worst-cell trace artifact: {e}"),

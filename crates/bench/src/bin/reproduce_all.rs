@@ -46,13 +46,12 @@
 
 use simcore::Nanos;
 use sp_bench::{
-    available_threads, determinism_measured, flag_from_args, flightout, rcim_measured,
-    realfeel_measured, scale_from_args, shards_from_args, topk_from_args, verdict,
-    workers_from_args, PAPER_TARGETS,
+    available_threads, flag_from_args, flightout, scale_from_args, shards_from_args,
+    topk_from_args, workers_from_args,
 };
-use sp_experiments::report::{render_determinism, render_rcim, render_realfeel};
-use sp_experiments::runner::run_all_figures_flight;
-use sp_experiments::{run_autopilot_study, AutopilotConfig, AutopilotStudy, MODERN_RCIM_BOUND};
+use sp_experiments::{
+    run_autopilot_study, run_figures, AutopilotConfig, AutopilotStudy, MODERN_RCIM_BOUND,
+};
 use sp_kernel::WorstCaseTrace;
 use std::fmt::Write as _;
 
@@ -129,57 +128,37 @@ fn main() {
          top-{top_k} trace capture (parallel)..."
     );
     let t0 = std::time::Instant::now();
-    let (suite, flight) = run_all_figures_flight(scale, shards, top_k);
+    let suite = run_figures(scale, shards, top_k);
     let suite_secs = t0.elapsed().as_secs_f64();
     eprintln!("suite finished in {suite_secs:.1}s");
 
-    print!("{}", render_determinism("fig1", &suite.fig1));
-    print!("{}", render_determinism("fig2", &suite.fig2));
-    print!("{}", render_determinism("fig3", &suite.fig3));
-    print!("{}", render_determinism("fig4", &suite.fig4));
-    print!("{}", render_realfeel("fig5", &suite.fig5));
-    print!("{}", render_realfeel("fig6", &suite.fig6));
-    print!("{}", render_rcim("fig7", &suite.fig7));
+    for run in &suite.runs {
+        print!("{}", run.result.render(run.figure.id()));
+    }
 
     // The paper bands: jitter for the determinism figures, the maximum for
-    // the latency figures. Each yields the EXPERIMENTS.md verdict and a gate.
-    let jitter_bands = [
-        (&suite.fig1, 16.0, 45.0),
-        (&suite.fig2, 0.2, 4.0),
-        (&suite.fig3, 8.0, 22.0),
-        (&suite.fig4, 8.0, 20.0),
-    ];
-    let max_bands = [
-        (suite.fig5.summary.max, Nanos::from_ms(2), Nanos::from_ms(200)),
-        (suite.fig6.summary.max, Nanos::from_us(15), Nanos::from_ms(1)),
-        (suite.fig7.summary.max, Nanos::from_us(15), Nanos::from_us(30)),
-    ];
-    // (measured, bound) per figure, in fig1..fig7 order.
-    let (mut verdicts, mut bands) = (Vec::new(), Vec::new());
-    for (r, lo, hi) in jitter_bands {
-        verdicts.push(verdict::determinism(r, lo, hi));
-        bands.push((format!("{:.2} % jitter", r.summary.jitter_pct()), format!("{lo}–{hi} %")));
+    // the latency figures. Each yields a paper-vs-measured row for
+    // EXPERIMENTS.md and a gate.
+    let mut table = String::from(
+        "| experiment | paper | measured (this run) | shape verdict |\n|---|---|---|---|\n",
+    );
+    let mut gates = Vec::new();
+    for run in &suite.runs {
+        let fig = run.figure;
+        let (measured, pass) = fig.band().judge(&run.result);
+        let verdict = if pass { "in band" } else { "OUT OF BAND" };
+        let _ = writeln!(
+            table,
+            "| {} — {} | {} | {} | {verdict} |",
+            fig.id(),
+            fig.description(),
+            fig.paper(),
+            run.result.measured()
+        );
+        gates.push(Gate::new(format!("{} band", fig.id()), measured, fig.band(), pass));
     }
-    for (max, lo, hi) in max_bands {
-        verdicts.push(verdict::latency_max(max, lo, hi));
-        bands.push((format!("max {max}"), format!("{lo}–{hi}")));
-    }
-    let mut gates: Vec<Gate> = PAPER_TARGETS
-        .iter()
-        .zip(bands)
-        .zip(&verdicts)
-        .map(|((t, (measured, bound)), v)| {
-            Gate::new(format!("{} band", t.id), measured, bound, *v == "in band")
-        })
-        .collect();
 
-    let total_events = suite.fig1.events
-        + suite.fig2.events
-        + suite.fig3.events
-        + suite.fig4.events
-        + suite.fig5.events
-        + suite.fig6.events
-        + suite.fig7.events;
+    let total_events: u64 = suite.runs.iter().map(|run| run.result.events()).sum();
     let events_per_sec = total_events as f64 / suite_secs.max(1e-9);
     gates.push(Gate::new(
         "suite events/sec",
@@ -192,17 +171,14 @@ fn main() {
     // latency figure, each gated on explaining its figure's maximum.
     if top_k > 0 {
         println!();
-        let captures: [(&str, String, &[WorstCaseTrace], Nanos); 3] = [
-            ("fig5", suite.fig5.config.label(), &flight.fig5, suite.fig5.summary.max),
-            ("fig6", suite.fig6.config.label(), &flight.fig6, suite.fig6.summary.max),
-            ("fig7", suite.fig7.config.label(), &flight.fig7, suite.fig7.summary.max),
-        ];
-        for (id, label, traces, max) in captures {
-            let emitted = flightout::emit_worst_case(id, &label, traces);
+        for run in &suite.runs {
+            let Some(max) = run.result.latency_max() else { continue };
+            let id = run.figure.id();
+            let emitted = flightout::emit_worst_case(id, &run.result.label(), &run.traces);
             if let Ok(Some(chain)) = &emitted {
                 println!("{chain}");
             }
-            gates.push(Gate::worst_trace(&format!("{id} worst trace"), &emitted, traces, max));
+            gates.push(Gate::worst_trace(&format!("{id} worst trace"), &emitted, &run.traces, max));
         }
     }
 
@@ -308,10 +284,12 @@ fn main() {
         if top_k > 0 {
             // The headline artifact: the causal window behind the worst
             // modern-all RCIM sample, merged across its six cells.
-            let per_cell: Vec<Vec<WorstCaseTrace>> = modern_flights
+            let per_cell: Vec<Vec<WorstCaseTrace>> = modern
+                .cells
                 .iter()
-                .filter(|f| f.variant == "modern-all" && f.path == "rcim")
-                .map(|f| f.traces.clone())
+                .zip(modern_flights)
+                .filter(|(c, _)| c.variant == "modern-all" && c.path == "rcim")
+                .map(|(_, traces)| traces)
                 .collect();
             let merged = sp_experiments::merge_top(per_cell, top_k);
             let emitted = flightout::emit_worst_case("modern", "modern-all/rcim", &merged);
@@ -322,26 +300,7 @@ fn main() {
         }
     }
 
-    // Paper-vs-measured table.
-    let measured = [
-        determinism_measured(&suite.fig1),
-        determinism_measured(&suite.fig2),
-        determinism_measured(&suite.fig3),
-        determinism_measured(&suite.fig4),
-        realfeel_measured(&suite.fig5),
-        realfeel_measured(&suite.fig6),
-        rcim_measured(&suite.fig7),
-    ];
-    let mut table = String::from(
-        "| experiment | paper | measured (this run) | shape verdict |\n|---|---|---|---|\n",
-    );
-    for ((target, measured), verdict) in PAPER_TARGETS.iter().zip(&measured).zip(&verdicts) {
-        let _ = writeln!(
-            table,
-            "| {} — {} | {} | {} | {} |",
-            target.id, target.description, target.paper, measured, verdict
-        );
-    }
+    // The paper-vs-measured table.
     println!("\n{table}");
 
     if let Some(path) = json_path {

@@ -8,9 +8,6 @@
 //! (after the figure id for `figure`; default 1.0; also settable via
 //! `SP_SCALE`): sample counts and iteration counts multiply by it.
 
-use simcore::Nanos;
-use sp_experiments::{DeterminismResult, RcimResult, RealfeelResult};
-
 /// Resolve the run scale: first CLI argument, then `SP_SCALE`, then 1.0. A
 /// leading figure id (`figure fig5 0.1`) is skipped.
 pub fn scale_from_args() -> f64 {
@@ -138,109 +135,9 @@ pub mod flightout {
     }
 }
 
-/// What the paper reports for each figure, for the side-by-side tables.
-pub struct PaperTarget {
-    pub id: &'static str,
-    pub description: &'static str,
-    pub paper: &'static str,
-}
-
-pub const PAPER_TARGETS: [PaperTarget; 7] = [
-    PaperTarget {
-        id: "fig1",
-        description: "determinism, kernel.org 2.4.18, HT on",
-        paper: "ideal 1.148 s, max 1.449 s, jitter 26.17 %",
-    },
-    PaperTarget {
-        id: "fig2",
-        description: "determinism, RedHawk 1.4, shielded CPU",
-        paper: "ideal 1.148 s, max 1.170 s, jitter 1.87 %",
-    },
-    PaperTarget {
-        id: "fig3",
-        description: "determinism, RedHawk 1.4, unshielded",
-        paper: "jitter 14.82 %",
-    },
-    PaperTarget {
-        id: "fig4",
-        description: "determinism, kernel.org 2.4.18, HT off",
-        paper: "jitter 13.15 %",
-    },
-    PaperTarget {
-        id: "fig5",
-        description: "realfeel /dev/rtc, kernel.org 2.4.18",
-        paper: "max 92.3 ms; 99.14 % < 0.1 ms",
-    },
-    PaperTarget {
-        id: "fig6",
-        description: "realfeel /dev/rtc, RedHawk shielded",
-        paper: "max 0.565 ms; ~100 % < 0.1 ms",
-    },
-    PaperTarget {
-        id: "fig7",
-        description: "RCIM ioctl, RedHawk shielded",
-        paper: "min 11 µs, avg 11.3 µs, max 27 µs",
-    },
-];
-
-/// Measured one-line summary for a determinism figure.
-pub fn determinism_measured(r: &DeterminismResult) -> String {
-    format!(
-        "ideal {:.3} s, max {:.3} s, jitter {:.2} %",
-        r.summary.ideal.as_secs_f64(),
-        r.summary.max.as_secs_f64(),
-        r.summary.jitter_pct()
-    )
-}
-
-/// Measured one-line summary for a realfeel figure.
-pub fn realfeel_measured(r: &RealfeelResult) -> String {
-    let sub_100us =
-        r.histogram.count_below(Nanos::from_us(100)) as f64 / r.histogram.count().max(1) as f64;
-    format!("max {}; {:.2} % < 0.1 ms (n={})", r.summary.max, sub_100us * 100.0, r.summary.count)
-}
-
-/// Measured one-line summary for the RCIM figure.
-pub fn rcim_measured(r: &RcimResult) -> String {
-    format!(
-        "min {}, avg {}, max {} (n={})",
-        r.summary.min, r.summary.mean, r.summary.max, r.summary.count
-    )
-}
-
-/// Shape verdicts for EXPERIMENTS.md: did the reproduction land in band?
-pub mod verdict {
-    use super::*;
-
-    pub fn determinism(r: &DeterminismResult, lo_pct: f64, hi_pct: f64) -> &'static str {
-        let j = r.summary.jitter_pct();
-        if j >= lo_pct && j <= hi_pct {
-            "in band"
-        } else {
-            "OUT OF BAND"
-        }
-    }
-
-    pub fn latency_max(max: Nanos, lo: Nanos, hi: Nanos) -> &'static str {
-        if max >= lo && max <= hi {
-            "in band"
-        } else {
-            "OUT OF BAND"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_targets_cover_all_figures() {
-        assert_eq!(PAPER_TARGETS.len(), 7);
-        for (i, t) in PAPER_TARGETS.iter().enumerate() {
-            assert_eq!(t.id, format!("fig{}", i + 1));
-        }
-    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -274,17 +171,5 @@ mod tests {
         assert!(parse_flag::<String>(&a, "--json").is_err());
         let a = args(&["reproduce_all", "--json", "--strict"]);
         assert!(parse_flag::<String>(&a, "--json").is_err());
-    }
-
-    #[test]
-    fn verdict_bands() {
-        assert_eq!(
-            verdict::latency_max(Nanos::from_us(20), Nanos::from_us(10), Nanos::from_us(30)),
-            "in band"
-        );
-        assert_eq!(
-            verdict::latency_max(Nanos::from_ms(5), Nanos::from_us(10), Nanos::from_us(30)),
-            "OUT OF BAND"
-        );
     }
 }

@@ -120,21 +120,6 @@ pub struct MatrixCell {
     pub events: u64,
 }
 
-/// One cell's captured flight traces (worst first), paired with the cell's
-/// identity. Kept beside [`MatrixCell`] rather than inside it so the report
-/// stays a plain serializable summary.
-#[derive(Debug, Clone)]
-pub struct CellFlight {
-    /// Fault name, or `"baseline"`.
-    pub fault: String,
-    /// Measured path name (see [`MatrixPath::name`]).
-    pub path: String,
-    /// Whether the cell's measured CPU was shielded.
-    pub shielded: bool,
-    /// The cell's worst captured windows, worst first.
-    pub traces: Vec<WorstCaseTrace>,
-}
-
 /// The full matrix plus its band verdicts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultMatrixReport {
@@ -291,10 +276,9 @@ fn group_rig(cfg: &FaultMatrixConfig, g: usize, key: (MatrixPath, bool)) -> (u64
 }
 
 /// One merged cell of a `(path, shielded)` group, with its captures.
-fn matrix_cell(key: (MatrixPath, bool), cell: LabelledCell) -> (MatrixCell, CellFlight) {
+fn matrix_cell(key: (MatrixPath, bool), cell: LabelledCell) -> (MatrixCell, Vec<WorstCaseTrace>) {
     let ((path, shielded), (_, fault, summary, events, traces)) = (key, cell);
-    let flight = CellFlight { fault: fault.clone(), path: path.name().into(), shielded, traces };
-    (MatrixCell { fault, path: path.name().into(), shielded, summary, events }, flight)
+    (MatrixCell { fault, path: path.name().into(), shielded, summary, events }, traces)
 }
 
 /// Run the full matrix: `(1 baseline + 5 faults) × 2 paths × 2 shield
@@ -307,7 +291,8 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
 
 /// [`run_fault_matrix`] with the flight recorder armed in every cell's
 /// forks: each cell additionally reports the causal windows behind its
-/// `top_k` worst samples *from the faulted (post-warm-up) stretch*. Warm-up
+/// `top_k` worst samples *from the faulted (post-warm-up) stretch*, worst
+/// first. The window lists are index-aligned with the report's `cells`. Warm-up
 /// samples carried over from the shared warm-up still count toward the cell
 /// histograms, so a quiet cell's histogram max can predate its capture
 /// window; the faulted cells the bands judge take their worst case from the
@@ -324,7 +309,7 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
 pub fn run_fault_matrix_with_flight(
     cfg: &FaultMatrixConfig,
     top_k: usize,
-) -> (FaultMatrixReport, Vec<CellFlight>) {
+) -> (FaultMatrixReport, Vec<Vec<WorstCaseTrace>>) {
     let keys = MatrixPath::ALL.map(|path| [(path, true), (path, false)]).concat();
     let rigs: Vec<_> = keys.iter().enumerate().map(|(g, &key)| group_rig(cfg, g, key)).collect();
     // The reshield scenario rides along as a second fleet job, so an idle
@@ -430,7 +415,7 @@ mod tests {
         path: MatrixPath,
         shielded: bool,
         top_k: usize,
-    ) -> (Vec<MatrixCell>, Vec<CellFlight>) {
+    ) -> (Vec<MatrixCell>, Vec<Vec<WorstCaseTrace>>) {
         let rig = vec![group_rig(cfg, index, (path, shielded))];
         let cells = run_matrix(rig, cfg.shards, cfg.samples_per_cell, top_k);
         cells.into_iter().map(|cell| matrix_cell((path, shielded), cell)).unzip()
@@ -445,7 +430,7 @@ mod tests {
         let (a, _) = run_one_group(&cfg, 1, MatrixPath::Rcim, true, 0);
         let (b, flights) = run_one_group(&cfg, 1, MatrixPath::Rcim, true, 1);
         assert_eq!(flights.len(), faults.len() + 1);
-        assert!(flights.iter().all(|f| !f.traces.is_empty()), "every cell captured a worst window");
+        assert!(flights.iter().all(|t| !t.is_empty()), "every cell captured a worst window");
         assert_eq!(a.len(), faults.len() + 1);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),

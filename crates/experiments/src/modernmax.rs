@@ -158,15 +158,6 @@ pub struct ModernCell {
     pub events: u64,
 }
 
-/// One cell's captured flight traces (worst first), beside its identity.
-#[derive(Debug, Clone)]
-pub struct ModernCellFlight {
-    pub variant: String,
-    pub fault: String,
-    pub path: String,
-    pub traces: Vec<WorstCaseTrace>,
-}
-
 /// The full variant matrix plus its band verdicts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModernReport {
@@ -236,14 +227,16 @@ pub fn run_modern_matrix(cfg: &ModernConfig) -> ModernReport {
 }
 
 /// [`run_modern_matrix`] with the flight recorder armed in every cell's
-/// forks. Execution is flattened: every `(group, shard)` warm-up runs in one
-/// fleet batch, then all `groups × cells × shards` forks stream through one
-/// pull loop and each cell merges, in order, as its last fork lands —
-/// bit-identical whatever the worker count.
+/// forks; each cell's worst windows come back worst first, in lists
+/// index-aligned with the report's `cells`. Execution is flattened: every
+/// `(group, shard)` warm-up runs in one fleet batch, then all
+/// `groups × cells × shards` forks stream through one pull loop and each
+/// cell merges, in order, as its last fork lands — bit-identical whatever
+/// the worker count.
 pub fn run_modern_matrix_with_flight(
     cfg: &ModernConfig,
     top_k: usize,
-) -> (ModernReport, Vec<ModernCellFlight>) {
+) -> (ModernReport, Vec<Vec<WorstCaseTrace>>) {
     let keys = ModernVariant::ALL.map(|v| MatrixPath::ALL.map(|p| (v, p))).concat();
     let rigs = keys
         .iter()
@@ -255,18 +248,12 @@ pub fn run_modern_matrix_with_flight(
             let (variant, path) = keys[g];
             let cell = ModernCell {
                 variant: variant.name().into(),
-                fault: fault.clone(),
+                fault,
                 path: path.name().into(),
                 summary,
                 events,
             };
-            let flight = ModernCellFlight {
-                variant: variant.name().into(),
-                fault,
-                path: path.name().into(),
-                traces,
-            };
-            (cell, flight)
+            (cell, traces)
         })
         .unzip();
 
@@ -334,10 +321,10 @@ mod tests {
                 serde_json::to_string(&reference.0.cells).unwrap(),
                 "workers={workers}"
             );
-            let t = |flights: &[ModernCellFlight]| {
+            let t = |flights: &[Vec<WorstCaseTrace>]| {
                 flights
                     .iter()
-                    .flat_map(|f| f.traces.iter().map(|w| (w.latency, w.events.len())))
+                    .flat_map(|traces| traces.iter().map(|w| (w.latency, w.events.len())))
                     .collect::<Vec<_>>()
             };
             assert_eq!(t(&got.1), t(&reference.1), "workers={workers} traces");

@@ -246,6 +246,8 @@ pub enum ScenarioError {
     /// or `run_secs` itself is not a positive length the clock can hold.
     BadTime(String),
     DuplicateName(String),
+    /// A measured task's SCHED_FIFO priority is outside 1..=99.
+    BadPriority { task: String, rt_prio: u8 },
     /// A device's parameters are outside what its model accepts.
     BadDevice { device: String, why: String },
     Kernel(String),
@@ -267,6 +269,9 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::BadPath(p) => write!(f, "'{p}' is not a /proc/shield file"),
             ScenarioError::BadTime(t) => write!(f, "time {t} outside the run"),
             ScenarioError::DuplicateName(n) => write!(f, "duplicate name '{n}'"),
+            ScenarioError::BadPriority { task, rt_prio } => {
+                write!(f, "measured task '{task}': rt_prio {rt_prio} is not in 1..=99")
+            }
             ScenarioError::BadDevice { device, why } => write!(f, "device '{device}': {why}"),
             ScenarioError::Kernel(e) => write!(f, "{e}"),
             ScenarioError::Inject(e) => write!(f, "{e}"),
@@ -284,9 +289,9 @@ fn parse_mask(s: &str) -> Result<CpuMask, ScenarioError> {
 /// Static spec validation, run before any simulation is built. Catches what
 /// used to surface as confusing mid-run errors or panics inside the
 /// simulator: an invalid machine or kernel config, device parameters the
-/// models reject, affinity masks naming offline CPUs, dangling
-/// fault/device/task names in the timeline, times outside the run, bad
-/// `/proc/shield` paths.
+/// models reject, a measured task's priority outside 1..=99, affinity masks
+/// naming offline CPUs, dangling fault/device/task names in the timeline,
+/// times outside the run, bad `/proc/shield` paths.
 pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
     if spec.measured.is_empty() {
         return Err(ScenarioError::Empty("measured tasks"));
@@ -316,6 +321,9 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
     };
 
     for m in &spec.measured {
+        if !(1..=99).contains(&m.rt_prio) {
+            return Err(ScenarioError::BadPriority { task: m.name.clone(), rt_prio: m.rt_prio });
+        }
         if let Some(pin) = &m.pin {
             let mask = check_online(format!("measured task '{}'", m.name), pin)?;
             if mask.is_empty() {
@@ -1199,6 +1207,20 @@ mod tests {
             run_scenario(&spec).err(),
             Some(ScenarioError::BadDevice { device, .. }) if device == "rcim"
         ));
+    }
+
+    #[test]
+    fn measured_priorities_outside_one_to_ninety_nine_are_rejected() {
+        for rt_prio in [0, 100] {
+            let mut spec = fig7_scenario();
+            spec.measured[0].rt_prio = rt_prio;
+            let task = spec.measured[0].name.clone();
+            assert_eq!(
+                run_scenario(&spec).err(),
+                Some(ScenarioError::BadPriority { task, rt_prio }),
+                "rt_prio {rt_prio}"
+            );
+        }
     }
 
     /// The shipped storm scenario with `eth0`'s arrival gap replaced.

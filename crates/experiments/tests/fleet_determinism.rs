@@ -327,14 +327,16 @@ fn fault_matrix_is_worker_count_invariant() {
         serde_json::to_string(&rb.cells).unwrap()
     );
     assert_eq!(ra.violations, rb.violations);
-    let key = |flights: &[sp_experiments::CellFlight]| {
-        flights
+    let key = |report: &sp_experiments::FaultMatrixReport, flights: &[Vec<WorstCaseTrace>]| {
+        report
+            .cells
             .iter()
-            .map(|f| {
-                let lat: Vec<_> = f.traces.iter().map(|t| t.latency).collect();
-                (f.fault.clone(), f.path.clone(), f.shielded, lat)
+            .zip(flights)
+            .map(|(c, traces)| {
+                let lat: Vec<_> = traces.iter().map(|t| t.latency).collect();
+                (c.fault.clone(), c.path.clone(), c.shielded, lat)
             })
             .collect::<Vec<_>>()
     };
-    assert_eq!(key(fa), key(fb));
+    assert_eq!(key(ra, fa), key(rb, fb));
 }

@@ -2,17 +2,19 @@
 //!
 //! Each entry is an FNV-1a digest of a study's serialized result (plus, for
 //! flight-armed runs, every captured window's latency and event count). The
-//! digests were recorded before the study pipeline was consolidated, and
+//! digests were recorded before the study pipeline was consolidated (the
+//! suite's before the figure table replaced the hand-unpacked runner), and
 //! they cover what the per-module tests do not pin byte for byte: the
 //! sharded (K > 1) fork paths, the fault matrix, the modern-isolation
-//! matrix and a small sweep. A change that moves one of these digests has
-//! changed a simulated output, not just refactored how it is produced.
+//! matrix, a small sweep and the seven-figure suite JSON. A change that
+//! moves one of these digests has changed a simulated output, not just
+//! refactored how it is produced.
 
 use serde::Serialize;
 use sp_experiments::{
-    run_fault_matrix_with_flight, run_modern_matrix_with_flight, run_rcim_with_flight,
-    run_realfeel_with_flight, run_sweep, FaultMatrixConfig, ModernConfig, RcimConfig,
-    RealfeelConfig, SweepConfig,
+    run_fault_matrix_with_flight, run_figures, run_modern_matrix_with_flight,
+    run_rcim_with_flight, run_realfeel_with_flight, run_sweep, FaultMatrixConfig, ModernConfig,
+    RcimConfig, RealfeelConfig, SweepConfig,
 };
 use sp_kernel::WorstCaseTrace;
 
@@ -80,9 +82,11 @@ fn rcim_outputs_are_pinned() {
 fn fault_matrix_output_is_pinned() {
     let cfg = FaultMatrixConfig { samples_per_cell: 800, shards: 2, seed: 0xFA17_5EED };
     let (report, flights) = run_fault_matrix_with_flight(&cfg, 1);
-    let flights: Vec<_> = flights
+    let flights: Vec<_> = report
+        .cells
         .iter()
-        .map(|f| ((&f.fault, &f.path, f.shielded), trace_key(&f.traces)))
+        .zip(&flights)
+        .map(|(c, traces)| ((&c.fault, &c.path, c.shielded), trace_key(traces)))
         .collect();
     assert_eq!((digest(&report), digest(&flights)), (0xe666eea75bf931d8, 0x5c72df3ea15da461));
 }
@@ -91,9 +95,11 @@ fn fault_matrix_output_is_pinned() {
 fn modern_matrix_output_is_pinned() {
     let cfg = ModernConfig { samples_per_cell: 600, shards: 2, seed: 0xA0DE_125EED };
     let (report, flights) = run_modern_matrix_with_flight(&cfg, 1);
-    let flights: Vec<_> = flights
+    let flights: Vec<_> = report
+        .cells
         .iter()
-        .map(|f| ((&f.variant, &f.fault, &f.path), trace_key(&f.traces)))
+        .zip(&flights)
+        .map(|(c, traces)| ((&c.variant, &c.fault, &c.path), trace_key(traces)))
         .collect();
     assert_eq!((digest(&report), digest(&flights)), (0x593b736580e9870d, 0x35d4c7a9af05db6e));
 }
@@ -104,4 +110,14 @@ fn sweep_output_is_pinned() {
     let (report, _) = run_sweep(&cfg);
     assert_eq!(report.cells, 6);
     assert_eq!(digest(&report), 0xb9883af36dc2114c);
+}
+
+/// The suite JSON `reproduce_all --json` writes (an object keyed `fig1` …
+/// `fig7`) and each figure's captured windows, at floor scale: 60
+/// determinism iterations and 1,000 latency samples over two shards.
+#[test]
+fn figure_suite_output_is_pinned() {
+    let suite = run_figures(0.002, 2, 1);
+    let windows: Vec<_> = suite.runs.iter().map(|r| trace_key(&r.traces)).collect();
+    assert_eq!((digest(&suite), digest(&windows)), (0x9bf6266eb5149a80, 0xb4fa42bba0d2f326));
 }

@@ -1,11 +1,13 @@
 //! The runtime fault registry: owns registration (pre-start), arming and
 //! disarming of [`FaultSpec`]s against a live simulator.
 
-use crate::tasks::{spawn_cpu_hog, spawn_lock_holder, CpuHog, LockHolder};
 use crate::{FaultKind, FaultSpec, StormDevice, CTRL_ARM, CTRL_DISARM};
-use simcore::Nanos;
+use simcore::{DurationDist, Nanos};
 use sp_hw::{CpuMask, IrqLine};
-use sp_kernel::{Device, DeviceId, LockId, Pid, SchedPolicy, Simulator};
+use sp_kernel::{
+    Device, DeviceId, KernelSegment, LockId, Op, Pid, Program, SchedPolicy, Simulator,
+    SyscallService, TaskSpec,
+};
 
 /// Errors from registering or driving faults.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,27 +245,50 @@ fn parse_mask(s: &str) -> Result<CpuMask, InjectError> {
     s.parse().map_err(|_| InjectError::BadMask(s.to_string()))
 }
 
+/// Spawn a task fault's rogue task (before or after `start()`).
+///
+/// A lock holder is a SCHED_FIFO task that repeatedly enters the kernel and
+/// holds its lock with `spin_lock_irqsave` semantics for a bounded Pareto
+/// stretch of a quarter of `hold_us` up to `hold_us` (an audited kernel caps
+/// its hold times; the injector models a pathological but finite driver),
+/// sleeping an exponential `gap_us` in between: §6.2's stretched-hold
+/// mechanism driven deliberately. A CPU hog computes `burst_ms` and sleeps
+/// `idle_ms`, forever, so lower-priority tasks starve in stretches rather
+/// than permanently.
 fn spawn_task_fault(sim: &mut Simulator, spec: &FaultSpec) -> Result<Vec<Pid>, InjectError> {
-    match &spec.kind {
+    let (name, rt_prio, program, pin) = match &spec.kind {
         FaultKind::LockHolder { lock, hold_us, gap_us, rt_prio, pin } => {
             let lock =
                 LockId::from_name(lock).ok_or_else(|| InjectError::UnknownLock(lock.clone()))?;
-            let mut holder = LockHolder::new(lock, *hold_us, *gap_us, *rt_prio);
-            if let Some(p) = pin {
-                holder = holder.pinned(parse_mask(p)?);
-            }
-            Ok(vec![spawn_lock_holder(sim, &holder)])
+            let pin = pin.as_deref().map(parse_mask).transpose()?;
+            let hold_us = (*hold_us).max(4);
+            let hold = DurationDist::bounded_pareto(
+                Nanos::from_us(hold_us / 4),
+                Nanos::from_us(hold_us),
+                1.1,
+            );
+            let svc = SyscallService::new(format!("inject-hold-{lock}"))
+                .segment(KernelSegment::locked_irqsave(lock, hold))
+                .not_injectable();
+            let sys = sim.register_syscall(svc);
+            let gap = DurationDist::exponential(Nanos::from_us((*gap_us).max(1)));
+            let program = Program::forever(vec![Op::Syscall(sys), Op::Sleep(gap)]);
+            (format!("inject-lockholder-{lock}"), *rt_prio, program, pin)
         }
         FaultKind::CpuHog { rt_prio, burst_ms, idle_ms, pin } => {
-            let mut hog =
-                CpuHog::new(*rt_prio, Nanos::from_ms(*burst_ms), Nanos::from_ms(*idle_ms));
-            if let Some(p) = pin {
-                hog = hog.pinned(parse_mask(p)?);
-            }
-            Ok(vec![spawn_cpu_hog(sim, &hog)])
+            let pin = pin.as_deref().map(parse_mask).transpose()?;
+            let burst = DurationDist::constant(Nanos::from_ms(*burst_ms));
+            let idle = DurationDist::constant(Nanos::from_ms(*idle_ms));
+            let program = Program::forever(vec![Op::Compute(burst), Op::Sleep(idle)]);
+            ("inject-cpu-hog".to_string(), *rt_prio, program, pin)
         }
         _ => unreachable!("device faults are armed via device_control"),
+    };
+    let mut task = TaskSpec::new(name, SchedPolicy::fifo(rt_prio), program).mlockall();
+    if let Some(pin) = pin {
+        task = task.pinned(pin);
     }
+    Ok(vec![sim.spawn(task)])
 }
 
 /// Reject the numbers the injectors assert on: a storm rate whose mean gap
@@ -295,8 +320,8 @@ fn check_fault_numbers(spec: &FaultSpec) -> Result<(), InjectError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_hw::MachineConfig;
-    use sp_kernel::KernelConfig;
+    use sp_hw::{CpuId, MachineConfig};
+    use sp_kernel::{KernelConfig, TaskState};
 
     fn sim() -> Simulator {
         Simulator::new(MachineConfig::dual_xeon_p3(), KernelConfig::redhawk(), 0xA3)
@@ -442,6 +467,59 @@ mod tests {
         armory.arm(&mut sim, "hog").unwrap();
         assert_eq!(armory.task_pids("hog"), pids);
         assert_eq!(sim.task(pids[0]).policy, SchedPolicy::fifo(95));
+    }
+
+    /// Register `kind` as fault "f" and arm it before `start()`; returns
+    /// the armory and the rogue task's pid.
+    fn armed(sim: &mut Simulator, kind: FaultKind) -> (Armory, Pid) {
+        let mut armory = Armory::new();
+        armory.register(sim, &FaultSpec { name: "f".into(), kind }).unwrap();
+        armory.arm(sim, "f").unwrap();
+        let pid = armory.task_pids("f")[0];
+        (armory, pid)
+    }
+
+    #[test]
+    fn lock_holder_contends_the_named_lock() {
+        let mut sim = sim();
+        let kind = FaultKind::LockHolder {
+            lock: "net_lock".into(),
+            hold_us: 500,
+            gap_us: 100,
+            rt_prio: 80,
+            pin: None,
+        };
+        let (_armory, pid) = armed(&mut sim, kind);
+        sim.start();
+        sim.run_for(Nanos::from_ms(200));
+        let net = sim.lock_stats().get(LockId::NET);
+        assert!(net.acquisitions > 50, "holder acquired net_lock {} times", net.acquisitions);
+        assert_ne!(sim.task(pid).state, TaskState::Exited);
+    }
+
+    #[test]
+    fn cpu_hog_burns_rt_time_on_its_pin() {
+        let mut sim = sim();
+        let pin = Some(CpuMask::single(CpuId(0)).to_string());
+        armed(&mut sim, FaultKind::CpuHog { rt_prio: 95, burst_ms: 4, idle_ms: 4, pin });
+        sim.start();
+        sim.run_for(Nanos::from_ms(400));
+        let busy = sim.obs.cpu[0].user;
+        // ~50% duty cycle of user-mode compute on CPU 0.
+        assert!(busy > Nanos::from_ms(120), "hog burned only {busy}");
+    }
+
+    #[test]
+    fn mid_run_spawn_wakes_immediately() {
+        let mut sim = sim();
+        sim.start();
+        sim.run_for(Nanos::from_ms(50));
+        let kind = FaultKind::CpuHog { rt_prio: 90, burst_ms: 2, idle_ms: 2, pin: None };
+        let (_armory, pid) = armed(&mut sim, kind);
+        sim.run_for(Nanos::from_ms(100));
+        assert_ne!(sim.task(pid).state, TaskState::Exited);
+        let total_user: u64 = sim.obs.cpu.iter().map(|c| c.user.0).sum();
+        assert!(total_user > 0, "mid-run hog never ran");
     }
 
     /// A task fault's spawned state travels with a clone: arm a hog (its

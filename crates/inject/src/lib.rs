@@ -12,11 +12,11 @@
 //!   rate, but each bottom half carries a heavy-tailed work bolus.
 //! * **Stuck ISR** ([`StormDevice::stuck_isr`]) — device misbehaviour: a
 //!   handler that polls a wedged card for milliseconds per interrupt.
-//! * **Lock-holder preemption** ([`LockHolder`]) — a task that grabs a named
-//!   global spinlock with `spin_lock_irqsave` semantics for a
+//! * **Lock-holder preemption** ([`FaultKind::LockHolder`]) — a task that
+//!   grabs a named global spinlock with `spin_lock_irqsave` semantics for a
 //!   distribution-drawn stretch, the §6.2 failure mechanism made malicious.
-//! * **Rogue CPU hog** ([`CpuHog`]) — a duty-cycled SCHED_FIFO compute loop
-//!   at higher priority than the measured task.
+//! * **Rogue CPU hog** ([`FaultKind::CpuHog`]) — a duty-cycled SCHED_FIFO
+//!   compute loop at higher priority than the measured task.
 //!
 //! Injectors are built on the existing [`sp_kernel::Device`] / task
 //! machinery: a disarmed injector schedules no events and spawns no tasks,
@@ -32,11 +32,9 @@
 //! disarming against a live simulator.
 
 mod armory;
-mod tasks;
 
 pub use armory::{Armory, InjectError};
 pub use sp_kernel::devices::storm::{StormDevice, CTRL_ARM, CTRL_DISARM};
-pub use tasks::{spawn_cpu_hog, spawn_lock_holder, CpuHog, LockHolder};
 
 use serde::{Deserialize, Serialize};
 

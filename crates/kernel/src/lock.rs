@@ -78,17 +78,6 @@ impl LockState {
         Some(next)
     }
 
-    /// Remove a waiter that stopped waiting for reasons other than a grant
-    /// (task teardown). Returns true if it was present.
-    pub fn abandon_wait(&mut self, pid: Pid) -> bool {
-        if let Some(idx) = self.waiters.iter().position(|&p| p == pid) {
-            self.waiters.remove(idx);
-            true
-        } else {
-            false
-        }
-    }
-
     pub fn is_held(&self) -> bool {
         self.holder.is_some()
     }
@@ -175,16 +164,6 @@ mod tests {
         // Nobody actively spinning: FIFO fallback.
         assert_eq!(l.release(Pid(3), Instant(6), |_| false), Some(Pid(2)));
         assert_eq!(l.release(Pid(2), Instant(7), |_| false), None);
-    }
-
-    #[test]
-    fn abandon_wait_removes() {
-        let mut l = LockState::default();
-        l.acquire_or_wait(Pid(1), Instant(0));
-        l.acquire_or_wait(Pid(2), Instant(1));
-        assert!(l.abandon_wait(Pid(2)));
-        assert!(!l.abandon_wait(Pid(2)));
-        assert_eq!(l.release(Pid(1), Instant(2), |_| true), None);
     }
 
     #[test]

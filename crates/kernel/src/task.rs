@@ -34,10 +34,6 @@ impl SchedPolicy {
         SchedPolicy::Other { nice }
     }
 
-    pub fn is_rt(&self) -> bool {
-        !matches!(self, SchedPolicy::Other { .. })
-    }
-
     /// Effective priority on the O(1) scheduler's 0..140 scale
     /// (lower number = higher priority; 0..100 real-time, 100..140 nice).
     pub fn effective_prio(&self) -> u8 {
@@ -215,10 +211,6 @@ impl Task {
     pub fn effective_prio(&self) -> u8 {
         self.policy.effective_prio()
     }
-
-    pub fn is_rt(&self) -> bool {
-        self.policy.is_rt()
-    }
 }
 
 #[cfg(test)]
@@ -273,6 +265,5 @@ mod tests {
         assert_eq!(t.state, TaskState::Ready);
         assert_eq!(t.op_idx, 0);
         assert_eq!(t.phase, Phase::Start);
-        assert!(t.is_rt());
     }
 }

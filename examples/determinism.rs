@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example determinism [iterations]`
 
 use shielded_processors::prelude::*;
-use sp_experiments::report::render_determinism;
-use sp_experiments::{run_determinism, DeterminismConfig};
+use sp_experiments::{Experiment, Figure, FigureResult};
 
 fn main() {
     let iterations: u32 = std::env::args()
@@ -14,21 +13,15 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(30);
 
-    let configs = [
-        ("fig1", DeterminismConfig::fig1_vanilla_ht()),
-        ("fig2", DeterminismConfig::fig2_redhawk_shielded()),
-        ("fig3", DeterminismConfig::fig3_redhawk_unshielded()),
-        ("fig4", DeterminismConfig::fig4_vanilla_noht()),
-    ];
-
     let mut table = Table::new(["figure", "configuration", "ideal", "max", "jitter %"]);
-    for (id, cfg) in configs {
-        let cfg = cfg.with_iterations(iterations);
-        let r = run_determinism(&cfg);
-        print!("{}", render_determinism(id, &r));
+    for fig in Figure::ALL {
+        let Experiment::Determinism(cfg) = fig.experiment() else { continue };
+        let (result, _) = Experiment::Determinism(cfg.with_iterations(iterations)).run(0);
+        print!("{}", result.render(fig.id()));
+        let FigureResult::Determinism(r) = &result else { unreachable!() };
         table.row([
-            id.to_string(),
-            cfg.label(),
+            fig.id().to_string(),
+            result.label(),
             format!("{:.4}s", r.summary.ideal.as_secs_f64()),
             format!("{:.4}s", r.summary.max.as_secs_f64()),
             format!("{:.2}", r.summary.jitter_pct()),
