@@ -37,7 +37,7 @@ pub enum Band {
 }
 
 /// A figure's experiment: one of the three measured configurations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Experiment {
     Determinism(DeterminismConfig),
     Realfeel(RealfeelConfig),
@@ -206,6 +206,27 @@ impl fmt::Display for Band {
 }
 
 impl Experiment {
+    /// The experiment on its seed plus `offset` (wrapping).
+    pub fn with_seed_offset(mut self, offset: u64) -> Experiment {
+        let seed = match &mut self {
+            Experiment::Determinism(c) => &mut c.seed,
+            Experiment::Realfeel(c) => &mut c.seed,
+            Experiment::Rcim(c) => &mut c.seed,
+        };
+        *seed = seed.wrapping_add(offset);
+        self
+    }
+
+    /// The experiment with `iterations` determinism iterations or `samples`
+    /// latency samples, whichever it counts.
+    pub fn sized(self, iterations: u32, samples: u64) -> Experiment {
+        match self {
+            Experiment::Determinism(c) => Experiment::Determinism(c.with_iterations(iterations)),
+            Experiment::Realfeel(c) => Experiment::Realfeel(c.with_samples(samples)),
+            Experiment::Rcim(c) => Experiment::Rcim(c.with_samples(samples)),
+        }
+    }
+
     /// The experiment with its iteration or sample count multiplied by
     /// `scale` (rounded up): at least `min_iterations` determinism
     /// iterations, or at least 1,000 latency samples split across `shards`.

@@ -30,9 +30,7 @@ pub use figure::{run_figures, Band, Experiment, Figure, FigureResult, FigureRun,
 pub use flight::{merge_top, trace_meta};
 pub use rcim::{run_rcim, run_rcim_with_flight, RcimConfig, RcimResult};
 pub use realfeel::{run_realfeel, run_realfeel_with_flight, RealfeelConfig, RealfeelResult};
-pub use replication::{
-    replicate_determinism, replicate_rcim_max, replicate_realfeel_max, Replicated,
-};
+pub use replication::{replicate, Merit, Replicated};
 pub use faultmatrix::{
     run_fault_matrix, run_fault_matrix_with_flight, FaultMatrixConfig,
     FaultMatrixReport, MatrixCell,

@@ -6,25 +6,54 @@
 //! ("the shielded max is 20–24 µs across every seed") is much stronger than
 //! a single draw.
 
-use crate::determinism::{run_determinism, DeterminismConfig};
-use crate::rcim::{run_rcim, RcimConfig};
-use crate::realfeel::{run_realfeel, RealfeelConfig};
-use serde::{Deserialize, Serialize};
+use crate::figure::{Experiment, FigureResult};
 use simcore::Nanos;
 
-/// min / median / max of a figure-of-merit across seed replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Replicated<T> {
-    pub min: T,
-    pub median: T,
-    pub max: T,
+/// What a replicated figure of merit measures, and in which unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merit {
+    /// Worst-iteration jitter of a determinism run, in thousandths of a
+    /// percent of the ideal loop time.
+    JitterPctMilli,
+    /// Worst-case interrupt-response latency, in nanoseconds.
+    MaxLatencyNs,
+}
+
+impl Merit {
+    /// The column heading for this figure of merit.
+    pub fn name(self) -> &'static str {
+        match self {
+            Merit::JitterPctMilli => "jitter %",
+            Merit::MaxLatencyNs => "max latency",
+        }
+    }
+
+    /// `value` in this unit, for display: jitter as a percent with two
+    /// decimals, latency as a [`Nanos`].
+    pub fn show(self, value: u64) -> String {
+        match self {
+            Merit::JitterPctMilli => format!("{:.2}", value as f64 / 1000.0),
+            Merit::MaxLatencyNs => Nanos(value).to_string(),
+        }
+    }
+}
+
+/// min / median / max of a figure-of-merit across seed replicas, in the
+/// unit `merit` names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Replicated {
+    pub merit: Merit,
+    pub min: u64,
+    pub median: u64,
+    pub max: u64,
     pub replicas: u32,
 }
 
-fn summarize<T: Copy + Ord>(mut values: Vec<T>) -> Replicated<T> {
+fn summarize(merit: Merit, mut values: Vec<u64>) -> Replicated {
     assert!(!values.is_empty());
     values.sort();
     Replicated {
+        merit,
         min: values[0],
         median: values[values.len() / 2],
         max: values[values.len() - 1],
@@ -32,60 +61,45 @@ fn summarize<T: Copy + Ord>(mut values: Vec<T>) -> Replicated<T> {
     }
 }
 
-/// Relative spread (max−min)/median as a fraction, for f64 display.
-impl Replicated<Nanos> {
+impl Replicated {
+    /// Relative spread (max−min)/median as a fraction.
     pub fn relative_spread(&self) -> f64 {
-        if self.median.is_zero() {
+        if self.median == 0 {
             0.0
         } else {
-            (self.max.as_ns() - self.min.as_ns()) as f64 / self.median.as_ns() as f64
+            (self.max - self.min) as f64 / self.median as f64
         }
     }
 }
 
-/// Jitter percentage across replicas of a determinism config.
-pub fn replicate_determinism(cfg: &DeterminismConfig, seeds: u32) -> Replicated<u64> {
-    assert!(seeds > 0);
-    let values = (0..seeds)
-        .map(|i| {
-            let c = cfg.clone().with_seed(cfg.seed.wrapping_add(1 + i as u64));
-            run_determinism(&c).summary.jitter_pct_milli
-        })
-        .collect();
-    summarize(values)
+/// The figure of merit of one run: worst-iteration jitter for a determinism
+/// run, the worst latency otherwise.
+fn merit(r: &FigureResult) -> (Merit, u64) {
+    match r {
+        FigureResult::Determinism(d) => (Merit::JitterPctMilli, d.summary.jitter_pct_milli),
+        FigureResult::Realfeel(r) => (Merit::MaxLatencyNs, r.summary.max.as_ns()),
+        FigureResult::Rcim(r) => (Merit::MaxLatencyNs, r.summary.max.as_ns()),
+    }
 }
 
-/// Worst-case latency across replicas of a realfeel config.
-pub fn replicate_realfeel_max(cfg: &RealfeelConfig, seeds: u32) -> Replicated<Nanos> {
+/// The figure of merit of `experiment` across `seeds` replicas; replica `i`
+/// runs on the experiment's seed plus `1 + i`.
+pub fn replicate(experiment: &Experiment, seeds: u32) -> Replicated {
     assert!(seeds > 0);
-    let values = (0..seeds)
-        .map(|i| {
-            let c = cfg.clone().with_seed(cfg.seed.wrapping_add(1 + i as u64));
-            run_realfeel(&c).summary.max
-        })
+    let runs: Vec<(Merit, u64)> = (0..seeds)
+        .map(|i| merit(&experiment.clone().with_seed_offset(1 + i as u64).run(0).0))
         .collect();
-    summarize(values)
-}
-
-/// Worst-case latency across replicas of an RCIM config.
-pub fn replicate_rcim_max(cfg: &RcimConfig, seeds: u32) -> Replicated<Nanos> {
-    assert!(seeds > 0);
-    let values = (0..seeds)
-        .map(|i| {
-            let c = cfg.clone().with_seed(cfg.seed.wrapping_add(1 + i as u64));
-            run_rcim(&c).summary.max
-        })
-        .collect();
-    summarize(values)
+    summarize(runs[0].0, runs.into_iter().map(|(_, v)| v).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeterminismConfig, RcimConfig};
 
     #[test]
     fn summarize_orders_correctly() {
-        let r = summarize(vec![5u64, 1, 9, 3, 7]);
+        let r = summarize(Merit::MaxLatencyNs, vec![5u64, 1, 9, 3, 7]);
         assert_eq!(r.min, 1);
         assert_eq!(r.median, 5);
         assert_eq!(r.max, 9);
@@ -97,9 +111,10 @@ mod tests {
         // The paper's headline: the shielded worst case is a *guarantee*.
         // Every seed must stay under 30 µs.
         let cfg = RcimConfig::fig7_redhawk_shielded().with_samples(15_000);
-        let r = replicate_rcim_max(&cfg, 5);
-        assert!(r.max < Nanos::from_us(30), "worst replica: {}", r.max);
-        assert!(r.min >= Nanos::from_us(12), "best replica: {}", r.min);
+        let r = replicate(&Experiment::Rcim(cfg), 5);
+        assert_eq!(r.merit, Merit::MaxLatencyNs);
+        assert!(r.max < Nanos::from_us(30).as_ns(), "worst replica: {}", r.merit.show(r.max));
+        assert!(r.min >= Nanos::from_us(12).as_ns(), "best replica: {}", r.merit.show(r.min));
         assert!(r.relative_spread() < 0.6, "spread {:.2}", r.relative_spread());
     }
 
@@ -107,8 +122,9 @@ mod tests {
     fn shielded_jitter_stable_across_seeds() {
         let mut cfg = DeterminismConfig::fig2_redhawk_shielded().with_iterations(10);
         cfg.loop_work = Nanos::from_ms(250);
-        let r = replicate_determinism(&cfg, 4);
-        // jitter_pct_milli is percent × 1000: all replicas well under 4%.
-        assert!(r.max < 4_000, "worst replica jitter: {}", r.max as f64 / 1000.0);
+        let r = replicate(&Experiment::Determinism(cfg), 4);
+        // All replicas well under 4 % jitter.
+        assert_eq!(r.merit, Merit::JitterPctMilli);
+        assert!(r.max < 4_000, "worst replica jitter: {}", r.merit.show(r.max));
     }
 }

@@ -115,7 +115,8 @@ pub struct MeasuredSpec {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "type")]
 pub enum MeasuredKind {
-    /// Block on a device interrupt through an API; record latencies.
+    /// Block on an `Rtc` or `Rcim` device's interrupt through an API;
+    /// record latencies.
     IrqWait { device: String, api: WaitApiSpec },
     /// Determinism loop; record per-iteration wall times.
     Loop { work_ms: u64 },
@@ -250,6 +251,9 @@ pub enum ScenarioError {
     BadPriority { task: String, rt_prio: u8 },
     /// A device's parameters are outside what its model accepts.
     BadDevice { device: String, why: String },
+    /// A measured task waits on a device that has no interrupt waiters
+    /// (only `Rtc` and `Rcim` devices have them).
+    NotWaitable { task: String, device: String },
     Kernel(String),
     /// Fault registration or arming failed.
     Inject(String),
@@ -273,6 +277,11 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "measured task '{task}': rt_prio {rt_prio} is not in 1..=99")
             }
             ScenarioError::BadDevice { device, why } => write!(f, "device '{device}': {why}"),
+            ScenarioError::NotWaitable { task, device } => write!(
+                f,
+                "measured task '{task}' waits on device '{device}', which has no interrupt \
+                 waiters (only Rtc and Rcim devices do)"
+            ),
             ScenarioError::Kernel(e) => write!(f, "{e}"),
             ScenarioError::Inject(e) => write!(f, "{e}"),
             ScenarioError::Empty(what) => write!(f, "scenario has no {what}"),
@@ -289,7 +298,8 @@ fn parse_mask(s: &str) -> Result<CpuMask, ScenarioError> {
 /// Static spec validation, run before any simulation is built. Catches what
 /// used to surface as confusing mid-run errors or panics inside the
 /// simulator: an invalid machine or kernel config, device parameters the
-/// models reject, a measured task's priority outside 1..=99, affinity masks
+/// models reject, a measured task's priority outside 1..=99 or wait on a
+/// device that has no interrupt waiters, affinity masks
 /// naming offline CPUs, dangling fault/device/task names in the timeline,
 /// times outside the run, bad `/proc/shield` paths.
 pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
@@ -328,6 +338,14 @@ pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
             let mask = check_online(format!("measured task '{}'", m.name), pin)?;
             if mask.is_empty() {
                 return Err(ScenarioError::BadMask(pin.clone()));
+            }
+        }
+        if let MeasuredKind::IrqWait { device, .. } = &m.kind {
+            // An unknown name is `build`'s `UnknownDevice`.
+            let kind = spec.devices.iter().find(|d| d.name == *device).map(|d| &d.kind);
+            if !matches!(kind, None | Some(DeviceKind::Rtc { .. } | DeviceKind::Rcim { .. })) {
+                let (task, device) = (m.name.clone(), device.clone());
+                return Err(ScenarioError::NotWaitable { task, device });
             }
         }
     }
@@ -1219,6 +1237,20 @@ mod tests {
                 run_scenario(&spec).err(),
                 Some(ScenarioError::BadPriority { task, rt_prio }),
                 "rt_prio {rt_prio}"
+            );
+        }
+    }
+
+    #[test]
+    fn irq_waits_on_devices_without_waiters_are_rejected() {
+        for name in ["eth0", "sda", "gpu"] {
+            let mut spec = fig7_scenario();
+            let api = WaitApiSpec::Ioctl { driver_bkl_free: true };
+            spec.measured[0].kind = MeasuredKind::IrqWait { device: name.into(), api };
+            let task = spec.measured[0].name.clone();
+            assert_eq!(
+                validate(&spec).err(),
+                Some(ScenarioError::NotWaitable { task, device: name.into() })
             );
         }
     }

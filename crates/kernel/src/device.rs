@@ -2,7 +2,7 @@
 //!
 //! Devices are state machines that (a) schedule their own future events
 //! (timer expiries, packet arrivals, I/O completions), (b) assert their IRQ
-//! line, and (c) tell the kernel what their ISR found: which sleeping tasks
+//! line, and (c) tell the kernel what their ISR found: which I/O submitter
 //! to wake and how much bottom-half work to raise. Concrete devices (RTC,
 //! RCIM, NIC, disk, GPU, fault injectors) live in [`crate::devices`] and are
 //! dispatched through the closed [`crate::devices::AnyDevice`] enum; foreign
@@ -10,14 +10,14 @@
 
 use crate::ids::{Pid, SoftirqClass};
 use simcore::{DurationDist, Instant, Nanos, SimRng};
-use sp_hw::IrqLine;
+use sp_hw::{CpuMask, IrqLine, IrqRouting};
 
-/// Deferred commands a device issues during a callback; the simulator
-/// executes them when the callback returns (the device is temporarily
-/// detached from the simulator while being called).
-#[derive(Debug, Default)]
+/// What a device callback sees of the simulator, and the commands it
+/// issues; the simulator executes the commands when the callback returns.
+#[derive(Debug, Default, Clone)]
 pub struct DeviceCtx {
     pub(crate) now: Instant,
+    pub(crate) waiters: usize,
     pub(crate) commands: Vec<DeviceCmd>,
 }
 
@@ -30,22 +30,15 @@ pub(crate) enum DeviceCmd {
 }
 
 impl DeviceCtx {
-    /// Build a context around a recycled command buffer so the dispatch hot
-    /// loop doesn't allocate a fresh `Vec` per device callback. The buffer
-    /// is handed back (drained) via [`DeviceCtx::recycle`].
-    pub(crate) fn with_buffer(now: Instant, mut buf: Vec<DeviceCmd>) -> Self {
-        buf.clear();
-        DeviceCtx { now, commands: buf }
-    }
-
-    /// Take the (already drained) buffer back for reuse.
-    pub(crate) fn recycle(self) -> Vec<DeviceCmd> {
-        self.commands
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Instant {
         self.now
+    }
+
+    /// Tasks blocked in a `WaitIrq` on this device (see [`Device`]). In
+    /// [`Device::on_isr`] these are the tasks the interrupt is about to wake.
+    pub fn waiters(&self) -> usize {
+        self.waiters
     }
 
     /// Arrange for `on_timer(tag)` to be called after `delay`.
@@ -67,8 +60,10 @@ impl DeviceCtx {
 /// What the ISR discovered.
 #[derive(Debug, Default)]
 pub struct IsrOutcome {
-    /// Sleeping tasks to wake (I/O completions, interrupt subscribers).
-    pub wake: Vec<Pid>,
+    /// The I/O submitter this interrupt completes, if any (a disk or NIC TX
+    /// completion). Interrupt waiters are not listed: the simulator wakes
+    /// them itself.
+    pub wake: Option<Pid>,
     /// Bottom-half work raised by this interrupt.
     pub softirq: Option<(SoftirqClass, Nanos)>,
 }
@@ -89,6 +84,13 @@ impl IsrOutcome {
 /// A device is checkpointed by cloning it whole (see [`DeviceClone`]), so
 /// every field — counters, queues, phase state and configuration alike —
 /// crosses a [`crate::Checkpoint`] without a per-device serializer.
+///
+/// Interrupt waiters belong to the simulator, not the device. A task whose
+/// `WaitIrq` op blocks on a device joins that device's one FIFO wait queue
+/// in the simulator; after every [`Device::on_isr`] the simulator wakes
+/// each queued task in arrival order and empties the queue. A device only
+/// reads the queue's length, [`DeviceCtx::waiters`], for example to count an
+/// interrupt that found nobody waiting.
 pub trait Device: std::fmt::Debug + Send + Sync + DeviceClone {
     fn name(&self) -> &str;
 
@@ -102,12 +104,9 @@ pub trait Device: std::fmt::Debug + Send + Sync + DeviceClone {
     fn on_timer(&mut self, tag: u64, ctx: &mut DeviceCtx, rng: &mut SimRng);
 
     /// A task submitted blocking I/O; the device must eventually assert its
-    /// IRQ and report the pid in a subsequent [`Device::on_isr`] wake list.
+    /// IRQ and report the pid as a later [`Device::on_isr`]'s
+    /// [`IsrOutcome::wake`].
     fn submit_io(&mut self, pid: Pid, ctx: &mut DeviceCtx, rng: &mut SimRng);
-
-    /// A task went to sleep waiting for this device's interrupt
-    /// (the `WaitIrq` op). The device wakes all subscribers on each fire.
-    fn subscribe(&mut self, pid: Pid);
 
     /// CPU time the ISR will consume (includes the wakeup work it performs).
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos;
@@ -115,20 +114,12 @@ pub trait Device: std::fmt::Debug + Send + Sync + DeviceClone {
     /// ISR body: decide what this interrupt means.
     fn on_isr(&mut self, ctx: &mut DeviceCtx, rng: &mut SimRng) -> IsrOutcome;
 
-    /// Extra kernel work executed in a woken subscriber's syscall-exit path,
+    /// Extra kernel work executed in a woken waiter's syscall-exit path,
     /// beyond the generic file-layer/ioctl costs (e.g. the RCIM's mapped
     /// count-register read is ~nothing; a PIO device might add more).
     fn reader_exit_work(&self) -> Option<DurationDist> {
         None
     }
-
-    /// The simulator hands the drained [`IsrOutcome::wake`] buffer back
-    /// (cleared, capacity intact) after processing the wakes, so devices
-    /// that `mem::take` a subscriber list on each fire can store it and
-    /// reuse the allocation for the next subscription round instead of
-    /// growing a fresh `Vec` per interrupt. Purely an allocation-recycling
-    /// hook — ignoring it (the default) is always correct.
-    fn reclaim_wake_buf(&mut self, _buf: Vec<Pid>) {}
 
     /// Out-of-band control message delivered through
     /// [`crate::Simulator::device_control`] — the fault-injection arm/disarm
@@ -161,15 +152,22 @@ impl Clone for Box<dyn Device> {
     }
 }
 
-/// Handle the simulator keeps per registered device.
+/// Everything the simulator keeps per registered device.
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceSlot {
-    /// `None` only while a callback is in flight (re-entrancy guard).
-    pub dev: Option<crate::devices::AnyDevice>,
+    pub dev: crate::devices::AnyDevice,
     /// Private random stream so one device's draws don't perturb another's.
     pub rng: SimRng,
+    /// What was written to the line's `smp_affinity`.
+    pub requested: CpuMask,
+    /// The line's routing, with the effective (shield-adjusted) affinity.
+    pub routing: IrqRouting,
+    /// Interrupts handled, per CPU (the /proc/interrupts row).
+    pub irq_counts: Vec<u64>,
     /// [`Device::reader_exit_work`] cached at registration, so the wake path
     /// doesn't clone a `DurationDist` (mix/shifted variants heap-allocate)
     /// per wake.
     pub exit_work: Option<DurationDist>,
+    /// Tasks blocked in a `WaitIrq` on this device, in arrival order.
+    pub waiters: Vec<Pid>,
 }

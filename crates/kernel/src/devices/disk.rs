@@ -17,9 +17,6 @@ pub struct DiskDevice {
     service: DurationDist,
     isr: DurationDist,
     bh: DurationDist,
-    /// Recycled wake-list allocation (see [`Device::reclaim_wake_buf`]);
-    /// capacity cache only, never read as state.
-    wake_spare: Vec<Pid>,
     pub completions: u64,
 }
 
@@ -38,7 +35,6 @@ impl DiskDevice {
                 DurationDist::bounded_pareto(Nanos(300), Nanos::from_us(12), 1.2),
             ),
             bh: DurationDist::bounded_pareto(Nanos::from_us(10), Nanos::from_us(150), 1.2),
-            wake_spare: Vec::new(),
             completions: 0,
         }
     }
@@ -76,19 +72,14 @@ impl Device for DiskDevice {
         }
     }
 
-    fn subscribe(&mut self, _pid: Pid) {
-        unreachable!("nobody waits on raw disk interrupts");
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
 
     fn on_isr(&mut self, ctx: &mut DeviceCtx, rng: &mut SimRng) -> IsrOutcome {
-        let mut out = IsrOutcome { wake: std::mem::take(&mut self.wake_spare), softirq: None };
-        if let Some(pid) = self.queue.pop_front() {
+        let wake = self.queue.pop_front();
+        if wake.is_some() {
             self.completions += 1;
-            out.wake.push(pid);
         }
         if self.queue.is_empty() {
             self.busy = false;
@@ -97,11 +88,7 @@ impl Device for DiskDevice {
             let service = self.service.sample(rng);
             ctx.schedule(service, TAG_COMPLETE);
         }
-        out.with_softirq(SoftirqClass::Block, self.bh.sample(rng))
-    }
-
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        self.wake_spare = buf;
+        IsrOutcome { wake, softirq: Some((SoftirqClass::Block, self.bh.sample(rng))) }
     }
 }
 
@@ -119,9 +106,9 @@ mod tests {
         // Only one completion is scheduled while the spindle is busy.
         assert_eq!(ctx.issued(), 1);
         let out = disk.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(1)]);
+        assert_eq!(out.wake, Some(Pid(1)));
         let out2 = disk.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out2.wake, vec![Pid(2)]);
+        assert_eq!(out2.wake, Some(Pid(2)));
         assert!(!disk.busy);
         assert_eq!(disk.completions, 2);
     }

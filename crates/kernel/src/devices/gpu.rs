@@ -84,10 +84,6 @@ impl Device for GpuDevice {
         unreachable!("the GPU model accepts no block I/O");
     }
 
-    fn subscribe(&mut self, _pid: Pid) {
-        unreachable!("nobody waits on GPU interrupts");
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
@@ -110,6 +106,6 @@ mod tests {
         let (class, work) = out.softirq.unwrap();
         assert_eq!(class, SoftirqClass::Tasklet);
         assert!(work >= Nanos::from_us(15) && work <= Nanos::from_us(400));
-        assert!(out.wake.is_empty());
+        assert!(out.wake.is_none());
     }
 }

@@ -13,12 +13,6 @@
 //! * [`TrafficDevice`] — the coalesced request-serving traffic queue driven
 //!   by a declarative diurnal/burst [`TrafficProfile`],
 //! * [`OnOffPoisson`] — the bursty arrival process they share.
-//!
-//! Devices used to be registered as `Box<dyn Device>`; every `on_timer`,
-//! `isr_cost` and `on_isr` in the event hot loop then went through a vtable.
-//! [`AnyDevice`] closes the set: the simulator matches on the variant and
-//! calls the concrete method directly (inlinable), while still accepting
-//! out-of-tree implementations through [`AnyDevice::Custom`].
 
 pub mod disk;
 pub mod gpu;
@@ -59,7 +53,7 @@ pub enum AnyDevice {
     Storm(StormDevice),
     Traffic(TrafficDevice),
     /// Escape hatch for out-of-tree devices (test mocks, experiments);
-    /// dispatches through the vtable like the pre-enum code did.
+    /// dispatches through the vtable.
     Custom(Box<dyn Device>),
 }
 
@@ -115,11 +109,6 @@ impl Device for AnyDevice {
     }
 
     #[inline]
-    fn subscribe(&mut self, pid: Pid) {
-        dispatch!(self, subscribe(pid))
-    }
-
-    #[inline]
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         dispatch!(self, isr_cost(rng))
     }
@@ -132,11 +121,6 @@ impl Device for AnyDevice {
     #[inline]
     fn reader_exit_work(&self) -> Option<DurationDist> {
         dispatch!(self, reader_exit_work())
-    }
-
-    #[inline]
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        dispatch!(self, reclaim_wake_buf(buf))
     }
 
     #[inline]

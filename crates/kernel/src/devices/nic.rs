@@ -23,7 +23,9 @@ const TAG_TX_DONE: u64 = 2;
 /// NIC with optional autonomous RX traffic.
 #[derive(Debug, Clone)]
 pub struct NicDevice {
-    external: Option<OnOffPoisson>,
+    /// Boxed: three distributions would make the NIC the one oversized
+    /// [`super::AnyDevice`] variant.
+    external: Option<Box<OnOffPoisson>>,
     state: OnOffState,
     /// Tasks blocked in a send, FIFO.
     tx_waiters: VecDeque<Pid>,
@@ -43,7 +45,7 @@ pub struct NicDevice {
 impl NicDevice {
     pub fn new(external: Option<OnOffPoisson>) -> Self {
         NicDevice {
-            external,
+            external: external.map(Box::new),
             state: OnOffState::default(),
             tx_waiters: VecDeque::new(),
             tx_done_pending: 0,
@@ -86,7 +88,7 @@ impl Device for NicDevice {
     fn on_timer(&mut self, tag: u64, ctx: &mut DeviceCtx, rng: &mut SimRng) {
         match tag {
             TAG_PHASE => {
-                let profile = self.external.as_ref().expect("phase without profile");
+                let profile = self.external.as_deref().expect("phase without profile");
                 let len = self.state.flip(profile, rng);
                 ctx.schedule(len, TAG_PHASE);
                 if self.state.on {
@@ -98,7 +100,7 @@ impl Device for NicDevice {
                 if self.state.on {
                     self.rx_irqs += 1;
                     ctx.assert_irq();
-                    let profile = self.external.as_ref().expect("arrival without profile");
+                    let profile = self.external.as_deref().expect("arrival without profile");
                     let gap = self.state.next_gap(profile, rng);
                     ctx.schedule(gap, TAG_ARRIVAL);
                 }
@@ -118,26 +120,19 @@ impl Device for NicDevice {
         ctx.schedule(service, TAG_TX_DONE);
     }
 
-    fn subscribe(&mut self, _pid: Pid) {
-        unreachable!("nobody waits on raw NIC interrupts");
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
 
     fn on_isr(&mut self, _ctx: &mut DeviceCtx, rng: &mut SimRng) -> IsrOutcome {
-        let mut out = IsrOutcome::none();
         if self.tx_done_pending > 0 {
             // TX completion: light ring cleanup, wake the sender.
             self.tx_done_pending -= 1;
-            if let Some(pid) = self.tx_waiters.pop_front() {
-                out.wake.push(pid);
-            }
-            return out.with_softirq(SoftirqClass::NetTx, self.tx_softirq.sample(rng));
+            let wake = self.tx_waiters.pop_front();
+            return IsrOutcome { wake, softirq: Some((SoftirqClass::NetTx, self.tx_softirq.sample(rng))) };
         }
         // RX: protocol processing for the coalesced batch.
-        out.with_softirq(SoftirqClass::NetRx, self.rx_softirq.sample(rng))
+        IsrOutcome::none().with_softirq(SoftirqClass::NetRx, self.rx_softirq.sample(rng))
     }
 }
 
@@ -154,10 +149,10 @@ mod tests {
         nic.submit_io(Pid(2), &mut ctx, &mut rng);
         nic.on_timer(TAG_TX_DONE, &mut ctx, &mut rng);
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(1)]);
+        assert_eq!(out.wake, Some(Pid(1)));
         nic.on_timer(TAG_TX_DONE, &mut ctx, &mut rng);
         let out2 = nic.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out2.wake, vec![Pid(2)]);
+        assert_eq!(out2.wake, Some(Pid(2)));
     }
 
     #[test]
@@ -174,19 +169,19 @@ mod tests {
 
         // First ISR: matched to the waiter.
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(9)]);
+        assert_eq!(out.wake, Some(Pid(9)));
         assert_eq!(out.softirq.expect("softirq").0, SoftirqClass::NetTx);
 
         // Second ISR: no waiter left — the pending count must still drain
         // (ring cleanup happens, nobody is woken), not stick at 1 forever.
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert!(out.wake.is_empty());
+        assert!(out.wake.is_none());
         assert_eq!(out.softirq.expect("softirq").0, SoftirqClass::NetTx);
         assert_eq!(nic.tx_done_pending, 0, "spurious completion leaked");
 
         // With the books clean, the next ISR is classified as RX again.
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert!(out.wake.is_empty());
+        assert!(out.wake.is_none());
         assert_eq!(out.softirq.expect("softirq").0, SoftirqClass::NetRx);
     }
 
@@ -201,18 +196,18 @@ mod tests {
         // An RX interrupt before any completion: nobody may be woken and the
         // waiter queue must be left alone.
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert!(out.wake.is_empty());
+        assert!(out.wake.is_none());
         assert_eq!(out.softirq.expect("softirq").0, SoftirqClass::NetRx);
         assert_eq!(nic.tx_waiters.len(), 2);
 
         // Completions then drain strictly FIFO, one per interrupt, with RX
         // traffic interleaved between them.
         nic.on_timer(TAG_TX_DONE, &mut ctx, &mut rng);
-        assert_eq!(nic.on_isr(&mut ctx, &mut rng).wake, vec![Pid(1)]);
+        assert_eq!(nic.on_isr(&mut ctx, &mut rng).wake, Some(Pid(1)));
         let out = nic.on_isr(&mut ctx, &mut rng);
-        assert!(out.wake.is_empty(), "RX between completions woke {:?}", out.wake);
+        assert!(out.wake.is_none(), "RX between completions woke {:?}", out.wake);
         nic.on_timer(TAG_TX_DONE, &mut ctx, &mut rng);
-        assert_eq!(nic.on_isr(&mut ctx, &mut rng).wake, vec![Pid(2)]);
+        assert_eq!(nic.on_isr(&mut ctx, &mut rng).wake, Some(Pid(2)));
         assert_eq!(nic.tx_done_pending, 0);
         assert!(nic.tx_waiters.is_empty());
     }

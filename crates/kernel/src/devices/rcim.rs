@@ -20,7 +20,6 @@ const TAG_PERIOD: u64 = 0;
 #[derive(Debug, Clone)]
 pub struct RcimDevice {
     period: Nanos,
-    subscribers: Vec<Pid>,
     isr: DurationDist,
     exit_work: DurationDist,
     pub fired: u64,
@@ -32,7 +31,6 @@ impl RcimDevice {
         assert!(period >= Nanos::from_us(10), "RCIM period too short: {period}");
         RcimDevice {
             period,
-            subscribers: Vec::new(),
             // Edge-triggered PCI interrupt: ack the card, reload bookkeeping,
             // wake the waiter. Calibrated (with the fixed kernel path costs)
             // so the shielded wake-to-read floor lands at Figure 7's 11 µs.
@@ -97,26 +95,15 @@ impl Device for RcimDevice {
         unreachable!("the RCIM accepts no block I/O");
     }
 
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
 
-    fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        if self.subscribers.is_empty() {
+    fn on_isr(&mut self, ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
+        if ctx.waiters() == 0 {
             self.missed += 1;
-            return IsrOutcome::none();
         }
-        IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None }
-    }
-
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        if self.subscribers.capacity() == 0 {
-            self.subscribers = buf;
-        }
+        IsrOutcome::none()
     }
 
     fn reader_exit_work(&self) -> Option<DurationDist> {
@@ -133,7 +120,6 @@ pub struct RcimExternalInput {
     line: IrqLine,
     edges: OnOffPoisson,
     state: OnOffState,
-    subscribers: Vec<Pid>,
     isr: DurationDist,
     exit_work: DurationDist,
     pub edges_seen: u64,
@@ -151,7 +137,6 @@ impl RcimExternalInput {
             line,
             edges,
             state: OnOffState::default(),
-            subscribers: Vec::new(),
             isr: DurationDist::shifted(
                 Nanos::from_ns(4_000),
                 DurationDist::bounded_pareto(Nanos(100), Nanos::from_us(5), 1.2),
@@ -206,26 +191,15 @@ impl Device for RcimExternalInput {
         unreachable!("external inputs accept no block I/O");
     }
 
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
 
-    fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        if self.subscribers.is_empty() {
+    fn on_isr(&mut self, ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
+        if ctx.waiters() == 0 {
             self.missed += 1;
-            return IsrOutcome::none();
         }
-        IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None }
-    }
-
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        if self.subscribers.capacity() == 0 {
-            self.subscribers = buf;
-        }
+        IsrOutcome::none()
     }
 
     fn reader_exit_work(&self) -> Option<DurationDist> {
@@ -262,18 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_wake_once_per_fire() {
-        let mut dev = RcimDevice::new(Nanos::from_ms(1));
-        let mut rng = SimRng::new(1);
-        let mut ctx = DeviceCtx::default();
-        dev.subscribe(Pid(1));
-        dev.subscribe(Pid(2));
-        let out = dev.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake.len(), 2);
-        assert!(dev.on_isr(&mut ctx, &mut rng).wake.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "period too short")]
     fn rejects_absurd_period() {
         RcimDevice::new(Nanos(100));
@@ -284,11 +246,10 @@ mod tests {
         let mut dev =
             RcimExternalInput::new(IrqLine(21), OnOffPoisson::continuous(Nanos::from_ms(1)));
         let mut rng = SimRng::new(3);
-        let mut ctx = DeviceCtx::default();
-        dev.subscribe(Pid(4));
-        let out = dev.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(4)]);
-        assert!(dev.on_isr(&mut ctx, &mut rng).wake.is_empty());
+        let mut waiting = DeviceCtx { waiters: 1, ..DeviceCtx::default() };
+        dev.on_isr(&mut waiting, &mut rng);
+        assert_eq!(dev.missed, 0);
+        dev.on_isr(&mut DeviceCtx::default(), &mut rng);
         assert_eq!(dev.missed, 1);
     }
 }

@@ -13,7 +13,6 @@ const TAG_PERIOD: u64 = 0;
 #[derive(Debug, Clone)]
 pub struct RtcDevice {
     period: Nanos,
-    subscribers: Vec<Pid>,
     isr: DurationDist,
     /// Interrupts fired (including ones nobody was waiting for).
     pub fired: u64,
@@ -27,7 +26,6 @@ impl RtcDevice {
         assert!(hz.is_power_of_two() && (2..=8192).contains(&hz), "bad RTC rate {hz}");
         RtcDevice {
             period: Nanos(1_000_000_000 / hz as u64),
-            subscribers: Vec::new(),
             // Tiny handler: ack the CMOS, timestamp, wake the reader.
             isr: DurationDist::shifted(
                 Nanos::from_ns(1_800),
@@ -67,26 +65,15 @@ impl Device for RtcDevice {
         unreachable!("the RTC accepts no block I/O");
     }
 
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }
 
-    fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        if self.subscribers.is_empty() {
+    fn on_isr(&mut self, ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
+        if ctx.waiters() == 0 {
             self.missed += 1;
-            return IsrOutcome::none();
         }
-        IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None }
-    }
-
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        if self.subscribers.capacity() == 0 {
-            self.subscribers = buf;
-        }
+        IsrOutcome::none()
     }
 }
 
@@ -104,20 +91,6 @@ mod tests {
     #[should_panic(expected = "bad RTC rate")]
     fn non_power_of_two_rejected() {
         RtcDevice::new(1000);
-    }
-
-    #[test]
-    fn isr_wakes_and_clears_subscribers() {
-        let mut rtc = RtcDevice::new(2048);
-        let mut rng = SimRng::new(1);
-        let mut ctx = DeviceCtx::default();
-        rtc.subscribe(Pid(5));
-        let out = rtc.on_isr(&mut ctx, &mut rng);
-        assert_eq!(out.wake, vec![Pid(5)]);
-        // Nobody waiting now: the next interrupt is missed.
-        let out2 = rtc.on_isr(&mut ctx, &mut rng);
-        assert!(out2.wake.is_empty());
-        assert_eq!(rtc.missed, 1);
     }
 
     #[test]

@@ -131,10 +131,6 @@ impl Device for StormDevice {
         unreachable!("fault injectors accept no blocking I/O");
     }
 
-    fn subscribe(&mut self, _pid: Pid) {
-        unreachable!("fault injectors accept no interrupt subscribers");
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         self.isr.sample(rng)
     }

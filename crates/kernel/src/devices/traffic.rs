@@ -91,7 +91,6 @@ pub struct TrafficDevice {
     /// Per-phase arrival-gap distributions, derived from `profile`.
     gaps: Vec<DurationDist>,
     phase: usize,
-    subscribers: Vec<Pid>,
     isr: DurationDist,
     exit_work: DurationDist,
     /// Coalesced interrupts asserted.
@@ -124,7 +123,6 @@ impl TrafficDevice {
             profile,
             gaps,
             phase: 0,
-            subscribers: Vec::new(),
             // Fixed part of the coalesced-ring ISR (irq ack, queue doorbell);
             // the per-descriptor reap is added per batch in `isr_cost`.
             isr: DurationDist::shifted(
@@ -196,10 +194,6 @@ impl Device for TrafficDevice {
         unreachable!("the traffic queue accepts no block I/O");
     }
 
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
-
     fn isr_cost(&mut self, rng: &mut SimRng) -> Nanos {
         // Reaping the ring costs time per coalesced descriptor, so heavier
         // phases make each interrupt — and the measured response — costlier.
@@ -207,18 +201,11 @@ impl Device for TrafficDevice {
         self.isr.sample(rng) + Nanos(REAP_PER_REQ_NS * batch)
     }
 
-    fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        if self.subscribers.is_empty() {
+    fn on_isr(&mut self, ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
+        if ctx.waiters() == 0 {
             self.missed += 1;
-            return IsrOutcome::none();
         }
-        IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None }
-    }
-
-    fn reclaim_wake_buf(&mut self, buf: Vec<Pid>) {
-        if self.subscribers.capacity() == 0 {
-            self.subscribers = buf;
-        }
+        IsrOutcome::none()
     }
 
     fn reader_exit_work(&self) -> Option<DurationDist> {
@@ -322,10 +309,10 @@ mod tests {
     fn missed_interrupts_are_counted() {
         let mut dev = TrafficDevice::new(two_phase());
         let mut rng = SimRng::new(1);
-        let mut ctx = DeviceCtx::default();
-        assert!(dev.on_isr(&mut ctx, &mut rng).wake.is_empty());
+        dev.on_isr(&mut DeviceCtx::default(), &mut rng);
         assert_eq!(dev.missed, 1);
-        dev.subscribe(Pid(5));
-        assert_eq!(dev.on_isr(&mut ctx, &mut rng).wake, vec![Pid(5)]);
+        let mut waiting = DeviceCtx { waiters: 1, ..DeviceCtx::default() };
+        dev.on_isr(&mut waiting, &mut rng);
+        assert_eq!(dev.missed, 1);
     }
 }

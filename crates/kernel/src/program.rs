@@ -34,7 +34,7 @@ pub enum Op {
     Compute(DurationDist),
     /// Enter the kernel and execute a registered syscall service.
     Syscall(SyscallId),
-    /// Subscribe to a device interrupt and block until it fires.
+    /// Join the device's wait queue and block until its interrupt fires.
     WaitIrq { device: DeviceId, api: WaitApi },
     /// Sleep for a sampled duration (timer wakeup; stock 2.4 rounds up to
     /// the next jiffy, RedHawk's POSIX-timer kernels sleep precisely).

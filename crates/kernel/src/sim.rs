@@ -27,7 +27,7 @@ use crate::task::{
 use simcore::flight::{ActivityClass, FlightEvent, FlightEventKind};
 use simcore::{pack_key, EventKey, Instant, Nanos, SimRng, WheelQueue};
 use sp_hw::{exec_context_mask, CpuId, CpuMask, IrqRouting, MachineConfig};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Total pending softirq work a CPU may accumulate before drops (a starving
@@ -151,11 +151,6 @@ pub struct Simulator {
     sched: SchedulerKind,
     locks: LockTable,
     devices: Vec<DeviceSlot>,
-    line_to_dev: HashMap<u32, DeviceId>,
-    irq_routes: Vec<IrqRouting>,
-    irq_requested: Vec<CpuMask>,
-    /// Interrupts handled, per device per CPU (the /proc/interrupts counts).
-    irq_counts: Vec<Vec<u64>>,
     syscalls: Vec<SyscallService>,
     pub obs: Observations,
     /// Worst-case flight recorder and the simulator's one event record;
@@ -169,11 +164,13 @@ pub struct Simulator {
     ///
     /// [`run_until`]: Simulator::run_until
     events_dispatched: u64,
-    // Scratch buffers reused across dispatches so the hot loop stays
+    // Scratch buffer reused across dispatches so the hot loop stays
     // allocation-free; contents are only valid while building a waiter
     // snapshot, never across calls.
     scratch_spinners: Vec<Pid>,
-    scratch_cmds: Vec<DeviceCmd>,
+    /// The context every device callback runs in; its command buffer is
+    /// reused, so dispatch stays allocation-free.
+    device_ctx: DeviceCtx,
     /// Retired `KernelPlan` step buffers, reused by the plan builders so the
     /// syscall/wake cycle doesn't malloc+free a `Vec` per plan. Capacity
     /// only — contents are cleared on recycle.
@@ -202,10 +199,6 @@ impl Simulator {
             sched,
             locks: LockTable::new(),
             devices: Vec::new(),
-            line_to_dev: HashMap::new(),
-            irq_routes: Vec::new(),
-            irq_requested: Vec::new(),
-            irq_counts: Vec::new(),
             syscalls: Vec::new(),
             obs: Observations::new(n),
             flight: FlightRecorder::disarmed(),
@@ -213,7 +206,7 @@ impl Simulator {
             started: false,
             events_dispatched: 0,
             scratch_spinners: Vec::with_capacity(n),
-            scratch_cmds: Vec::new(),
+            device_ctx: DeviceCtx::default(),
             plan_pool: Vec::new(),
         }
     }
@@ -232,22 +225,21 @@ impl Simulator {
         let dev = dev.into();
         let id = DeviceId(self.devices.len() as u32);
         let line = dev.line();
-        assert!(
-            self.line_to_dev.insert(line.0, id).is_none(),
-            "irq line {line} already in use"
-        );
+        assert!(self.device_by_line(line).is_none(), "irq line {line} already in use");
         let online = self.machine.online_mask();
-        self.irq_requested.push(online);
-        self.irq_routes.push(IrqRouting::new(
-            line,
-            effective_mask(online, self.shield.irqs, online),
-            self.cfg.routing,
-        ));
-        let rng = self.rng.fork(0x1000 + id.0 as u64);
-        self.irq_counts.push(vec![0; self.cpus.len()]);
+        let routing =
+            IrqRouting::new(line, effective_mask(online, self.shield.irqs, online), self.cfg.routing);
         // Cached here so every wake-exit plan doesn't re-query the device.
         let exit_work = dev.reader_exit_work();
-        self.devices.push(DeviceSlot { dev: Some(dev), rng, exit_work });
+        self.devices.push(DeviceSlot {
+            dev,
+            rng: self.rng.fork(0x1000 + id.0 as u64),
+            requested: online,
+            routing,
+            irq_counts: vec![0; self.cpus.len()],
+            exit_work,
+            waiters: Vec::new(),
+        });
         id
     }
 
@@ -311,36 +303,35 @@ impl Simulator {
     /// Inventory of registered interrupt lines (for the `/proc/irq`
     /// interface layer and reports).
     pub fn irq_lines(&self) -> Vec<IrqInfo> {
-        (0..self.devices.len())
-            .map(|i| IrqInfo {
+        self.devices
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| IrqInfo {
                 dev: DeviceId(i as u32),
-                line: self.irq_routes[i].line,
-                name: self.devices[i]
-                    .dev
-                    .as_ref()
-                    .map(|d| d.name().to_string())
-                    .unwrap_or_default(),
-                requested: self.irq_requested[i],
-                effective: self.irq_routes[i].affinity,
+                line: slot.routing.line,
+                name: slot.dev.name().to_string(),
+                requested: slot.requested,
+                effective: slot.routing.affinity,
             })
             .collect()
     }
 
     /// Find a device by its IRQ line number.
     pub fn device_by_line(&self, line: sp_hw::IrqLine) -> Option<DeviceId> {
-        self.line_to_dev.get(&line.0).copied()
+        let i = self.devices.iter().position(|slot| slot.routing.line == line)?;
+        Some(DeviceId(i as u32))
     }
 
     /// Read-only view of a registered device — a pure observation feed for
     /// controllers and telemetry (device state is part of the checkpoint
     /// image, so decisions taken from it replay identically across forks).
     pub fn device(&self, dev: DeviceId) -> &AnyDevice {
-        self.devices[dev.index()].dev.as_ref().expect("device reentrancy")
+        &self.devices[dev.index()].dev
     }
 
     /// Interrupts handled by `dev`, per CPU (a /proc/interrupts row).
     pub fn irq_counts(&self, dev: DeviceId) -> &[u64] {
-        &self.irq_counts[dev.index()]
+        &self.devices[dev.index()].irq_counts
     }
 
     /// `sched_setaffinity`: change a task's requested mask. The effective
@@ -386,9 +377,9 @@ impl Simulator {
         if (mask & online).is_empty() {
             return Err(format!("{dev}: affinity excludes all online CPUs"));
         }
-        self.irq_requested[dev.index()] = mask & online;
-        let eff = effective_mask(mask & online, self.shield.irqs, online);
-        self.irq_routes[dev.index()].set_affinity(eff)
+        let slot = &mut self.devices[dev.index()];
+        slot.requested = mask & online;
+        slot.routing.set_affinity(effective_mask(mask & online, self.shield.irqs, online))
     }
 
     /// Install new shield masks, recomputing every task and IRQ affinity and
@@ -412,9 +403,8 @@ impl Simulator {
             ));
         }
         // IRQ routing.
-        for dev in 0..self.irq_routes.len() {
-            let eff = effective_mask(self.irq_requested[dev], ctl.irqs, online);
-            self.irq_routes[dev].set_affinity(eff)?;
+        for slot in &mut self.devices {
+            slot.routing.set_affinity(effective_mask(slot.requested, ctl.irqs, online))?;
         }
         // Local timers.
         for cpu in self.machine.cpus() {
@@ -809,7 +799,7 @@ impl Simulator {
 
     fn assert_irq(&mut self, dev: DeviceId) {
         let online = self.machine.online_mask();
-        let cpu = self.irq_routes[dev.index()].route(online);
+        let cpu = self.devices[dev.index()].routing.route(online);
         let pend = PendingIrq { dev, asserted: self.now };
         let c = cpu.index();
         if self.flight.is_armed() {
@@ -837,13 +827,12 @@ impl Simulator {
             self.cfg.costs.irq_ack.sample(&mut self.rng)
         } else {
             let slot = &mut self.devices[pend.dev.index()];
-            let dev = slot.dev.as_mut().expect("device reentrancy");
-            dev.isr_cost(&mut slot.rng)
+            slot.dev.isr_cost(&mut slot.rng)
         };
         self.suspend_current(cpu);
         self.cpus[cpu].in_irq = true;
         self.obs.cpu[cpu].irqs += 1;
-        self.irq_counts[pend.dev.index()][cpu] += 1;
+        self.devices[pend.dev.index()].irq_counts[cpu] += 1;
         self.install(
             cpu,
             ActKind::Isr { dev: pend.dev, asserted: pend.asserted },
@@ -851,32 +840,22 @@ impl Simulator {
         );
     }
 
-    /// Run a device callback with the device detached, then apply commands.
-    /// The command buffer is recycled across callbacks (dispatch stays
-    /// allocation-free).
-    fn with_device(
+    /// Run a device callback in the device's slot, then apply the commands
+    /// it issued.
+    fn with_device<R>(
         &mut self,
         dev: DeviceId,
-        f: impl FnOnce(&mut AnyDevice, &mut DeviceCtx, &mut SimRng),
-    ) {
-        let mut ctx = DeviceCtx::with_buffer(self.now, std::mem::take(&mut self.scratch_cmds));
-        {
-            // Callbacks only see the device slot and the command buffer, so
-            // the slot can be borrowed in place — no detach/re-attach move of
-            // the device image and no RNG-stream clone per event.
-            let slot = &mut self.devices[dev.index()];
-            let d = slot.dev.as_mut().expect("device reentrancy");
-            f(d, &mut ctx, &mut slot.rng);
-        }
-        self.apply_device_commands(dev, &mut ctx);
-        self.scratch_cmds = ctx.recycle();
-    }
-
-    fn apply_device_commands(&mut self, dev: DeviceId, ctx: &mut DeviceCtx) {
-        // Indexed loop: `assert_irq` re-borrows self mutably, so the buffer
-        // can't be iterated by reference (commands are `Copy`).
-        for i in 0..ctx.commands.len() {
-            match ctx.commands[i] {
+        f: impl FnOnce(&mut AnyDevice, &mut DeviceCtx, &mut SimRng) -> R,
+    ) -> R {
+        // Taken out so `assert_irq` below can borrow the simulator; the
+        // buffer goes back with its capacity.
+        let mut ctx = std::mem::take(&mut self.device_ctx);
+        let slot = &mut self.devices[dev.index()];
+        ctx.now = self.now;
+        ctx.waiters = slot.waiters.len();
+        let out = f(&mut slot.dev, &mut ctx, &mut slot.rng);
+        for &cmd in &ctx.commands {
+            match cmd {
                 DeviceCmd::Schedule { delay, tag } => {
                     self.queue.push(self.now + delay, Ev::Device { dev: dev.0, tag });
                 }
@@ -884,6 +863,8 @@ impl Simulator {
             }
         }
         ctx.commands.clear();
+        self.device_ctx = ctx;
+        out
     }
 
     fn handle_tick(&mut self, cpu: usize) {
@@ -1020,11 +1001,8 @@ impl Simulator {
             // shielding — a line deliberately bound inside the shield keeps
             // its thread local (the inside-shield rule), everything else is
             // fenced to an unshielded CPU.
-            let work = {
-                let slot = &mut self.devices[dev.index()];
-                let d = slot.dev.as_mut().expect("device reentrancy");
-                d.isr_cost(&mut slot.rng)
-            };
+            let slot = &mut self.devices[dev.index()];
+            let work = slot.dev.isr_cost(&mut slot.rng);
             let target = self.irq_thread_target(cpu, dev);
             self.cpus[target].pending_irq_threads.push_back(PendingIrqThread {
                 dev,
@@ -1056,7 +1034,7 @@ impl Simulator {
     /// otherwise the first allowed CPU.
     fn irq_thread_target(&self, cpu: usize, dev: DeviceId) -> usize {
         let online = self.machine.online_mask();
-        let eff = effective_mask(self.irq_requested[dev.index()], self.shield.procs, online);
+        let eff = effective_mask(self.devices[dev.index()].requested, self.shield.procs, online);
         if eff.contains(CpuId(cpu as u32)) {
             cpu
         } else {
@@ -1096,31 +1074,26 @@ impl Simulator {
     }
 
     /// Shared tail of the classic ISR and the threaded-IRQ body: ask the
-    /// device what the interrupt meant, raise softirqs, wake subscribers.
+    /// device what the interrupt meant, raise softirqs, wake the I/O
+    /// submitter it completed, then every task waiting on the interrupt.
     fn deliver_isr_outcome(&mut self, cpu: usize, dev: DeviceId, asserted: Instant) {
-        let mut ctx = DeviceCtx::with_buffer(self.now, std::mem::take(&mut self.scratch_cmds));
-        let outcome = {
-            let slot = &mut self.devices[dev.index()];
-            let d = slot.dev.as_mut().expect("device reentrancy");
-            d.on_isr(&mut ctx, &mut slot.rng)
-        };
-        self.apply_device_commands(dev, &mut ctx);
-        self.scratch_cmds = ctx.recycle();
-
+        let outcome = self.with_device(dev, |d, ctx, rng| d.on_isr(ctx, rng));
         if let Some((class, work)) = outcome.softirq {
             self.raise_softirq(cpu, class, work);
         }
-        let mut wake = outcome.wake;
-        for &pid in &wake {
+        if let Some(pid) = outcome.wake {
             self.wake_task(pid, Some(asserted));
         }
-        if wake.capacity() > 0 {
-            // Hand the allocation back so the device's next subscription
-            // round reuses it instead of growing a fresh Vec.
-            wake.clear();
-            let slot = &mut self.devices[dev.index()];
-            slot.dev.as_mut().expect("device reentrancy").reclaim_wake_buf(wake);
+        let mut waiters = std::mem::take(&mut self.devices[dev.index()].waiters);
+        for &pid in &waiters {
+            self.wake_task(pid, Some(asserted));
         }
+        // Hand the allocation back for the next round of waiters. A woken
+        // task needs CPU time before it can block again, so none has yet.
+        let slot = &mut self.devices[dev.index()];
+        debug_assert!(slot.waiters.is_empty(), "{dev}: a waiter blocked again inside its wake");
+        waiters.clear();
+        slot.waiters = waiters;
     }
 
     /// Queue softirq work. Under `kthread_iso`, work raised on a CPU in the
@@ -1383,8 +1356,8 @@ impl Simulator {
         let t = &mut self.tasks[pid.index()];
         let reason = match t.state {
             TaskState::Blocked(r) => r,
-            // Subscribers are removed from device wait lists when woken, so
-            // this is only reachable for a task torn down while waiting.
+            // Waiters leave their device's wait queue when woken, so this
+            // is only reachable for a task torn down while waiting.
             _ => return,
         };
         t.wake_ref = wake_ref;
@@ -1637,8 +1610,7 @@ impl Simulator {
                         }
                         PlanEnd::BlockOnIrq(dev) => {
                             self.block_task(cpu, pid, BlockReason::IrqWait(dev));
-                            let slot = &mut self.devices[dev.index()];
-                            slot.dev.as_mut().expect("device reentrancy").subscribe(pid);
+                            self.devices[dev.index()].waiters.push(pid);
                             self.begin_switch(cpu, false);
                             return;
                         }
@@ -2026,5 +1998,96 @@ fn validate_program(spec: &TaskSpec) {
             "looping program for '{}' must contain a time-consuming op",
             spec.name
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::devices::{
+        OnOffPoisson, RcimDevice, RcimExternalInput, RtcDevice, TrafficDevice, TrafficPhase,
+        TrafficProfile,
+    };
+    use crate::program::Program;
+    use crate::task::SchedPolicy;
+
+    fn missed(dev: &AnyDevice) -> u64 {
+        match dev {
+            AnyDevice::Rtc(d) => d.missed,
+            AnyDevice::Rcim(d) => d.missed,
+            AnyDevice::RcimExt(d) => d.missed,
+            AnyDevice::Traffic(d) => d.missed,
+            other => unreachable!("{} takes no interrupt waiters", other.name()),
+        }
+    }
+
+    /// Every device a task can wait on, each too slow to fire by itself
+    /// inside the test's first simulated milliseconds.
+    fn waitable_devices() -> [AnyDevice; 4] {
+        let slow = TrafficPhase {
+            name: "slow".into(),
+            duration: Nanos::from_secs(100),
+            irq_hz: 1,
+            batch: 1,
+        };
+        [
+            RtcDevice::new(2).into(),
+            RcimDevice::new(Nanos::from_ms(500)).into(),
+            RcimExternalInput::new(sp_hw::IrqLine(21), OnOffPoisson::continuous(Nanos::from_secs(100)))
+                .into(),
+            TrafficDevice::new(TrafficProfile { phases: vec![slow], cycle: false }).into(),
+        ]
+    }
+
+    #[test]
+    fn one_interrupt_wakes_every_waiter_in_fifo_order() {
+        for dev in waitable_devices() {
+            for n in 0..=2u8 {
+                let mut sim =
+                    Simulator::new(MachineConfig::dual_xeon_p3(), KernelConfig::redhawk(), 7);
+                let name = dev.name().to_string();
+                let dev = sim.add_device(dev.clone());
+                // Spawned lowest priority first on one CPU, so they block
+                // highest priority first: FIFO order is the reverse of pid
+                // order.
+                let pids: Vec<Pid> = (0..n)
+                    .map(|i| {
+                        let wait = Op::WaitIrq { device: dev, api: WaitApi::ReadDevice };
+                        sim.spawn(
+                            TaskSpec::new(
+                                format!("w{i}"),
+                                SchedPolicy::fifo(50 + i),
+                                Program::forever(vec![wait]),
+                            )
+                            .pinned(CpuMask::single(CpuId(0)))
+                            .mlockall(),
+                        )
+                    })
+                    .collect();
+                let fifo: Vec<Pid> = pids.into_iter().rev().collect();
+                sim.start();
+                sim.run_for(Nanos::from_ms(1));
+                assert_eq!(sim.irq_counts(dev).iter().sum::<u64>(), 0, "{name} fired early");
+                assert_eq!(sim.devices[dev.index()].waiters, fifo, "{name}");
+
+                // The waiters blocked before the clone wake in both copies.
+                let mut fork = sim.clone();
+                for sim in [&mut sim, &mut fork] {
+                    sim.arm_flight(1);
+                    sim.assert_irq(dev);
+                    sim.run_for(Nanos::from_ms(1));
+                    let woken: Vec<Pid> = sim
+                        .flight
+                        .records()
+                        .filter(|e| e.kind == FlightEventKind::Wake)
+                        .map(|e| Pid(e.detail as u32))
+                        .collect();
+                    assert_eq!(woken, fifo, "{name} with {n} waiters");
+                    assert_eq!(missed(sim.device(dev)), u64::from(n == 0), "{name}, {n} waiters");
+                    // Each woken waiter has looped back into the queue.
+                    assert_eq!(sim.devices[dev.index()].waiters, fifo, "{name}");
+                }
+            }
+        }
     }
 }

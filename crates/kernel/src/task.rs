@@ -47,7 +47,7 @@ impl SchedPolicy {
 /// Why a task is off the runqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockReason {
-    /// Waiting for a device interrupt (subscribed).
+    /// Waiting for a device interrupt (in the device's wait queue).
     IrqWait(DeviceId),
     /// Waiting for submitted I/O to complete.
     IoWait(DeviceId),
@@ -91,7 +91,7 @@ pub enum PlanEnd {
     ReturnToUser,
     /// Submit blocking I/O to the device and sleep.
     BlockOnIo(DeviceId),
-    /// Subscribe to the device's interrupt and sleep.
+    /// Join the device's wait queue and sleep.
     BlockOnIrq(DeviceId),
     /// Return to user mode, recording a wake-to-user latency sample first.
     CompleteIrqWait,

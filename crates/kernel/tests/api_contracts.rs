@@ -48,7 +48,6 @@ fn duplicate_irq_line_rejected() {
             _: &mut simcore::SimRng,
         ) {
         }
-        fn subscribe(&mut self, _: sp_kernel::Pid) {}
         fn isr_cost(&mut self, _: &mut simcore::SimRng) -> Nanos {
             Nanos(1)
         }

@@ -47,9 +47,6 @@ impl Device for CountingPulse {
     fn submit_io(&mut self, _pid: Pid, _ctx: &mut DeviceCtx, _rng: &mut SimRng) {
         unreachable!("no block I/O");
     }
-    fn subscribe(&mut self, _pid: Pid) {
-        unreachable!("no subscribers");
-    }
     fn isr_cost(&mut self, _rng: &mut SimRng) -> Nanos {
         self.isrs += 1;
         Nanos::from_us(1 + self.isrs % 7)

@@ -16,13 +16,12 @@ use sp_kernel::{
 struct TestTimer {
     line: IrqLine,
     period: Nanos,
-    subscribers: Vec<Pid>,
     isr: Nanos,
 }
 
 impl TestTimer {
     fn new(period: Nanos) -> Self {
-        TestTimer { line: IrqLine(40), period, subscribers: Vec::new(), isr: Nanos::from_us(2) }
+        TestTimer { line: IrqLine(40), period, isr: Nanos::from_us(2) }
     }
 }
 
@@ -43,14 +42,11 @@ impl Device for TestTimer {
     fn submit_io(&mut self, _pid: Pid, _ctx: &mut DeviceCtx, _rng: &mut SimRng) {
         unreachable!()
     }
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
     fn isr_cost(&mut self, _rng: &mut SimRng) -> Nanos {
         self.isr
     }
     fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None }
+        IsrOutcome::none()
     }
 }
 

@@ -16,7 +16,6 @@ use sp_kernel::{
 struct Timer {
     line: IrqLine,
     period: Nanos,
-    subscribers: Vec<Pid>,
     softirq: Option<Nanos>,
     isr: Nanos,
 }
@@ -26,7 +25,6 @@ impl Timer {
         Timer {
             line: IrqLine(40),
             period,
-            subscribers: Vec::new(),
             softirq: None,
             isr: Nanos::from_us(2),
         }
@@ -60,14 +58,11 @@ impl Device for Timer {
     fn submit_io(&mut self, _pid: Pid, _ctx: &mut DeviceCtx, _rng: &mut SimRng) {
         unreachable!()
     }
-    fn subscribe(&mut self, pid: Pid) {
-        self.subscribers.push(pid);
-    }
     fn isr_cost(&mut self, _rng: &mut SimRng) -> Nanos {
         self.isr
     }
     fn on_isr(&mut self, _ctx: &mut DeviceCtx, _rng: &mut SimRng) -> IsrOutcome {
-        let mut out = IsrOutcome { wake: std::mem::take(&mut self.subscribers), softirq: None };
+        let mut out = IsrOutcome::none();
         if let Some(w) = self.softirq {
             out.softirq = Some((SoftirqClass::Tasklet, w));
         }
