@@ -38,7 +38,7 @@ fn latency_run(keep_ltmr: bool, seconds: u64) -> (LatencySummary, u64) {
     spec.measured[0].kind = MeasuredKind::IrqWait { device: "rcim".into(), api };
     let spec = on_shielded_cpu1(spec, keep_ltmr);
     let Built { mut sim, tasks, .. } = spec.build(0x0A22).expect("latency spec builds");
-    let pid = tasks["rt"];
+    let pid = tasks[0];
     sim.run_for(Nanos::from_secs(seconds));
     let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
     (LatencySummary::from_histogram(&h), sim.obs.cpu[1].ticks)
@@ -47,7 +47,7 @@ fn latency_run(keep_ltmr: bool, seconds: u64) -> (LatencySummary, u64) {
 fn jitter_run(keep_ltmr: bool, iterations: u32) -> sp_metrics::JitterSummary {
     let spec = on_shielded_cpu1(ScenarioSpec::scp_testbed(false, "loop", LOOP_MS), keep_ltmr);
     let Built { mut sim, tasks, .. } = spec.build(0x0A23).expect("jitter spec builds");
-    let pid = tasks["loop"];
+    let pid = tasks[0];
     let loop_work = Nanos::from_ms(LOOP_MS);
     while (sim.obs.laps(pid).len() as u32) < iterations + 1 {
         sim.run_for(loop_work.scale(2.0));

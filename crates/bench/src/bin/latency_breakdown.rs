@@ -47,7 +47,7 @@ fn run(
         spec = spec.on_cpu(CpuId(1), true);
     }
     let Built { mut sim, tasks, .. } = spec.build(0xB4EA_4D07).expect("breakdown spec builds");
-    let pid = tasks["realfeel"];
+    let pid = tasks[0];
     sim.watch_breakdown(pid);
     if top_k > 0 {
         sim.arm_flight(top_k);

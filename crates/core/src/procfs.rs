@@ -110,6 +110,15 @@ impl ProcShield {
         let mask: CpuMask = contents
             .parse()
             .map_err(|_| ProcWriteError::BadMask(contents.trim().to_string()))?;
+        Self::write_mask(sim, file, mask)
+    }
+
+    /// [`ProcShield::write`] of an already-parsed mask.
+    pub fn write_mask(
+        sim: &mut Simulator,
+        file: ShieldFile,
+        mask: CpuMask,
+    ) -> Result<(), ProcWriteError> {
         let online = sim.machine().online_mask();
         let offline = mask - online;
         if !offline.is_empty() {
@@ -128,9 +137,8 @@ impl ProcShield {
     /// Write every shield file at once (`shield -a <mask>` in RedHawk's
     /// tool, extended to cover the kthreads fence).
     pub fn write_all(sim: &mut Simulator, mask: CpuMask) -> Result<(), ProcWriteError> {
-        let rendered = mask.to_string();
         for file in ShieldFile::ALL {
-            Self::write(sim, file, &rendered)?;
+            Self::write_mask(sim, file, mask)?;
         }
         Ok(())
     }

@@ -104,7 +104,7 @@ pub fn run_determinism(cfg: &DeterminismConfig) -> DeterminismResult {
         spec = spec.on_cpu(CpuId(cpu), true);
     }
     let Built { mut sim, tasks, .. } = spec.build(cfg.seed).expect("determinism spec builds");
-    let pid = tasks["determinism-loop"];
+    let pid = tasks[0];
 
     // One warm-up lap (the paper calibrates ideal on an unloaded system; the
     // simulated ideal is the contention-free lower bound = loop_work plus

@@ -1,5 +1,8 @@
 //! Declarative scenarios: describe a machine, kernel, devices, workloads,
-//! measured tasks and a shield in data (JSON via serde), then run it.
+//! measured tasks, a shield and a timeline in data (JSON via serde), then
+//! run it. [`ScenarioSpec::build`] reads a spec in one pass, checking each
+//! item where it resolves it, and returns the timeline as typed steps for
+//! [`run_scenario`] to apply.
 //!
 //! This is the configuration surface a downstream user scripts experiments
 //! with — the `run_scenario` binary in `sp-bench` takes a path to a spec.
@@ -75,7 +78,7 @@ pub struct DeviceSpec {
 pub enum DeviceKind {
     /// `/dev/rtc` periodic interrupts at `hz`, a power of two in 2..=8192.
     Rtc { hz: u32 },
-    /// The RCIM periodic timer, every `period_us` (at least 10 µs). `pcie`
+    /// The RCIM periodic timer, every `period_us` (10 µs..=[`MAX_SPAN`]). `pcie`
     /// fits the modern PCIe-attached card, whose acks take tens of
     /// nanoseconds.
     Rcim {
@@ -118,7 +121,8 @@ pub enum MeasuredKind {
     /// Block on an `Rtc` or `Rcim` device's interrupt through an API;
     /// record latencies.
     IrqWait { device: String, api: WaitApiSpec },
-    /// Determinism loop; record per-iteration wall times.
+    /// Determinism loop of `work_ms` per lap (1 ms..=[`MAX_SPAN`]); record
+    /// per-iteration wall times.
     Loop { work_ms: u64 },
 }
 
@@ -184,7 +188,8 @@ pub enum ActionKind {
 pub struct TransientSpec {
     /// Name of a latency-measured (`IrqWait`) task.
     pub task: String,
-    /// The bound the task must recover to, in microseconds.
+    /// The bound the task must recover to, in microseconds (at most what
+    /// the nanosecond clock holds).
     pub bound_us: u64,
     /// Run time of the reconfiguration whose transient we measure.
     pub from_secs: f64,
@@ -243,8 +248,9 @@ pub enum ScenarioError {
     OfflineCpus { what: String, mask: String },
     /// Not a `/proc/shield/{procs,irqs,ltmrs}` path.
     BadPath(String),
-    /// A timeline/transient time is outside `[0, run_secs]` or not finite,
-    /// or `run_secs` itself is not a positive length the clock can hold.
+    /// A timeline/transient time outside `[0, run_secs]`, a `run_secs` that
+    /// is not a positive length the clock can hold, a loop's `work_ms`
+    /// outside 1 ms..=[`MAX_SPAN`], or a `bound_us` past the clock.
     BadTime(String),
     DuplicateName(String),
     /// A measured task's SCHED_FIFO priority is outside 1..=99.
@@ -271,7 +277,7 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "{what}: mask '{mask}' names offline CPUs")
             }
             ScenarioError::BadPath(p) => write!(f, "'{p}' is not a /proc/shield file"),
-            ScenarioError::BadTime(t) => write!(f, "time {t} outside the run"),
+            ScenarioError::BadTime(t) => write!(f, "time {t} is out of range"),
             ScenarioError::DuplicateName(n) => write!(f, "duplicate name '{n}'"),
             ScenarioError::BadPriority { task, rt_prio } => {
                 write!(f, "measured task '{task}': rt_prio {rt_prio} is not in 1..=99")
@@ -291,217 +297,146 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn parse_mask(s: &str) -> Result<CpuMask, ScenarioError> {
-    s.parse().map_err(|_| ScenarioError::BadMask(s.to_string()))
+/// The longest RCIM period or loop lap a spec may ask for: one simulated
+/// day, against the paper's longest, the 1,148 ms determinism loop. A span
+/// near the u64 nanosecond clock's range (~584 years) wraps `now + span`
+/// and the run panics or never ends; a day cannot in any run a host can
+/// finish.
+pub const MAX_SPAN: Nanos = Nanos::from_secs(86_400);
+
+/// `n` of `unit`, if that is a span in 1 ns..=[`MAX_SPAN`].
+fn span(n: u64, unit: Nanos) -> Option<Nanos> {
+    let ns = n.checked_mul(unit.as_ns())?;
+    (1..=MAX_SPAN.as_ns()).contains(&ns).then_some(Nanos(ns))
 }
 
-/// Static spec validation, run before any simulation is built. Catches what
-/// used to surface as confusing mid-run errors or panics inside the
-/// simulator: an invalid machine or kernel config, device parameters the
-/// models reject, a measured task's priority outside 1..=99 or wait on a
-/// device that has no interrupt waiters, affinity masks
-/// naming offline CPUs, dangling fault/device/task names in the timeline,
-/// times outside the run, bad `/proc/shield` paths.
-pub fn validate(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
-    if spec.measured.is_empty() {
-        return Err(ScenarioError::Empty("measured tasks"));
-    }
-    spec.machine.validate().map_err(ScenarioError::Kernel)?;
-    if let Some(kernel) = &spec.kernel_overrides {
-        kernel.validate().map_err(ScenarioError::Kernel)?;
-    }
-    let online = spec.machine.online_mask();
-    let check_online = |what: String, s: &str| -> Result<CpuMask, ScenarioError> {
-        let mask = parse_mask(s)?;
-        if !(mask - online).is_empty() {
-            return Err(ScenarioError::OfflineCpus { what, mask: s.to_string() });
-        }
-        Ok(mask)
-    };
-    // NaN fails both comparisons; the upper bound keeps `run_secs` in the
-    // u64 nanosecond clock.
-    if !(spec.run_secs > 0.0 && spec.run_secs * 1e9 < u64::MAX as f64) {
-        return Err(ScenarioError::BadTime(format!("run_secs = {}", spec.run_secs)));
-    }
-    let check_time = |t: f64| -> Result<(), ScenarioError> {
-        if !t.is_finite() || t < 0.0 || t > spec.run_secs {
-            return Err(ScenarioError::BadTime(format!("{t}")));
-        }
-        Ok(())
-    };
-
-    for m in &spec.measured {
-        if !(1..=99).contains(&m.rt_prio) {
-            return Err(ScenarioError::BadPriority { task: m.name.clone(), rt_prio: m.rt_prio });
-        }
-        if let Some(pin) = &m.pin {
-            let mask = check_online(format!("measured task '{}'", m.name), pin)?;
-            if mask.is_empty() {
-                return Err(ScenarioError::BadMask(pin.clone()));
-            }
-        }
-        if let MeasuredKind::IrqWait { device, .. } = &m.kind {
-            // An unknown name is `build`'s `UnknownDevice`.
-            let kind = spec.devices.iter().find(|d| d.name == *device).map(|d| &d.kind);
-            if !matches!(kind, None | Some(DeviceKind::Rtc { .. } | DeviceKind::Rcim { .. })) {
-                let (task, device) = (m.name.clone(), device.clone());
-                return Err(ScenarioError::NotWaitable { task, device });
-            }
-        }
-    }
-    for d in &spec.devices {
-        let why = match &d.kind {
-            DeviceKind::Rtc { hz } if !(hz.is_power_of_two() && (2..=8192).contains(hz)) => {
-                Some(format!("RTC rate {hz} Hz is not a power of two in 2..=8192"))
-            }
-            DeviceKind::Rcim { period_us, .. } if *period_us < 10 => {
-                Some(format!("RCIM period {period_us} µs is under 10 µs"))
-            }
-            DeviceKind::Nic { external: Some(traffic) } => {
-                traffic.validate().err().map(|e| format!("NIC traffic {e}"))
-            }
-            _ => None,
-        };
-        if let Some(why) = why {
-            return Err(ScenarioError::BadDevice { device: d.name.clone(), why });
-        }
-        if let Some(aff) = &d.irq_affinity {
-            let mask = check_online(format!("device '{}' irq affinity", d.name), aff)?;
-            if mask.is_empty() {
-                return Err(ScenarioError::BadMask(aff.clone()));
-            }
-        }
-    }
-    if let Some(sh) = &spec.shield {
-        check_online("shield".into(), &sh.cpus)?;
-    }
-    let mut fault_names: Vec<&str> = Vec::new();
-    for f in &spec.faults {
-        if fault_names.contains(&f.name.as_str()) {
-            return Err(ScenarioError::DuplicateName(f.name.clone()));
-        }
-        fault_names.push(&f.name);
-        let pin = match &f.kind {
-            FaultKind::LockHolder { pin, .. } | FaultKind::CpuHog { pin, .. } => pin.as_ref(),
-            _ => None,
-        };
-        if let Some(p) = pin {
-            let mask = check_online(format!("fault '{}'", f.name), p)?;
-            if mask.is_empty() {
-                return Err(ScenarioError::BadMask(p.clone()));
-            }
-        }
-    }
-    for ta in &spec.timeline {
-        check_time(ta.at_secs)?;
-        match &ta.action {
-            ActionKind::Arm { fault } | ActionKind::Disarm { fault } => {
-                if !fault_names.contains(&fault.as_str()) {
-                    return Err(ScenarioError::UnknownFault(fault.clone()));
-                }
-            }
-            ActionKind::ProcShieldWrite { path, mask } => {
-                if ShieldFile::from_path(path).is_none() {
-                    return Err(ScenarioError::BadPath(path.clone()));
-                }
-                check_online(format!("shield write '{path}'"), mask)?;
-            }
-            ActionKind::ShieldAll { mask } => {
-                check_online("shield write".into(), mask)?;
-            }
-            ActionKind::UnshieldAll => {}
-            ActionKind::SetIrqAffinity { device, mask } => {
-                if !spec.devices.iter().any(|d| d.name == *device) {
-                    return Err(ScenarioError::UnknownDevice(device.clone()));
-                }
-                let m = check_online(format!("irq affinity of '{device}'"), mask)?;
-                if m.is_empty() {
-                    return Err(ScenarioError::BadMask(mask.clone()));
-                }
-            }
-            ActionKind::SetTaskAffinity { task, mask } => {
-                if !spec.measured.iter().any(|t| t.name == *task) {
-                    return Err(ScenarioError::UnknownTask(task.clone()));
-                }
-                let m = check_online(format!("affinity of '{task}'"), mask)?;
-                if m.is_empty() {
-                    return Err(ScenarioError::BadMask(mask.clone()));
-                }
-            }
-        }
-    }
-    if let Some(t) = &spec.transient {
-        check_time(t.from_secs)?;
-        let found = spec.measured.iter().find(|m| m.name == t.task);
-        match found {
-            Some(m) if matches!(m.kind, MeasuredKind::IrqWait { .. }) => {}
-            _ => return Err(ScenarioError::UnknownTask(t.task.clone())),
-        }
-    }
-    Ok(())
+/// One timeline action as [`ScenarioSpec::build`] resolved it: names are
+/// ids and masks are parsed, so applying it can fail only on the state the
+/// simulator is in.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Step {
+    Arm(String),
+    Disarm(String),
+    /// Write one `/proc/shield` file.
+    Shield(ShieldFile, CpuMask),
+    /// Write every `/proc/shield` file (`UnshieldAll` writes the empty mask).
+    ShieldAll(CpuMask),
+    /// Set a device's `/proc/irq/<n>/smp_affinity`.
+    IrqAffinity(DeviceId, CpuMask),
+    /// `sched_setaffinity` on a measured task.
+    TaskAffinity(Pid, CpuMask),
 }
 
-/// A scenario's simulator, assembled, started and shielded: what
-/// [`ScenarioSpec::build`] returns.
+impl Step {
+    /// Apply the step to `sim` now.
+    fn apply(&self, sim: &mut Simulator, armory: &mut Armory) -> Result<(), ScenarioError> {
+        let inject = |e: sp_inject::InjectError| ScenarioError::Inject(e.to_string());
+        let kernel = ScenarioError::Kernel;
+        let procfs = |e: sp_core::ProcWriteError| kernel(e.to_string());
+        match self {
+            Step::Arm(fault) => armory.arm(sim, fault).map_err(inject),
+            Step::Disarm(fault) => armory.disarm(sim, fault).map_err(inject),
+            Step::Shield(file, mask) => ProcShield::write_mask(sim, *file, *mask).map_err(procfs),
+            Step::ShieldAll(mask) => ProcShield::write_all(sim, *mask).map_err(procfs),
+            Step::IrqAffinity(dev, mask) => sim.set_irq_affinity(*dev, *mask).map_err(kernel),
+            Step::TaskAffinity(pid, mask) => sim.set_task_affinity(*pid, *mask).map_err(kernel),
+        }
+    }
+}
+
+/// A scenario's simulator, assembled, started and shielded, with its
+/// timeline resolved: what [`ScenarioSpec::build`] returns.
 pub struct Built {
     pub sim: Simulator,
     /// The spec's fault injectors, registered and disarmed.
     pub armory: Armory,
-    /// Each device's id, by its spec name.
-    pub devices: HashMap<String, DeviceId>,
-    /// Each measured task's pid, by its spec name.
-    pub tasks: HashMap<String, Pid>,
+    /// Each measured task's pid, in the spec's `measured` order.
+    pub tasks: Vec<Pid>,
+    /// The timeline in run order: each step and the instant it applies at.
+    pub(crate) steps: Vec<(Instant, Step)>,
+    /// The pid of the transient's task, when the spec measures one.
+    pub(crate) transient: Option<Pid>,
 }
 
 impl ScenarioSpec {
-    /// Validate the spec and assemble it on `seed` (the spec's own `seed` is
-    /// not read): the simulator, its devices, the background workloads, the
-    /// faults (registered disarmed), the measured tasks (watched); then
-    /// start it, apply each device's IRQ affinity and the shield. Every
-    /// measured simulation in this crate except the autopilot's request
-    /// plant is assembled here. Two builds of one spec on one seed are
-    /// interchangeable, the property warm-checkpoint forking relies on.
+    /// Assemble the spec on `seed` (the spec's own `seed` is not read) in
+    /// one pass that checks each item where it resolves it: the machine,
+    /// kernel and `run_secs`, the devices, workloads, faults (registered
+    /// disarmed), measured tasks (watched), shield plan, timeline steps and
+    /// transient. The first bad item is the error, before anything runs.
+    /// Then start the simulator and apply the IRQ affinities and the shield.
+    /// Every measured simulation in this crate except the autopilot's
+    /// request plant is assembled here. Two builds of one spec on one seed
+    /// are interchangeable, the property warm-checkpoint forking relies on.
     pub fn build(&self, seed: u64) -> Result<Built, ScenarioError> {
-        validate(self)?;
+        if self.measured.is_empty() {
+            return Err(ScenarioError::Empty("measured tasks"));
+        }
+        self.machine.validate().map_err(ScenarioError::Kernel)?;
+        if let Some(kernel) = &self.kernel_overrides {
+            kernel.validate().map_err(ScenarioError::Kernel)?;
+        }
+        // NaN fails both comparisons; the upper bound keeps `run_secs` in the
+        // u64 nanosecond clock.
+        if !(self.run_secs > 0.0 && self.run_secs * 1e9 < u64::MAX as f64) {
+            return Err(ScenarioError::BadTime(format!("run_secs = {}", self.run_secs)));
+        }
         let kernel =
             self.kernel_overrides.clone().unwrap_or_else(|| KernelConfig::new(self.kernel));
         let mut sim = Simulator::new(self.machine.clone(), kernel, seed);
 
-        let mut devices: HashMap<String, DeviceId> = HashMap::new();
-        for d in &self.devices {
+        let mut ids: Vec<DeviceId> = Vec::with_capacity(self.devices.len());
+        let mut affinities = Vec::new();
+        for (i, d) in self.devices.iter().enumerate() {
+            if self.devices[..i].iter().any(|other| other.name == d.name) {
+                return Err(ScenarioError::DuplicateName(d.name.clone()));
+            }
+            let bad = |why: String| ScenarioError::BadDevice { device: d.name.clone(), why };
             let id = match &d.kind {
-                DeviceKind::Rtc { hz } => sim.add_device(RtcDevice::new(*hz)),
-                DeviceKind::Rcim { period_us, pcie: false } => {
-                    sim.add_device(RcimDevice::new(Nanos::from_us(*period_us)))
+                DeviceKind::Rtc { hz } if !(hz.is_power_of_two() && (2..=8192).contains(hz)) => {
+                    return Err(bad(format!("RTC rate {hz} Hz is not a power of two in 2..=8192")));
                 }
-                DeviceKind::Rcim { period_us, pcie: true } => {
-                    sim.add_device(RcimDevice::modern(Nanos::from_us(*period_us)))
+                DeviceKind::Rtc { hz } => sim.add_device(RtcDevice::new(*hz)),
+                DeviceKind::Rcim { period_us, pcie } => {
+                    if *period_us < 10 {
+                        return Err(bad(format!("RCIM period {period_us} µs is under 10 µs")));
+                    }
+                    let period = span(*period_us, Nanos::from_us(1))
+                        .ok_or_else(|| bad(format!("RCIM period {period_us} µs is over a day")))?;
+                    let rcim = if *pcie { RcimDevice::modern } else { RcimDevice::new };
+                    sim.add_device(rcim(period))
                 }
                 DeviceKind::Nic { external } => {
+                    if let Some(traffic) = external {
+                        traffic.validate().map_err(|e| bad(format!("NIC traffic {e}")))?;
+                    }
                     sim.add_device(NicDevice::new(external.as_deref().cloned()))
                 }
                 DeviceKind::Disk => sim.add_device(DiskDevice::new()),
                 DeviceKind::GpuX11perf => sim.add_device(GpuDevice::x11perf()),
             };
-            if devices.insert(d.name.clone(), id).is_some() {
-                return Err(ScenarioError::DuplicateName(d.name.clone()));
+            if let Some(aff) = &d.irq_affinity {
+                let what = format!("device '{}' irq affinity", d.name);
+                affinities.push((id, self.cpu_mask(what, aff, true)?));
             }
+            ids.push(id);
         }
-        let lookup = |name: &str| {
-            devices.get(name).copied().ok_or_else(|| ScenarioError::UnknownDevice(name.to_string()))
+        let device = |name: &str| {
+            let found = self.devices.iter().position(|d| d.name == name);
+            found.ok_or_else(|| ScenarioError::UnknownDevice(name.to_string()))
         };
 
         for w in &self.workloads {
             match w {
                 WorkloadSpec::StressKernel { nic, disk } => {
-                    let devs = StressDevices { nic: lookup(nic)?, disk: lookup(disk)? };
+                    let devs = StressDevices { nic: ids[device(nic)?], disk: ids[device(disk)?] };
                     sp_workloads::stress_kernel(&mut sim, devs);
                 }
                 WorkloadSpec::ScpReceiver { disk } => {
-                    sp_workloads::scp_receiver(&mut sim, lookup(disk)?);
+                    sp_workloads::scp_receiver(&mut sim, ids[device(disk)?]);
                 }
                 WorkloadSpec::Disknoise { disk } => {
-                    sp_workloads::disknoise(&mut sim, lookup(disk)?);
+                    sp_workloads::disknoise(&mut sim, ids[device(disk)?]);
                 }
                 WorkloadSpec::X11perfDriver => {
                     sp_workloads::x11perf_driver(&mut sim);
@@ -514,30 +449,55 @@ impl ScenarioSpec {
         // events, so it costs the hot loop nothing.
         let mut armory = Armory::new();
         for f in &self.faults {
-            armory.register(&mut sim, f).map_err(|e| ScenarioError::Inject(e.to_string()))?;
+            if let FaultKind::LockHolder { pin: Some(pin), .. }
+            | FaultKind::CpuHog { pin: Some(pin), .. } = &f.kind
+            {
+                self.cpu_mask(format!("fault '{}'", f.name), pin, true)?;
+            }
+            armory.register(&mut sim, f).map_err(|e| match e {
+                sp_inject::InjectError::DuplicateFault(name) => ScenarioError::DuplicateName(name),
+                e => ScenarioError::Inject(e.to_string()),
+            })?;
         }
 
-        let mut tasks: HashMap<String, Pid> = HashMap::new();
-        for m in &self.measured {
+        let mut tasks: Vec<Pid> = Vec::with_capacity(self.measured.len());
+        let mut transient = None;
+        for (i, m) in self.measured.iter().enumerate() {
+            if self.measured[..i].iter().any(|other| other.name == m.name) {
+                return Err(ScenarioError::DuplicateName(m.name.clone()));
+            }
+            if !(1..=99).contains(&m.rt_prio) {
+                let (task, rt_prio) = (m.name.clone(), m.rt_prio);
+                return Err(ScenarioError::BadPriority { task, rt_prio });
+            }
+            let what = || format!("measured task '{}'", m.name);
+            let pin = m.pin.as_ref().map(|pin| self.cpu_mask(what(), pin, true)).transpose()?;
             let program = match &m.kind {
-                MeasuredKind::IrqWait { device, api } => {
+                MeasuredKind::IrqWait { device: name, api } => {
+                    let d = device(name)?;
+                    let kind = &self.devices[d].kind;
+                    if !matches!(kind, DeviceKind::Rtc { .. } | DeviceKind::Rcim { .. }) {
+                        let (task, device) = (m.name.clone(), name.clone());
+                        return Err(ScenarioError::NotWaitable { task, device });
+                    }
                     let api = match api {
                         WaitApiSpec::Read => WaitApi::ReadDevice,
                         WaitApiSpec::Ioctl { driver_bkl_free } => {
                             WaitApi::IoctlWait { driver_bkl_free: *driver_bkl_free }
                         }
                     };
-                    Program::forever(vec![Op::WaitIrq { device: lookup(device)?, api }])
+                    Program::forever(vec![Op::WaitIrq { device: ids[d], api }])
                 }
-                MeasuredKind::Loop { work_ms } => Program::forever(vec![
-                    Op::MarkLap,
-                    Op::Compute(DurationDist::constant(Nanos::from_ms(*work_ms))),
-                ]),
+                MeasuredKind::Loop { work_ms } => {
+                    let work = span(*work_ms, Nanos::from_ms(1))
+                        .ok_or_else(|| ScenarioError::BadTime(format!("work_ms = {work_ms}")))?;
+                    Program::forever(vec![Op::MarkLap, Op::Compute(DurationDist::constant(work))])
+                }
             };
             let mut task =
                 TaskSpec::new(m.name.clone(), SchedPolicy::fifo(m.rt_prio), program).mlockall();
-            if let Some(pin) = &m.pin {
-                task = task.pinned(parse_mask(pin)?);
+            if let Some(pin) = pin {
+                task = task.pinned(pin);
             }
             let pid = sim.spawn(task);
             match m.kind {
@@ -546,27 +506,21 @@ impl ScenarioSpec {
                     // The transient computation needs each sample's timestamp.
                     if self.transient.as_ref().is_some_and(|t| t.task == m.name) {
                         sim.watch_latency_times(pid);
+                        transient = Some(pid);
                     }
                 }
                 MeasuredKind::Loop { .. } => sim.watch_laps(pid),
             }
-            if tasks.insert(m.name.clone(), pid).is_some() {
-                return Err(ScenarioError::DuplicateName(m.name.clone()));
-            }
+            tasks.push(pid);
         }
+        let task = |name: &str| {
+            let found = self.measured.iter().position(|m| m.name == name);
+            found.map(|i| tasks[i]).ok_or_else(|| ScenarioError::UnknownTask(name.to_string()))
+        };
 
-        sim.start();
-
-        // Per-device IRQ affinity (before the shield plan, which may re-bind).
-        for d in &self.devices {
-            if let Some(aff) = &d.irq_affinity {
-                sim.set_irq_affinity(devices[&d.name], parse_mask(aff)?)
-                    .map_err(ScenarioError::Kernel)?;
-            }
-        }
-
+        let mut shield = None;
         if let Some(sh) = &self.shield {
-            let mut plan = ShieldPlan::full(parse_mask(&sh.cpus)?);
+            let mut plan = ShieldPlan::full(self.cpu_mask("shield".into(), &sh.cpus, false)?);
             if sh.keep_local_timer {
                 plan = plan.keep_local_timer();
             }
@@ -574,38 +528,107 @@ impl ScenarioSpec {
                 plan = plan.fence_kthreads();
             }
             for name in &sh.bind_tasks {
-                let pid = tasks.get(name).ok_or_else(|| ScenarioError::UnknownTask(name.clone()))?;
-                plan = plan.bind_task(*pid);
+                plan = plan.bind_task(task(name)?);
             }
             for name in &sh.bind_irqs {
-                plan = plan.bind_irq(lookup(name)?);
+                plan = plan.bind_irq(ids[device(name)?]);
             }
+            shield = Some(plan);
+        }
+
+        let offset = |t: f64| match (0.0..=self.run_secs).contains(&t) {
+            true => Ok(Nanos::from_secs_f64(t)),
+            false => Err(ScenarioError::BadTime(format!("{t}"))),
+        };
+        let fault = |name: &String| match self.faults.iter().any(|f| f.name == *name) {
+            true => Ok(name.clone()),
+            false => Err(ScenarioError::UnknownFault(name.clone())),
+        };
+        let t0 = sim.now();
+        let mut steps = Vec::with_capacity(self.timeline.len());
+        for ta in &self.timeline {
+            let at = t0 + offset(ta.at_secs)?;
+            let step = match &ta.action {
+                ActionKind::Arm { fault: name } => Step::Arm(fault(name)?),
+                ActionKind::Disarm { fault: name } => Step::Disarm(fault(name)?),
+                ActionKind::ProcShieldWrite { path, mask } => {
+                    let file = ShieldFile::from_path(path)
+                        .ok_or_else(|| ScenarioError::BadPath(path.clone()))?;
+                    let what = format!("shield write '{path}'");
+                    Step::Shield(file, self.cpu_mask(what, mask, false)?)
+                }
+                ActionKind::ShieldAll { mask } => {
+                    Step::ShieldAll(self.cpu_mask("shield write".into(), mask, false)?)
+                }
+                ActionKind::UnshieldAll => Step::ShieldAll(CpuMask::EMPTY),
+                ActionKind::SetIrqAffinity { device: name, mask } => {
+                    let dev = ids[device(name)?];
+                    let what = format!("irq affinity of '{name}'");
+                    Step::IrqAffinity(dev, self.cpu_mask(what, mask, true)?)
+                }
+                ActionKind::SetTaskAffinity { task: name, mask } => {
+                    let pid = task(name)?;
+                    let what = format!("affinity of '{name}'");
+                    Step::TaskAffinity(pid, self.cpu_mask(what, mask, true)?)
+                }
+            };
+            steps.push((ta.at_secs, at, step));
+        }
+        // Stable, so ties keep their listed order. Every time is checked
+        // finite, so `partial_cmp` orders each pair.
+        steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let steps = steps.into_iter().map(|(_, at, step)| (at, step)).collect();
+
+        if let Some(t) = &self.transient {
+            offset(t.from_secs)?;
+            if t.bound_us.checked_mul(1_000).is_none() {
+                return Err(ScenarioError::BadTime(format!("bound_us = {}", t.bound_us)));
+            }
+            if transient.is_none() {
+                return Err(ScenarioError::UnknownTask(t.task.clone()));
+            }
+        }
+
+        sim.start();
+        // Per-device IRQ affinity (before the shield plan, which may re-bind).
+        for (dev, mask) in affinities {
+            sim.set_irq_affinity(dev, mask).map_err(ScenarioError::Kernel)?;
+        }
+        if let Some(plan) = shield {
             plan.apply(&mut sim).map_err(|e| ScenarioError::Kernel(e.to_string()))?;
         }
-        Ok(Built { sim, armory, devices, tasks })
+        Ok(Built { sim, armory, tasks, steps, transient })
+    }
+
+    /// Parse `s` as a mask of the machine's CPUs. It is `BadMask` if it is
+    /// not a hex mask, or names no CPU when `nonempty`, and `OfflineCpus`
+    /// (naming `what`) if it names a CPU the machine does not have. Every
+    /// mask in a spec is read here, once.
+    fn cpu_mask(&self, what: String, s: &str, nonempty: bool) -> Result<CpuMask, ScenarioError> {
+        let mask: CpuMask = s.parse().map_err(|_| ScenarioError::BadMask(s.to_string()))?;
+        if !(mask - self.machine.online_mask()).is_empty() {
+            return Err(ScenarioError::OfflineCpus { what, mask: s.to_string() });
+        }
+        if nonempty && mask.is_empty() {
+            return Err(ScenarioError::BadMask(s.to_string()));
+        }
+        Ok(mask)
     }
 }
 
-/// Build the scenario on its seed and run it to completion.
+/// Build the scenario on its seed, apply its timeline's steps as the run
+/// reaches them, and collect each measured task's result.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
-    let Built { mut sim, mut armory, devices, tasks } = spec.build(spec.seed)?;
-
-    // Run, pausing at each timeline action (time order; ties in listed
-    // order via stable sort).
+    let Built { mut sim, mut armory, tasks, steps, transient } = spec.build(spec.seed)?;
     let t0 = sim.now();
-    let t_end = t0 + Nanos::from_secs_f64(spec.run_secs);
-    let mut actions: Vec<&TimedAction> = spec.timeline.iter().collect();
-    actions.sort_by(|a, b| a.at_secs.partial_cmp(&b.at_secs).expect("validated finite"));
-    for ta in actions {
-        sim.run_until(t0 + Nanos::from_secs_f64(ta.at_secs));
-        apply_action(&mut sim, &mut armory, &devices, &tasks, &ta.action)?;
+    for (at, step) in &steps {
+        sim.run_until(*at);
+        step.apply(&mut sim, &mut armory)?;
     }
-    sim.run_until(t_end);
+    sim.run_until(t0 + Nanos::from_secs_f64(spec.run_secs));
 
-    // Collect.
     let mut results = HashMap::new();
-    for m in &spec.measured {
-        let pid = tasks[&m.name];
+    for (m, &pid) in spec.measured.iter().zip(&tasks) {
         let result = match m.kind {
             MeasuredKind::IrqWait { .. } => {
                 let h: LatencyHistogram = sim.obs.latencies(pid).iter().copied().collect();
@@ -621,8 +644,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
         };
         results.insert(m.name.clone(), result);
     }
-    let recovery = spec.transient.as_ref().map(|t| {
-        let pid = tasks[&t.task];
+    let recovery = spec.transient.as_ref().zip(transient).map(|(t, pid)| {
         let mut tracker = RecoveryTracker::new(t.clone(), t0, 0);
         tracker.fold(sim.obs.latencies(pid), sim.obs.latency_times(pid));
         tracker.report()
@@ -633,40 +655,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError
         irqs_per_cpu: sim.obs.cpu.iter().map(|c| c.irqs).collect(),
         recovery,
     })
-}
-
-fn apply_action(
-    sim: &mut Simulator,
-    armory: &mut Armory,
-    devices: &HashMap<String, DeviceId>,
-    tasks: &HashMap<String, Pid>,
-    action: &ActionKind,
-) -> Result<(), ScenarioError> {
-    let inject = |e: sp_inject::InjectError| ScenarioError::Inject(e.to_string());
-    match action {
-        ActionKind::Arm { fault } => armory.arm(sim, fault).map_err(inject),
-        ActionKind::Disarm { fault } => armory.disarm(sim, fault).map_err(inject),
-        ActionKind::ProcShieldWrite { path, mask } => {
-            let file =
-                ShieldFile::from_path(path).ok_or_else(|| ScenarioError::BadPath(path.clone()))?;
-            ProcShield::write(sim, file, mask).map_err(|e| ScenarioError::Kernel(e.to_string()))
-        }
-        ActionKind::ShieldAll { mask } => ProcShield::write_all(sim, parse_mask(mask)?)
-            .map_err(|e| ScenarioError::Kernel(e.to_string())),
-        ActionKind::UnshieldAll => ProcShield::write_all(sim, CpuMask::EMPTY)
-            .map_err(|e| ScenarioError::Kernel(e.to_string())),
-        ActionKind::SetIrqAffinity { device, mask } => {
-            let dev = devices
-                .get(device)
-                .copied()
-                .ok_or_else(|| ScenarioError::UnknownDevice(device.clone()))?;
-            sim.set_irq_affinity(dev, parse_mask(mask)?).map_err(ScenarioError::Kernel)
-        }
-        ActionKind::SetTaskAffinity { task, mask } => {
-            let pid = tasks.get(task).ok_or_else(|| ScenarioError::UnknownTask(task.clone()))?;
-            sim.set_task_affinity(*pid, parse_mask(mask)?).map_err(ScenarioError::Kernel)
-        }
-    }
 }
 
 /// The transient-recovery verdict as a streaming fold: find the first run
@@ -1064,29 +1052,251 @@ mod tests {
         assert!(report.irqs_per_cpu[1] >= 9_000);
     }
 
-    #[test]
-    fn unknown_names_are_rejected() {
-        let mut spec = fig7_scenario();
-        spec.workloads = vec![WorkloadSpec::Disknoise { disk: "nope".into() }];
-        assert_eq!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::UnknownDevice("nope".into()))
-        );
-
-        let mut spec = fig7_scenario();
-        spec.shield.as_mut().unwrap().bind_tasks = vec!["ghost".into()];
-        assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::UnknownTask("ghost".into())));
-
-        let mut spec = fig7_scenario();
-        spec.shield.as_mut().unwrap().cpus = "zz".into();
-        assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::BadMask("zz".into())));
+    fn build_err(spec: &ScenarioSpec) -> Option<ScenarioError> {
+        spec.build(spec.seed).err()
     }
 
+    /// Each row is one spec, edited from a shipped builder to carry one bad
+    /// item, and the exact error `build` must return for it.
     #[test]
-    fn empty_measured_rejected() {
-        let mut spec = fig7_scenario();
-        spec.measured.clear();
-        assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::Empty("measured tasks")));
+    fn malformed_specs_are_typed_errors() {
+        use ScenarioError::*;
+        let edit = |base: fn() -> ScenarioSpec, f: &dyn Fn(&mut ScenarioSpec)| {
+            let mut spec = base();
+            f(&mut spec);
+            spec
+        };
+        let scp_loop = || ScenarioSpec::scp_testbed(false, "loop", 50);
+        let offline = |what: &str, mask: &str| OfflineCpus { what: what.into(), mask: mask.into() };
+        let bad_device =
+            |device: &str, why: &str| BadDevice { device: device.into(), why: why.into() };
+        let hog = |pin: &str| FaultSpec {
+            name: "hog".into(),
+            kind: FaultKind::CpuHog { rt_prio: 95, burst_ms: 2, idle_ms: 2, pin: Some(pin.into()) },
+        };
+        let mut rows: Vec<(&str, ScenarioSpec, ScenarioError)> = vec![
+            (
+                "unknown workload device",
+                edit(fig7_scenario, &|s| {
+                    s.workloads = vec![WorkloadSpec::Disknoise { disk: "nope".into() }];
+                }),
+                UnknownDevice("nope".into()),
+            ),
+            (
+                "unknown shield task",
+                edit(fig7_scenario, &|s| {
+                    s.shield.as_mut().unwrap().bind_tasks = vec!["ghost".into()];
+                }),
+                UnknownTask("ghost".into()),
+            ),
+            (
+                "unknown shield irq",
+                edit(fig7_scenario, &|s| {
+                    s.shield.as_mut().unwrap().bind_irqs = vec!["ghost".into()];
+                }),
+                UnknownDevice("ghost".into()),
+            ),
+            (
+                "unknown wait device",
+                edit(fig7_scenario, &|s| {
+                    let api = WaitApiSpec::Read;
+                    s.measured[0].kind = MeasuredKind::IrqWait { device: "ghost".into(), api };
+                }),
+                UnknownDevice("ghost".into()),
+            ),
+            (
+                "unparsable shield mask",
+                edit(fig7_scenario, &|s| s.shield.as_mut().unwrap().cpus = "zz".into()),
+                BadMask("zz".into()),
+            ),
+            (
+                "no measured tasks",
+                edit(fig7_scenario, &|s| s.measured.clear()),
+                Empty("measured tasks"),
+            ),
+            // fig7's machine has 2 logical CPUs; CPU 2 (mask "4") is offline.
+            (
+                "offline pin",
+                edit(fig7_scenario, &|s| s.measured[0].pin = Some("4".into())),
+                offline("measured task 'rcim-response'", "4"),
+            ),
+            (
+                "offline irq affinity",
+                edit(fig7_scenario, &|s| s.devices[0].irq_affinity = Some("5".into())),
+                offline("device 'rcim' irq affinity", "5"),
+            ),
+            (
+                "empty irq affinity",
+                edit(fig7_scenario, &|s| s.devices[0].irq_affinity = Some("0".into())),
+                BadMask("0".into()),
+            ),
+            (
+                "offline shield",
+                edit(fig7_scenario, &|s| s.shield.as_mut().unwrap().cpus = "6".into()),
+                offline("shield", "6"),
+            ),
+            (
+                "offline fault pin",
+                edit(fig7_scenario, &|s| s.faults = vec![hog("4")]),
+                offline("fault 'hog'", "4"),
+            ),
+            (
+                "empty fault pin",
+                edit(fig7_scenario, &|s| s.faults = vec![hog("0")]),
+                BadMask("0".into()),
+            ),
+            (
+                "duplicate fault",
+                edit(fig7_scenario, &|s| s.faults = vec![hog("1"), hog("2")]),
+                DuplicateName("hog".into()),
+            ),
+            (
+                "duplicate device",
+                edit(fig7_scenario, &|s| s.devices[1].name = "rcim".into()),
+                DuplicateName("rcim".into()),
+            ),
+            (
+                "duplicate measured task",
+                edit(fig7_scenario, &|s| s.measured.push(s.measured[0].clone())),
+                DuplicateName("rcim-response".into()),
+            ),
+            (
+                "unknown timeline fault",
+                edit(irq_storm_scenario, &|s| {
+                    s.timeline[0].action = ActionKind::Arm { fault: "ghost".into() };
+                }),
+                UnknownFault("ghost".into()),
+            ),
+            (
+                "timeline time past the run",
+                edit(irq_storm_scenario, &|s| s.timeline[0].at_secs = s.run_secs + 1.0),
+                BadTime("3.5".into()),
+            ),
+            (
+                "bad /proc/shield path",
+                edit(reshield_transient_scenario, &|s| {
+                    s.timeline[1].action = ActionKind::ProcShieldWrite {
+                        path: "/proc/shield/bogus".into(),
+                        mask: "2".into(),
+                    };
+                }),
+                BadPath("/proc/shield/bogus".into()),
+            ),
+            (
+                "offline shield write",
+                edit(reshield_transient_scenario, &|s| {
+                    s.timeline[1].action = ActionKind::ShieldAll { mask: "4".into() };
+                }),
+                offline("shield write", "4"),
+            ),
+            (
+                "unknown affinity device",
+                edit(irq_storm_scenario, &|s| {
+                    let (device, mask) = ("ghost".into(), "1".into());
+                    s.timeline[0].action = ActionKind::SetIrqAffinity { device, mask };
+                }),
+                UnknownDevice("ghost".into()),
+            ),
+            (
+                "empty task affinity",
+                edit(irq_storm_scenario, &|s| {
+                    let (task, mask) = ("realfeel".into(), "0".into());
+                    s.timeline[0].action = ActionKind::SetTaskAffinity { task, mask };
+                }),
+                BadMask("0".into()),
+            ),
+            (
+                "unknown transient task",
+                edit(reshield_transient_scenario, &|s| {
+                    s.transient.as_mut().unwrap().task = "nobody".into();
+                }),
+                UnknownTask("nobody".into()),
+            ),
+            (
+                "transient bound past the clock",
+                edit(reshield_transient_scenario, &|s| {
+                    s.transient.as_mut().unwrap().bound_us = u64::MAX;
+                }),
+                BadTime("bound_us = 18446744073709551615".into()),
+            ),
+            (
+                "RTC rate not a power of two",
+                edit(irq_storm_scenario, &|s| s.devices[0].kind = DeviceKind::Rtc { hz: 1000 }),
+                bad_device("rtc", "RTC rate 1000 Hz is not a power of two in 2..=8192"),
+            ),
+            (
+                "RCIM period under 10 µs",
+                edit(fig7_scenario, &|s| {
+                    s.devices[0].kind = DeviceKind::Rcim { period_us: 5, pcie: false };
+                }),
+                bad_device("rcim", "RCIM period 5 µs is under 10 µs"),
+            ),
+            // `period_us * 1000` wraps to 384 ns; unchecked, the run panicked.
+            (
+                "RCIM period past the clock",
+                edit(fig7_scenario, &|s| {
+                    let period_us = 18446744073709552;
+                    s.devices[0].kind = DeviceKind::Rcim { period_us, pcie: false };
+                }),
+                bad_device("rcim", "RCIM period 18446744073709552 µs is over a day"),
+            ),
+            (
+                "RCIM period over a day",
+                edit(fig7_scenario, &|s| {
+                    s.devices[0].kind = DeviceKind::Rcim { period_us: 86_400_000_001, pcie: true };
+                }),
+                bad_device("rcim", "RCIM period 86400000001 µs is over a day"),
+            ),
+            // A 0 ms lap costs about 1 ns, so the run never ends.
+            (
+                "zero loop work",
+                edit(scp_loop, &|s| s.measured[0].kind = MeasuredKind::Loop { work_ms: 0 }),
+                BadTime("work_ms = 0".into()),
+            ),
+            // Fits `Nanos`, but `now + work` wraps the clock within a second.
+            (
+                "loop work near the clock's range",
+                edit(scp_loop, &|s| {
+                    s.measured[0].kind = MeasuredKind::Loop { work_ms: 18446744073000 };
+                }),
+                BadTime("work_ms = 18446744073000".into()),
+            ),
+            (
+                "loop work past the clock",
+                edit(scp_loop, &|s| s.measured[0].kind = MeasuredKind::Loop { work_ms: u64::MAX }),
+                BadTime(format!("work_ms = {}", u64::MAX)),
+            ),
+            // No pins or masks, so no offline-CPU check can catch it first.
+            (
+                "invalid machine",
+                edit(|| ScenarioSpec::rtc_testbed("realfeel", 2048), &|s| {
+                    s.machine.physical_cores = 0;
+                }),
+                Kernel("machine needs at least one core".into()),
+            ),
+            (
+                "invalid kernel override",
+                edit(fig7_scenario, &|s| {
+                    let kernel = KernelConfig { local_timer_hz: 0, ..KernelConfig::new(s.kernel) };
+                    s.kernel_overrides = Some(kernel);
+                }),
+                Kernel("local timer frequency must be positive".into()),
+            ),
+        ];
+        for rt_prio in [0, 100] {
+            let spec = edit(fig7_scenario, &|s| s.measured[0].rt_prio = rt_prio);
+            rows.push(("rt_prio", spec, BadPriority { task: "rcim-response".into(), rt_prio }));
+        }
+        // The run length itself: negative, zero, NaN (which would let any
+        // timeline time pass), infinite, and past the nanosecond clock.
+        for run_secs in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e12] {
+            let spec = edit(irq_storm_scenario, &|s| s.run_secs = run_secs);
+            rows.push(("run_secs", spec, BadTime(format!("run_secs = {run_secs}"))));
+        }
+        for (what, spec, expect) in rows {
+            assert_eq!(build_err(&spec), Some(expect.clone()), "{what}");
+            assert_eq!(run_scenario(&spec).err(), Some(expect), "{what} (run_scenario)");
+        }
     }
 
     #[test]
@@ -1144,114 +1354,14 @@ mod tests {
     }
 
     #[test]
-    fn offline_cpu_masks_are_rejected_up_front() {
-        // fig7's machine has 2 logical CPUs; CPU 2 (mask "4") is offline.
-        let mut spec = fig7_scenario();
-        spec.measured[0].pin = Some("4".into());
-        assert!(matches!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::OfflineCpus { what, .. }) if what.contains("rcim-response")
-        ));
-
-        let mut spec = fig7_scenario();
-        spec.devices[0].irq_affinity = Some("5".into()); // CPU0 + offline CPU2
-        assert!(matches!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::OfflineCpus { what, .. }) if what.contains("rcim")
-        ));
-
-        let mut spec = fig7_scenario();
-        spec.shield.as_mut().unwrap().cpus = "6".into();
-        assert!(matches!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::OfflineCpus { what, .. }) if what == "shield"
-        ));
-    }
-
-    #[test]
-    fn timeline_validation_catches_dangling_names_and_bad_times() {
-        let mut spec = irq_storm_scenario();
-        spec.timeline[0].action = ActionKind::Arm { fault: "ghost".into() };
-        assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::UnknownFault("ghost".into())));
-
-        let mut spec = irq_storm_scenario();
-        spec.timeline[0].at_secs = spec.run_secs + 1.0;
-        assert!(matches!(run_scenario(&spec).err(), Some(ScenarioError::BadTime(_))));
-
-        // The run length itself: negative, zero, NaN (which would let any
-        // timeline time pass), infinite, and past the nanosecond clock.
-        for run_secs in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e12] {
-            let mut spec = irq_storm_scenario();
-            spec.run_secs = run_secs;
-            assert_eq!(
-                run_scenario(&spec).err(),
-                Some(ScenarioError::BadTime(format!("run_secs = {run_secs}"))),
-                "run_secs = {run_secs}"
-            );
-        }
-
-        let mut spec = reshield_transient_scenario();
-        spec.timeline[1].action = ActionKind::ProcShieldWrite {
-            path: "/proc/shield/bogus".into(),
-            mask: "2".into(),
-        };
-        assert_eq!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::BadPath("/proc/shield/bogus".into()))
-        );
-
-        let mut spec = reshield_transient_scenario();
-        spec.transient.as_mut().unwrap().task = "nobody".into();
-        assert_eq!(run_scenario(&spec).err(), Some(ScenarioError::UnknownTask("nobody".into())));
-    }
-
-    // Device parameters the models reject, and machine or kernel configs the
-    // simulator rejects, are typed errors rather than panics mid-build.
-    #[test]
-    fn bad_rtc_rates_are_rejected() {
-        let mut spec = irq_storm_scenario();
-        spec.devices[0].kind = DeviceKind::Rtc { hz: 1000 };
-        assert!(matches!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::BadDevice { device, .. }) if device == "rtc"
-        ));
-    }
-
-    #[test]
-    fn rcim_periods_under_ten_microseconds_are_rejected() {
-        let mut spec = fig7_scenario();
-        spec.devices[0].kind = DeviceKind::Rcim { period_us: 5, pcie: false };
-        assert!(matches!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::BadDevice { device, .. }) if device == "rcim"
-        ));
-    }
-
-    #[test]
-    fn measured_priorities_outside_one_to_ninety_nine_are_rejected() {
-        for rt_prio in [0, 100] {
-            let mut spec = fig7_scenario();
-            spec.measured[0].rt_prio = rt_prio;
-            let task = spec.measured[0].name.clone();
-            assert_eq!(
-                run_scenario(&spec).err(),
-                Some(ScenarioError::BadPriority { task, rt_prio }),
-                "rt_prio {rt_prio}"
-            );
-        }
-    }
-
-    #[test]
     fn irq_waits_on_devices_without_waiters_are_rejected() {
         for name in ["eth0", "sda", "gpu"] {
             let mut spec = fig7_scenario();
             let api = WaitApiSpec::Ioctl { driver_bkl_free: true };
             spec.measured[0].kind = MeasuredKind::IrqWait { device: name.into(), api };
             let task = spec.measured[0].name.clone();
-            assert_eq!(
-                validate(&spec).err(),
-                Some(ScenarioError::NotWaitable { task, device: name.into() })
-            );
+            let expect = ScenarioError::NotWaitable { task, device: name.into() };
+            assert_eq!(build_err(&spec), Some(expect));
         }
     }
 
@@ -1267,7 +1377,7 @@ mod tests {
     }
 
     fn assert_bad_eth0(spec: &ScenarioSpec) {
-        let err = validate(spec).unwrap_err();
+        let err = build_err(spec).expect("rejected");
         assert!(
             matches!(&err, ScenarioError::BadDevice { device, .. } if device == "eth0"),
             "{err}"
@@ -1289,26 +1399,125 @@ mod tests {
         assert_bad_eth0(&storm_with_nic_gap(DistShape::Uniform { lo: 9, hi: 3 }));
     }
 
-    #[test]
-    fn invalid_machines_are_rejected() {
-        // No pins or masks, so no offline-CPU check can catch it first.
-        let mut spec = ScenarioSpec::rtc_testbed("realfeel", 2048);
-        spec.machine.physical_cores = 0;
-        assert_eq!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::Kernel("machine needs at least one core".into()))
-        );
+    /// The numeric fields the hostile-number property edits, and the edge
+    /// values it sets them to (saturated into narrower integer types).
+    const FIELDS: [&str; 9] = [
+        "hz",
+        "period_us",
+        "work_ms",
+        "rt_prio",
+        "bound_us",
+        "settle",
+        "run_secs",
+        "at_secs",
+        "from_secs",
+    ];
+    const INT_EDGES: [u64; 7] = [
+        0,
+        1,
+        u64::MAX / 1_000_000,
+        u64::MAX / 1_000_000 + 1,
+        u64::MAX / 1_000,
+        u64::MAX / 1_000 + 1,
+        u64::MAX,
+    ];
+    const FLOAT_EDGES: [f64; 9] = [
+        0.0,
+        1.0,
+        (u64::MAX / 1_000_000_000) as f64,
+        (u64::MAX / 1_000_000) as f64,
+        (u64::MAX / 1_000) as f64,
+        u64::MAX as f64,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// Set the `pick`-th occurrence (mod their count) of `field` in `spec` to
+    /// `n` (integer fields) or `x` (float fields). False if `spec` has none.
+    fn set_edge(spec: &mut ScenarioSpec, field: &str, pick: usize, n: u64, x: f64) -> bool {
+        fn nth<'a, T: 'a>(it: impl Iterator<Item = &'a mut T>, pick: usize) -> Option<&'a mut T> {
+            let mut items: Vec<&mut T> = it.collect();
+            let len = items.len();
+            (len > 0).then(|| items.swap_remove(pick % len))
+        }
+        let sat = |max: u64| n.min(max);
+        let transient = spec.transient.as_mut();
+        match field {
+            "hz" => nth(
+                spec.devices.iter_mut().filter_map(|d| match &mut d.kind {
+                    DeviceKind::Rtc { hz } => Some(hz),
+                    _ => None,
+                }),
+                pick,
+            )
+            .map(|hz| *hz = sat(u32::MAX.into()) as u32),
+            "period_us" => nth(
+                spec.devices.iter_mut().filter_map(|d| match &mut d.kind {
+                    DeviceKind::Rcim { period_us, .. } => Some(period_us),
+                    _ => None,
+                }),
+                pick,
+            )
+            .map(|p| *p = n),
+            "work_ms" => nth(
+                spec.measured.iter_mut().filter_map(|m| match &mut m.kind {
+                    MeasuredKind::Loop { work_ms } => Some(work_ms),
+                    _ => None,
+                }),
+                pick,
+            )
+            .map(|w| *w = n),
+            "rt_prio" => nth(spec.measured.iter_mut().map(|m| &mut m.rt_prio), pick)
+                .map(|p| *p = sat(u8::MAX.into()) as u8),
+            "bound_us" => transient.map(|t| t.bound_us = n),
+            "settle" => transient.map(|t| t.settle = sat(usize::MAX as u64) as usize),
+            "from_secs" => transient.map(|t| t.from_secs = x),
+            "run_secs" => {
+                spec.run_secs = x;
+                Some(())
+            }
+            "at_secs" => {
+                nth(spec.timeline.iter_mut().map(|ta| &mut ta.at_secs), pick).map(|t| *t = x)
+            }
+            _ => unreachable!("unknown field {field}"),
+        }
+        .is_some()
     }
 
-    #[test]
-    fn invalid_kernel_overrides_are_rejected() {
-        let mut spec = fig7_scenario();
-        spec.kernel_overrides =
-            Some(KernelConfig { local_timer_hz: 0, ..KernelConfig::new(spec.kernel) });
-        assert_eq!(
-            run_scenario(&spec).err(),
-            Some(ScenarioError::Kernel("local timer frequency must be positive".into()))
-        );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// One numeric field of a shipped spec set to an edge value never
+        /// panics: `build` returns a typed error, or the spec runs its first
+        /// simulated milliseconds (applying the steps due by then).
+        #[test]
+        fn hostile_numbers_never_panic(
+            (field, n, x) in
+                (0usize..FIELDS.len(), 0usize..INT_EDGES.len(), 0usize..FLOAT_EDGES.len()),
+            pick in any::<usize>(),
+        ) {
+            let bases = [
+                fig7_scenario(),
+                irq_storm_scenario(),
+                reshield_transient_scenario(),
+                ScenarioSpec::scp_testbed(false, "loop", 50),
+            ];
+            for mut spec in bases {
+                if !set_edge(&mut spec, FIELDS[field], pick, INT_EDGES[n], FLOAT_EDGES[x]) {
+                    continue;
+                }
+                let Ok(Built { mut sim, mut armory, steps, .. }) = spec.build(spec.seed) else {
+                    continue;
+                };
+                let end = sim.now() + Nanos::from_ms(3);
+                for (at, step) in steps.iter().filter(|(at, _)| *at <= end) {
+                    sim.run_until(*at);
+                    // A step may fail on the simulator's state; that is typed too.
+                    let _ = step.apply(&mut sim, &mut armory);
+                }
+                sim.run_until(end);
+            }
+        }
     }
 
     #[test]
@@ -1379,7 +1588,7 @@ mod tests {
                 serde_json::to_value(&spec).unwrap(),
                 "{file} drifted from its builder"
             );
-            validate(&parsed).expect("example validates");
+            assert_eq!(build_err(&parsed), None, "{file} builds");
         }
     }
 }

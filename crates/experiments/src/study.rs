@@ -75,8 +75,7 @@ impl Rig {
     /// [`ScenarioSpec::build`]; returns the measured task's pid.
     pub(crate) fn build(&self, seed: u64) -> (Simulator, Armory, Pid) {
         let built = self.spec.build(seed).expect("rig spec builds");
-        let pid = built.tasks[&self.spec.measured[0].name];
-        (built.sim, built.armory, pid)
+        (built.sim, built.armory, built.tasks[0])
     }
 
     /// The measured task's interrupt period; a healthy waiter samples once
