@@ -297,18 +297,10 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// The longest RCIM period or loop lap a spec may ask for: one simulated
-/// day, against the paper's longest, the 1,148 ms determinism loop. A span
-/// near the u64 nanosecond clock's range (~584 years) wraps `now + span`
-/// and the run panics or never ends; a day cannot in any run a host can
-/// finish.
-pub const MAX_SPAN: Nanos = Nanos::from_secs(86_400);
-
-/// `n` of `unit`, if that is a span in 1 ns..=[`MAX_SPAN`].
-fn span(n: u64, unit: Nanos) -> Option<Nanos> {
-    let ns = n.checked_mul(unit.as_ns())?;
-    (1..=MAX_SPAN.as_ns()).contains(&ns).then_some(Nanos(ns))
-}
+/// The longest RCIM period or loop lap a spec may ask for (one simulated
+/// day).
+pub use simcore::time::MAX_SPAN;
+use simcore::time::span;
 
 /// One timeline action as [`ScenarioSpec::build`] resolved it: names are
 /// ids and masks are parsed, so applying it can fail only on the state the
@@ -1401,7 +1393,7 @@ mod tests {
 
     /// The numeric fields the hostile-number property edits, and the edge
     /// values it sets them to (saturated into narrower integer types).
-    const FIELDS: [&str; 9] = [
+    const FIELDS: [&str; 15] = [
         "hz",
         "period_us",
         "work_ms",
@@ -1411,6 +1403,12 @@ mod tests {
         "run_secs",
         "at_secs",
         "from_secs",
+        "burst_us",
+        "stuck_us",
+        "hold_us",
+        "gap_us",
+        "burst_ms",
+        "idle_ms",
     ];
     const INT_EDGES: [u64; 7] = [
         0,
@@ -1443,6 +1441,9 @@ mod tests {
         }
         let sat = |max: u64| n.min(max);
         let transient = spec.transient.as_mut();
+        let mut fault = |field: fn(&mut FaultKind) -> Option<&mut u64>| {
+            nth(spec.faults.iter_mut().filter_map(|f| field(&mut f.kind)), pick).map(|v| *v = n)
+        };
         match field {
             "hz" => nth(
                 spec.devices.iter_mut().filter_map(|d| match &mut d.kind {
@@ -1480,9 +1481,45 @@ mod tests {
             "at_secs" => {
                 nth(spec.timeline.iter_mut().map(|ta| &mut ta.at_secs), pick).map(|t| *t = x)
             }
+            "burst_us" => fault(|k| match k {
+                FaultKind::SoftirqFlood { burst_us, .. } => Some(burst_us),
+                _ => None,
+            }),
+            "stuck_us" => fault(|k| match k {
+                FaultKind::StuckIsr { stuck_us, .. } => Some(stuck_us),
+                _ => None,
+            }),
+            "hold_us" => fault(|k| match k {
+                FaultKind::LockHolder { hold_us, .. } => Some(hold_us),
+                _ => None,
+            }),
+            "gap_us" => fault(|k| match k {
+                FaultKind::LockHolder { gap_us, .. } => Some(gap_us),
+                _ => None,
+            }),
+            "burst_ms" => fault(|k| match k {
+                FaultKind::CpuHog { burst_ms, .. } => Some(burst_ms),
+                _ => None,
+            }),
+            "idle_ms" => fault(|k| match k {
+                FaultKind::CpuHog { idle_ms, .. } => Some(idle_ms),
+                _ => None,
+            }),
             _ => unreachable!("unknown field {field}"),
         }
         .is_some()
+    }
+
+    /// The IRQ-storm spec with the fault matrix's whole roster in place of
+    /// its storm, every fault armed at the start, so a hostile fault number
+    /// reaches its injector within the property's first milliseconds.
+    fn armed_roster_scenario() -> ScenarioSpec {
+        let faults = sp_inject::matrix_presets();
+        let arm = |f: &FaultSpec| TimedAction {
+            at_secs: 0.0,
+            action: ActionKind::Arm { fault: f.name.clone() },
+        };
+        ScenarioSpec { timeline: faults.iter().map(arm).collect(), faults, ..irq_storm_scenario() }
     }
 
     proptest! {
@@ -1501,6 +1538,7 @@ mod tests {
                 irq_storm_scenario(),
                 reshield_transient_scenario(),
                 ScenarioSpec::scp_testbed(false, "loop", 50),
+                armed_roster_scenario(),
             ];
             for mut spec in bases {
                 if !set_edge(&mut spec, FIELDS[field], pick, INT_EDGES[n], FLOAT_EDGES[x]) {

@@ -2,6 +2,7 @@
 //! disarming of [`FaultSpec`]s against a live simulator.
 
 use crate::{FaultKind, FaultSpec, StormDevice, CTRL_ARM, CTRL_DISARM};
+use simcore::time::span;
 use simcore::{DurationDist, Nanos};
 use sp_hw::{CpuMask, IrqLine};
 use sp_kernel::{
@@ -293,8 +294,23 @@ fn spawn_task_fault(sim: &mut Simulator, spec: &FaultSpec) -> Result<Vec<Pid>, I
 
 /// Reject the numbers the injectors assert on: a storm rate whose mean gap
 /// is not a positive whole nanosecond, a flood burst no longer than its
-/// 1 µs floor, or a rogue task's SCHED_FIFO priority outside 1..=99.
+/// 1 µs floor, a rogue task's SCHED_FIFO priority outside 1..=99, or a time
+/// field past a day ([`simcore::time::MAX_SPAN`]), whose nanoseconds would
+/// wrap or overflow. A zero time field is the injector's own floor.
 fn check_fault_numbers(spec: &FaultSpec) -> Result<(), InjectError> {
+    let (us, ms) = (Nanos::from_us(1), Nanos::from_ms(1));
+    let spans = match spec.kind {
+        FaultKind::IrqStorm { .. } => vec![],
+        FaultKind::SoftirqFlood { burst_us, .. } => vec![("burst_us", burst_us, us)],
+        FaultKind::StuckIsr { stuck_us, .. } => vec![("stuck_us", stuck_us, us)],
+        FaultKind::LockHolder { hold_us, gap_us, .. } => {
+            vec![("hold_us", hold_us, us), ("gap_us", gap_us, us)]
+        }
+        FaultKind::CpuHog { burst_ms, idle_ms, .. } => {
+            vec![("burst_ms", burst_ms, ms), ("idle_ms", idle_ms, ms)]
+        }
+    };
+    let past_a_day = spans.into_iter().find(|&(_, n, unit)| n > 0 && span(n, unit).is_none());
     let why = match spec.kind {
         FaultKind::IrqStorm { rate_hz, .. } | FaultKind::SoftirqFlood { rate_hz, .. }
             if !(rate_hz > 0.0 && rate_hz <= 1e9) =>
@@ -312,7 +328,10 @@ fn check_fault_numbers(spec: &FaultSpec) -> Result<(), InjectError> {
         {
             format!("rt_prio {rt_prio} is not in 1..=99")
         }
-        _ => return Ok(()),
+        _ => match past_a_day {
+            Some((field, n, _)) => format!("{field} {n} is past a day"),
+            None => return Ok(()),
+        },
     };
     Err(InjectError::BadParameter { fault: spec.name.clone(), why })
 }
@@ -362,6 +381,47 @@ mod tests {
     #[test]
     fn rogue_task_priority_zero_is_rejected() {
         assert_rejected(FaultKind::CpuHog { rt_prio: 0, burst_ms: 1, idle_ms: 1, pin: None });
+    }
+
+    /// Each time field past a day is rejected, not wrapped: 18446744073709552
+    /// µs is 384 ns in u64 nanoseconds, and `u64::MAX` ms overflows.
+    #[test]
+    fn time_fields_past_a_day_are_rejected() {
+        const WRAPS_US: u64 = 18_446_744_073_709_552;
+        const DAY_US: u64 = 86_400_000_000;
+        const DAY_MS: u64 = 86_400_000;
+        let holder = |hold_us, gap_us| FaultKind::LockHolder {
+            lock: "net_lock".into(),
+            hold_us,
+            gap_us,
+            rt_prio: 50,
+            pin: None,
+        };
+        let hog =
+            |burst_ms, idle_ms| FaultKind::CpuHog { rt_prio: 50, burst_ms, idle_ms, pin: None };
+        let rows = [
+            FaultKind::SoftirqFlood { line: 24, rate_hz: 1_000.0, burst_us: WRAPS_US },
+            FaultKind::SoftirqFlood { line: 24, rate_hz: 1_000.0, burst_us: DAY_US + 1 },
+            FaultKind::StuckIsr { line: 24, rate_hz: 100, stuck_us: WRAPS_US },
+            FaultKind::StuckIsr { line: 24, rate_hz: 100, stuck_us: DAY_US + 1 },
+            holder(WRAPS_US, 100),
+            holder(100, DAY_US + 1),
+            hog(u64::MAX, 1),
+            hog(1, DAY_MS + 1),
+        ];
+        for kind in rows {
+            assert_rejected(kind);
+        }
+        // A day exactly, and the injectors' zero floors, still register.
+        for kind in [
+            FaultKind::StuckIsr { line: 24, rate_hz: 100, stuck_us: DAY_US },
+            FaultKind::StuckIsr { line: 24, rate_hz: 100, stuck_us: 0 },
+            holder(DAY_US, 0),
+            hog(DAY_MS, 0),
+        ] {
+            let spec = FaultSpec { name: "day".into(), kind };
+            Armory::new().register(&mut sim(), &spec).unwrap();
+        }
     }
 
     #[test]

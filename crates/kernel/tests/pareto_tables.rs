@@ -1,11 +1,13 @@
 //! The bounded-Pareto lookup tables behind every narrow shipped path cost.
 //!
 //! A bounded Pareto whose span is at most 4096 ns answers most draws from a
-//! shared `simcore::ParetoTable` instead of calling `pow`. This test builds
-//! every cost, section profile, device ISR and reader-exit cost the kernel
-//! model ships, then audits each table the process built: the table's
-//! answer must be the `pow` path's answer on every draw within ±2048 grid
-//! points of each step, at the guard distance, and on 10⁶ random draws.
+//! shared `simcore::ParetoTable` instead of calling `pow`, and the draws
+//! near a step try the guarded `y^(-1/α)` kernel before `pow`. This test
+//! builds every cost, section profile, device ISR and reader-exit cost the
+//! kernel model ships, then audits each table the process built: the
+//! table's answer, and the kernel's, must be the `pow` path's answer on
+//! every draw within ±2048 grid points of each step, at the guard distance,
+//! and on 10⁶ random draws.
 
 use simcore::{DistShape, DurationDist, Nanos, ParetoTable, SimRng};
 use sp_hw::IrqLine;
@@ -99,12 +101,15 @@ fn build_shipped() -> Vec<DurationDist> {
     built
 }
 
-/// Check the table against the `pow` path at one draw; returns the `pow`
-/// answer.
+/// Check the table, and the guarded kernel behind its near-step fallback,
+/// against the `pow` path at one draw; returns the `pow` answer.
 fn check(t: &ParetoTable, draw: u64) -> u64 {
     let pow = t.pow_path(draw);
     if let Some(ns) = t.lookup(draw) {
         assert_eq!(ns, pow, "{t:?}: table and pow differ at draw {draw}");
+    }
+    if let Some(ns) = t.guarded_arm().kernel(draw) {
+        assert_eq!(ns, pow, "{t:?}: kernel and pow differ at draw {draw}");
     }
     pow
 }

@@ -5,11 +5,11 @@
 //! samples into [`Nanos`]; parameters are expressed in nanoseconds so model
 //! constants read directly against the paper's numbers.
 
-use crate::fastmath::round_ns;
+use crate::fastmath::{round_ns, NegLn, NegPow};
 use crate::rng::SimRng;
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The shape of a distribution over time spans: its family and parameters,
@@ -254,9 +254,12 @@ impl DistShape {
 /// (`lo^-α`, `hi^-α`, `-1/α`, mean conversions) are resolved up front, the
 /// `Shifted + BoundedPareto` shape of every kernel path cost is one fused
 /// arm, and a bounded-Pareto tail at most 4096 ns wide is read from a shared
-/// [`ParetoTable`]. Every draw is bit-identical to [`DistShape::sample`] —
-/// same draw count, same arithmetic or a table holding its exact answers,
-/// same rounding.
+/// [`ParetoTable`]. A wider tail and an exponential skip libm's `pow` and
+/// `ln` through a guarded kernel ([`crate::fastmath`]) that answers only
+/// where its error bound cannot change the rounded nanosecond; see
+/// [`DurationDist::guarded_arm`]. Every draw is bit-identical to
+/// [`DistShape::sample`] — same draw count, same stream position, same
+/// rounded result, whichever of table, kernel or libm answers it.
 ///
 /// ```
 /// use simcore::{DurationDist, Nanos, SimRng};
@@ -349,6 +352,36 @@ impl DurationDist {
         self.sampler.sample_into(rng, out)
     }
 
+    /// The guarded kernel and libm expression of a bounded-Pareto tail (bare
+    /// or shifted, tabled or not) or of an exponential; `None` for other
+    /// shapes.
+    pub fn guarded_arm(&self) -> Option<GuardedArm<'_>> {
+        match &self.sampler {
+            Sampler::Pareto { tail: ParetoTail::Pow(pow), .. } => {
+                Some(GuardedArm(Arm::Pareto(pow)))
+            }
+            Sampler::Pareto { tail: ParetoTail::Table(table), .. } => Some(table.guarded_arm()),
+            Sampler::Exponential(exp) => Some(GuardedArm(Arm::Exponential(exp))),
+            _ => None,
+        }
+    }
+
+    /// Every wide bounded-Pareto tail (as a bare shape) and every
+    /// exponential this process has compiled: the shapes the guarded
+    /// kernels serve besides the narrow tails'
+    /// [`ParetoTable::interned_tables`].
+    pub fn guarded_shapes() -> Vec<DistShape> {
+        let seen = SERVED.lock().unwrap_or_else(PoisonError::into_inner);
+        seen.iter()
+            .map(|s| match *s {
+                Served::Pareto(lo, hi, alpha) => {
+                    DistShape::BoundedPareto { lo, hi, alpha: f64::from_bits(alpha) }
+                }
+                Served::Exponential(mean) => DistShape::Exponential { mean },
+            })
+            .collect()
+    }
+
     /// The shared lookup table of a bounded-Pareto tail (bare or shifted),
     /// if its span got one.
     pub fn pareto_table(&self) -> Option<&Arc<ParetoTable>> {
@@ -403,36 +436,132 @@ impl Deserialize for DurationDist {
 /// enough to amortize moving the RNG state in and out of registers.
 const DRAW_BATCH: usize = 32;
 
+/// `SimRng::f64` of a 53-bit draw.
+#[inline]
+fn unit(draw: u64) -> f64 {
+    draw as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// Build-time bounded-Pareto constants — the same values
 /// [`DistShape::sample`] computes per draw, resolved once when the
-/// distribution is compiled.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// distribution is compiled — and the shared `y^(-1/α)` kernel, if `α` and
+/// the bounds got one.
+#[derive(Debug, Clone, PartialEq)]
 struct ParetoPow {
     lo: f64,
     hi: f64,
     la: f64,
     ha: f64,
     neg_inv_alpha: f64,
+    kernel: Option<Arc<NegPow>>,
 }
 
 impl ParetoPow {
     fn new(lo: u64, hi: u64, alpha: f64) -> Self {
+        let (la, ha) = ((lo as f64).powf(-alpha), (hi as f64).powf(-alpha));
+        // Every `y` then lies in [hi^-α, lo^-α] ⊂ [2⁻¹⁰²², 1], where the
+        // kernel's tables and error bound hold; anything else runs libm.
+        let bounded = 0 < lo && lo < hi && ha >= f64::MIN_POSITIVE && la <= 1.0;
         ParetoPow {
             lo: lo as f64,
             hi: hi as f64,
-            la: (lo as f64).powf(-alpha),
-            ha: (hi as f64).powf(-alpha),
+            la,
+            ha,
             neg_inv_alpha: -1.0 / alpha,
+            kernel: if bounded { NegPow::interned(alpha) } else { None },
+        }
+    }
+
+    /// `(1−u)·lo^-α + u·hi^-α` at one 53-bit draw (`next_u64() >> 11`), as
+    /// [`DistShape::sample`] computes it.
+    #[inline]
+    fn y(&self, draw: u64) -> f64 {
+        let u = unit(draw);
+        (1.0 - u) * self.la + u * self.ha
+    }
+
+    /// The sampler's answer: the kernel's where it settles, else libm's.
+    #[inline]
+    fn tail_ns(&self, draw: u64) -> u64 {
+        let y = self.y(draw);
+        match self.kernel.as_deref().and_then(|k| k.ns(y, self.lo, self.hi)) {
+            Some(ns) => ns,
+            None => self.libm_at(y),
         }
     }
 
     /// The inverse-CDF expression of [`DistShape::sample`] at one 53-bit
-    /// draw (`next_u64() >> 11`).
+    /// draw.
+    fn libm_ns(&self, draw: u64) -> u64 {
+        self.libm_at(self.y(draw))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn libm_at(&self, y: f64) -> u64 {
+        round_ns(y.powf(self.neg_inv_alpha).clamp(self.lo, self.hi))
+    }
+}
+
+/// A compiled exponential: `−ln u · mean` through the guarded kernel, with
+/// the libm expression of [`DistShape::sample`] behind it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ExpGap(NegLn);
+
+impl ExpGap {
     #[inline]
-    fn tail_ns(&self, draw: u64) -> u64 {
-        let u = draw as f64 * (1.0 / (1u64 << 53) as f64);
-        let x = ((1.0 - u) * self.la + u * self.ha).powf(self.neg_inv_alpha);
-        round_ns(x.clamp(self.lo, self.hi))
+    fn ns(&self, u: f64) -> u64 {
+        match self.0.ns(u) {
+            Some(ns) => ns,
+            None => self.libm_at(u),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn libm_at(&self, u: f64) -> u64 {
+        round_ns(-(u.ln()) * self.0.mean())
+    }
+}
+
+/// A compiled arm that answers through a guarded kernel
+/// ([`crate::fastmath`]) and falls back to the libm expression of
+/// [`DistShape::sample`]: a bounded-Pareto tail (bare or shifted, tabled or
+/// not; the shift is not added) or an exponential.
+#[derive(Debug, Clone, Copy)]
+pub struct GuardedArm<'a>(Arm<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Arm<'a> {
+    Pareto(&'a ParetoPow),
+    Exponential(&'a ExpGap),
+}
+
+impl GuardedArm<'_> {
+    /// Whether a kernel was built; without one every draw runs libm (an
+    /// invalid or extreme `α`, or a subnormal `hi^-α`).
+    pub fn has_kernel(&self) -> bool {
+        match self.0 {
+            Arm::Pareto(pow) => pow.kernel.is_some(),
+            Arm::Exponential(_) => true,
+        }
+    }
+
+    /// The kernel's answer at a 53-bit draw (`next_u64() >> 11`), or `None`
+    /// where the sampler runs libm instead.
+    pub fn kernel(&self, draw: u64) -> Option<u64> {
+        match self.0 {
+            Arm::Pareto(pow) => pow.kernel.as_deref()?.ns(pow.y(draw), pow.lo, pow.hi),
+            Arm::Exponential(exp) => exp.0.ns(1.0 - unit(draw)),
+        }
+    }
+
+    /// The libm expression of [`DistShape::sample`] at the same draw.
+    pub fn libm(&self, draw: u64) -> u64 {
+        match self.0 {
+            Arm::Pareto(pow) => pow.libm_ns(draw),
+            Arm::Exponential(exp) => exp.libm_at(1.0 - unit(draw)),
+        }
     }
 }
 
@@ -541,7 +670,7 @@ impl ParetoTable {
                 None => (1u64 << 53) - 1,
             };
             if first <= last
-                && (pow.tail_ns(first) != lo + i as u64 || pow.tail_ns(last) != lo + i as u64)
+                && (table.pow_path(first) != lo + i as u64 || table.pow_path(last) != lo + i as u64)
             {
                 return None;
             }
@@ -583,7 +712,12 @@ impl ParetoTable {
 
     /// The `pow` expression of [`DistShape::sample`] at a 53-bit draw.
     pub fn pow_path(&self, draw: u64) -> u64 {
-        self.pow.tail_ns(draw)
+        self.pow.libm_ns(draw)
+    }
+
+    /// The guarded kernel behind the near-step fallback.
+    pub fn guarded_arm(&self) -> GuardedArm<'_> {
+        GuardedArm(Arm::Pareto(&self.pow))
     }
 
     /// The sampler's answer: a clean bucket's inline, the rest out of line.
@@ -596,6 +730,7 @@ impl ParetoTable {
         self.tail_ns_near_step(draw)
     }
 
+    /// Near a step the kernel, then libm, answers.
     #[inline(never)]
     fn tail_ns_near_step(&self, draw: u64) -> u64 {
         self.lookup(draw).unwrap_or_else(|| self.pow.tail_ns(draw))
@@ -631,7 +766,10 @@ impl ParetoTail {
     fn new(lo: u64, hi: u64, alpha: f64) -> Self {
         match ParetoTable::interned(lo, hi, alpha) {
             Some(table) => ParetoTail::Table(table),
-            None => ParetoTail::Pow(ParetoPow::new(lo, hi, alpha)),
+            None => {
+                served(Served::Pareto(lo, hi, alpha.to_bits()));
+                ParetoTail::Pow(ParetoPow::new(lo, hi, alpha))
+            }
         }
     }
 
@@ -645,12 +783,28 @@ impl ParetoTail {
     }
 }
 
+/// An untabled bounded-Pareto tail `(lo, hi, α bits)` or an exponential's
+/// mean, as compiled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Served {
+    Pareto(u64, u64, u64),
+    Exponential(u64),
+}
+
+/// Every [`Served`] shape compiled in this process, for
+/// [`DurationDist::guarded_shapes`].
+static SERVED: Mutex<BTreeSet<Served>> = Mutex::new(BTreeSet::new());
+
+fn served(s: Served) {
+    SERVED.lock().unwrap_or_else(PoisonError::into_inner).insert(s);
+}
+
 /// The compiled form of a [`DistShape`] that [`DurationDist`] samples from.
 #[derive(Debug, Clone, PartialEq)]
 enum Sampler {
     Constant(u64),
     Uniform { lo: u64, hi: u64 },
-    Exponential { mean: f64 },
+    Exponential(ExpGap),
     /// `base + bounded-Pareto tail` — covers both a bare bounded Pareto
     /// (`base == 0`) and the `Shifted + BoundedPareto` shape of every kernel
     /// path cost.
@@ -669,7 +823,10 @@ impl Sampler {
         match shape {
             DistShape::Constant(ns) => Sampler::Constant(*ns),
             DistShape::Uniform { lo, hi } => Sampler::Uniform { lo: *lo, hi: *hi },
-            DistShape::Exponential { mean } => Sampler::Exponential { mean: *mean as f64 },
+            DistShape::Exponential { mean } => {
+                served(Served::Exponential(*mean));
+                Sampler::Exponential(ExpGap(NegLn::new(*mean as f64)))
+            }
             DistShape::BoundedPareto { lo, hi, alpha } => {
                 Sampler::Pareto { base: 0, tail: ParetoTail::new(*lo, *hi, *alpha) }
             }
@@ -713,10 +870,7 @@ impl Sampler {
             Sampler::Pareto { base, tail } => Nanos(base + tail.tail_ns(rng.next_u64())),
             Sampler::Constant(ns) => Nanos(*ns),
             Sampler::Uniform { lo, hi } => Nanos(rng.range_inclusive(*lo, *hi)),
-            Sampler::Exponential { mean } => {
-                let u = rng.f64_open0();
-                Nanos(round_ns(-(u.ln()) * mean))
-            }
+            Sampler::Exponential(exp) => Nanos(exp.ns(rng.f64_open0())),
             Sampler::LogNormal { median, sigma } => {
                 let z = sample_standard_normal(rng);
                 Nanos(round_ns(median * (sigma * z).exp()))

@@ -100,6 +100,20 @@ impl Nanos {
     }
 }
 
+/// The longest span a spec or fault may ask for: one simulated day, against
+/// the paper's longest, the 1,148 ms determinism loop. A span near the u64
+/// nanosecond clock's range (~584 years) wraps `now + span` and the run
+/// panics or never ends; a day cannot in any run a host can finish.
+pub const MAX_SPAN: Nanos = Nanos::from_secs(86_400);
+
+/// `n` of `unit`, if that is a span in 1 ns..=[`MAX_SPAN`]: the checked
+/// form of [`Nanos::from_us`] and [`Nanos::from_ms`] for numbers read from
+/// a spec, which would wrap (18446744073709552 µs is 384 ns) or panic.
+pub fn span(n: u64, unit: Nanos) -> Option<Nanos> {
+    let ns = n.checked_mul(unit.as_ns())?;
+    (1..=MAX_SPAN.as_ns()).contains(&ns).then_some(Nanos(ns))
+}
+
 impl Instant {
     /// Simulation start.
     pub const ZERO: Instant = Instant(0);

@@ -428,6 +428,83 @@ proptest! {
     }
 }
 
+/// One simulated day in nanoseconds: the widest span a spec may ask for.
+const DAY_NS: u64 = 86_400_000_000_000;
+
+/// Scalar draws, batched draws and the final generator state of `dist`
+/// all equal its shape's reference sampler.
+fn assert_draws_match_reference(dist: &DurationDist, seed: u64, n: usize) {
+    let shape = dist.shape();
+    let (mut reference, mut scalar) = (SimRng::new(seed), SimRng::new(seed));
+    let expected: Vec<Nanos> = (0..n).map(|_| shape.sample(&mut reference)).collect();
+    let drawn: Vec<Nanos> = (0..n).map(|_| dist.sample(&mut scalar)).collect();
+    assert_eq!(drawn, expected, "{shape:?}: scalar draws diverged");
+    assert_eq!(format!("{reference:?}"), format!("{scalar:?}"));
+    let mut batched_rng = SimRng::new(seed);
+    let mut batched = vec![Nanos::ZERO; n];
+    dist.sample_into(&mut batched_rng, &mut batched);
+    assert_eq!(batched, expected, "{shape:?}: batched draws diverged");
+    assert_eq!(format!("{reference:?}"), format!("{batched_rng:?}"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A bounded Pareto too wide for a table answers through the guarded
+    /// `y^(-1/α)` kernel, bit-identically to the reference, over `lo` up to
+    /// 10⁶ ns, `hi` up to a day and `α` in 0.3..3.
+    #[test]
+    fn wide_paretos_draw_the_reference_bits(
+        lo in 1u64..1_000_000,
+        hi_milli in 0u32..=1_000,
+        alpha_milli in 300u32..3_000,
+        base in 0u64..1_000,
+        seed in any::<u64>(),
+    ) {
+        let alpha = alpha_milli as f64 / 1000.0;
+        // Log-uniform from just past a table's span out to one day.
+        let (min_hi, max_hi) = ((lo + 4097) as f64, DAY_NS as f64);
+        let hi = (min_hi * (max_hi / min_hi).powf(hi_milli as f64 / 1000.0)) as u64;
+        let tail = DurationDist::bounded_pareto(Nanos(lo), Nanos(hi), alpha);
+        prop_assert!(tail.pareto_table().is_none());
+        prop_assert!(tail.guarded_arm().unwrap().has_kernel(), "{:?}", tail);
+        assert_draws_match_reference(&tail, seed, 2_000);
+        assert_draws_match_reference(&DurationDist::shifted(Nanos(base), tail), seed, 100);
+    }
+
+    /// An exponential answers through the guarded `−ln u` kernel,
+    /// bit-identically to the reference, for means from 1 ns to a day.
+    #[test]
+    fn exponentials_draw_the_reference_bits(mean_milli in 0u32..=1_000, seed in any::<u64>()) {
+        let mean = (DAY_NS as f64).powf(mean_milli as f64 / 1000.0) as u64;
+        let dist = DurationDist::exponential(Nanos(mean));
+        prop_assert!(dist.guarded_arm().unwrap().has_kernel());
+        assert_draws_match_reference(&dist, seed, 2_000);
+    }
+
+    /// Shapes `validate` rejects still compile, get no kernel, and send
+    /// every draw to the libm expression.
+    #[test]
+    fn hostile_paretos_compile_and_take_the_libm_path(
+        lo in 0u64..1_000_000,
+        below in 0u64..10_000,
+        alpha_pick in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let alpha = [0.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][alpha_pick];
+        let inverted = DistShape::BoundedPareto { lo, hi: lo.saturating_sub(below), alpha: 1.2 };
+        for shape in [inverted, DistShape::BoundedPareto { lo, hi: lo + 5_000, alpha }] {
+            let dist = DurationDist::from(shape.clone());
+            let arm = dist.guarded_arm().unwrap();
+            prop_assert!(!arm.has_kernel(), "{:?}", shape);
+            let mut rng = SimRng::new(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(arm.kernel(rng.next_u64() >> 11), None);
+            }
+        }
+    }
+}
+
 /// Random valid [`DistShape`]s: every arm, with `Mix` and `Shifted` nested
 /// up to `depth` levels, and bounded-Pareto spans both narrow enough for a
 /// lookup table and wider.
